@@ -49,6 +49,19 @@ def unpack_bits(data: np.ndarray, cols: int) -> np.ndarray:
     return flat[:, :cols]
 
 
+def bits_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """GF(2) product of unpacked 0/1 arrays: (rows x k) times (k x cols),
+    returned as uint8 0/1.
+
+    The product runs in float32, whose integer sums stay exact while
+    k < 2^24, so the low bit of each sum is the GF(2) value.
+    """
+    if a.shape[1] >= 1 << 24:
+        raise ValueError(f"inner dimension {a.shape[1]} is beyond exact float32 sums")
+    prod = a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False)
+    return (prod.astype(np.int32) & 1).astype(np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # pure-numpy backend
 # ---------------------------------------------------------------------------

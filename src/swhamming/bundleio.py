@@ -19,14 +19,13 @@ from .errors import MalformedFileError, RNotInvertibleError
 from .gf2 import (
     BitMatrix,
     format_matrix,
-    hstack,
     invert,
     parse_matrix,
     row_basis_transforms,
     vstack,
 )
 from .ghcms import GhcmsBundle
-from .hcms import HcmsBundle, _column_index
+from .hcms import HcmsBundle
 from .sources import is_perfect_params
 from .errors import SingularMatrixError
 
@@ -138,7 +137,7 @@ def build_hcms(parsed: ParsedFile) -> HcmsBundle:
         raise RNotInvertibleError("stored R is singular") from exc
     return HcmsBundle(
         s=s, n=n, M=n + mn, P=P, Q=Q, T=T, G=G, R=R, R_inv=R_inv,
-        code=code, _col_index=_column_index(P),
+        code=code,
     )
 
 
@@ -168,7 +167,6 @@ def build_ghcms(parsed: ParsedFile) -> GhcmsBundle:
         s=s, n=n, M=M, P=P, Q=Q, C=C, Y=Y, T=T, G=G, R=R, R_inv=R_inv,
         E=E, D=D, E_Y=E_Y, D_Y=D_Y, code=code,
         perfect=is_perfect_params(s, n, M),
-        _col_index=_column_index(hstack(Q)),
     )
 
 

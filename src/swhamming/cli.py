@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import bundleio, codec, equiv, ghcms, hcms, sources
-from .errors import NotPerfectError, SwError
+from .errors import BadArgumentError, NotPerfectError, SwError
 from .gf2 import format_matrix, null_space, rank
 
 
@@ -59,6 +59,13 @@ def cmd_params(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _split_arg(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise BadArgumentError(f"--split must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_gen(args) -> int:
     if args.trivial:
         P = hcms.hamming_matrix(2)
@@ -66,7 +73,7 @@ def cmd_gen(args) -> int:
         bundle = ghcms.ghcms_build(Q)
         kind = "ghcms"
     else:
-        split = [int(t) for t in args.split.split(",")] if args.split else None
+        split = _split_arg(args.split) if args.split else None
         bundle = hcms.hcms_for_a(args.a, g_split=split, max_a=args.max_a)
         kind = "hcms"
     if not codec.is_perfect(bundle.code):
@@ -92,51 +99,44 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_groups(path, groups) -> int:
-    """Stream blank-line separated bit groups to a file; returns the count."""
+def _write_chunks(path, chunks) -> int:
+    """Write chunks of groups in the group file format (blank line between
+    groups); returns the number of groups."""
     count = 0
-    with open(path, "w") as fh:
-        for vectors in groups:
-            if count:
-                fh.write("\n")
-            for v in vectors:
-                fh.write(v.to01() + "\n")
-            count += 1
+    with open(path, "wb") as fh:
+        for parts in chunks:
+            text = sources.format_chunk(parts)
+            fh.write(text if count else text[1:])
+            count += parts[0].shape[0]
     return count
 
 
 def cmd_encode(args) -> int:
-    parsed = bundleio.read_file(args.bundle)
-    code = parsed.code
-    with open(args.input) as fh:
-        count = _write_groups(
-            args.output,
-            (codec.encode(code, x) for x in sources.iter_tuples(fh)),
-        )
+    code = bundleio.read_file(args.bundle).code
+    with open(args.input, errors="replace") as fh:
+        chunks = sources.iter_bit_chunks(fh, [code.n] * code.s)
+        count = _write_chunks(args.output, (codec.encode_batch(code, x) for x in chunks))
     print(_kv([("encoded", count), ("written", args.output)]))
     return 0
 
 
 def _decoder_for(parsed: bundleio.ParsedFile):
+    """The file's decoder (``decode`` per tuple, ``decode_batch`` per
+    chunk) and the name of its path."""
     if parsed.kind == "hcms":
-        bundle = bundleio.build_hcms(parsed)
-        return lambda y: hcms.hcms_decode(bundle, y), "algebraic"
+        return bundleio.build_hcms(parsed).plan, "algebraic"
     if parsed.kind == "ghcms":
-        bundle = bundleio.build_ghcms(parsed)
-        return lambda y: ghcms.ghcms_decode(bundle, y), "algebraic"
+        return bundleio.build_ghcms(parsed).plan, "algebraic"
     budget = sources.env_budget(codec.DEFAULT_TABLE_BUDGET)
-    table = codec.DecodeTable(parsed.code, budget=budget)
-    return table.decode, "table"
+    return codec.DecodeTable(parsed.code, budget=budget), "table"
 
 
 def cmd_decode(args) -> int:
     parsed = bundleio.read_file(args.bundle)
     decoder, path_name = _decoder_for(parsed)
-    with open(args.input) as fh:
-        count = _write_groups(
-            args.output,
-            (decoder(y) for y in codec.iter_syndromes(fh, parsed.code.m)),
-        )
+    with open(args.input, errors="replace") as fh:
+        chunks = sources.iter_bit_chunks(fh, parsed.code.m)
+        count = _write_chunks(args.output, (decoder.decode_batch(y) for y in chunks))
     print(_kv([("decoded", count), ("path", path_name), ("written", args.output)]))
     return 0
 
@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
         failures = 0
         for _ in range(args.roundtrip):
             x = sources.random_member(code.s, code.n, rng)
-            if decoder(codec.encode(code, x)) != x:
+            if decoder.decode(codec.encode(code, x)) != x:
                 failures += 1
         print(
             _kv(

@@ -19,9 +19,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._kernels import bits_matmul
 from .errors import (
     BudgetExceededError,
     MalformedFileError,
+    NotCompressibleError,
     NotInImageError,
     ParamsNotPerfectError,
 )
@@ -98,6 +100,14 @@ def encode(code: SwCode, x: SourceTuple) -> SyndromeTuple:
     if len(x) != code.s or any(v.n != code.n for v in x):
         raise ValueError("source tuple does not match code dimensions")
     return tuple(mat_vec(H, v) for H, v in zip(code.matrices, x))
+
+
+def encode_batch(code: SwCode, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Syndromes of N tuples at once: parts[i] is the (N, n) 0/1 array of
+    terminal i's blocks, and row r of result i is H_i applied to row r."""
+    if len(parts) != code.s or any(p.shape[1] != code.n for p in parts):
+        raise ValueError("source chunk does not match code dimensions")
+    return [bits_matmul(p, H.to_array().T) for H, p in zip(code.matrices, parts)]
 
 
 def syndrome_key(y: SyndromeTuple) -> bytes:
@@ -259,7 +269,7 @@ class DecodeTable:
         for x in enumerate_hamming_sources(code.s, code.n, budget=budget):
             key = syndrome_key(encode(code, x))
             if key in table:
-                raise ValueError("code is not compressible; table is ambiguous")
+                raise NotCompressibleError("code is not compressible; table is ambiguous")
             table[key] = x
         self._table = table
 
@@ -270,6 +280,18 @@ class DecodeTable:
             return self._table[syndrome_key(y)]
         except KeyError:
             raise NotInImageError("syndrome tuple is not produced by any member of S")
+
+    def decode_batch(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Decode a chunk row by row: parts[i] is the (N, m_i) 0/1 array of
+        terminal i's syndromes; result i is the (N, n) array of its blocks."""
+        xs = [
+            self.decode(tuple(BitVector.from_bits(p[r]) for p in parts))
+            for r in range(parts[0].shape[0])
+        ]
+        return [
+            np.array([x[i].to_array() for x in xs], dtype=np.uint8).reshape(-1, self.code.n)
+            for i in range(self.code.s)
+        ]
 
 
 # ---------------------------------------------------------------------------

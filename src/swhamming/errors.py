@@ -50,3 +50,16 @@ class ParamsNotPerfectError(SwError):
 
 class MalformedFileError(SwError):
     token = "MALFORMED_FILE"
+
+
+class BadArgumentError(SwError, ValueError):
+    """An argument outside its domain, such as a row split that does not
+    partition the completion; still a ValueError for library callers."""
+
+    token = "BAD_ARGUMENT"
+
+
+class NotCompressibleError(SwError, ValueError):
+    """Two members of S share a syndrome tuple, so no decoder exists."""
+
+    token = "NOT_COMPRESSIBLE"

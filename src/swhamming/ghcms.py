@@ -10,27 +10,25 @@ negative, such as three length-1 sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .codec import SwCode, SyndromeTuple, make_code
-from .errors import SyndromeNotDecodableError
+from .errors import BadArgumentError
 from .gf2 import (
     BitMatrix,
     BitVector,
-    concat,
     hstack,
     invert,
-    mat_vec,
     row_basis,
     row_basis_transforms,
     rref,
-    split,
     vstack,
 )
-from .hcms import _column_index, default_g_split, validate_partition
+from .hcms import DecodePlan, default_g_split, validate_partition
 from .sources import SourceTuple, is_perfect_params
 
 
@@ -62,7 +60,6 @@ class GhcmsBundle:
     D_Y: BitMatrix
     code: SwCode
     perfect: bool
-    _col_index: dict[bytes, int] = field(repr=False)
 
     @property
     def g_split(self) -> tuple[int, ...]:
@@ -72,13 +69,16 @@ class GhcmsBundle:
     def d(self) -> tuple[int, ...]:
         return tuple(Ci.rows for Ci in self.C)
 
+    @cached_property
+    def plan(self) -> DecodePlan:
+        """The decoder, built on first use and kept with the bundle."""
+        return DecodePlan(
+            self.code, self.g_split, hstack(self.Q), self.R_inv, E=self.E, D_Y=self.D_Y
+        )
+
     def locate_column(self, sigma: BitVector) -> int:
-        try:
-            return self._col_index[sigma.tobytes()]
-        except KeyError:
-            raise SyndromeNotDecodableError(
-                "syndrome component sum is not a column of the partition"
-            )
+        """Index of the column of [Q_1 ... Q_s] equal to sigma."""
+        return self.plan.locate(sigma)
 
 
 def standard_completion(Y: BitMatrix) -> BitMatrix:
@@ -143,7 +143,7 @@ def _assemble(
         g_split = default_g_split(T.rows, s)
     g_split = tuple(int(g) for g in g_split)
     if len(g_split) != s or any(g < 0 for g in g_split) or sum(g_split) != T.rows:
-        raise ValueError(f"row split {g_split} does not partition {T.rows} rows")
+        raise BadArgumentError(f"row split {g_split} does not partition {T.rows} rows")
     G = []
     off = 0
     for g in g_split:
@@ -171,7 +171,6 @@ def _assemble(
         D_Y=D_Y,
         code=code,
         perfect=is_perfect_params(s, n, M),
-        _col_index=_column_index(hstack(Q)),
     )
 
 
@@ -193,43 +192,6 @@ def degenerate_two_source(
 
 
 def ghcms_decode(bundle: GhcmsBundle, y: SyndromeTuple) -> SourceTuple:
-    """Algebraic decode through the stored row-basis transforms.
-
-    Q_i x_i = E_i C_i x_i; the Q-parts sum to the partition applied to the
-    deviation stack, locating the deviating terminal and position.  After
-    correction, Y b comes from the C-parts via D_Y and T b from the
-    G-parts, and R^{-1} recovers the common block.
-    """
-    s, n = bundle.s, bundle.n
-    code = bundle.code
-    if len(y) != s or any(v.n != mi for v, mi in zip(y, code.m)):
-        raise ValueError("syndrome tuple does not match the bundle")
-    g_parts = []
-    c_parts = []
-    for i, v in enumerate(y):
-        g, c = split(v, [bundle.G[i].rows, bundle.C[i].rows])
-        g_parts.append(g)
-        c_parts.append(c)
-
-    sigma = None
-    for i in range(s):
-        qi = mat_vec(bundle.E[i], c_parts[i])
-        sigma = qi if sigma is None else sigma + qi
-
-    term = pos = None
-    if not sigma.is_zero():
-        j = bundle.locate_column(sigma)
-        term, pos = divmod(j, n)
-        corrected = y[term] + code.matrices[term].column(pos)
-        g_parts[term], c_parts[term] = split(
-            corrected, [bundle.G[term].rows, bundle.C[term].rows]
-        )
-
-    stacked_q = concat([mat_vec(bundle.E[i], c_parts[i]) for i in range(s - 1)])
-    yb = mat_vec(bundle.D_Y, stacked_q)
-    tb = concat(g_parts)
-    b = mat_vec(bundle.R_inv, concat([yb, tb]))
-    if term is None:
-        return tuple(b for _ in range(s))
-    e = BitVector.unit(n, pos)
-    return tuple(b + e if i == term else b for i in range(s))
+    """Algebraic decode of one syndrome tuple through the stored row-basis
+    transforms, by the bundle's :class:`DecodePlan`."""
+    return bundle.plan.decode(y)

@@ -16,14 +16,18 @@ rows per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from ._kernels import bits_matmul, pack_bits
 from .errors import (
+    BadArgumentError,
     BudgetExceededError,
     HeightNegativeError,
+    MalformedFileError,
     NotHammingPartitionError,
     RNotInvertibleError,
     SyndromeNotDecodableError,
@@ -31,13 +35,10 @@ from .errors import (
 from .gf2 import (
     BitMatrix,
     BitVector,
-    concat,
     hstack,
     invert,
-    mat_vec,
     rank,
     rref,
-    split,
     vstack,
 )
 from .codec import SwCode, SyndromeTuple, make_code
@@ -113,29 +114,143 @@ class HcmsBundle:
     R: BitMatrix
     R_inv: BitMatrix
     code: SwCode
-    _col_index: dict[bytes, int] = field(repr=False)
 
     @property
     def g_split(self) -> tuple[int, ...]:
         return tuple(Gi.rows for Gi in self.G)
 
+    @cached_property
+    def plan(self) -> DecodePlan:
+        """The decoder, built on first use and kept with the bundle."""
+        return DecodePlan(self.code, self.g_split, self.P, self.R_inv)
+
     def locate_column(self, sigma: BitVector) -> int:
         """Index of the column of P equal to sigma."""
-        try:
-            return self._col_index[sigma.tobytes()]
-        except KeyError:
-            raise SyndromeNotDecodableError(
-                "syndrome component sum is not a column of the Hamming matrix"
+        return self.plan.locate(sigma)
+
+
+class DecodePlan:
+    """One bundle's decoder, applied to a whole chunk of syndrome tuples.
+
+    Syndrome y_i = [G_i x_i; C_i x_i] splits into a g-part and a c-part.
+    The Q-parts E_i c_i sum to sigma, the partition applied to the stacked
+    deviation: zero for no deviation, else the column j = term * n + pos.
+    Adding column pos of H_term to y_term leaves the syndromes of
+    (b, ..., b), and b = R^{-1} [D_Y [E_1 c_1; ...; E_(s-1) c_(s-1)];
+    g_1; ...; g_s].  The direct construction is the case E_i = D_Y = I.
+
+    Over the concatenated syndrome row y (M bits) that is two GF(2)
+    products and two lookups: sigma = y S, the column from a dict of the
+    s * n columns of P, the correction from a table of H columns, and
+    b = y' L with L = R^{-1} A folding E_i, D_Y and the g-part selection A
+    into one n x M matrix.
+    """
+
+    def __init__(
+        self,
+        code: SwCode,
+        g_split: Sequence[int],
+        columns: BitMatrix,
+        R_inv: BitMatrix,
+        E: Sequence[BitMatrix] | None = None,
+        D_Y: BitMatrix | None = None,
+    ):
+        s, n, m = code.s, code.n, code.m
+        mn = columns.rows
+        if columns.cols != s * n or mn == 0:
+            raise MalformedFileError(
+                f"partition is {mn} x {columns.cols}, expected {s * n} nonzero columns"
             )
+        E_bits = [np.eye(mn, dtype=np.uint8)] * s if E is None else [Ei.to_array() for Ei in E]
+        offsets = [int(o) for o in np.cumsum([0, *m])]
+        total = offsets[-1]
+        c_start = [o + g for o, g in zip(offsets, g_split)]
 
+        # q_maps[i] y = E_i c_i, the Q-part of terminal i
+        q_maps = np.zeros((s, mn, total), dtype=np.uint8)
+        for i in range(s):
+            if E_bits[i].shape != (mn, offsets[i + 1] - c_start[i]):
+                raise MalformedFileError(
+                    f"terminal {i}: Q-part transform is {E_bits[i].shape}, expected "
+                    f"({mn}, {offsets[i + 1] - c_start[i]})"
+                )
+            q_maps[i, :, c_start[i] : offsets[i + 1]] = E_bits[i]
+        # A y = [D_Y [E_1 c_1; ...; E_(s-1) c_(s-1)]; g_1; ...; g_s]
+        top = q_maps[:-1].reshape(-1, total)
+        if D_Y is not None:
+            top = bits_matmul(D_Y.to_array(), top)
+        g_cols = np.concatenate([np.arange(o, c) for o, c in zip(offsets, c_start)])
+        g_rows = np.zeros((g_cols.size, total), dtype=np.uint8)
+        g_rows[np.arange(g_cols.size), g_cols] = 1
+        A = np.concatenate([top, g_rows])
+        if A.shape[0] != n:
+            raise MalformedFileError(f"transforms give {A.shape[0]} rows for R^-1, expected {n}")
 
-def _column_index(P: BitMatrix) -> dict[bytes, int]:
-    idx: dict[bytes, int] = {}
-    arr = P.to_array()
-    words = BitMatrix.from_bits(arr.T)  # row j = column j of P, packed
-    for j in range(P.cols):
-        idx[words.row(j).tobytes()] = j
-    return idx
+        self.s, self.n, self.m, self.mn = s, n, tuple(m), mn
+        self._S = q_maps.sum(axis=0).T.astype(np.float32)  # sigma = y S
+        self._L_t = bits_matmul(R_inv.to_array(), A).T.astype(np.float32)
+        # column of P for each packed sigma; equal columns (the s = 2 form,
+        # P = [H | H]) keep the last, i.e. terminal 1, and zero maps to
+        # s * n: no deviation
+        packed = np.packbits(columns.to_array().T, axis=1)
+        self._column_of = {row.tobytes(): j for j, row in enumerate(packed)}
+        self._column_of[bytes(packed.shape[1])] = s * n
+        # row j: column pos of H_term at terminal term's offset; row s * n
+        # is zero and corrects nothing
+        corr = np.zeros((s * n + 1, total), dtype=np.uint8)
+        for t, H in enumerate(code.matrices):
+            corr[t * n : (t + 1) * n, offsets[t] : offsets[t + 1]] = H.to_array().T
+        self._corr = corr
+
+    def locate(self, sigma: BitVector) -> int:
+        """Index of the partition column equal to sigma."""
+        if sigma.n == self.mn:
+            j = int(self._columns(sigma.to_array()[None, :])[0])
+            if 0 <= j < self.s * self.n:
+                return j
+        raise SyndromeNotDecodableError(
+            "syndrome component sum is not a column of the partition"
+        )
+
+    def decode_batch(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Decode N tuples: parts[i] is the (N, m_i) 0/1 array of terminal
+        i's syndromes, result i the (N, n) array of its blocks."""
+        if len(parts) != self.s or any(p.shape[1] != mi for p, mi in zip(parts, self.m)):
+            raise ValueError("syndrome chunk does not match the bundle")
+        return self._decode_rows(np.concatenate(parts, axis=1))
+
+    def decode(self, y: SyndromeTuple) -> SourceTuple:
+        """One tuple, as a batch of one."""
+        if len(y) != self.s or any(v.n != mi for v, mi in zip(y, self.m)):
+            raise ValueError("syndrome tuple does not match the bundle")
+        bits = np.concatenate([v.to_array() for v in y])[None, :]
+        words = pack_bits(np.concatenate(self._decode_rows(bits)))
+        return tuple(BitVector(self.n, w) for w in words)
+
+    def _columns(self, sigma: np.ndarray) -> np.ndarray:
+        """Partition column equal to each row of sigma: s * n for zero (no
+        deviation), -1 for none."""
+        packed = np.packbits(sigma, axis=1)
+        raw, width = packed.tobytes(), packed.shape[1]
+        get = self._column_of.get
+        return np.array(
+            [get(raw[i : i + width], -1) for i in range(0, len(raw), width)], dtype=np.int64
+        )
+
+    def _decode_rows(self, y: np.ndarray) -> list[np.ndarray]:
+        """Decode the rows of y, each a concatenated syndrome tuple."""
+        cols = self._columns(bits_matmul(y, self._S))
+        if (cols < 0).any():
+            raise SyndromeNotDecodableError(
+                f"tuple {int(np.argmax(cols < 0))} of the chunk: syndrome component "
+                "sum is not a column of the partition"
+            )
+        b = bits_matmul(y ^ self._corr[cols], self._L_t)
+        x = np.repeat(b[:, None, :], self.s, axis=1)
+        dev = np.nonzero(cols < self.s * self.n)[0]
+        term, pos = np.divmod(cols[dev], self.n)
+        x[dev, term, pos] ^= 1
+        return [x[:, i] for i in range(self.s)]
 
 
 def _default_completion(Q: Sequence[BitMatrix], n: int, t_rows: int) -> BitMatrix:
@@ -199,7 +314,7 @@ def hcms_from_parts(
         g_split = default_g_split(t_rows, s)
     g_split = tuple(int(g) for g in g_split)
     if len(g_split) != s or any(g < 0 for g in g_split) or sum(g_split) != t_rows:
-        raise ValueError(f"row split {g_split} does not partition {t_rows} rows")
+        raise BadArgumentError(f"row split {g_split} does not partition {t_rows} rows")
     G = []
     off = 0
     for g in g_split:
@@ -219,7 +334,6 @@ def hcms_from_parts(
         R=R,
         R_inv=R_inv,
         code=code,
-        _col_index=_column_index(P),
     )
 
 
@@ -427,41 +541,9 @@ def hcms_for_a(
 
 
 def hcms_decode(bundle: HcmsBundle, y: SyndromeTuple) -> SourceTuple:
-    """Invert the encoding on the Hamming-source set.
-
-    The Q-parts of all syndromes sum to P applied to the stacked deviation
-    pattern; zero means no deviation, anything else must match a unique
-    column of P, identifying the deviating terminal and position.  After
-    removing the deviation's contribution, the stacked syndrome equals R b
-    and the common block b follows through R^{-1}.
-    """
-    s, n, mn = bundle.s, bundle.n, bundle.M - bundle.n
-    code = bundle.code
-    if len(y) != s or any(v.n != mi for v, mi in zip(y, code.m)):
-        raise ValueError("syndrome tuple does not match the bundle")
-    g_parts = []
-    q_parts = []
-    for i, v in enumerate(y):
-        g, q = split(v, [bundle.G[i].rows, mn])
-        g_parts.append(g)
-        q_parts.append(q)
-    sigma = q_parts[0]
-    for q in q_parts[1:]:
-        sigma = sigma + q
-
-    term = pos = None
-    if not sigma.is_zero():
-        j = bundle.locate_column(sigma)
-        term, pos = divmod(j, n)
-        corrected = y[term] + code.matrices[term].column(pos)
-        g_parts[term], q_parts[term] = split(corrected, [bundle.G[term].rows, mn])
-
-    stacked = concat(q_parts[: s - 1] + g_parts)
-    b = mat_vec(bundle.R_inv, stacked)
-    if term is None:
-        return tuple(b for _ in range(s))
-    e = BitVector.unit(n, pos)
-    return tuple(b + e if i == term else b for i in range(s))
+    """Invert the encoding on the Hamming-source set for one syndrome
+    tuple, through the bundle's :class:`DecodePlan`."""
+    return bundle.plan.decode(y)
 
 
 # ---------------------------------------------------------------------------

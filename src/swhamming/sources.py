@@ -265,3 +265,76 @@ def iter_tuples(lines) -> Iterator[SourceTuple]:
 
 def parse_tuples(text: str) -> list[SourceTuple]:
     return list(iter_tuples(text.splitlines()))
+
+
+# ---------------------------------------------------------------------------
+# chunked group files: the same text format, CHUNK_TUPLES groups at a time
+# ---------------------------------------------------------------------------
+
+#: Groups per chunk in the streaming CLI commands; it bounds their memory.
+CHUNK_TUPLES = 256
+
+
+def iter_bit_chunks(lines, widths: Sequence[int]) -> Iterator[list[np.ndarray]]:
+    """Parse a group file into chunks of up to CHUNK_TUPLES groups.
+
+    Each group must have one line per entry of ``widths``, line i holding
+    exactly widths[i] characters over {0,1}; lines are stripped and runs
+    of blank lines separate groups, as in :func:`iter_bit_groups`.  A
+    chunk is one (N, widths[i]) uint8 0/1 array per line position.
+    """
+    s = len(widths)
+    full = CHUNK_TUPLES * s
+    buf: list[str] = []  # lines of complete groups
+    open_lines = 0  # lines of the group being read
+    for raw in lines:
+        line = raw.strip()
+        if line:
+            buf.append(line)
+            open_lines += 1
+            continue
+        if open_lines:
+            _check_group_size(open_lines, s)
+            open_lines = 0
+            if len(buf) == full:
+                yield _chunk_arrays(buf, widths)
+                buf = []
+    if open_lines:
+        _check_group_size(open_lines, s)
+    if buf:
+        yield _chunk_arrays(buf, widths)
+
+
+def _check_group_size(count: int, s: int) -> None:
+    if count != s:
+        raise MalformedFileError(f"group of {count} lines, expected {s}")
+
+
+def _chunk_arrays(buf: list[str], widths: Sequence[int]) -> list[np.ndarray]:
+    s = len(widths)
+    parts = []
+    for i, w in enumerate(widths):
+        rows = buf[i::s]
+        if set(map(len, rows)) != {w}:
+            bad = next(r for r in rows if len(r) != w)
+            raise MalformedFileError(f"line {i} of a group is not {w} bits: {bad!r}")
+        # a non-ASCII character becomes '?' and fails the 0/1 check below
+        arr = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+        arr = (arr - ord("0")).reshape(len(rows), w)
+        bad_rows = np.nonzero((arr > 1).any(axis=1))[0]
+        if bad_rows.size:
+            raise MalformedFileError(f"line is not over {{0,1}}: {rows[bad_rows[0]]!r}")
+        parts.append(arr)
+    return parts
+
+
+def format_chunk(parts: Sequence[np.ndarray]) -> bytes:
+    """Text of the groups in a chunk (one (N, width) 0/1 array per line
+    position), each group preceded by the newline that separates it from
+    the previous group."""
+    count = parts[0].shape[0]
+    newline = np.full((count, 1), ord("\n"), dtype=np.uint8)
+    cols = [newline]
+    for p in parts:
+        cols += [p + np.uint8(ord("0")), newline]
+    return np.concatenate(cols, axis=1).tobytes()

@@ -203,3 +203,70 @@ def test_ghcms_bundle_file_roundtrip(tmp_path):
 def test_search_jobs_flag(capsys):
     code, out, _ = run(capsys, "search", "--n", "1", "--M", "3", "--jobs", "2")
     assert code == 0 and "found=1" in out
+
+
+_BAD_TAILS = {
+    "short lines": "0101\n0101\n0101\n",
+    "missing line": "\n".join(["0" * 21] * 2) + "\n",
+    "extra line": "\n".join(["0" * 21] * 4) + "\n",
+    "bad character": "\n".join(["0" * 20 + "2", "0" * 21, "0" * 21]) + "\n",
+}
+
+
+@pytest.mark.parametrize("tail", sorted(_BAD_TAILS))
+def test_encode_rejects_bad_tuple_in_second_chunk(tmp_path, capsys, rng, tail):
+    bundle_path = tmp_path / "a3.txt"
+    assert run(capsys, "gen", "--a", "3", "-o", str(bundle_path))[0] == 0
+    tuples = [sources.random_member(3, 21, rng) for _ in range(sources.CHUNK_TUPLES)]
+    src = tmp_path / "src.txt"
+    src.write_text(sources.format_tuples(tuples) + "\n" + _BAD_TAILS[tail])
+    code, _, err = run(
+        capsys, "encode", str(bundle_path), "--input", str(src), "--output", str(tmp_path / "y.txt")
+    )
+    assert code == 2 and "error=MALFORMED_FILE" in err
+
+
+def test_decode_rejects_bad_syndrome_in_second_chunk(tmp_path, capsys, rng, bundle_a3):
+    bundle_path = tmp_path / "a3.txt"
+    bundleio.write_bundle(bundle_path, bundle_a3)
+    ys = [
+        codec.encode(bundle_a3.code, sources.random_member(3, 21, rng))
+        for _ in range(sources.CHUNK_TUPLES + 2)
+    ]
+    synd = tmp_path / "synd.txt"
+    synd.write_text(codec.format_syndromes(ys) + "\n" + "\n".join(["1" * 8] * 3) + "\n")
+    code, _, err = run(
+        capsys, "decode", str(bundle_path), "--input", str(synd), "--output", str(tmp_path / "x.txt")
+    )
+    assert code == 2 and "error=MALFORMED_FILE" in err
+
+
+@pytest.mark.parametrize("split", ["1,2", "3,x,3", "3,3,3,0"])
+def test_gen_rejects_bad_split(tmp_path, capsys, split):
+    code, _, err = run(capsys, "gen", "--a", "3", "--split", split, "-o", str(tmp_path / "b.txt"))
+    assert code == 2 and "error=BAD_ARGUMENT" in err
+
+
+def test_decode_table_rejects_non_compressible_code(tmp_path, capsys):
+    code_path = tmp_path / "code.txt"
+    code_path.write_text("3 2\n1 1 1\n1 2\n11\n1 2\n11\n1 2\n11\n")
+    synd = tmp_path / "synd.txt"
+    synd.write_text("0\n0\n0\n")
+    code, _, err = run(
+        capsys, "decode", str(code_path), "--input", str(synd), "--output", str(tmp_path / "x.txt")
+    )
+    assert code == 2 and "error=NOT_COMPRESSIBLE" in err
+
+
+def test_decode_algebraic_ignores_table_budget(tmp_path, capsys, monkeypatch, rng, bundle_a3):
+    # HCMS_BUDGET bounds decode tables and enumerations, not the algebraic decoder
+    bundle_path = tmp_path / "a3.txt"
+    bundleio.write_bundle(bundle_path, bundle_a3)
+    xs = [sources.random_member(3, 21, rng) for _ in range(5)]
+    synd = tmp_path / "synd.txt"
+    synd.write_text(codec.format_syndromes([codec.encode(bundle_a3.code, x) for x in xs]))
+    monkeypatch.setenv("HCMS_BUDGET", "16")
+    out_path = tmp_path / "x.txt"
+    code, out, _ = run(capsys, "decode", str(bundle_path), "--input", str(synd), "--output", str(out_path))
+    assert code == 0 and "path=algebraic" in out
+    assert out_path.read_text() == sources.format_tuples(xs)

@@ -39,43 +39,33 @@ class ParsedFile:
     sections: dict[str, BitMatrix]
 
 
-def format_hcms_bundle(bundle: HcmsBundle) -> str:
-    parts = [format_code(bundle.code)]
-    parts.append("P\n" + format_matrix(bundle.P))
-    for i, Qi in enumerate(bundle.Q, 1):
-        parts.append(f"Q_{i}\n" + format_matrix(Qi))
-    parts.append("T\n" + format_matrix(bundle.T))
-    for i, Gi in enumerate(bundle.G, 1):
-        parts.append(f"G_{i}\n" + format_matrix(Gi))
-    parts.append("R\n" + format_matrix(bundle.R))
-    return "".join(parts)
+def _sections(bundle: HcmsBundle | GhcmsBundle):
+    """(label, matrix) of each section, in file order."""
+    yield "P", bundle.P
+    yield from ((f"Q_{i}", Qi) for i, Qi in enumerate(bundle.Q, 1))
+    yield "T", bundle.T
+    yield from ((f"G_{i}", Gi) for i, Gi in enumerate(bundle.G, 1))
+    yield "R", bundle.R
+    if isinstance(bundle, GhcmsBundle):
+        yield from ((f"C_{i}", Ci) for i, Ci in enumerate(bundle.C, 1))
+        yield "Y", bundle.Y
+        yield from ((f"D_{i}", Di) for i, Di in enumerate(bundle.D, 1))
+        yield from ((f"E_{i}", Ei) for i, Ei in enumerate(bundle.E, 1))
 
 
-def format_ghcms_bundle(bundle: GhcmsBundle) -> str:
-    parts = [format_code(bundle.code)]
-    parts.append("P\n" + format_matrix(bundle.P))
-    for i, Qi in enumerate(bundle.Q, 1):
-        parts.append(f"Q_{i}\n" + format_matrix(Qi))
-    parts.append("T\n" + format_matrix(bundle.T))
-    for i, Gi in enumerate(bundle.G, 1):
-        parts.append(f"G_{i}\n" + format_matrix(Gi))
-    parts.append("R\n" + format_matrix(bundle.R))
-    for i, Ci in enumerate(bundle.C, 1):
-        parts.append(f"C_{i}\n" + format_matrix(Ci))
-    parts.append("Y\n" + format_matrix(bundle.Y))
-    for i, Di in enumerate(bundle.D, 1):
-        parts.append(f"D_{i}\n" + format_matrix(Di))
-    for i, Ei in enumerate(bundle.E, 1):
-        parts.append(f"E_{i}\n" + format_matrix(Ei))
-    return "".join(parts)
+def _bundle_text(bundle: HcmsBundle | GhcmsBundle):
+    """The bundle file in pieces: the plain code, then a label line and a
+    matrix per section."""
+    yield format_code(bundle.code)
+    for label, M in _sections(bundle):
+        yield label + "\n"
+        yield format_matrix(M)
 
 
 def write_bundle(path: str | Path, bundle: HcmsBundle | GhcmsBundle) -> None:
-    if isinstance(bundle, GhcmsBundle):
-        text = format_ghcms_bundle(bundle)
-    else:
-        text = format_hcms_bundle(bundle)
-    Path(path).write_text(text)
+    # piece by piece, so at most one matrix's text is held at a time
+    with open(path, "w") as fh:
+        fh.writelines(_bundle_text(bundle))
 
 
 def write_code_file(path: str | Path, code: SwCode) -> None:
@@ -83,23 +73,19 @@ def write_code_file(path: str | Path, code: SwCode) -> None:
 
 
 def parse_file(text: str) -> ParsedFile:
-    lines = text.splitlines()
-    code = parse_code(iter(lines))
-    consumed = 2 + sum(H.rows + 1 for H in code.matrices)
+    lines = iter(text.splitlines())
+    del text  # the lines hold the file's text from here on
+    code = parse_code(lines)
     sections: dict[str, BitMatrix] = {}
-    i = consumed
-    while i < len(lines):
-        label = lines[i].strip()
+    for line in lines:
+        label = line.strip()
         if not label:
-            i += 1
             continue
         if not _LABEL_RE.match(label):
             raise MalformedFileError(f"expected a section label, got {label!r}")
         if label in sections:
             raise MalformedFileError(f"duplicate section {label!r}")
-        M = parse_matrix(iter(lines[i + 1 :]))
-        sections[label] = M
-        i += 2 + M.rows
+        sections[label] = parse_matrix(lines)
     if not sections:
         kind = "code"
     elif "C_1" in sections:
@@ -110,7 +96,9 @@ def parse_file(text: str) -> ParsedFile:
 
 
 def read_file(path: str | Path) -> ParsedFile:
-    return parse_file(Path(path).read_text())
+    # a byte that is not UTF-8 becomes U+FFFD, which no matrix row, header or
+    # label accepts, so it is reported as MALFORMED_FILE
+    return parse_file(Path(path).read_text(errors="replace"))
 
 
 def _section(parsed: ParsedFile, name: str) -> BitMatrix:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bundleio, codec, equiv, ghcms, hcms, sources
 from .errors import BadArgumentError, NotPerfectError, SwError
-from .gf2 import format_matrix, null_space, rank
+from .gf2 import format_matrix, rank
 
 
 def _kv(pairs) -> str:
@@ -149,6 +149,11 @@ def cmd_decode(args) -> int:
 def cmd_verify(args) -> int:
     parsed = bundleio.read_file(args.bundle)
     code = parsed.code
+    # a perfect code has surjective matrices and is compressible, so only a
+    # code that is not perfect needs its ranks and the collision search,
+    # which also yields its witness
+    perfect = codec.is_perfect(code)
+    ranks = code.m if perfect else [rank(H) for H in code.matrices]
     print(
         _kv(
             [
@@ -156,14 +161,13 @@ def cmd_verify(args) -> int:
                 ("s", code.s),
                 ("n", code.n),
                 ("M", sum(code.m)),
-                ("ranks", _intlist(rank(H) for H in code.matrices)),
-                ("null_dims", _intlist(null_space(H).dim for H in code.matrices)),
+                ("ranks", _intlist(ranks)),
+                ("null_dims", _intlist(code.n - r for r in ranks)),
             ]
         )
     )
-    collision = codec.find_collision(code)
+    collision = None if perfect else codec.find_collision(code)
     compressible = collision is None
-    perfect = compressible and codec.is_perfect(code)
     print(_kv([("compressible", str(compressible).lower()), ("perfect", str(perfect).lower())]))
     if collision is not None:
         a, b = collision

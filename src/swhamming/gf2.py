@@ -12,12 +12,23 @@ subspace is a 0 x n basis and is accepted everywhere.
 
 from __future__ import annotations
 
+import itertools
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import matmul_packed, matvec_packed, nwords, pack_bits, rref_in_place, unpack_bits
+from ._kernels import (
+    U64_1,
+    bits_matmul,
+    matmul_packed,
+    matvec_packed,
+    nwords,
+    pack_bits,
+    rref_in_place,
+    unpack_bits,
+)
 from .errors import MalformedFileError, SingularMatrixError
 
 
@@ -96,10 +107,11 @@ class BitVector:
         return BitVector(self.n, self._w ^ other._w)
 
     def __eq__(self, other: object) -> bool:
+        # words are contiguous with zero tails, so equal bytes mean equal bits
         return (
             isinstance(other, BitVector)
             and self.n == other.n
-            and np.array_equal(self._w, other._w)
+            and self._w.tobytes() == other._w.tobytes()
         )
 
     def __hash__(self) -> int:
@@ -207,7 +219,7 @@ class BitMatrix:
             isinstance(other, BitMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and np.array_equal(self._data, other._data)
+            and self._data.tobytes() == other._data.tobytes()
         )
 
     def __hash__(self) -> int:
@@ -321,15 +333,12 @@ def solve(A: BitMatrix, y: BitVector) -> BitVector | None:
     if A.rows != y.n:
         raise ValueError("dimension mismatch")
     red, pivots = rref_augmented(A, BitMatrix.from_rows([y]).transpose())
-    ycol = A.cols
+    ycol = red.to_array()[:, A.cols]
     rk = len(pivots)
-    for i in range(rk, A.rows):
-        if red.get(i, ycol):
-            return None
+    if ycol[rk:].any():
+        return None
     x = np.zeros(A.cols, dtype=np.uint8)
-    for i, p in enumerate(pivots):
-        if red.get(i, ycol):
-            x[p] = 1
+    x[pivots] = ycol[:rk]
     return BitVector(A.cols, pack_bits(x[None, :])[0])
 
 
@@ -374,7 +383,9 @@ class Subspace:
         return subspace_contains(self, v)
 
     def contains_subspace(self, other: Subspace) -> bool:
-        return all(self.contains(other.basis.row(i)) for i in range(other.dim))
+        if self.n != other.n:
+            raise ValueError("ambient dimension mismatch")
+        return bool(_in_row_space(self.basis, other.basis.data).all())
 
     def vectors(self):
         """Iterate all 2^dim members (small subspaces only)."""
@@ -431,32 +442,31 @@ def _express_rows(A: BitMatrix, B: BitMatrix) -> BitMatrix | None:
     """Coefficient matrix X with A = X B, or None if some row of A is
     outside row(B).  Solves B^T x = a^T for all rows of A at once."""
     red, pivots = rref_augmented(B.transpose(), A.transpose())
+    tail = red.to_array()[:, B.rows :]
     rk = len(pivots)
-    for i in range(rk, B.cols):
-        for j in range(A.rows):
-            if red.get(i, B.rows + j):
-                return None
+    if tail[rk:].any():
+        return None
     xt = np.zeros((B.rows, A.rows), dtype=np.uint8)
-    tail = red.take_cols(B.rows, B.rows + A.rows).to_array()
-    for i, p in enumerate(pivots):
-        xt[p] = tail[i]
+    xt[pivots] = tail[:rk]
     return BitMatrix.from_bits(xt.T)
 
 
 def null_space(M: BitMatrix) -> Subspace:
     """Kernel {x : M x = 0} as a canonical subspace of GF(2)^cols."""
-    red, pivots = rref(M)
     n = M.cols
-    free = [c for c in range(n) if c not in set(pivots)]
-    if not free:
+    data = M.data.copy()
+    pivots = rref_in_place(data, n)
+    rk = len(pivots)
+    if rk == n:
         return Subspace.zero(n)
-    bits = np.zeros((len(free), n), dtype=np.uint8)
-    arr = red.to_array()
-    for k, f in enumerate(free):
-        bits[k, f] = 1
-        for i, p in enumerate(pivots):
-            bits[k, p] = arr[i, f]
-    return Subspace(n, BitMatrix.from_bits(bits))
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    # one basis vector per free column f: x_f = 1, x_p = rref[i, f] at pivot p_i
+    bits = np.zeros((n - rk, n), dtype=np.uint8)
+    bits[np.arange(n - rk), free] = 1
+    bits[:, pivots] = unpack_bits(data[:rk], n)[:, free].T
+    return Subspace(n, BitMatrix(n - rk, n, pack_bits(bits)))
 
 
 def matrix_with_null_space(N: Subspace) -> BitMatrix:
@@ -471,22 +481,23 @@ def matrix_with_null_space(N: Subspace) -> BitMatrix:
 def subspace_contains(A: Subspace, v: BitVector) -> bool:
     if A.n != v.n:
         raise ValueError("ambient dimension mismatch")
-    w = v.words.copy()
-    basis = A.basis
-    for i in range(basis.rows):
-        # basis is RREF: leading bit of row i sits at its pivot column
-        data = basis.data[i]
-        p = _leading_bit(data)
-        if (w[p >> 6] >> np.uint64(p & 63)) & np.uint64(1):
-            w ^= data
-    return not w.any()
+    return bool(_in_row_space(A.basis, v.words[None, :])[0])
 
 
-def _leading_bit(words: np.ndarray) -> int:
-    for k, wd in enumerate(words):
-        if wd:
-            return (k << 6) + int(wd & (~wd + np.uint64(1))).bit_length() - 1
-    raise ValueError("zero row has no leading bit")
+def _in_row_space(basis: BitMatrix, rows: np.ndarray) -> np.ndarray:
+    """For each packed row v of ``rows``, whether v lies in the row space of
+    the RREF ``basis`` (no zero rows).  Each pivot column of the basis is a
+    unit column, so v is in the row space iff v equals the sum of the basis
+    rows whose pivot bit v has set."""
+    if not basis.rows:
+        return ~rows.any(axis=1)
+    d = basis.data
+    # pivot of each row: the lowest set bit of its first nonzero word
+    first = (d != 0).argmax(axis=1)
+    lead = d[np.arange(basis.rows), first]
+    pivots = (first << 6) + np.bitwise_count((lead & (~lead + U64_1)) - U64_1)
+    v = unpack_bits(rows, basis.cols)
+    return (bits_matmul(v[:, pivots], unpack_bits(d, basis.cols)) == v).all(axis=1)
 
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
@@ -521,29 +532,25 @@ def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
 def complement(A: Subspace, within: Subspace) -> Subspace:
     """Deterministic B with A + B = within and A intersect B = {0}.
 
-    Extends A's basis greedily by rows of within's basis (for the full
-    space, that is extension by standard basis vectors).  Raises ValueError
-    when A is not contained in within.
+    B is spanned by the rows of within's basis that extend A's basis
+    greedily, in order (for the full space, by standard basis vectors).
+    The greedy rows are read off one elimination: row i of within's basis
+    is kept exactly when column A.dim + i is a pivot of
+    rref([A.basis; within.basis]^T), and A lies in within exactly when that
+    matrix has rank within.dim.  Raises ValueError when A is not contained
+    in within.
     """
     if A.n != within.n:
         raise ValueError("ambient dimension mismatch")
-    if not within.contains_subspace(A):
+    k = A.dim + within.dim
+    cols = pack_bits(np.concatenate([A.basis.to_array(), within.basis.to_array()]).T)
+    pivots = rref_in_place(cols, k)
+    if len(pivots) != within.dim:
         raise ValueError("A is not a subspace of `within`")
-    reducer = A.basis.data.copy()
-    kept: list[BitVector] = []
-    for i in range(within.dim):
-        cand = within.basis.row(i)
-        w = cand.words.copy()
-        for rrow in reducer:
-            p = _leading_bit(rrow) if rrow.any() else None
-            if p is not None and (w[p >> 6] >> np.uint64(p & 63)) & np.uint64(1):
-                w ^= rrow
-        if w.any():
-            kept.append(cand)
-            stacked = np.concatenate([reducer, w[None, :]])
-            rref_in_place(stacked, A.n)
-            reducer = stacked
-    return Subspace.spanned_by(kept, A.n)
+    kept = pivots[pivots >= A.dim] - A.dim
+    if not kept.size:
+        return Subspace.zero(A.n)
+    return Subspace(A.n, BitMatrix(kept.size, A.n, within.basis.data[kept]))
 
 
 # ---------------------------------------------------------------------------
@@ -551,31 +558,50 @@ def complement(A: Subspace, within: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
+_ASCII_0 = ord("0")
+# byte -> bit value, 2 for any byte other than "0" and "1"
+_BIT_OF_BYTE = np.full(256, 2, dtype=np.uint8)
+_BIT_OF_BYTE[_ASCII_0] = 0
+_BIT_OF_BYTE[_ASCII_0 + 1] = 1
+
+
 def format_matrix(M: BitMatrix) -> str:
-    lines = [f"{M.rows} {M.cols}"]
-    arr = M.to_array()
-    for i in range(M.rows):
-        lines.append("".join("1" if b else "0" for b in arr[i]))
-    return "\n".join(lines) + "\n"
+    buf = np.empty((M.rows, M.cols + 1), dtype=np.uint8)
+    np.add(M.to_array(), _ASCII_0, out=buf[:, : M.cols])
+    buf[:, M.cols] = ord("\n")
+    return f"{M.rows} {M.cols}\n" + str(buf, "ascii")
 
 
 def parse_matrix(lines: Iterable[str]) -> BitMatrix:
+    """Read a "rows cols" header and then exactly ``rows`` lines of ``cols``
+    ASCII 0/1 characters from ``lines``; each row is stripped of surrounding
+    whitespace first.  Raises MalformedFileError naming the first bad row.
+
+    All body lines are collected before anything is allocated, so a header
+    larger than the input fails on the truncated body, not in numpy.
+    """
     it = iter(lines)
     try:
         header = next(it).split()
         rows, cols = int(header[0]), int(header[1])
     except (StopIteration, IndexError, ValueError) as exc:
         raise MalformedFileError("expected 'rows cols' header") from exc
-    bits = np.zeros((rows, cols), dtype=np.uint8)
-    for i in range(rows):
-        try:
-            line = next(it).strip()
-        except StopIteration as exc:
-            raise MalformedFileError(f"matrix body ended after {i} of {rows} rows") from exc
-        if len(line) != cols or set(line) - {"0", "1"}:
-            raise MalformedFileError(f"bad matrix row {i}: {line!r}")
-        bits[i] = [c == "1" for c in line]
-    return BitMatrix.from_bits(bits)
+    if not (0 <= rows <= sys.maxsize and 0 <= cols <= sys.maxsize):
+        raise MalformedFileError(f"matrix dimensions {rows} x {cols} out of range")
+    body = [line.strip() for line in itertools.islice(it, rows)]
+    # rows before the first one of the wrong length, checked for bad characters
+    good = next((i for i, line in enumerate(body) if len(line) != cols), len(body))
+    raw = np.frombuffer("".join(body[:good]).encode("ascii", errors="replace"), dtype=np.uint8)
+    bits = _BIT_OF_BYTE[raw].reshape(good, cols)
+    del raw  # free the encoded copy before packing
+    bad = np.flatnonzero(bits.max(axis=1, initial=0) > 1)
+    if bad.size:
+        good = int(bad[0])
+    if good < len(body):
+        raise MalformedFileError(f"bad matrix row {good}: {body[good]!r}")
+    if len(body) < rows:
+        raise MalformedFileError(f"matrix body ended after {len(body)} of {rows} rows")
+    return BitMatrix(rows, cols, pack_bits(bits))
 
 
 # ---------------------------------------------------------------------------

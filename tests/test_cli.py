@@ -270,3 +270,48 @@ def test_decode_algebraic_ignores_table_budget(tmp_path, capsys, monkeypatch, rn
     code, out, _ = run(capsys, "decode", str(bundle_path), "--input", str(synd), "--output", str(out_path))
     assert code == 0 and "path=algebraic" in out
     assert out_path.read_text() == sources.format_tuples(xs)
+
+
+def _code_file_with(tmp_path, bundle_a3, line: int, replacement: bytes):
+    """The a = 3 plain code file with one line replaced: line 2 is the first
+    matrix's header, line 3 its first row."""
+    path = tmp_path / "code.txt"
+    bundleio.write_code_file(path, bundle_a3.code)
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = replacement
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce", "decode"])
+def test_non_utf8_code_file_is_malformed(tmp_path, capsys, bundle_a3, command):
+    path = _code_file_with(tmp_path, bundle_a3, 3, b"0" * 10 + b"\xff" + b"0" * 10)
+    argv = {
+        "verify": ["verify", str(path)],
+        "reduce": ["reduce", str(path), "-o", str(tmp_path / "r.txt")],
+        "decode": ["decode", str(path), "--input", str(path), "--output", str(tmp_path / "x.txt")],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error=MALFORMED_FILE" in err and "bad matrix row 0" in err
+
+
+def test_huge_matrix_header_is_malformed(tmp_path, capsys, bundle_a3):
+    path = _code_file_with(tmp_path, bundle_a3, 2, b"99999999 99999999")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "error=MALFORMED_FILE" in err
+
+
+def test_negative_matrix_header_is_malformed(tmp_path, capsys, bundle_a3):
+    path = _code_file_with(tmp_path, bundle_a3, 2, b"-1 4")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "error=MALFORMED_FILE" in err and "out of range" in err
+
+
+def test_verify_reports_a_non_perfect_code_and_its_witness(tmp_path, capsys):
+    # rank-deficient and not compressible: ranks and witness still printed
+    path = tmp_path / "code.txt"
+    path.write_text("3 2\n1 1 1\n1 2\n11\n1 2\n11\n1 2\n11\n")
+    code, out, err = run(capsys, "verify", str(path), "--kv")
+    assert code == 1 and "error=NOT_PERFECT" in err
+    assert "ranks=1,1,1 null_dims=1,1,1" in out
+    assert "compressible=false perfect=false" in out and "first:" in out and "second:" in out

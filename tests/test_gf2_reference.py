@@ -1,0 +1,295 @@
+"""The array-code subspace routines and matrix text format against the
+per-bit loop implementations they replaced, kept here as references."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swhamming import gf2
+from swhamming.errors import MalformedFileError
+from swhamming.gf2 import BitMatrix, BitVector, Subspace
+
+# ---------------------------------------------------------------------------
+# references: the loop bodies as they were before the array code
+# ---------------------------------------------------------------------------
+
+
+def ref_format_matrix(M: BitMatrix) -> str:
+    lines = [f"{M.rows} {M.cols}"]
+    arr = M.to_array()
+    for i in range(M.rows):
+        lines.append("".join("1" if b else "0" for b in arr[i]))
+    return "\n".join(lines) + "\n"
+
+
+def ref_parse_matrix(lines) -> BitMatrix:
+    it = iter(lines)
+    try:
+        header = next(it).split()
+        rows, cols = int(header[0]), int(header[1])
+    except (StopIteration, IndexError, ValueError) as exc:
+        raise MalformedFileError("expected 'rows cols' header") from exc
+    bits = np.zeros((rows, cols), dtype=np.uint8)
+    for i in range(rows):
+        try:
+            line = next(it).strip()
+        except StopIteration as exc:
+            raise MalformedFileError(f"matrix body ended after {i} of {rows} rows") from exc
+        if len(line) != cols or set(line) - {"0", "1"}:
+            raise MalformedFileError(f"bad matrix row {i}: {line!r}")
+        bits[i] = [c == "1" for c in line]
+    return BitMatrix.from_bits(bits)
+
+
+def ref_null_space(M: BitMatrix) -> Subspace:
+    red, pivots = gf2.rref(M)
+    n = M.cols
+    free = [c for c in range(n) if c not in set(pivots)]
+    if not free:
+        return Subspace.zero(n)
+    bits = np.zeros((len(free), n), dtype=np.uint8)
+    arr = red.to_array()
+    for k, f in enumerate(free):
+        bits[k, f] = 1
+        for i, p in enumerate(pivots):
+            bits[k, p] = arr[i, f]
+    return Subspace(n, BitMatrix.from_bits(bits))
+
+
+def ref_leading_bit(words: np.ndarray) -> int:
+    for k, wd in enumerate(words):
+        if wd:
+            return (k << 6) + int(wd & (~wd + np.uint64(1))).bit_length() - 1
+    raise ValueError("zero row has no leading bit")
+
+
+def ref_subspace_contains(A: Subspace, v: BitVector) -> bool:
+    if A.n != v.n:
+        raise ValueError("ambient dimension mismatch")
+    w = v.words.copy()
+    basis = A.basis
+    for i in range(basis.rows):
+        data = basis.data[i]
+        p = ref_leading_bit(data)
+        if (w[p >> 6] >> np.uint64(p & 63)) & np.uint64(1):
+            w ^= data
+    return not w.any()
+
+
+def ref_complement(A: Subspace, within: Subspace) -> Subspace:
+    if A.n != within.n:
+        raise ValueError("ambient dimension mismatch")
+    if not all(ref_subspace_contains(within, A.basis.row(i)) for i in range(A.dim)):
+        raise ValueError("A is not a subspace of `within`")
+    reducer = A.basis.data.copy()
+    kept: list[BitVector] = []
+    for i in range(within.dim):
+        cand = within.basis.row(i)
+        w = cand.words.copy()
+        for rrow in reducer:
+            p = ref_leading_bit(rrow) if rrow.any() else None
+            if p is not None and (w[p >> 6] >> np.uint64(p & 63)) & np.uint64(1):
+                w ^= rrow
+        if w.any():
+            kept.append(cand)
+            stacked = np.concatenate([reducer, w[None, :]])
+            gf2.rref_in_place(stacked, A.n)
+            reducer = stacked
+    return Subspace.spanned_by(kept, A.n)
+
+
+# ---------------------------------------------------------------------------
+# strategies: shapes with 0 rows, 0 columns and widths at the word edge
+# ---------------------------------------------------------------------------
+
+widths = st.sampled_from([0, 1, 2, 5, 63, 64, 65]) | st.integers(0, 140)
+
+
+def _bits(seed: int, rows: int, cols: int, density: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+@st.composite
+def matrices(draw, max_rows: int = 12, cols=widths):
+    rows = draw(st.integers(0, max_rows))
+    n = draw(cols)
+    density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+    return BitMatrix.from_bits(_bits(draw(st.integers(0, 2**32 - 1)), rows, n, density))
+
+
+@st.composite
+def nested_subspaces(draw):
+    """(A, within) with A a subspace of within, or not when ``inside`` is
+    False (then A is a random subspace of the ambient space)."""
+    M = draw(matrices(max_rows=10))
+    W = Subspace(M.cols, M)
+    inside = draw(st.booleans())
+    rows = draw(st.integers(0, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if inside:
+        coeff = BitMatrix.from_bits(_bits(seed, rows, W.dim, 0.5))
+        A = Subspace(W.n, coeff @ W.basis)
+    else:
+        A = Subspace(W.n, BitMatrix.from_bits(_bits(seed, rows, W.n, 0.5)))
+    return A, W
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_format_matrix_matches_reference(M):
+    assert gf2.format_matrix(M) == ref_format_matrix(M)
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_parse_inverts_format(M):
+    back = gf2.parse_matrix(gf2.format_matrix(M).splitlines())
+    assert back == M
+    assert back == ref_parse_matrix(ref_format_matrix(M).splitlines())
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_null_space_matches_reference(M):
+    assert gf2.null_space(M) == ref_null_space(M)
+
+
+@given(nested_subspaces())
+@settings(max_examples=150, deadline=None)
+def test_complement_matches_reference(pair):
+    A, W = pair
+    try:
+        want = ref_complement(A, W)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a subspace"):
+            gf2.complement(A, W)
+        return
+    assert gf2.complement(A, W) == want
+
+
+@given(matrices(max_rows=10), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_subspace_contains_matches_reference(M, seed, member):
+    A = Subspace(M.cols, M)
+    rng = np.random.default_rng(seed)
+    if member:
+        coeff = rng.integers(0, 2, size=(1, A.dim), dtype=np.uint8)
+        v = (BitMatrix.from_bits(coeff) @ A.basis).row(0)
+    else:
+        v = BitVector.from_bits(rng.integers(0, 2, size=M.cols, dtype=np.uint8))
+    assert gf2.subspace_contains(A, v) == ref_subspace_contains(A, v)
+    if member:
+        assert gf2.subspace_contains(A, v)
+
+
+@given(nested_subspaces())
+@settings(max_examples=100, deadline=None)
+def test_contains_subspace_matches_reference(pair):
+    A, W = pair
+    want = all(ref_subspace_contains(W, A.basis.row(i)) for i in range(A.dim))
+    assert W.contains_subspace(A) == want
+
+
+def test_complement_of_full_space_extends_by_unit_vectors():
+    A = Subspace(5, BitMatrix.from_bits([[1, 1, 0, 0, 0], [0, 0, 1, 1, 0]]))
+    B = gf2.complement(A, Subspace.full(5))
+    assert B == ref_complement(A, Subspace.full(5))
+    assert B.basis.to_array().tolist() == [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]
+
+
+# ---------------------------------------------------------------------------
+# text format: accepted spellings and rejected bodies
+# ---------------------------------------------------------------------------
+
+
+@given(matrices(max_rows=6), st.sampled_from(["\r\n", "\n", ""]), st.sampled_from(["", " ", "\t "]))
+@settings(max_examples=100, deadline=None)
+def test_parse_accepts_crlf_and_surrounding_blanks(M, end, pad):
+    body = ref_format_matrix(M).splitlines()
+    lines = [body[0] + end] + [pad + row + pad + end for row in body[1:]]
+    assert gf2.parse_matrix(lines) == M == ref_parse_matrix(lines)
+
+
+def _rejection(parse, lines) -> str:
+    with pytest.raises(MalformedFileError) as info:
+        parse(lines)
+    return str(info.value)
+
+
+@given(
+    matrices(max_rows=6, cols=st.integers(1, 70)).filter(lambda M: M.rows > 0),
+    st.data(),
+    st.sampled_from(["char", "short", "long", "truncated"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_parse_rejects_bad_body_naming_the_row(M, data, fault):
+    lines = ref_format_matrix(M).splitlines()
+    i = data.draw(st.integers(0, M.rows - 1))
+    row = lines[1 + i]
+    if fault == "char":
+        j = data.draw(st.integers(0, M.cols - 1))
+        bad = data.draw(st.sampled_from(["2", "x", " ", "é", "�", "١"]))
+        # a blank at either end is stripped and leaves the row short
+        lines[1 + i] = row[:j] + bad + row[j + 1 :]
+    elif fault == "short":
+        lines[1 + i] = row[:-1]
+    elif fault == "long":
+        lines[1 + i] = row + "0"
+    else:
+        lines = lines[: 1 + i]
+    got = _rejection(gf2.parse_matrix, lines)
+    assert got == _rejection(ref_parse_matrix, lines)
+    named = f"after {i} of {M.rows} rows" if fault == "truncated" else f"bad matrix row {i}:"
+    assert named in got
+
+
+def test_parse_reports_the_first_bad_row():
+    lines = ["4 3", "010", "0x0", "01", "111"]
+    assert _rejection(gf2.parse_matrix, lines).startswith("bad matrix row 1:")
+    lines = ["4 3", "010", "01", "0x0"]
+    assert _rejection(gf2.parse_matrix, lines).startswith("bad matrix row 1:")
+    lines = ["3 3", "010", "011"]
+    assert _rejection(gf2.parse_matrix, lines) == "matrix body ended after 2 of 3 rows"
+
+
+@pytest.mark.parametrize(
+    "header", ["-1 4", "4 -1", "99999999999999999999999 1", "0 99999999999999999999999"]
+)
+def test_parse_rejects_out_of_range_header(header):
+    assert "out of range" in _rejection(gf2.parse_matrix, [header, "0000"])
+
+
+def test_parse_bounds_a_huge_header_by_the_body():
+    got = _rejection(gf2.parse_matrix, ["99999999 99999999", "01", "10"])
+    assert got.startswith("bad matrix row 0:")
+    got = _rejection(gf2.parse_matrix, ["99999999 2", "01", "10"])
+    assert got == "matrix body ended after 2 of 99999999 rows"
+
+
+def test_parse_consumes_exactly_the_matrix():
+    it = iter(["2 2", "01", "10", "next"])
+    assert gf2.parse_matrix(it).to_array().tolist() == [[0, 1], [1, 0]]
+    assert next(it) == "next"
+
+
+def test_equality_compares_shape_and_bits():
+    v = BitVector.from_bits([1, 0, 1])
+    assert v == BitVector.from_bits(np.array([1, 0, 1], dtype=np.uint8))
+    assert v != BitVector.from_bits([1, 0, 1, 0])
+    assert v != BitVector.from_bits([1, 0, 0])
+    assert v != "101"
+    M = BitMatrix.from_bits([[1, 0], [0, 1]])
+    assert M == BitMatrix.identity(2)
+    assert M != BitMatrix.identity(2).take_rows(0, 1)
+    assert BitMatrix.zeros(0, 3) != BitMatrix.zeros(0, 4)
+    assert BitMatrix.zeros(3, 0) != BitMatrix.zeros(2, 0)
+    assert M != "M"

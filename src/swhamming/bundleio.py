@@ -1,11 +1,20 @@
 """Bundle files: the plain code format plus labelled matrix sections.
 
 A plain code file is ``s n``, then ``m_1 ... m_s``, then the s coding
-matrices in the shared text format.  Construction bundles append labelled
+matrices in the shared text format.  A bundle file appends labelled
 sections (a bare label line, then a matrix): ``P``, ``Q_i``, ``T``,
-``G_i``, ``R`` for the direct construction, plus ``C_i``, ``Y``, ``D_i``,
-``E_i`` for the relaxed one.  Loading is structural; semantic checks
-(partition validity, perfectness) belong to ``verify``.
+``G_i``, ``R``, and for a relaxed bundle (``C`` set) also ``C_i``, ``Y``,
+``D_i``, ``E_i``.  Whether those sections are written depends only on
+whether the bundle has them, never on their values.
+
+:func:`build_bundle` loads either form into one :class:`Bundle`, relaxed
+when the file has ``C_1``, and checks the sections against each other:
+their shapes first, then P = [Q_1 ... Q_s] (Q_1 for s = 2), R = [Y; T]
+(Y the stack [Q_1; ...; Q_(s-1)] in the direct form), T = [G_1; ...;
+G_s], each coding matrix = [G_i; C_i] (C_i = Q_i in the direct form), and
+in the relaxed form E_i C_i = Q_i and D_i Q_i = C_i.  A failed check is
+MALFORMED_FILE naming the section.  Properties of the construction
+itself (partition validity, perfectness) belong to ``verify``.
 """
 
 from __future__ import annotations
@@ -15,19 +24,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .codec import SwCode, format_code, parse_code
-from .errors import MalformedFileError, RNotInvertibleError
+from .errors import MalformedFileError, RNotInvertibleError, SingularMatrixError
 from .gf2 import (
     BitMatrix,
     format_matrix,
+    hstack,
     invert,
     parse_matrix,
     row_basis_transforms,
     vstack,
 )
-from .ghcms import GhcmsBundle
-from .hcms import HcmsBundle
-from .sources import is_perfect_params
-from .errors import SingularMatrixError
+from .hcms import Bundle
 
 _LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -39,21 +46,21 @@ class ParsedFile:
     sections: dict[str, BitMatrix]
 
 
-def _sections(bundle: HcmsBundle | GhcmsBundle):
+def _sections(bundle: Bundle):
     """(label, matrix) of each section, in file order."""
     yield "P", bundle.P
     yield from ((f"Q_{i}", Qi) for i, Qi in enumerate(bundle.Q, 1))
     yield "T", bundle.T
     yield from ((f"G_{i}", Gi) for i, Gi in enumerate(bundle.G, 1))
     yield "R", bundle.R
-    if isinstance(bundle, GhcmsBundle):
+    if bundle.C is not None:
         yield from ((f"C_{i}", Ci) for i, Ci in enumerate(bundle.C, 1))
         yield "Y", bundle.Y
         yield from ((f"D_{i}", Di) for i, Di in enumerate(bundle.D, 1))
         yield from ((f"E_{i}", Ei) for i, Ei in enumerate(bundle.E, 1))
 
 
-def _bundle_text(bundle: HcmsBundle | GhcmsBundle):
+def _bundle_text(bundle: Bundle):
     """The bundle file in pieces: the plain code, then a label line and a
     matrix per section."""
     yield format_code(bundle.code)
@@ -62,7 +69,7 @@ def _bundle_text(bundle: HcmsBundle | GhcmsBundle):
         yield format_matrix(M)
 
 
-def write_bundle(path: str | Path, bundle: HcmsBundle | GhcmsBundle) -> None:
+def write_bundle(path: str | Path, bundle: Bundle) -> None:
     # piece by piece, so at most one matrix's text is held at a time
     with open(path, "w") as fh:
         fh.writelines(_bundle_text(bundle))
@@ -108,60 +115,86 @@ def _section(parsed: ParsedFile, name: str) -> BitMatrix:
         raise MalformedFileError(f"missing section {name!r}")
 
 
-def build_hcms(parsed: ParsedFile) -> HcmsBundle:
+def _expect(label: str, M: BitMatrix, rows: int, cols: int) -> None:
+    if (M.rows, M.cols) != (rows, cols):
+        raise MalformedFileError(
+            f"section {label} is {M.rows}x{M.cols}, expected {rows}x{cols}"
+        )
+
+
+def build_bundle(parsed: ParsedFile) -> Bundle:
+    """The bundle of a parsed file, relaxed when it has a ``C_1`` section,
+    after checking that its sections agree (see the module docstring)."""
     code = parsed.code
     s, n = code.s, code.n
-    Q = tuple(_section(parsed, f"Q_{i}") for i in range(1, s + 1))
-    P = _section(parsed, "P")
-    T = _section(parsed, "T")
-    G = tuple(_section(parsed, f"G_{i}") for i in range(1, s + 1))
-    R = _section(parsed, "R")
+
+    def each(name: str) -> tuple[BitMatrix, ...]:
+        return tuple(_section(parsed, f"{name}_{i}") for i in range(1, s + 1))
+
+    Q, G = each("Q"), each("G")
+    P, T, R = (_section(parsed, name) for name in ("P", "T", "R"))
+    relaxed = parsed.kind == "ghcms"
+    if relaxed:
+        C, D, E = each("C"), each("D"), each("E")
+        Y = _section(parsed, "Y")
+    else:
+        C = Q
+
+    # shapes first, so that the stacks and products below are defined
     mn = Q[0].rows
-    if P.rows != mn or P.cols != s * n or R.rows != n or R.cols != n:
-        raise MalformedFileError("section dimensions are inconsistent")
-    try:
-        R_inv = invert(R)
-    except SingularMatrixError as exc:
-        raise RNotInvertibleError("stored R is singular") from exc
-    return HcmsBundle(
-        s=s, n=n, M=n + mn, P=P, Q=Q, T=T, G=G, R=R, R_inv=R_inv,
-        code=code,
-    )
+    if mn == 0:
+        raise MalformedFileError("section Q_1 has no rows")
+    for i, Qi in enumerate(Q, 1):
+        _expect(f"Q_{i}", Qi, mn, n)
+    _expect("P", P, mn, s * n if s > 2 else n)
+    _expect("R", R, n, n)
+    if relaxed:
+        _expect("Y", Y, Y.rows, n)
+        for i, (Ci, Di, Ei) in enumerate(zip(C, D, E), 1):
+            _expect(f"C_{i}", Ci, Ci.rows, n)
+            _expect(f"D_{i}", Di, Ci.rows, mn)
+            _expect(f"E_{i}", Ei, mn, Ci.rows)
+    _expect("T", T, n - (Y.rows if relaxed else (s - 1) * mn), n)
+    for i, (Gi, Ci, H) in enumerate(zip(G, C, code.matrices), 1):
+        _expect(f"G_{i}", Gi, H.rows - Ci.rows, n)
 
-
-def build_ghcms(parsed: ParsedFile) -> GhcmsBundle:
-    code = parsed.code
-    s, n = code.s, code.n
-    Q = tuple(_section(parsed, f"Q_{i}") for i in range(1, s + 1))
-    P = _section(parsed, "P")
-    T = _section(parsed, "T")
-    G = tuple(_section(parsed, f"G_{i}") for i in range(1, s + 1))
-    R = _section(parsed, "R")
-    C = tuple(_section(parsed, f"C_{i}") for i in range(1, s + 1))
-    Y = _section(parsed, "Y")
-    D = tuple(_section(parsed, f"D_{i}") for i in range(1, s + 1))
-    E = tuple(_section(parsed, f"E_{i}") for i in range(1, s + 1))
-    try:
-        R_inv = invert(R)
-    except SingularMatrixError as exc:
-        raise RNotInvertibleError("stored R is singular") from exc
     stack = vstack(Q[: s - 1])
+    if P != (hstack(Q) if s > 2 else Q[0]):
+        raise MalformedFileError("section P is not [Q_1 ... Q_s]")
+    if R != vstack([Y if relaxed else stack, T]):
+        raise MalformedFileError("section R is not [Y; T]")
+    if vstack(G) != T:
+        raise MalformedFileError("sections G_1 ... G_s do not split T")
+    for i, (Gi, Ci, H) in enumerate(zip(G, C, code.matrices), 1):
+        if H != vstack([Gi, Ci]):
+            raise MalformedFileError(f"coding matrix {i} is not [G_{i}; C_{i}]")
+    relaxed_fields = {}
+    if relaxed:
+        for i, (Qi, Ci, Di, Ei) in enumerate(zip(Q, C, D, E), 1):
+            if Ei @ Ci != Qi:
+                raise MalformedFileError(f"section E_{i}: E_{i} C_{i} is not Q_{i}")
+            if Di @ Qi != Ci:
+                raise MalformedFileError(f"section D_{i}: D_{i} Q_{i} is not C_{i}")
+        try:
+            E_Y, D_Y = row_basis_transforms(stack, Y)
+        except ValueError as exc:
+            raise MalformedFileError(f"Y section is not a row basis of the stack: {exc}")
+        relaxed_fields = dict(C=C, Y=Y, E=E, D=D, E_Y=E_Y, D_Y=D_Y)
     try:
-        E_Y, D_Y = row_basis_transforms(stack, Y)
-    except ValueError as exc:
-        raise MalformedFileError(f"Y section is not a row basis of the stack: {exc}")
-    M = sum(code.m)
-    return GhcmsBundle(
-        s=s, n=n, M=M, P=P, Q=Q, C=C, Y=Y, T=T, G=G, R=R, R_inv=R_inv,
-        E=E, D=D, E_Y=E_Y, D_Y=D_Y, code=code,
-        perfect=is_perfect_params(s, n, M),
+        R_inv = invert(R)
+    except SingularMatrixError as exc:
+        raise RNotInvertibleError("stored R is singular") from exc
+    return Bundle(
+        s=s, n=n, M=sum(code.m), P=P, Q=Q, T=T, G=G, R=R, R_inv=R_inv,
+        code=code, **relaxed_fields,
     )
 
 
-def load_bundle(path: str | Path) -> HcmsBundle | GhcmsBundle:
+build_hcms = build_bundle
+
+
+def load_bundle(path: str | Path) -> Bundle:
     parsed = read_file(path)
-    if parsed.kind == "hcms":
-        return build_hcms(parsed)
-    if parsed.kind == "ghcms":
-        return build_ghcms(parsed)
-    raise MalformedFileError("file has no construction sections; use the table decoder")
+    if parsed.kind == "code":
+        raise MalformedFileError("file has no construction sections; use the table decoder")
+    return build_bundle(parsed)

@@ -71,11 +71,9 @@ def cmd_gen(args) -> int:
         P = hcms.hamming_matrix(2)
         Q = tuple(P.take_cols(j, j + 1) for j in range(3))
         bundle = ghcms.ghcms_build(Q)
-        kind = "ghcms"
     else:
         split = _split_arg(args.split) if args.split else None
         bundle = hcms.hcms_for_a(args.a, g_split=split, max_a=args.max_a)
-        kind = "hcms"
     if not codec.is_perfect(bundle.code):
         raise NotPerfectError("generated bundle failed the perfectness check")
     bundleio.write_bundle(args.output, bundle)
@@ -83,7 +81,7 @@ def cmd_gen(args) -> int:
         _kv(
             [
                 ("written", args.output),
-                ("kind", kind),
+                ("kind", "hcms" if bundle.C is None else "ghcms"),
                 ("s", bundle.s),
                 ("n", bundle.n),
                 ("M", bundle.M),
@@ -123,10 +121,8 @@ def cmd_encode(args) -> int:
 def _decoder_for(parsed: bundleio.ParsedFile):
     """The file's decoder (``decode`` per tuple, ``decode_batch`` per
     chunk) and the name of its path."""
-    if parsed.kind == "hcms":
-        return bundleio.build_hcms(parsed).plan, "algebraic"
-    if parsed.kind == "ghcms":
-        return bundleio.build_ghcms(parsed).plan, "algebraic"
+    if parsed.kind != "code":
+        return bundleio.build_bundle(parsed).plan, "algebraic"
     budget = sources.env_budget(codec.DEFAULT_TABLE_BUDGET)
     return codec.DecodeTable(parsed.code, budget=budget), "table"
 

@@ -209,9 +209,12 @@ def _collision_from_pattern(
 
 def _validate_pair(code: SwCode, a: SourceTuple, b: SourceTuple):
     # counterexamples are self-validating: in S, distinct, equal syndromes
-    assert is_hamming_member(a) and is_hamming_member(b)
-    assert a != b
-    assert encode(code, a) == encode(code, b)
+    if not (is_hamming_member(a) and is_hamming_member(b)):
+        raise AssertionError("counterexample is not a pair of members of S")
+    if a == b:
+        raise AssertionError("counterexample is not a pair of distinct members")
+    if encode(code, a) != encode(code, b):
+        raise AssertionError("counterexample members have different syndromes")
     return a, b
 
 
@@ -486,6 +489,8 @@ def parse_code(lines: Iterable[str]) -> SwCode:
         m = tuple(int(t) for t in next(it).split())
     except (StopIteration, ValueError) as exc:
         raise MalformedFileError("expected 's n' and 'm_1 ... m_s' header lines") from exc
+    if s < 2 or n < 1:
+        raise MalformedFileError(f"code header 's n' is '{s} {n}': need s >= 2 and n >= 1")
     if len(m) != s:
         raise MalformedFileError(f"expected {s} syndrome lengths, got {len(m)}")
     mats = []

@@ -29,8 +29,8 @@ from .gf2 import (
     subspace_sum,
     vstack,
 )
-from .ghcms import GhcmsBundle, degenerate_two_source, ghcms_build
-from .hcms import _column_values
+from .ghcms import degenerate_two_source, ghcms_build
+from .hcms import Bundle, _column_values
 from .sources import hamming_source_size
 
 __all__ = [
@@ -119,13 +119,16 @@ def two_source_reduce(code: SwCode) -> tuple[BitMatrix, BitMatrix]:
     n = code.n
     n1, n2 = profile(code)
     combined = subspace_sum(n1, n2)
-    assert combined.dim == n1.dim + n2.dim, "null spaces of a compressing code meet in 0"
+    if combined.dim != n1.dim + n2.dim:
+        raise DecompositionInvalidError("null spaces of a compressing code meet in 0")
     H2 = matrix_with_null_space(combined)
-    assert (1 << H2.rows) == n + 1
+    if (1 << H2.rows) != n + 1:
+        raise DecompositionInvalidError(f"reduced matrix has {H2.rows} rows, not log2(n + 1)")
     cols = {H2.column_bytes(j) for j in range(n)}
-    assert len(cols) == n and bytes(H2.rows) not in cols, (
-        "columns of the reduced matrix must be nonzero and distinct"
-    )
+    if len(cols) != n or bytes(H2.rows) in cols:
+        raise DecompositionInvalidError(
+            "columns of the reduced matrix must be nonzero and distinct"
+        )
     return BitMatrix.identity(n), H2
 
 
@@ -161,12 +164,15 @@ def normalize_profile(code: SwCode) -> SwCode:
     D = Subspace.zero(code.n)
     for R in residuals:
         D = subspace_sum(D, R)
-    assert D.dim == sum(R.dim for R in residuals), "residuals must sum directly"
-    assert prof[s - 1].contains_subspace(D)
+    if D.dim != sum(R.dim for R in residuals):
+        raise DecompositionInvalidError("residuals must sum directly")
+    if not prof[s - 1].contains_subspace(D):
+        raise DecompositionInvalidError("residuals must lie in the last null space")
     new_prof = []
     for i in range(s - 1):
         merged = subspace_sum(prof[i], residuals[i])
-        assert merged.dim == prof[i].dim + residuals[i].dim
+        if merged.dim != prof[i].dim + residuals[i].dim:
+            raise DecompositionInvalidError(f"residual {i} meets null space {i}")
         new_prof.append(merged)
     new_prof.append(complement(D, prof[s - 1]))
     out = code_from_profile(tuple(new_prof))
@@ -176,7 +182,10 @@ def normalize_profile(code: SwCode) -> SwCode:
             if j == i:
                 continue
             acc = new_prof[j] if acc is None else subspace_intersect(acc, new_prof[j])
-        assert acc.dim == 0, "normalization must leave all-but-one intersections trivial"
+        if acc.dim != 0:
+            raise DecompositionInvalidError(
+                "normalization must leave all-but-one intersections trivial"
+            )
     return out
 
 
@@ -201,7 +210,8 @@ def lift_to_two_source(code: SwCode) -> SwCode:
         J[ro : ro + H.rows, i * n : (i + 1) * n] = H.to_array()
         ro += H.rows
     out = make_code([BitMatrix.from_bits(X), BitMatrix.from_bits(J)])
-    assert is_perfect(out), "the folded pair must be perfect"
+    if not is_perfect(out):
+        raise DecompositionInvalidError("the folded pair must be perfect")
     return out
 
 
@@ -218,14 +228,14 @@ class ReduceReport:
     perfect: bool = False
 
 
-def reduce_to_ghcms(code: SwCode) -> GhcmsBundle:
+def reduce_to_ghcms(code: SwCode) -> Bundle:
     """Constructive universality: an equivalent relaxed bundle whose code has
     the normalized input's null profile, terminal by terminal."""
     bundle, _ = reduce_with_report(code)
     return bundle
 
 
-def reduce_with_report(code: SwCode) -> tuple[GhcmsBundle, ReduceReport]:
+def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     s, n = code.s, code.n
     report = ReduceReport(
         input_profile_dims=tuple(N.dim for N in profile(code)),
@@ -255,24 +265,30 @@ def reduce_with_report(code: SwCode) -> tuple[GhcmsBundle, ReduceReport]:
     null_x = null_space(lifted.matrices[0])
     null_j = null_space(lifted.matrices[1])
     combined = subspace_sum(null_x, null_j)
-    assert combined.dim == null_x.dim + null_j.dim
+    if combined.dim != null_x.dim + null_j.dim:
+        raise DecompositionInvalidError("null spaces of the folded pair meet in 0")
     P = matrix_with_null_space(combined)
     Mtot = sum(norm.m)
-    assert P.rows == Mtot - n
+    if P.rows != Mtot - n:
+        raise DecompositionInvalidError(f"partition has {P.rows} rows, not M - n = {Mtot - n}")
     cols = {P.column_bytes(j) for j in range(P.cols)}
-    assert len(cols) == P.cols and bytes(P.rows) not in cols
+    if len(cols) != P.cols or bytes(P.rows) in cols:
+        raise DecompositionInvalidError("partition columns must be nonzero and distinct")
     report.hamming_permutation = tuple(int(v) for v in np.argsort(_column_values(P)))
 
     Q = tuple(P.take_cols(i * n, (i + 1) * n) for i in range(s))
     zsum = Q[0]
     for B in Q[1:]:
         zsum = zsum + B
-    assert zsum.is_zero()
+    if not zsum.is_zero():
+        raise DecompositionInvalidError("partition blocks do not sum to zero")
     for j in range(s - 1):
-        assert null_space(Q[j]) == norm_prof[j], f"block {j} must inherit null space"
+        if null_space(Q[j]) != norm_prof[j]:
+            raise DecompositionInvalidError(f"block {j} must inherit null space")
     Y = row_basis(vstack(Q[: s - 1]))
     null_y = null_space(Y)
-    assert null_space(Q[s - 1]) == subspace_sum(norm_prof[s - 1], null_y)
+    if null_space(Q[s - 1]) != subspace_sum(norm_prof[s - 1], null_y):
+        raise DecompositionInvalidError(f"block {s - 1} must have null space N_{s - 1} + null(Y)")
 
     A = complement(subspace_sum(norm_prof[s - 1], null_y), Subspace.full(n))
     T = matrix_with_null_space(subspace_sum(norm_prof[s - 1], A))
@@ -280,8 +296,10 @@ def reduce_with_report(code: SwCode) -> tuple[GhcmsBundle, ReduceReport]:
     bundle = ghcms_build(Q, g_split=g_split, T=T)
 
     out_prof = profile(bundle.code)
-    assert out_prof == norm_prof, "output profile must equal the normalized input's"
+    if out_prof != norm_prof:
+        raise DecompositionInvalidError("output profile must equal the normalized input's")
     report.output_rates = bundle.code.m
     report.perfect = bundle.perfect
-    assert bundle.perfect and (1 << sum(bundle.code.m)) == hamming_source_size(s, n)
+    if not bundle.perfect or (1 << sum(bundle.code.m)) != hamming_source_size(s, n):
+        raise DecompositionInvalidError("the reduced bundle must be perfect")
     return bundle, report

@@ -27,7 +27,6 @@ from .errors import (
     BadArgumentError,
     BudgetExceededError,
     HeightNegativeError,
-    MalformedFileError,
     NotHammingPartitionError,
     RNotInvertibleError,
     SyndromeNotDecodableError,
@@ -38,12 +37,14 @@ from .gf2 import (
     hstack,
     invert,
     rank,
+    row_basis,
+    row_basis_transforms,
     rref,
     vstack,
 )
 from .codec import SwCode, SyndromeTuple, make_code
 from .errors import SingularMatrixError
-from .sources import SourceTuple, perfect_params_for_a
+from .sources import SourceTuple, is_perfect_params, perfect_params_for_a
 
 DEFAULT_MAX_A = 7
 
@@ -101,8 +102,14 @@ def validate_partition(Q: Sequence[BitMatrix]) -> None:
 
 
 @dataclass(frozen=True)
-class HcmsBundle:
-    """Construction witness: the partition, completion, and induced code."""
+class Bundle:
+    """Construction witness: the partition, completion, and induced code.
+
+    The relaxed form has row bases C_i of the Q_i and Y of [Q_1; ...;
+    Q_(s-1)], with Q_i = E_i C_i, C_i = D_i Q_i, and E_Y, D_Y alike for Y.
+    The direct form is C_i = Q_i, Y = the stack, E_i = D_i = I, and leaves
+    those six fields None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.
+    """
 
     s: int
     n: int
@@ -114,19 +121,40 @@ class HcmsBundle:
     R: BitMatrix
     R_inv: BitMatrix
     code: SwCode
+    C: tuple[BitMatrix, ...] | None = None
+    Y: BitMatrix | None = None
+    E: tuple[BitMatrix, ...] | None = None
+    D: tuple[BitMatrix, ...] | None = None
+    E_Y: BitMatrix | None = None
+    D_Y: BitMatrix | None = None
 
     @property
     def g_split(self) -> tuple[int, ...]:
         return tuple(Gi.rows for Gi in self.G)
 
+    @property
+    def d(self) -> tuple[int, ...]:
+        """Rows of the c-part of each coding matrix."""
+        return tuple(Ci.rows for Ci in (self.Q if self.C is None else self.C))
+
+    @property
+    def perfect(self) -> bool:
+        """Whether the total rate meets the packing equality."""
+        return is_perfect_params(self.s, self.n, self.M)
+
     @cached_property
     def plan(self) -> DecodePlan:
         """The decoder, built on first use and kept with the bundle."""
-        return DecodePlan(self.code, self.g_split, self.P, self.R_inv)
+        return DecodePlan(
+            self.code, self.g_split, hstack(self.Q), self.R_inv, E=self.E, D_Y=self.D_Y
+        )
 
     def locate_column(self, sigma: BitVector) -> int:
-        """Index of the column of P equal to sigma."""
+        """Index of the column of [Q_1 ... Q_s] equal to sigma."""
         return self.plan.locate(sigma)
+
+
+HcmsBundle = Bundle
 
 
 class DecodePlan:
@@ -155,12 +183,10 @@ class DecodePlan:
         E: Sequence[BitMatrix] | None = None,
         D_Y: BitMatrix | None = None,
     ):
+        # the shapes agree: the builder makes them so, and the loader checks
+        # every section of a file
         s, n, m = code.s, code.n, code.m
         mn = columns.rows
-        if columns.cols != s * n or mn == 0:
-            raise MalformedFileError(
-                f"partition is {mn} x {columns.cols}, expected {s * n} nonzero columns"
-            )
         E_bits = [np.eye(mn, dtype=np.uint8)] * s if E is None else [Ei.to_array() for Ei in E]
         offsets = [int(o) for o in np.cumsum([0, *m])]
         total = offsets[-1]
@@ -169,11 +195,6 @@ class DecodePlan:
         # q_maps[i] y = E_i c_i, the Q-part of terminal i
         q_maps = np.zeros((s, mn, total), dtype=np.uint8)
         for i in range(s):
-            if E_bits[i].shape != (mn, offsets[i + 1] - c_start[i]):
-                raise MalformedFileError(
-                    f"terminal {i}: Q-part transform is {E_bits[i].shape}, expected "
-                    f"({mn}, {offsets[i + 1] - c_start[i]})"
-                )
             q_maps[i, :, c_start[i] : offsets[i + 1]] = E_bits[i]
         # A y = [D_Y [E_1 c_1; ...; E_(s-1) c_(s-1)]; g_1; ...; g_s]
         top = q_maps[:-1].reshape(-1, total)
@@ -183,8 +204,6 @@ class DecodePlan:
         g_rows = np.zeros((g_cols.size, total), dtype=np.uint8)
         g_rows[np.arange(g_cols.size), g_cols] = 1
         A = np.concatenate([top, g_rows])
-        if A.shape[0] != n:
-            raise MalformedFileError(f"transforms give {A.shape[0]} rows for R^-1, expected {n}")
 
         self.s, self.n, self.m, self.mn = s, n, tuple(m), mn
         self._S = q_maps.sum(axis=0).T.astype(np.float32)  # sigma = y S
@@ -253,23 +272,17 @@ class DecodePlan:
         return [x[:, i] for i in range(self.s)]
 
 
-def _default_completion(Q: Sequence[BitMatrix], n: int, t_rows: int) -> BitMatrix:
-    """Standard-basis rows at the non-pivot columns of [Q_1; ...; Q_(s-1)].
+def standard_completion(Y: BitMatrix) -> BitMatrix:
+    """Standard-basis rows at the non-pivot columns of Y.
 
-    When the stack pivots on its first (s-1)(M-n) columns this is exactly
-    [0 | I]; either way the resulting R is invertible whenever any
-    completion is."""
-    stack = vstack(Q[: len(Q) - 1])
-    _, pivots = rref(stack)
-    if len(pivots) < stack.rows:
+    When Y pivots on its first Y.rows columns this is exactly [0 | I];
+    either way [Y; T] is invertible whenever any completion makes it so."""
+    _, pivots = rref(Y)
+    if len(pivots) < Y.rows:
         raise RNotInvertibleError(
             "[Q_1; ...; Q_(s-1)] is row deficient; no completion can work"
         )
-    non_pivots = [c for c in range(n) if c not in set(pivots)]
-    bits = np.zeros((t_rows, n), dtype=np.uint8)
-    for i, c in enumerate(non_pivots):
-        bits[i, c] = 1
-    return BitMatrix.from_bits(bits)
+    return BitMatrix.from_bits(np.delete(np.eye(Y.cols, dtype=np.uint8), pivots, axis=0))
 
 
 def default_g_split(total: int, s: int) -> tuple[int, ...]:
@@ -278,63 +291,73 @@ def default_g_split(total: int, s: int) -> tuple[int, ...]:
     return tuple(base + 1 if i < extra else base for i in range(s))
 
 
-def hcms_from_parts(
+def assemble(
     Q: Sequence[BitMatrix],
-    T: BitMatrix | None = None,
-    g_split: Sequence[int] | None = None,
-) -> HcmsBundle:
-    """Validate a partition and completion and assemble the code.
+    C: Sequence[BitMatrix] | None,
+    g_split: Sequence[int] | None,
+    T: BitMatrix | None,
+) -> Bundle:
+    """The bundle of validated blocks Q_i: direct (Y the stack, coding
+    matrices [G_i; Q_i]) when C is None, else relaxed (Y the canonical row
+    basis of the stack, coding matrices [G_i; C_i]).  T defaults to the
+    standard completion of Y; the G_i are its rows in g_split.
 
-    Raises NotHammingPartition when the partition conditions fail,
-    HeightNegative when (s-1)(M-n) > n, and RNotInvertible when the
-    completion does not make R invertible.
+    Raises HeightNegative when the direct stack has more than n rows,
+    RNotInvertible when [Y; T] is singular, and BadArgument for a bad split.
     """
-    s = len(Q)
-    if s <= 2:
-        raise ValueError("construction requires more than two terminals")
-    validate_partition(Q)
-    mn = Q[0].rows
-    n = Q[0].cols
-    M = n + mn
-    t_rows = n - (s - 1) * mn
-    if t_rows < 0:
-        raise HeightNegativeError(
-            f"completion height n - (s-1)(M-n) = {t_rows} is negative"
-        )
+    Q = tuple(Q)
+    s, n = len(Q), Q[0].cols
+    stack = vstack(Q[: s - 1])
+    relaxed = {}
+    if C is None:
+        if stack.rows > n:
+            raise HeightNegativeError(
+                f"completion height n - (s-1)(M-n) = {n - stack.rows} is negative"
+            )
+        Y = stack
+    else:
+        C = tuple(C)
+        E, D = zip(*(row_basis_transforms(Qi, Ci) for Qi, Ci in zip(Q, C)))
+        Y = row_basis(stack)
+        E_Y, D_Y = row_basis_transforms(stack, Y)
+        relaxed = dict(C=C, Y=Y, E=E, D=D, E_Y=E_Y, D_Y=D_Y)
     if T is None:
-        T = _default_completion(Q, n, t_rows)
-    if T.rows != t_rows or T.cols != n:
-        raise ValueError(f"T must be {t_rows}x{n}, got {T.rows}x{T.cols}")
-    R = vstack([*Q[: s - 1], T])
+        T = standard_completion(Y)
+    if T.rows != n - Y.rows or T.cols != n:
+        raise ValueError(f"T must be {n - Y.rows}x{n}, got {T.rows}x{T.cols}")
+    R = vstack([Y, T])
     try:
         R_inv = invert(R)
     except SingularMatrixError as exc:
         raise RNotInvertibleError("[Q_1; ...; Q_(s-1); T] is singular") from exc
     if g_split is None:
-        g_split = default_g_split(t_rows, s)
+        g_split = default_g_split(T.rows, s)
     g_split = tuple(int(g) for g in g_split)
-    if len(g_split) != s or any(g < 0 for g in g_split) or sum(g_split) != t_rows:
-        raise BadArgumentError(f"row split {g_split} does not partition {t_rows} rows")
-    G = []
-    off = 0
-    for g in g_split:
-        G.append(T.take_rows(off, off + g))
-        off += g
-    mats = tuple(vstack([Gi, Qi]) for Gi, Qi in zip(G, Q))
-    code = make_code(mats)
-    P = hstack(Q)
-    return HcmsBundle(
-        s=s,
-        n=n,
-        M=M,
-        P=P,
-        Q=tuple(Q),
-        T=T,
-        G=tuple(G),
-        R=R,
-        R_inv=R_inv,
-        code=code,
+    if len(g_split) != s or any(g < 0 for g in g_split) or sum(g_split) != T.rows:
+        raise BadArgumentError(f"row split {g_split} does not partition {T.rows} rows")
+    offsets = np.cumsum((0, *g_split)).tolist()
+    G = tuple(T.take_rows(a, b) for a, b in zip(offsets, offsets[1:]))
+    code = make_code([vstack([Gi, Ci]) for Gi, Ci in zip(G, Q if C is None else C)])
+    return Bundle(
+        s=s, n=n, M=sum(code.m), P=hstack(Q) if s > 2 else Q[0], Q=Q, T=T,
+        G=G, R=R, R_inv=R_inv, code=code, **relaxed,
     )
+
+
+def hcms_from_parts(
+    Q: Sequence[BitMatrix],
+    T: BitMatrix | None = None,
+    g_split: Sequence[int] | None = None,
+) -> Bundle:
+    """Validate a partition of s > 2 blocks and assemble the direct code.
+
+    Raises NotHammingPartition when the partition conditions fail, and the
+    errors of :func:`assemble`.
+    """
+    if len(Q) <= 2:
+        raise ValueError("construction requires more than two terminals")
+    validate_partition(Q)
+    return assemble(Q, None, g_split, T)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +422,7 @@ def a3_partition() -> tuple[BitMatrix, BitMatrix, BitMatrix]:
     return Q1, Q2, Q3
 
 
-def hcms_a3(g_split: Sequence[int] | None = None) -> HcmsBundle:
+def hcms_a3(g_split: Sequence[int] | None = None) -> Bundle:
     """The explicit (n, M) = (21, 27) bundle with T = [0 | I_9]."""
     return hcms_from_parts(a3_partition(), g_split=g_split)
 
@@ -517,7 +540,7 @@ def hcms_for_a(
     a: int,
     g_split: Sequence[int] | None = None,
     max_a: int = DEFAULT_MAX_A,
-) -> HcmsBundle:
+) -> Bundle:
     """Bundle at parameter a >= 3 (n = (2^(2a)-1)/3, M = n + 2a), built from
     the embedded n = 21 partition by repeated lifting, completed with
     T = [0 | I_(n-4a)]."""
@@ -531,7 +554,8 @@ def hcms_for_a(
     for _ in range(a - 3):
         part = lift_partition(*part)
     bundle = hcms_from_parts(part, g_split=g_split)
-    assert (bundle.n, bundle.M) == perfect_params_for_a(a)
+    if (bundle.n, bundle.M) != perfect_params_for_a(a):
+        raise AssertionError(f"bundle at a = {a} has other (n, M) than the packing equality")
     return bundle
 
 
@@ -540,7 +564,7 @@ def hcms_for_a(
 # ---------------------------------------------------------------------------
 
 
-def hcms_decode(bundle: HcmsBundle, y: SyndromeTuple) -> SourceTuple:
+def hcms_decode(bundle: Bundle, y: SyndromeTuple) -> SourceTuple:
     """Invert the encoding on the Hamming-source set for one syndrome
     tuple, through the bundle's :class:`DecodePlan`."""
     return bundle.plan.decode(y)

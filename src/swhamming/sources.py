@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import pack_bits
 from .errors import BudgetExceededError, MalformedFileError
-from .gf2 import BitVector
+from .gf2 import BitVector, _int_to_vec
 
 SourceTuple = tuple[BitVector, ...]
 
@@ -125,11 +125,6 @@ def decompose(x: Sequence[BitVector]) -> tuple[BitVector, int | None, int | None
     return b, term, p
 
 
-def _bitvector_from_int(value: int, n: int) -> BitVector:
-    bits = np.array([(value >> j) & 1 for j in range(n)], dtype=np.uint8)
-    return BitVector(n, pack_bits(bits[None, :])[0])
-
-
 def member_at(s: int, n: int, index: int) -> SourceTuple:
     """The index-th member of S in enumeration order: the 2^n all-equal
     tuples first (b in ascending integer order, bit j of b at position j),
@@ -141,7 +136,7 @@ def member_at(s: int, n: int, index: int) -> SourceTuple:
     if not 0 <= index < size:
         raise IndexError(f"index {index} out of range for |S| = {size}")
     if index < (1 << n):
-        b = _bitvector_from_int(index, n)
+        b = _int_to_vec(index, n)
         return tuple(b for _ in range(s))
     j = index - (1 << n)
     sp = effective_s(s)
@@ -149,7 +144,7 @@ def member_at(s: int, n: int, index: int) -> SourceTuple:
     t, p = divmod(rem, n)
     if s == 2:
         t = 1
-    b = _bitvector_from_int(b_val, n)
+    b = _int_to_vec(b_val, n)
     e = BitVector.unit(n, p)
     return tuple(b + e if i == t else b for i in range(s))
 
@@ -193,14 +188,16 @@ def is_perfect_params(s: int, n: int, M: int) -> bool:
 def perfect_params_for_a(a: int) -> tuple[int, int]:
     """The only (n, M) solving the s = 3 packing equality, parameterized by
     a = (M - n) / 2: n = (2^(2a) - 1) / 3 and M = n + 2a.  M is always
-    divisible by 3; this is asserted."""
+    divisible by 3; this is checked."""
     if a < 1:
         raise ValueError("a must be positive")
     q, r = divmod((1 << (2 * a)) - 1, 3)
-    assert r == 0
+    if r != 0:
+        raise AssertionError("2^(2a) - 1 must be divisible by 3")
     n = q
     M = n + 2 * a
-    assert M % 3 == 0, "M(a) must be divisible by 3"
+    if M % 3 != 0:
+        raise AssertionError("M(a) must be divisible by 3")
     return n, M
 
 

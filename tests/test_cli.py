@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from swhamming import bundleio, cli, codec, gf2, hcms, sources
+from swhamming import bundleio, cli, codec, gf2, ghcms, hcms, sources
 
 
 def run(capsys, *argv):
@@ -315,3 +316,110 @@ def test_verify_reports_a_non_perfect_code_and_its_witness(tmp_path, capsys):
     assert code == 1 and "error=NOT_PERFECT" in err
     assert "ranks=1,1,1 null_dims=1,1,1" in out
     assert "compressible=false perfect=false" in out and "first:" in out and "second:" in out
+
+
+# ---------------------------------------------------------------------------
+# load-time consistency of bundle files
+# ---------------------------------------------------------------------------
+
+_DIRECT_SECTIONS = ["P", "Q_1", "Q_2", "Q_3", "T", "G_1", "G_2", "G_3", "R"]
+_RELAXED_SECTIONS = _DIRECT_SECTIONS + [
+    "C_1", "C_2", "C_3", "Y", "D_1", "D_2", "D_3", "E_1", "E_2", "E_3"
+]
+
+
+@pytest.fixture(scope="module")
+def bundle_texts(tmp_path_factory, bundle_a3):
+    """form -> (bundle file text, a syndrome file's text) for the a = 3
+    direct bundle and a relaxed one with every section nonempty."""
+    rng = np.random.default_rng(3)
+    path = tmp_path_factory.mktemp("bundles") / "bundle.txt"
+    out = {}
+    for form, bundle in (("direct", bundle_a3), ("relaxed", ghcms.ghcms_build(bundle_a3.Q))):
+        bundleio.write_bundle(path, bundle)
+        ys = [codec.encode(bundle.code, sources.random_member(3, 21, rng)) for _ in range(5)]
+        out[form] = (path.read_text(), codec.format_syndromes(ys))
+    return out
+
+
+def _replace_section(text: str, label: str, edit) -> str:
+    """The bundle text with section ``label``'s matrix replaced by
+    ``edit(matrix)``."""
+    lines = text.splitlines(keepends=True)
+    at = lines.index(label + "\n") + 1
+    rows = int(lines[at].split()[0])
+    body = iter(lines[at : at + 1 + rows])
+    new = gf2.format_matrix(edit(gf2.parse_matrix(body)))
+    return "".join(lines[:at]) + new + "".join(lines[at + 1 + rows :])
+
+
+def _flip_first_bit(M):
+    bits = M.to_array()
+    bits[0, 0] ^= 1
+    return gf2.BitMatrix.from_bits(bits)
+
+
+def _decode_and_verify(tmp_path, capsys, bundle_text, synd_text):
+    path, synd = tmp_path / "bundle.txt", tmp_path / "synd.txt"
+    path.write_text(bundle_text)
+    synd.write_text(synd_text)
+    results = [
+        run(capsys, "decode", str(path), "--input", str(synd), "--output", str(tmp_path / "x.txt")),
+        run(capsys, "verify", str(path), "--roundtrip", "5"),
+    ]
+    return [(code, err) for code, _, err in results]
+
+
+@pytest.mark.parametrize(
+    "form,label",
+    [("direct", s) for s in _DIRECT_SECTIONS] + [("relaxed", s) for s in _RELAXED_SECTIONS],
+)
+def test_tampered_bundle_section_is_malformed(tmp_path, capsys, bundle_texts, form, label):
+    text, synd = bundle_texts[form]
+    tampered = _replace_section(text, label, _flip_first_bit)
+    for code, err in _decode_and_verify(tmp_path, capsys, tampered, synd):
+        assert code == 2 and "error=MALFORMED_FILE" in err
+
+
+@pytest.mark.parametrize(
+    "form,label,drop",
+    [
+        ("direct", "Q_2", "column"),
+        ("direct", "T", "row"),
+        ("direct", "P", "row"),
+        ("relaxed", "Y", "row"),
+        ("relaxed", "C_1", "column"),
+        ("relaxed", "E_1", "column"),
+        ("relaxed", "D_2", "row"),
+    ],
+)
+def test_bundle_section_of_wrong_shape_is_malformed(
+    tmp_path, capsys, bundle_texts, form, label, drop
+):
+    # one row or column fewer in one section: MALFORMED_FILE, not a ValueError
+    # from stacking the sections
+    def edit(M):
+        return M.take_rows(0, M.rows - 1) if drop == "row" else M.take_cols(0, M.cols - 1)
+
+    text, synd = bundle_texts[form]
+    for code, err in _decode_and_verify(tmp_path, capsys, _replace_section(text, label, edit), synd):
+        assert code == 2 and "error=MALFORMED_FILE" in err
+
+
+def test_untampered_bundles_still_decode_and_verify(tmp_path, capsys, bundle_texts):
+    for text, synd in bundle_texts.values():
+        assert [code for code, _ in _decode_and_verify(tmp_path, capsys, text, synd)] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 3\n3\n3 3\n100\n010\n001\n", "3 0\n0 0 0\n0 0\n0 0\n0 0\n"],
+    ids=["one-terminal", "zero-length"],
+)
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_code_header_outside_the_model_is_malformed(tmp_path, capsys, text, command):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    argv = [command, str(path)] + (["-o", str(tmp_path / "r.txt")] if command == "reduce" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error=MALFORMED_FILE" in err and "need s >= 2 and n >= 1" in err

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time the packed GF(2) kernels.
 
 Times the three packed GF(2) kernels on representative shapes, plus two
 end-to-end operations (perfectness verification of the n = 341 code and a
-batch of algebraic decodes).  Run with ``python benchmarks/bench_kernels.py``;
-use ``--repeat`` to change the sample count.
+batch of algebraic decodes), and prints the fastest of ``--repeat`` runs of
+each.  Run with ``python benchmarks/bench_kernels.py``.  The matrix product
+goes through numpy's float32 matmul, so its time depends on the BLAS numpy
+links and on how many threads that BLAS starts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import time
 import numpy as np
 
 from swhamming import _kernels, codec, gf2, hcms, sources
-from swhamming._kernels import set_backend
 
 
 def best_of(fn, repeat: int) -> float:
@@ -70,28 +71,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    backends = _kernels.available_backends()
-    results: dict[str, dict[str, float]] = {}
-    for backend in backends:
-        set_backend(backend)
-        _kernels.warmup()
-        rng = np.random.default_rng(args.seed)
-        for name, fn in make_cases(rng):
-            fn()  # warm any remaining compilation / caches
-            results.setdefault(name, {})[backend] = best_of(fn, args.repeat)
-
-    width = max(len(n) for n in results)
-    header = f"{'case':<{width}}  " + "  ".join(f"{b:>12}" for b in backends)
-    if "numba" in backends and "numpy" in backends:
-        header += f"  {'numba speedup':>14}"
-    print(header)
-    for name, times in results.items():
-        row = f"{name:<{width}}  " + "  ".join(
-            f"{times[b] * 1e3:>10.3f}ms" for b in backends
-        )
-        if "numba" in times and "numpy" in times and times["numba"]:
-            row += f"  {times['numpy'] / times['numba']:>13.1f}x"
-        print(row)
+    rng = np.random.default_rng(args.seed)
+    cases = make_cases(rng)
+    width = max(len(name) for name, _ in cases)
+    print(f"{'case':<{width}}  {_kernels.get_backend():>12}")
+    for name, fn in cases:
+        fn()  # warm caches before timing
+        print(f"{name:<{width}}  {best_of(fn, args.repeat) * 1e3:>10.3f}ms")
     return 0
 
 

@@ -8,7 +8,4 @@ constructions for three or more sources (:mod:`swhamming.hcms`,
 (:mod:`swhamming.equiv`).  The ``swhamming`` CLI ties them together.
 """
 
-from ._kernels import available_backends, get_backend, set_backend
-
-__all__ = ["available_backends", "get_backend", "set_backend"]
 __version__ = "0.1.0"

@@ -2,8 +2,7 @@
 
 All outputs are byte-deterministic given flags and --seed.  Failures print
 ``error=<TOKEN> <message>`` on stderr and exit nonzero.  HCMS_BUDGET
-overrides enumeration and table budgets; HCMS_BACKEND picks the kernel
-backend.
+overrides enumeration and table budgets.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ def _intlist(vals) -> str:
 
 
 def cmd_params(args) -> int:
+    if args.scan is not None and args.scan < 1:
+        raise BadArgumentError(f"--scan must be >= 1, got {args.scan}")
     avals = list(range(1, args.scan + 1)) if args.scan else [args.a]
     rows = []
     for a in avals:
@@ -143,6 +144,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.roundtrip < 0:
+        raise BadArgumentError(f"--roundtrip must be >= 0, got {args.roundtrip}")
     parsed = bundleio.read_file(args.bundle)
     code = parsed.code
     # a perfect code has surjective matrices and is compressible, so only a

@@ -21,6 +21,7 @@ import numpy as np
 
 from ._kernels import bits_matmul
 from .errors import (
+    BadArgumentError,
     BudgetExceededError,
     MalformedFileError,
     NotCompressibleError,
@@ -386,7 +387,7 @@ def search_perfect_null_spaces(
     is tested once through the coset-intersection criterion.
     """
     if s != 3:
-        raise ValueError("profile search is implemented for s = 3")
+        raise BadArgumentError(f"profile search is implemented for s = 3, got s = {s}")
     if not is_perfect_params(3, n, M):
         raise ParamsNotPerfectError(f"2^{n}(3*{n}+1) != 2^{M}: no perfect code can exist")
     result = SearchResult(n=n, M=M)
@@ -403,6 +404,13 @@ def search_perfect_null_spaces(
             ok = True
             for d in dims:
                 if d not in cands:
+                    # listing walks every d-subspace, so bound it before the walk
+                    subspaces = gaussian_binomial(n, d)
+                    if subspaces > budget:
+                        raise BudgetExceededError(
+                            f"listing the {subspaces} {d}-dimensional "
+                            f"subspaces of GF(2)^{n} exceeds budget {budget}"
+                        )
                     cands[d] = admissible_null_spaces(n, d)
                     result.candidate_counts[d] = len(cands[d])
                 if not cands[d]:

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import (
     U64_1,
     bits_matmul,
@@ -212,7 +211,8 @@ class BitMatrix:
             return mat_vec(self, other)
         if self.cols != other.rows:
             raise ValueError(f"inner dims {self.cols} vs {other.rows}")
-        return BitMatrix(self.rows, other.cols, matmul_packed(self._data, self.cols, other._data))
+        data = matmul_packed(self._data, self.cols, other._data, other.cols)
+        return BitMatrix(self.rows, other.cols, data)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -70,17 +70,9 @@ def _column_values(M: BitMatrix) -> np.ndarray:
     return arr.T.astype(object) @ weights
 
 
-def is_hamming_partition(Q: Sequence[BitMatrix]) -> bool:
-    """True iff [Q_1 ... Q_s] has exactly the 2^(M-n)-1 distinct nonzero
-    columns (any order) and the blocks sum to zero."""
-    try:
-        validate_partition(Q)
-    except NotHammingPartitionError:
-        return False
-    return True
-
-
 def validate_partition(Q: Sequence[BitMatrix]) -> None:
+    """Raise NotHammingPartitionError unless [Q_1 ... Q_s] has exactly the
+    2^(M-n)-1 distinct nonzero columns (any order) and the blocks sum to zero."""
     if len(Q) < 2:
         raise NotHammingPartitionError("a partition needs at least two blocks")
     mn = Q[0].rows

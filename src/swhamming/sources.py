@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._kernels import pack_bits
-from .errors import BudgetExceededError, MalformedFileError
+from .errors import BadArgumentError, BudgetExceededError, MalformedFileError
 from .gf2 import BitVector, _int_to_vec
 
 SourceTuple = tuple[BitVector, ...]
@@ -64,7 +64,7 @@ def effective_s(s: int) -> int:
 def hamming_source_size(s: int, n: int) -> int:
     """|S| = (s'n + 1) * 2^n.  Python integers make overflow impossible."""
     if s < 2 or n < 1:
-        raise ValueError("need s >= 2 and n >= 1")
+        raise BadArgumentError(f"need s >= 2 and n >= 1, got s = {s}, n = {n}")
     return (effective_s(s) * n + 1) << n
 
 
@@ -190,7 +190,7 @@ def perfect_params_for_a(a: int) -> tuple[int, int]:
     a = (M - n) / 2: n = (2^(2a) - 1) / 3 and M = n + 2a.  M is always
     divisible by 3; this is checked."""
     if a < 1:
-        raise ValueError("a must be positive")
+        raise BadArgumentError(f"a must be positive, got {a}")
     q, r = divmod((1 << (2 * a)) - 1, 3)
     if r != 0:
         raise AssertionError("2^(2a) - 1 must be divisible by 3")

@@ -3,13 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from swhamming import _kernels, codec, gf2, hcms
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jit kernels before anything is timed
-    _kernels.warmup()
+from swhamming import codec, gf2, hcms
 
 
 @pytest.fixture(scope="session")

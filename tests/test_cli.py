@@ -423,3 +423,31 @@ def test_code_header_outside_the_model_is_malformed(tmp_path, capsys, text, comm
     argv = [command, str(path)] + (["-o", str(tmp_path / "r.txt")] if command == "reduce" else [])
     code, _, err = run(capsys, *argv)
     assert code == 2 and "error=MALFORMED_FILE" in err and "need s >= 2 and n >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--a", "0"],
+        ["params", "--a", "-3"],
+        ["params", "--scan", "0"],
+        ["params", "--scan", "-2", "--kv"],
+        ["search", "--n", "0", "--M", "0"],
+        ["search", "--n", "-1", "--M", "1"],
+        ["search", "--n", "5", "--M", "9", "--s", "4"],
+        ["verify", "BUNDLE", "--roundtrip", "-5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_argument_outside_its_domain_is_bad_argument(tmp_path, capsys, argv):
+    bundle = tmp_path / "trivial.txt"
+    assert run(capsys, "gen", "--trivial", "-o", str(bundle))[0] == 0
+    code, out, err = run(capsys, *[str(bundle) if a == "BUNDLE" else a for a in argv])
+    assert code == 2 and err.startswith("error=BAD_ARGUMENT ")
+    assert "roundtrip=" not in out
+
+
+def test_search_budget_is_checked_before_listing_subspaces(capsys):
+    # listing the 20-dimensional subspaces of GF(2)^21 alone is 2^21 - 1 steps
+    code, _, err = run(capsys, "search", "--n", "21", "--M", "27")
+    assert code == 2 and "error=BUDGET_EXCEEDED" in err

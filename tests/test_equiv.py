@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from decode_oracle import DecodeTable
 from swhamming import codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import DecompositionInvalidError, NotPerfectError
 
@@ -207,7 +208,7 @@ def lifted_decode(code, inner_decode, y):
 
 def test_lift_decode_path_exhaustive(trivial_code):
     lifted = equiv.lift_to_two_source(trivial_code)
-    table = codec.DecodeTable(trivial_code)
+    table = DecodeTable(trivial_code)
     for z in sources.enumerate_hamming_sources(2, 3):
         y = codec.encode(lifted, z)
         assert lifted_decode(trivial_code, table.decode, y) == z

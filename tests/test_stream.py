@@ -1,10 +1,11 @@
 """Chunked CLI encode/decode against the per-tuple reference path.
 
 The CLI streams group files through ``sources.iter_bit_chunks``,
-``codec.encode_batch`` and the bundle's decode plan (or the table decoder
-row by row).  Its output files must be byte-identical to what the
-per-tuple functions give: ``codec.encode``, ``hcms_decode``/``ghcms_decode``
-or ``DecodeTable.decode``, formatted by ``format_syndromes``/
+``codec.encode_batch`` and the code's decoder (``codec.decoder``), for
+bundle and plain code files alike.  Its output files must be
+byte-identical to what the per-tuple functions give: ``codec.encode``,
+``hcms_decode``/``ghcms_decode`` or the syndrome-table oracle's
+``DecodeTable.decode``, formatted by ``format_syndromes``/
 ``format_tuples``.
 """
 
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decode_oracle import DecodeTable
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
-from swhamming.errors import SyndromeNotDecodableError
+from swhamming.errors import NotInImageError
 
 CHUNK = sources.CHUNK_TUPLES
 COUNTS = (0, 1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 1)
@@ -48,7 +50,7 @@ def bundle_files(tmp_path_factory, bundle_a3, pair_n7):
         out[kind] = (path, loaded.code, decode)
     path = root / "code.txt"
     bundleio.write_code_file(path, pair_n7)
-    out["code"] = (path, pair_n7, codec.DecodeTable(pair_n7).decode)
+    out["code"] = (path, pair_n7, DecodeTable(pair_n7).decode)
     return out
 
 
@@ -116,18 +118,14 @@ def test_chunk_parser_splits_at_chunk_boundaries(bundle_a3, rng):
         assert all(gf2.BitVector.from_bits(rows[i][t]) == x[i] for i in range(3))
 
 
-def test_decode_batch_rejects_unlocated_sigma(bundle_a3):
-    # only a corrupted partition misses a nonzero sigma: overwrite column 0
-    # of P with column 1, then deviate terminal 0 at position 0
-    arr = bundle_a3.P.to_array()
-    arr[:, 0] = arr[:, 1]
-    plan = hcms.DecodePlan(
-        bundle_a3.code, bundle_a3.g_split, gf2.BitMatrix.from_bits(arr), bundle_a3.R_inv
-    )
-    n = bundle_a3.n
-    zero = gf2.BitVector.zeros(n)
-    xs = ((zero,) * 3, (gf2.BitVector.unit(n, 0), zero, zero))
-    ys = [codec.encode(bundle_a3.code, x) for x in xs]
-    parts = [np.stack([y[i].to_array() for y in ys]) for i in range(3)]
-    with pytest.raises(SyndromeNotDecodableError, match="tuple 1 of the chunk"):
-        plan.decode_batch(parts)
+def test_decode_batch_rejects_syndrome_outside_image():
+    # (I_3, I_3) compresses S but is not perfect: (000, 111) differs from
+    # its first block in three positions, so no member of S gives it
+    I3 = gf2.BitMatrix.identity(3)
+    decoder = codec.decoder(codec.make_code([I3, I3]))
+    parts = [np.array([[0, 1, 0], [0, 0, 0]], dtype=np.uint8),
+             np.array([[0, 1, 1], [1, 1, 1]], dtype=np.uint8)]
+    with pytest.raises(NotInImageError, match="tuple 1 of the chunk"):
+        decoder.decode_batch(parts)
+    first = decoder.decode_batch([p[:1] for p in parts])
+    assert [b.tolist() for b in first] == [[[0, 1, 0]], [[0, 1, 1]]]

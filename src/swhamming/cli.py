@@ -32,9 +32,16 @@ def _intlist(vals) -> str:
 # ---------------------------------------------------------------------------
 
 
+# at a = 1000, n = (4^a - 1) / 3 already has 602 decimal digits; a larger a
+# only prints longer numbers, and --scan prints one row per a
+PARAMS_MAX_A = 1000
+
+
 def cmd_params(args) -> int:
     if args.scan is not None and args.scan < 1:
         raise BadArgumentError(f"--scan must be >= 1, got {args.scan}")
+    if max(args.a or 0, args.scan or 0) > PARAMS_MAX_A:
+        raise BadArgumentError(f"--a and --scan must be <= {PARAMS_MAX_A}")
     avals = list(range(1, args.scan + 1)) if args.scan else [args.a]
     rows = []
     for a in avals:
@@ -273,8 +280,15 @@ def cmd_reduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is BAD_ARGUMENT, like any other failure."""
+
+    def error(self, message):
+        raise BadArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="swhamming",
         description="Syndrome-based Slepian-Wolf codes for Hamming-correlated sources",
     )
@@ -321,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--kv", action="store_true")
     p.set_defaults(func=cmd_search)
 
@@ -335,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SwError as exc:
         print(f"error={exc.token} {exc}", file=sys.stderr)

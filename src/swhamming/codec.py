@@ -15,13 +15,14 @@ elimination decodes every compressible code (:class:`CodePlan`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import bits_matmul, pack_bits
+from ._kernels import bits_matmul, nwords, pack_bits, unpack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
@@ -47,7 +48,7 @@ from .sources import (
     SourceParams,
     SourceTuple,
     enumerate_hamming_sources,
-    hamming_source_size,
+    iter_bit_groups,
     is_hamming_member,
     is_perfect_params,
 )
@@ -149,20 +150,20 @@ class CodePlan:
     def __init__(self, code: SwCode):
         s, n = code.s, code.n
         A = vstack(code.matrices)
-        Mtot = A.rows
-        aug, pivots = rref_augmented(A, BitMatrix.identity(Mtot))
+        # [rref(A) | E], kept packed: the top n rows of E are read only when
+        # a witness or a decoder needs them
+        self._reduced, pivots = rref_augmented(A, BitMatrix.identity(A.rows))
         self.code, self.s, self.n, self.m = code, s, n, code.m
-        self.top: BitMatrix | None = None
-        self.checker: BitMatrix | None = None
+        self.full_rank = len(pivots) == n
         # key -> deviation index j = i * n + p (s * n: no deviation)
         self.deviation: dict[bytes, int] = {}
         self.collision: tuple[int, int, int | None, int | None] | None = None
-        if len(pivots) < n:
+        if not self.full_rank:
             return
-        E = aug.take_cols(n, n + Mtot)
-        self.top, self.checker = E.take_rows(0, n), E.take_rows(n, Mtot)
-        F = self.checker.to_array()
-        offsets = np.cumsum([0, *code.m])
+        # key of deviation j = i n + p: F times column p of H_i at terminal
+        # i's rows, one product per terminal
+        F = self._transform(n, A.rows)
+        offsets = list(itertools.accumulate(code.m, initial=0))
         keys = np.concatenate([
             np.packbits(bits_matmul(F[:, offsets[i] : offsets[i + 1]], H.to_array()).T, axis=1)
             for i, H in enumerate(code.matrices)
@@ -189,9 +190,19 @@ class CodePlan:
             return
         seen[zero_key] = s * n
 
+    def _transform(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of E as a 0/1 array."""
+        reduced = self._reduced
+        return unpack_bits(reduced.data[start:stop], reduced.cols)[:, self.n :]
+
+    @cached_property
+    def top(self) -> BitMatrix | None:
+        """The top n rows of E, with top A = I; None when rank A < n."""
+        return BitMatrix.from_bits(self._transform(0, self.n)) if self.full_rank else None
+
     @property
     def compressible(self) -> bool:
-        return self.top is not None and self.collision is None
+        return self.full_rank and self.collision is None
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,7 +214,7 @@ class CodePlan:
         for i, H in enumerate(self.code.matrices):
             corr[i * n : (i + 1) * n, offsets[i] : offsets[i + 1]] = H.to_array().T
         return (
-            self.checker.to_array().T.astype(np.float32),
+            self._transform(n, offsets[-1]).T.astype(np.float32),
             self.top.to_array().T.astype(np.float32),
             corr,
         )
@@ -258,7 +269,7 @@ def find_collision(code: SwCode) -> tuple[SourceTuple, SourceTuple] | None:
     null vector when rank A < n, else the plan's first colliding u-pattern
     (see :class:`CodePlan`)."""
     plan = code.plan
-    if plan.top is None:
+    if not plan.full_rank:
         x = null_space(vstack(code.matrices)).basis.row(0)
         zero = BitVector.zeros(code.n)
         return _validate_pair(code, (x,) * code.s, (zero,) * code.s)
@@ -267,18 +278,16 @@ def find_collision(code: SwCode) -> tuple[SourceTuple, SourceTuple] | None:
     return _collision_from_pattern(code, plan.top, *plan.collision)
 
 
-def _pattern_rhs(code: SwCode, i: int, p: int, j: int | None, q: int | None) -> BitVector:
+def _particular_solution(
+    code: SwCode, Etop: BitMatrix, i: int, p: int, j: int | None, q: int | None
+) -> BitVector:
+    """Etop times the pattern's syndrome: column p of H_i at terminal i's
+    rows, plus column q of H_j at terminal j's when j is given."""
     parts = [BitVector.zeros(mi) for mi in code.m]
     parts[i] = parts[i] + code.matrices[i].column(p)
     if j is not None:
         parts[j] = parts[j] + code.matrices[j].column(q)
-    return concat(parts)
-
-
-def _particular_solution(
-    code: SwCode, Etop: BitMatrix, i: int, p: int, j: int | None, q: int | None
-) -> BitVector:
-    return mat_vec(Etop, _pattern_rhs(code, i, p, j, q))
+    return mat_vec(Etop, concat(parts))
 
 
 def _collision_from_pattern(
@@ -312,8 +321,10 @@ def _validate_pair(code: SwCode, a: SourceTuple, b: SourceTuple):
 
 
 def is_compressible(code: SwCode) -> bool:
-    """True iff the encoding map restricted to S is injective."""
-    return find_collision(code) is None
+    """True iff the encoding map restricted to S is injective: the verdict of
+    the code's one elimination, proved exact in :class:`CodePlan`.  No
+    witness is built; :func:`find_collision` builds and checks one."""
+    return code.plan.compressible
 
 
 def brute_force_collision(
@@ -338,9 +349,7 @@ def is_perfect(code: SwCode) -> bool:
     Im H_1 x ... x Im H_s, which has 2^(rank H_1 + ... + rank H_s) <= 2^M
     elements, so every rank H_i = m_i.  The image is then all 2^M syndrome
     tuples."""
-    if (1 << sum(code.m)) != hamming_source_size(code.s, code.n):
-        return False
-    return is_compressible(code)
+    return is_perfect_params(code.s, code.n, sum(code.m)) and is_compressible(code)
 
 
 # ---------------------------------------------------------------------------
@@ -367,29 +376,25 @@ def admissible_null_spaces(n: int, d: int) -> list[Subspace]:
     if d == 0:
         return [Subspace.zero(n)]
     out: list[Subspace] = []
+    width = 8 * nwords(n)
     for pivots in itertools.combinations(range(n), d):
         pivset = set(pivots)
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(n)
-            if j > pivots[i] and j not in pivset
-        ]
+        free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivset]
         for assignment in itertools.product((0, 1), repeat=len(free)):
             rows = [1 << pivots[i] for i in range(d)]
             for (i, j), bit in zip(free, assignment):
-                if bit:
-                    rows[i] |= 1 << j
-            if _min_weight_at_least_3(rows, d):
-                bits = np.zeros((d, n), dtype=np.uint8)
-                for i, rv in enumerate(rows):
-                    for j in range(n):
-                        bits[i, j] = (rv >> j) & 1
-                out.append(Subspace(n, BitMatrix.from_bits(bits)))
+                rows[i] |= bit << j
+            if _min_weight_at_least_3(rows):
+                # bit j of a row at bit j of its little-endian words; the
+                # rows are already the canonical basis, since row i leads at
+                # pivots[i] and no other row has that bit set
+                words = b"".join(r.to_bytes(width, "little") for r in rows)
+                data = np.frombuffer(words, dtype="<u8").reshape(d, -1)
+                out.append(Subspace(n, BitMatrix(d, n, data), _canonical=True))
     return out
 
 
-def _min_weight_at_least_3(rows: list[int], d: int) -> bool:
+def _min_weight_at_least_3(rows: list[int]) -> bool:
     span = [0]
     for r in rows:
         span += [v ^ r for v in span]
@@ -409,11 +414,6 @@ class SearchResult:
     profiles: list[tuple[Subspace, ...]] = field(default_factory=list)
 
 
-def _test_profile(n: int, mats: Sequence[BitMatrix]) -> bool:
-    code = make_code(mats)
-    return is_compressible(code)
-
-
 def search_perfect_null_spaces(
     n: int,
     M: int,
@@ -429,7 +429,9 @@ def search_perfect_null_spaces(
     n - m_i, over all row splits m_1 + m_2 + m_3 = M.  Candidate subspaces
     are pruned by the weight-1/weight-2 exclusion before any code is
     tested; compressibility depends only on the null spaces, so each triple
-    is tested once through the coset-intersection criterion.
+    is tested once, by :func:`is_compressible`.  ``jobs`` is accepted and
+    ignored: every search that finishes within a budget tests few enough
+    triples to run serially.
     """
     if s != 3:
         raise BadArgumentError(f"profile search is implemented for s = 3, got s = {s}")
@@ -446,83 +448,39 @@ def search_perfect_null_spaces(
                 continue
             result.assignments_considered += 1
             dims = (n - m1, n - m2, n - m3)
-            ok = True
             for d in dims:
                 if d not in cands:
-                    # listing walks every d-subspace, so bound it before the walk
-                    subspaces = gaussian_binomial(n, d)
-                    if subspaces > budget:
+                    # listing walks all d-subspaces, at least 2^(d (n - d)) of
+                    # them; they are counted exactly (a number of about d n
+                    # bits) only when that bound is not far beyond the budget
+                    floor = d * (n - d)
+                    far = floor >= max(budget, 0).bit_length() + 64
+                    count = None if far else gaussian_binomial(n, d)
+                    if far or count > budget:
                         raise BudgetExceededError(
-                            f"listing the {subspaces} {d}-dimensional "
+                            f"listing the {count or f'at least 2^{floor}'} {d}-dimensional "
                             f"subspaces of GF(2)^{n} exceeds budget {budget}"
                         )
                     cands[d] = admissible_null_spaces(n, d)
                     result.candidate_counts[d] = len(cands[d])
-                if not cands[d]:
-                    ok = False
-            if ok:
+            if all(cands[d] for d in dims):
                 assignments.append(dims)
                 result.assignments_admissible.append((m1, m2, m3))
 
-    total = sum(
-        len(cands[d1]) * len(cands[d2]) * len(cands[d3]) for d1, d2, d3 in assignments
-    )
+    total = sum(math.prod(len(cands[d]) for d in dims) for dims in assignments)
     if total > budget:
         raise BudgetExceededError(f"{total} admissible triples exceed budget {budget}")
 
-    mat_cache = {
-        d: [matrix_with_null_space(N) for N in cands[d]] for d in cands if cands[d]
-    }
-
+    # each candidate with the coding matrix that has it as null space
+    pairs = {d: [(N, matrix_with_null_space(N)) for N in cands[d]] for d in cands}
     for dims in assignments:
-        lists = [cands[d] for d in dims]
-        mlists = [mat_cache[d] for d in dims]
-        sizes = [len(l) for l in lists]
-        indices = range(sizes[0] * sizes[1] * sizes[2])
-        if jobs > 1:
-            passing = _search_parallel(n, dims, mlists, sizes, jobs)
-        else:
-            passing = [
-                idx
-                for idx in indices
-                if _test_profile(n, _triple_at(mlists, sizes, idx))
-            ]
-        result.triples_tested += sizes[0] * sizes[1] * sizes[2]
-        for idx in sorted(passing):
-            a, rem = divmod(idx, sizes[1] * sizes[2])
-            b, c = divmod(rem, sizes[2])
-            result.profiles.append((lists[0][a], lists[1][b], lists[2][c]))
+        for triple in itertools.product(*(pairs[d] for d in dims)):
+            result.triples_tested += 1
+            # looked up as a module global on every call, so a caller can
+            # wrap it to time or count the tests
+            if is_compressible(make_code([H for _, H in triple])):
+                result.profiles.append(tuple(N for N, _ in triple))
     return result
-
-
-def _triple_at(mlists, sizes, idx):
-    a, rem = divmod(idx, sizes[1] * sizes[2])
-    b, c = divmod(rem, sizes[2])
-    return (mlists[0][a], mlists[1][b], mlists[2][c])
-
-
-def _search_chunk(args):
-    n, mlists, sizes, start, stop = args
-    return [
-        idx
-        for idx in range(start, stop)
-        if _test_profile(n, _triple_at(mlists, sizes, idx))
-    ]
-
-
-def _search_parallel(n, dims, mlists, sizes, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    total = sizes[0] * sizes[1] * sizes[2]
-    step = max(1, -(-total // jobs))
-    chunks = [
-        (n, mlists, sizes, lo, min(lo + step, total)) for lo in range(0, total, step)
-    ]
-    passing: list[int] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_search_chunk, chunks):
-            passing.extend(part)
-    return passing
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +522,6 @@ def format_syndromes(groups: Sequence[SyndromeTuple]) -> str:
 
 def iter_syndromes(lines, m: Sequence[int]):
     """Parse syndrome tuples one blank-line separated group at a time."""
-    from .sources import iter_bit_groups
-
     for group in iter_bit_groups(lines):
         if len(group) != len(m):
             raise MalformedFileError(f"expected {len(m)} syndrome lines per tuple")

@@ -42,7 +42,7 @@ def _mask_tail(data: np.ndarray, cols: int) -> None:
             data[-1] = np.uint64(tail & m)
     else:
         um = np.uint64(m)
-        if np.any(data[..., -1] & ~um):
+        if (data[..., -1] & ~um).any():
             data[..., -1] &= um
 
 
@@ -144,8 +144,10 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> BitMatrix:
-        bits = np.eye(n, dtype=np.uint8)
-        return cls(n, n, pack_bits(bits))
+        data = np.zeros((n, 8 * nwords(n)), dtype=np.uint8)
+        diag = np.arange(n)
+        data[diag, diag >> 3] = 1 << (diag & 7)
+        return cls(n, n, data.view(np.uint64))
 
     @classmethod
     def from_bits(cls, bits) -> BitMatrix:
@@ -239,7 +241,7 @@ def vstack(mats: Sequence[BitMatrix]) -> BitMatrix:
     if any(m.cols != cols for m in mats):
         raise ValueError("column counts differ")
     data = np.concatenate([m.data for m in mats], axis=0)
-    return BitMatrix(sum(m.rows for m in mats), cols, data.copy())
+    return BitMatrix(sum(m.rows for m in mats), cols, data)
 
 
 def hstack(mats: Sequence[BitMatrix]) -> BitMatrix:
@@ -249,8 +251,26 @@ def hstack(mats: Sequence[BitMatrix]) -> BitMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row counts differ")
-    bits = np.concatenate([m.to_array() for m in mats], axis=1)
-    return BitMatrix.from_bits(bits)
+    data, cols = mats[0].data, mats[0].cols
+    for m in mats[1:]:
+        data, cols = _concat_words(data, cols, m.data, m.cols), cols + m.cols
+    return BitMatrix(rows, cols, data)
+
+
+def _concat_words(a: np.ndarray, a_cols: int, b: np.ndarray, b_cols: int) -> np.ndarray:
+    """Fresh packed rows of [a | b]: b's bits shifted up by a_cols, the
+    bits that cross a word boundary carried into the next word."""
+    off, sh = divmod(a_cols, 64)
+    out = np.zeros((a.shape[0], nwords(a_cols + b_cols)), dtype=np.uint64)
+    out[:, : a.shape[1]] = a
+    bw = b.shape[1]
+    if not sh:
+        out[:, off : off + bw] = b
+    else:
+        out[:, off : off + bw] |= b << np.uint64(sh)
+        k = min(bw, out.shape[1] - off - 1)
+        out[:, off + 1 : off + 1 + k] |= b[:, :k] >> np.uint64(64 - sh)
+    return out
 
 
 def mat_vec(M: BitMatrix, v: BitVector) -> BitVector:
@@ -310,10 +330,11 @@ def rank(M: BitMatrix) -> int:
 
 def rref_augmented(left: BitMatrix, right: BitMatrix) -> tuple[BitMatrix, list[int]]:
     """RREF of [left | right] with pivots restricted to the left block."""
-    aug = hstack([left, right])
-    data = aug.data.copy()
+    if left.rows != right.rows:
+        raise ValueError("row counts differ")
+    data = _concat_words(left.data, left.cols, right.data, right.cols)
     pivots = rref_in_place(data, left.cols)
-    return BitMatrix(aug.rows, aug.cols, data), [int(p) for p in pivots]
+    return BitMatrix(left.rows, left.cols + right.cols, data), pivots.tolist()
 
 
 def invert(M: BitMatrix) -> BitMatrix:

@@ -27,7 +27,10 @@ DEFAULT_ENUM_BUDGET = 1 << 26
 def env_budget(default: int) -> int:
     """Budget override from HCMS_BUDGET, else the given default."""
     raw = os.environ.get("HCMS_BUDGET", "").strip()
-    return int(raw) if raw else default
+    try:
+        return int(raw) if raw else default
+    except ValueError:
+        raise BadArgumentError(f"HCMS_BUDGET must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,12 @@ def random_member(s: int, n: int, rng: np.random.Generator) -> SourceTuple:
 
 
 def is_perfect_params(s: int, n: int, M: int) -> bool:
-    """Exact integer test of the packing equality 2^n (s'n + 1) = 2^M."""
-    return hamming_source_size(s, n) == (1 << M)
+    """Exact test of the packing equality 2^n (s'n + 1) = 2^M, which forms no
+    power of two: s'n + 1 must be 2^(M - n)."""
+    if s < 2 or n < 1:
+        raise BadArgumentError(f"need s >= 2 and n >= 1, got s = {s}, n = {n}")
+    q = effective_s(s) * n + 1
+    return q & (q - 1) == 0 and M - n == q.bit_length() - 1
 
 
 def perfect_params_for_a(a: int) -> tuple[int, int]:

@@ -1,6 +1,6 @@
 """Golden sha256 sums of outputs that must stay byte-identical: generated
-bundle files, a verify report with its sampled round trips, and the
-(3, 5, 9) search report.  A refactor that changes any of these bytes
+bundle files, a verify report with its sampled round trips, the (3, 5, 9)
+search report, and the input, bundle and report of ``reduce``.  A refactor that changes any of these bytes
 changes the program's output, and must say so."""
 
 from __future__ import annotations
@@ -9,9 +9,10 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
-from swhamming import cli
+from swhamming import bundleio, cli, codec, equiv, gf2, hcms
 
 # gen flags and the sum of the bundle file they write
 BUNDLES = {
@@ -25,6 +26,24 @@ BUNDLES = {
 }
 VERIFY_A3_ROUNDTRIP = "77e70d07720a7ad57683923f097e2bf7376b91cbfd78a229368fa640f81a3897"
 SEARCH_5_9_KV = "39d1df37c59cdb252d222c2caa2c3b95405b7209f196f7f8b1237905bfa31e9a"
+
+# reduce inputs: a perfect code, shifted with a fixed seed, and the sum of
+# its code file
+REDUCE_SEED = 7
+REDUCE_INPUTS = {
+    "a3": (lambda: hcms.hcms_a3().code, "159c0c8d2d28a745b0ff82b32fbf47fdfac7fa072e145aa52a4671f02290e44e"),
+    "pair_n7": (
+        lambda: codec.make_code([gf2.BitMatrix.identity(7), hcms.hamming_matrix(3)]),
+        "2d982362b681f0dc396fa954996622553bce657664e81655d1386c976f5882ec",
+    ),
+}
+# (input, flags) -> sums of the written bundle and of stdout
+REDUCE_OUTPUTS = {
+    ("a3", ()): ("84aea8eca00f08996c33091ce71aadcfda6824b0dabc76314a5c14fd3850819a", "c7473b665c48f5529ebf172e2bc41ddfdf3bcdd8c7f873379c3d353e8a2ab64d"),
+    ("a3", ("--kv",)): ("84aea8eca00f08996c33091ce71aadcfda6824b0dabc76314a5c14fd3850819a", "682f902ae24a5a9702fc28387faa4ec52517b67485145f6ac44337e2d5d01c35"),
+    ("pair_n7", ()): ("fac23b76434e602b6f83395a4ee99a3dcd66eb6c959dd2f246c50014561437c3", "51114151c9a91ba1fb71f00c2281ab828f8fa6b9bb0ec9825d0958f50a747cbf"),
+    ("pair_n7", ("--kv",)): ("fac23b76434e602b6f83395a4ee99a3dcd66eb6c959dd2f246c50014561437c3", "1d7d7937cb6dd9eb63dbdc147d2f2fd8893ddb988597ca0728ce39451e258b6a"),
+}
 
 
 def sha256(data: bytes) -> str:
@@ -54,3 +73,28 @@ def test_verify_roundtrip_report(tmp_path):
 
 def test_search_report():
     assert sha256(stdout_of("search", "--n", "5", "--M", "9", "--kv")) == SEARCH_5_9_KV
+
+
+def shifted(code: codec.SwCode, seed: int) -> codec.SwCode:
+    """An equivalent perfect code: a random half of the null space common to
+    terminals 1..s-1 moved out of the last terminal's null space into
+    terminal 0's."""
+    prof = equiv.profile(code)
+    common = prof[1]
+    for N in prof[2:]:
+        common = gf2.subspace_intersect(common, N)
+    K = gf2.random_subspace_of(common, common.dim // 2, np.random.default_rng(seed))
+    return equiv.shift_null_space(code, K, 0, code.s - 1)
+
+
+@pytest.mark.parametrize("name, flags", sorted(REDUCE_OUTPUTS), ids=str)
+def test_reduce_bytes(tmp_path, monkeypatch, name, flags):
+    # relative paths, so that the printed path is the same in every run
+    monkeypatch.chdir(tmp_path)
+    make, want_input = REDUCE_INPUTS[name]
+    bundleio.write_code_file("shifted.txt", shifted(make(), REDUCE_SEED))
+    assert sha256((tmp_path / "shifted.txt").read_bytes()) == want_input
+    want_bundle, want_stdout = REDUCE_OUTPUTS[name, flags]
+    out = stdout_of("reduce", "shifted.txt", "-o", "reduced.txt", *flags)
+    assert sha256((tmp_path / "reduced.txt").read_bytes()) == want_bundle
+    assert sha256(out) == want_stdout

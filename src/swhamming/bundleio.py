@@ -176,10 +176,10 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
             if Di @ Qi != Ci:
                 raise MalformedFileError(f"section D_{i}: D_{i} Q_{i} is not C_{i}")
         try:
-            E_Y, D_Y = row_basis_transforms(stack, Y)
+            row_basis_transforms(stack, Y)
         except ValueError as exc:
             raise MalformedFileError(f"Y section is not a row basis of the stack: {exc}")
-        relaxed_fields = dict(C=C, Y=Y, E=E, D=D, E_Y=E_Y, D_Y=D_Y)
+        relaxed_fields = dict(C=C, Y=Y, E=E, D=D)
     try:
         R_inv = invert(R)
     except SingularMatrixError as exc:

@@ -153,6 +153,8 @@ def cmd_decode(args) -> int:
 def cmd_verify(args) -> int:
     if args.roundtrip < 0:
         raise BadArgumentError(f"--roundtrip must be >= 0, got {args.roundtrip}")
+    if args.seed < 0:
+        raise BadArgumentError(f"--seed must be >= 0, got {args.seed}")
     parsed = bundleio.read_file(args.bundle)
     code = parsed.code
     # a perfect code has surjective matrices and is compressible, so only a

@@ -141,9 +141,12 @@ class CodePlan:
 
     The code compresses S iff the s n deviation keys are nonzero and
     pairwise distinct, except that for s = 2 deviating either terminal at
-    one position gives one member of S.  Then every y whose key is zero or
-    a deviation key is in the image of S, since F (y + d) = 0 puts y + d in
-    Im A, and it decodes as b = top (y + d).  ``collision`` is the first
+    one position p gives one member of S: (b + e_p, b) = (b', b' + e_p) for
+    b' = b + e_p.  Those two keys are always equal, since the two
+    deviations sum to A e_p and F A = 0, so they are skipped without a
+    test.  Then every y whose key is zero or a deviation key is in the
+    image of S, since F (y + d) = 0 puts y + d in Im A, and it decodes as
+    b = top (y + d).  ``collision`` is the first
     u-pattern that breaks injectivity, in the order the keys are made.
     """
 
@@ -181,11 +184,8 @@ class CodePlan:
                 continue
             i0, p0 = divmod(j0, n)
             if s == 2 and i0 != i and p0 == p:
-                # both terminals deviating at one position: skip when the
-                # unique solution c = e_p would make the S+S witness zero
-                c = _particular_solution(code, self.top, i0, p0, i, p)
-                if c == BitVector.unit(n, p):
-                    continue
+                # one member of S, not a collision (see the class docstring)
+                continue
             self.collision = (i0, p0, i, p)
             return
         seen[zero_key] = s * n

@@ -116,34 +116,37 @@ def two_source_reduce(code: SwCode) -> tuple[BitMatrix, BitMatrix]:
         raise ValueError("reduction applies to 2-source codes")
     if not is_perfect(code):
         raise NotPerfectError("input code is not a perfect compression")
-    n = code.n
-    n1, n2 = profile(code)
+    return BitMatrix.identity(code.n), _pair_partition(code, profile(code))
+
+
+def _pair_partition(pair: SwCode, prof: NullProfile) -> BitMatrix:
+    """The matrix whose null space is the direct sum of a perfect 2-source
+    code's null spaces ``prof``: M - n rows, and columns nonzero and
+    pairwise distinct, so a column permutation of the Hamming matrix."""
+    n1, n2 = prof
     combined = subspace_sum(n1, n2)
     if combined.dim != n1.dim + n2.dim:
-        raise DecompositionInvalidError("null spaces of a compressing code meet in 0")
-    H2 = matrix_with_null_space(combined)
-    if (1 << H2.rows) != n + 1:
-        raise DecompositionInvalidError(f"reduced matrix has {H2.rows} rows, not log2(n + 1)")
-    cols = {H2.column_bytes(j) for j in range(n)}
-    if len(cols) != n or bytes(H2.rows) in cols:
-        raise DecompositionInvalidError(
-            "columns of the reduced matrix must be nonzero and distinct"
-        )
-    return BitMatrix.identity(n), H2
+        raise DecompositionInvalidError("null spaces of a compressing pair meet in 0")
+    P = matrix_with_null_space(combined)
+    rows = sum(pair.m) - pair.n
+    if P.rows != rows:
+        raise DecompositionInvalidError(f"partition has {P.rows} rows, not M - n = {rows}")
+    cols = {P.column_bytes(j) for j in range(P.cols)}
+    if len(cols) != P.cols or bytes(P.rows) in cols:
+        raise DecompositionInvalidError("partition columns must be nonzero and distinct")
+    return P
 
 
-def residual_intersections(code: SwCode) -> list[Subspace]:
-    """R_i = the intersection of every null space except the i-th, for
-    i < s.  These are the parts normalization moves into terminal i."""
-    prof = profile(code)
-    s = code.s
+def residual_intersections(prof: NullProfile) -> list[Subspace]:
+    """R_i = the intersection of every null space of the profile except the
+    i-th, for i < s.  These are the parts normalization moves into terminal
+    i."""
     out = []
-    for i in range(s - 1):
-        acc = None
-        for j in range(s):
-            if j == i:
-                continue
-            acc = prof[j] if acc is None else subspace_intersect(acc, prof[j])
+    for i in range(len(prof) - 1):
+        others = prof[:i] + prof[i + 1 :]
+        acc = others[0]
+        for N in others[1:]:
+            acc = subspace_intersect(acc, N)
         out.append(acc)
     return out
 
@@ -158,10 +161,15 @@ def normalize_profile(code: SwCode) -> SwCode:
     """
     if not is_perfect(code):
         raise NotPerfectError("input code is not a perfect compression")
-    s = code.s
-    prof = list(profile(code))
-    residuals = residual_intersections(code)
-    D = Subspace.zero(code.n)
+    prof = profile(code)
+    return code_from_profile(_normalized(prof, residual_intersections(prof)))
+
+
+def _normalized(prof: NullProfile, residuals: list[Subspace]) -> NullProfile:
+    """The profile of :func:`normalize_profile`, from the input's profile
+    and its residual intersections."""
+    s = len(prof)
+    D = Subspace.zero(prof[0].n)
     for R in residuals:
         D = subspace_sum(D, R)
     if D.dim != sum(R.dim for R in residuals):
@@ -174,19 +182,12 @@ def normalize_profile(code: SwCode) -> SwCode:
         if merged.dim != prof[i].dim + residuals[i].dim:
             raise DecompositionInvalidError(f"residual {i} meets null space {i}")
         new_prof.append(merged)
-    new_prof.append(complement(D, prof[s - 1]))
-    out = code_from_profile(tuple(new_prof))
-    for i in range(s - 1):
-        acc = None
-        for j in range(s):
-            if j == i:
-                continue
-            acc = new_prof[j] if acc is None else subspace_intersect(acc, new_prof[j])
-        if acc.dim != 0:
-            raise DecompositionInvalidError(
-                "normalization must leave all-but-one intersections trivial"
-            )
-    return out
+    new_prof = (*new_prof, complement(D, prof[s - 1]))
+    if any(R.dim for R in residual_intersections(new_prof)):
+        raise DecompositionInvalidError(
+            "normalization must leave all-but-one intersections trivial"
+        )
+    return new_prof
 
 
 def lift_to_two_source(code: SwCode) -> SwCode:
@@ -237,24 +238,25 @@ def reduce_to_ghcms(code: SwCode) -> Bundle:
 
 def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     s, n = code.s, code.n
-    report = ReduceReport(
-        input_profile_dims=tuple(N.dim for N in profile(code)),
-    )
+    if not is_perfect(code):
+        raise NotPerfectError("input code is not a perfect compression")
+    prof = profile(code)
+    report = ReduceReport(input_profile_dims=tuple(N.dim for N in prof))
 
     if s == 2:
-        _, H2 = two_source_reduce(code)
+        H2 = _pair_partition(code, prof)
         bundle = degenerate_two_source(H2)
         report.normalized_profile_dims = tuple(N.dim for N in profile(bundle.code))
-        report.residual_dims = (profile(code)[1].dim,)
+        report.residual_dims = (prof[1].dim,)
         report.hamming_permutation = tuple(int(v) for v in np.argsort(_column_values(H2)))
         report.output_rates = bundle.code.m
         report.perfect = bundle.perfect
         return bundle, report
 
-    residuals = residual_intersections(code)
+    residuals = residual_intersections(prof)
     report.residual_dims = tuple(R.dim for R in residuals)
-    norm = normalize_profile(code)
-    norm_prof = profile(norm)
+    norm_prof = _normalized(prof, residuals)
+    norm = code_from_profile(norm_prof)
     report.normalized_profile_dims = tuple(N.dim for N in norm_prof)
     tail = norm_prof[0]
     for N in norm_prof[1 : s - 1]:
@@ -262,18 +264,7 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     report.tail_intersection_dim = tail.dim
 
     lifted = lift_to_two_source(norm)
-    null_x = null_space(lifted.matrices[0])
-    null_j = null_space(lifted.matrices[1])
-    combined = subspace_sum(null_x, null_j)
-    if combined.dim != null_x.dim + null_j.dim:
-        raise DecompositionInvalidError("null spaces of the folded pair meet in 0")
-    P = matrix_with_null_space(combined)
-    Mtot = sum(norm.m)
-    if P.rows != Mtot - n:
-        raise DecompositionInvalidError(f"partition has {P.rows} rows, not M - n = {Mtot - n}")
-    cols = {P.column_bytes(j) for j in range(P.cols)}
-    if len(cols) != P.cols or bytes(P.rows) in cols:
-        raise DecompositionInvalidError("partition columns must be nonzero and distinct")
+    P = _pair_partition(lifted, profile(lifted))
     report.hamming_permutation = tuple(int(v) for v in np.argsort(_column_values(P)))
 
     Q = tuple(P.take_cols(i * n, (i + 1) * n) for i in range(s))
@@ -286,11 +277,11 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
         if null_space(Q[j]) != norm_prof[j]:
             raise DecompositionInvalidError(f"block {j} must inherit null space")
     Y = row_basis(vstack(Q[: s - 1]))
-    null_y = null_space(Y)
-    if null_space(Q[s - 1]) != subspace_sum(norm_prof[s - 1], null_y):
+    last = subspace_sum(norm_prof[s - 1], null_space(Y))
+    if null_space(Q[s - 1]) != last:
         raise DecompositionInvalidError(f"block {s - 1} must have null space N_{s - 1} + null(Y)")
 
-    A = complement(subspace_sum(norm_prof[s - 1], null_y), Subspace.full(n))
+    A = complement(last, Subspace.full(n))
     T = matrix_with_null_space(subspace_sum(norm_prof[s - 1], A))
     g_split = (0,) * (s - 1) + (T.rows,)
     bundle = ghcms_build(Q, g_split=g_split, T=T)

@@ -473,9 +473,17 @@ def _express_rows(A: BitMatrix, B: BitMatrix) -> BitMatrix | None:
 
 
 def null_space(M: BitMatrix) -> Subspace:
-    """Kernel {x : M x = 0} as a canonical subspace of GF(2)^cols."""
+    """Kernel {x : M x = 0} as a canonical subspace of GF(2)^cols.
+
+    M is eliminated once, with its columns reversed, so each pivot column
+    p_i is the highest set column of its row i.  The basis vector of a free
+    column f has x_f = 1 and, at each p_i, the bit of column f in row i,
+    which can be set only when p_i > f.  So its lowest set bit is f, where
+    every other basis vector is zero: in order of f, these vectors are
+    already the canonical RREF basis.
+    """
     n = M.cols
-    data = M.data.copy()
+    data = pack_bits(M.to_array()[:, ::-1])
     pivots = rref_in_place(data, n)
     rk = len(pivots)
     if rk == n:
@@ -483,11 +491,11 @@ def null_space(M: BitMatrix) -> Subspace:
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    # one basis vector per free column f: x_f = 1, x_p = rref[i, f] at pivot p_i
+    # reversing rows and columns back puts the vectors in order of f
     bits = np.zeros((n - rk, n), dtype=np.uint8)
     bits[np.arange(n - rk), free] = 1
     bits[:, pivots] = unpack_bits(data[:rk], n)[:, free].T
-    return Subspace(n, BitMatrix(n - rk, n, pack_bits(bits)))
+    return Subspace(n, BitMatrix(n - rk, n, pack_bits(bits[::-1, ::-1])), _canonical=True)
 
 
 def matrix_with_null_space(N: Subspace) -> BitMatrix:
@@ -571,7 +579,8 @@ def complement(A: Subspace, within: Subspace) -> Subspace:
     kept = pivots[pivots >= A.dim] - A.dim
     if not kept.size:
         return Subspace.zero(A.n)
-    return Subspace(A.n, BitMatrix(kept.size, A.n, within.basis.data[kept]))
+    # rows of an RREF basis, in order, are themselves an RREF basis
+    return Subspace(A.n, BitMatrix(kept.size, A.n, within.basis.data[kept]), _canonical=True)
 
 
 # ---------------------------------------------------------------------------

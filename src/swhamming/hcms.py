@@ -95,9 +95,9 @@ class Bundle:
     """Construction witness: the partition, completion, and induced code.
 
     The relaxed form has row bases C_i of the Q_i and Y of [Q_1; ...;
-    Q_(s-1)], with Q_i = E_i C_i, C_i = D_i Q_i, and E_Y, D_Y alike for Y.
-    The direct form is C_i = Q_i, Y = the stack, E_i = D_i = I, and leaves
-    those six fields None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.
+    Q_(s-1)], with Q_i = E_i C_i and C_i = D_i Q_i.  The direct form is
+    C_i = Q_i, Y = the stack, E_i = D_i = I, and leaves those four fields
+    None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.
     """
 
     s: int
@@ -114,8 +114,6 @@ class Bundle:
     Y: BitMatrix | None = None
     E: tuple[BitMatrix, ...] | None = None
     D: tuple[BitMatrix, ...] | None = None
-    E_Y: BitMatrix | None = None
-    D_Y: BitMatrix | None = None
 
     @property
     def g_split(self) -> tuple[int, ...]:
@@ -194,8 +192,7 @@ def assemble(
         C = tuple(C)
         E, D = zip(*(row_basis_transforms(Qi, Ci) for Qi, Ci in zip(Q, C)))
         Y = row_basis(stack)
-        E_Y, D_Y = row_basis_transforms(stack, Y)
-        relaxed = dict(C=C, Y=Y, E=E, D=D, E_Y=E_Y, D_Y=D_Y)
+        relaxed = dict(C=C, Y=Y, E=E, D=D)
     if T is None:
         T = standard_completion(Y)
     if T.rows != n - Y.rows or T.cols != n:

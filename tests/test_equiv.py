@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+
+import numpy as np
 import pytest
 
 from decode_oracle import DecodeTable
@@ -252,6 +255,39 @@ def test_reduce_shifted_hcms(bundle_a3, rng):
     for _ in range(50):
         x = sources.random_member(3, 21, rng)
         assert ghcms.ghcms_decode(bundle, codec.encode(bundle.code, x)) == x
+
+
+def test_reduce_computes_each_fact_once(bundle_a3, monkeypatch):
+    # one null space per input coding matrix, one perfectness proof per
+    # code, and no particular solution for the folded pair's same-position
+    # deviations, whose keys are equal for every code
+    code = bundle_a3.code
+    prof = equiv.profile(code)
+    common = gf2.subspace_intersect(prof[1], prof[2])
+    K = gf2.random_subspace_of(common, common.dim // 2, np.random.default_rng(7))
+    shifted = equiv.shift_null_space(code, K, 0, 2)
+    null_calls, perfect_calls = collections.Counter(), collections.Counter()
+    real_null, real_perfect = equiv.null_space, equiv.is_perfect
+
+    def counting_null(M):
+        null_calls[id(M)] += 1
+        return real_null(M)
+
+    def counting_perfect(c):
+        perfect_calls[id(c)] += 1
+        return real_perfect(c)
+
+    def no_solution(*args):
+        raise AssertionError("particular solution built")
+
+    monkeypatch.setattr(equiv, "null_space", counting_null)
+    monkeypatch.setattr(equiv, "is_perfect", counting_perfect)
+    monkeypatch.setattr(codec, "_particular_solution", no_solution)
+    bundle, report = equiv.reduce_with_report(shifted)
+    assert report.perfect and bundle.perfect
+    assert [null_calls[id(H)] for H in shifted.matrices] == [1, 1, 1]
+    assert perfect_calls[id(shifted)] == 1
+    assert set(perfect_calls.values()) == {1}
 
 
 def test_reduce_asymmetric_split(rng):

@@ -1,8 +1,11 @@
-"""``search`` and ``params`` under random flag values, integer or not: each
-run exits 0 or prints an ``error=<TOKEN>`` line; it never raises.
+"""``search``, ``params`` and ``verify`` under random flag values, integer
+or not: each run exits 0 or prints an ``error=<TOKEN>`` line; it never
+raises.
 
 Budgets stay at most 5000 (or the default), so a perfect (n, M) either runs
 the (3, 5, 9) search of 3375 triples or fails its budget before listing.
+``verify`` runs on the ``gen --trivial`` bundle with at most 300 round
+trips, since its memory grows with their number.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import contextlib
 import io
 import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +65,25 @@ def params_argv(draw) -> list[str]:
     return ["params", *flags(pairs), *extra]
 
 
+@st.composite
+def verify_flags(draw) -> list[str]:
+    seeds = st.one_of(ANY_INT, st.sampled_from([-1, 2**80, -(2**80)]))
+    pairs = [
+        ("--seed", draw(st.one_of(st.none(), values(seeds)))),
+        ("--roundtrip", draw(st.one_of(st.none(), values(st.integers(-3, 300))))),
+    ]
+    pairs = draw(st.permutations(pairs))
+    return [*flags(pairs), *draw(st.sampled_from([[], ["--kv"]]))]
+
+
+@pytest.fixture(scope="module")
+def trivial_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("verify") / "trivial.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--trivial", "-o", str(path)]) == 0
+    return str(path)
+
+
 def check(argv, monkeypatch):
     monkeypatch.delenv("HCMS_BUDGET", raising=False)
     out, err = io.StringIO(), io.StringIO()
@@ -82,6 +105,17 @@ def test_search_flags_give_a_token_not_a_traceback(monkeypatch, argv):
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_params_flags_give_a_token_not_a_traceback(monkeypatch, argv):
     check(argv, monkeypatch)
+
+
+@given(flags=verify_flags())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_flags_give_a_token_not_a_traceback(monkeypatch, trivial_bundle, flags):
+    check(["verify", trivial_bundle, *flags], monkeypatch)
+
+
+def test_negative_seed_is_bad_argument_before_reading(capsys):
+    assert cli.main(["verify", "no-such-file", "--roundtrip", "3", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error=BAD_ARGUMENT ")
 
 
 def test_non_integer_flag_is_bad_argument(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swhamming import gf2
+from swhamming._kernels import pack_bits, unpack_bits
 from swhamming.errors import MalformedFileError
 from swhamming.gf2 import BitMatrix, BitVector, Subspace
 
@@ -56,18 +57,22 @@ def ref_parse_matrix(lines) -> BitMatrix:
 
 
 def ref_null_space(M: BitMatrix) -> Subspace:
-    red, pivots = gf2.rref(M)
+    """Two eliminations: the kernel vectors read off rref(M), then their
+    canonical basis by a second elimination (``Subspace``)."""
     n = M.cols
-    free = [c for c in range(n) if c not in set(pivots)]
-    if not free:
+    data = M.data.copy()
+    pivots = gf2.rref_in_place(data, n)
+    rk = len(pivots)
+    if rk == n:
         return Subspace.zero(n)
-    bits = np.zeros((len(free), n), dtype=np.uint8)
-    arr = red.to_array()
-    for k, f in enumerate(free):
-        bits[k, f] = 1
-        for i, p in enumerate(pivots):
-            bits[k, p] = arr[i, f]
-    return Subspace(n, BitMatrix.from_bits(bits))
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    # one basis vector per free column f: x_f = 1, x_p = rref[i, f] at pivot p_i
+    bits = np.zeros((n - rk, n), dtype=np.uint8)
+    bits[np.arange(n - rk), free] = 1
+    bits[:, pivots] = unpack_bits(data[:rk], n)[:, free].T
+    return Subspace(n, BitMatrix(n - rk, n, pack_bits(bits)))
 
 
 def ref_leading_bit(words: np.ndarray) -> int:
@@ -209,10 +214,31 @@ def test_parse_inverts_format(M):
     assert back == ref_parse_matrix(ref_format_matrix(M).splitlines())
 
 
-@given(matrices())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def kernel_inputs(draw):
+    """0-12 rows, 1-200 columns with the word edges and two words included:
+    random, rank 0 or of full rank min(rows, cols)."""
+    rows = draw(st.integers(0, 12))
+    n = draw(st.sampled_from([1, 63, 64, 65, 128, 200]) | st.integers(1, 200))
+    kind = draw(st.sampled_from(["random", "zero", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.random((rows, n)) < draw(st.sampled_from([0.05, 0.5, 0.95]))).astype(np.uint8)
+    if kind == "zero":
+        bits[:] = 0
+    elif kind == "full":
+        r = min(rows, n)
+        cols = rng.permutation(n)[:r]
+        bits[:r, cols] = np.eye(r, dtype=np.uint8)
+        bits[r:] = 0
+    return BitMatrix.from_bits(bits)
+
+
+@given(kernel_inputs())
+@settings(max_examples=200, deadline=None)
 def test_null_space_matches_reference(M):
-    assert gf2.null_space(M) == ref_null_space(M)
+    got = gf2.null_space(M)
+    assert got.basis == ref_null_space(M).basis
+    assert (M @ got.basis.transpose()).is_zero()
 
 
 @given(nested_subspaces())
@@ -225,7 +251,9 @@ def test_complement_matches_reference(pair):
         with pytest.raises(ValueError, match="not a subspace"):
             gf2.complement(A, W)
         return
-    assert gf2.complement(A, W) == want
+    got = gf2.complement(A, W)
+    assert got == want
+    assert got.basis == gf2.row_basis(got.basis)
 
 
 @given(matrices(max_rows=10), st.integers(0, 2**32 - 1), st.booleans())

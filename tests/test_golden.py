@@ -1,7 +1,8 @@
 """Golden sha256 sums of outputs that must stay byte-identical: generated
 bundle files, a verify report with its sampled round trips, the (3, 5, 9)
-search report, and the input, bundle and report of ``reduce``.  A refactor that changes any of these bytes
-changes the program's output, and must say so."""
+search report, and the input, bundle and report of ``reduce``.  A refactor
+that changes any of these bytes changes the program's output, and must say
+so."""
 
 from __future__ import annotations
 
@@ -31,7 +32,10 @@ SEARCH_5_9_KV = "39d1df37c59cdb252d222c2caa2c3b95405b7209f196f7f8b1237905bfa31e9
 # its code file
 REDUCE_SEED = 7
 REDUCE_INPUTS = {
-    "a3": (lambda: hcms.hcms_a3().code, "159c0c8d2d28a745b0ff82b32fbf47fdfac7fa072e145aa52a4671f02290e44e"),
+    "a3": (
+        lambda: hcms.hcms_a3().code,
+        "159c0c8d2d28a745b0ff82b32fbf47fdfac7fa072e145aa52a4671f02290e44e",
+    ),
     "pair_n7": (
         lambda: codec.make_code([gf2.BitMatrix.identity(7), hcms.hamming_matrix(3)]),
         "2d982362b681f0dc396fa954996622553bce657664e81655d1386c976f5882ec",
@@ -39,10 +43,22 @@ REDUCE_INPUTS = {
 }
 # (input, flags) -> sums of the written bundle and of stdout
 REDUCE_OUTPUTS = {
-    ("a3", ()): ("84aea8eca00f08996c33091ce71aadcfda6824b0dabc76314a5c14fd3850819a", "c7473b665c48f5529ebf172e2bc41ddfdf3bcdd8c7f873379c3d353e8a2ab64d"),
-    ("a3", ("--kv",)): ("84aea8eca00f08996c33091ce71aadcfda6824b0dabc76314a5c14fd3850819a", "682f902ae24a5a9702fc28387faa4ec52517b67485145f6ac44337e2d5d01c35"),
-    ("pair_n7", ()): ("fac23b76434e602b6f83395a4ee99a3dcd66eb6c959dd2f246c50014561437c3", "51114151c9a91ba1fb71f00c2281ab828f8fa6b9bb0ec9825d0958f50a747cbf"),
-    ("pair_n7", ("--kv",)): ("fac23b76434e602b6f83395a4ee99a3dcd66eb6c959dd2f246c50014561437c3", "1d7d7937cb6dd9eb63dbdc147d2f2fd8893ddb988597ca0728ce39451e258b6a"),
+    ("a3", ()): (
+        "84aea8eca00f08996c33091ce71aadcfda6824b0dabc76314a5c14fd3850819a",
+        "c7473b665c48f5529ebf172e2bc41ddfdf3bcdd8c7f873379c3d353e8a2ab64d",
+    ),
+    ("a3", ("--kv",)): (
+        "84aea8eca00f08996c33091ce71aadcfda6824b0dabc76314a5c14fd3850819a",
+        "682f902ae24a5a9702fc28387faa4ec52517b67485145f6ac44337e2d5d01c35",
+    ),
+    ("pair_n7", ()): (
+        "fac23b76434e602b6f83395a4ee99a3dcd66eb6c959dd2f246c50014561437c3",
+        "51114151c9a91ba1fb71f00c2281ab828f8fa6b9bb0ec9825d0958f50a747cbf",
+    ),
+    ("pair_n7", ("--kv",)): (
+        "fac23b76434e602b6f83395a4ee99a3dcd66eb6c959dd2f246c50014561437c3",
+        "1d7d7937cb6dd9eb63dbdc147d2f2fd8893ddb988597ca0728ce39451e258b6a",
+    ),
 }
 
 

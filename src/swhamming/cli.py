@@ -77,13 +77,13 @@ def _split_arg(text: str) -> list[int]:
 
 
 def cmd_gen(args) -> int:
+    split = _split_arg(args.split) if args.split else None
     if args.trivial:
         P = hcms.hamming_matrix(2)
         Q = tuple(P.take_cols(j, j + 1) for j in range(3))
-        bundle = ghcms.ghcms_build(Q)
+        bundle = ghcms.ghcms_build(Q, g_split=split)
     else:
-        split = _split_arg(args.split) if args.split else None
-        bundle = hcms.hcms_for_a(args.a, g_split=split, max_a=args.max_a)
+        bundle = hcms.hcms_for_a(args.a, g_split=split)
     if not codec.is_perfect(bundle.code):
         raise NotPerfectError("generated bundle failed the perfectness check")
     bundleio.write_bundle(args.output, bundle)
@@ -187,11 +187,15 @@ def cmd_verify(args) -> int:
     if args.roundtrip and compressible:
         decoder = codec.decoder(_checked_code(parsed))
         rng = np.random.default_rng(args.seed)
-        xs = [sources.random_member(code.s, code.n, rng) for _ in range(args.roundtrip)]
-        parts = [np.stack([x[i].to_array() for x in xs]) for i in range(code.s)]
-        back = decoder.decode_batch(codec.encode_batch(code, parts))
-        wrong = np.concatenate(back, axis=1) != np.concatenate(parts, axis=1)
-        failures = int(wrong.any(axis=1).sum())
+        failures = 0
+        # CHUNK_TUPLES members at a time, drawn in order, so memory is bounded
+        for start in range(0, args.roundtrip, sources.CHUNK_TUPLES):
+            count = min(sources.CHUNK_TUPLES, args.roundtrip - start)
+            xs = [sources.random_member(code.s, code.n, rng) for _ in range(count)]
+            parts = [np.stack([x[i].to_array() for x in xs]) for i in range(code.s)]
+            back = decoder.decode_batch(codec.encode_batch(code, parts))
+            wrong = np.concatenate(back, axis=1) != np.concatenate(parts, axis=1)
+            failures += int(wrong.any(axis=1).sum())
         print(
             _kv(
                 [
@@ -309,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--a", type=int, help="construction parameter (>= 3)")
     g.add_argument("--trivial", action="store_true", help="the three length-1 sources bundle")
     p.add_argument("--split", help="comma-separated row split of T, e.g. 3,3,3")
-    p.add_argument("--max-a", type=int, default=hcms.DEFAULT_MAX_A)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -148,6 +148,8 @@ class CodePlan:
     image of S, since F (y + d) = 0 puts y + d in Im A, and it decodes as
     b = top (y + d).  ``collision`` is the first
     u-pattern that breaks injectivity, in the order the keys are made.
+    ``key_matrix`` is K = F diag(H_1, ..., H_s) as a 0/1 array, whose
+    column i n + p is the key of deviation (i, p); None when rank A < n.
     """
 
     def __init__(self, code: SwCode):
@@ -161,16 +163,17 @@ class CodePlan:
         # key -> deviation index j = i * n + p (s * n: no deviation)
         self.deviation: dict[bytes, int] = {}
         self.collision: tuple[int, int, int | None, int | None] | None = None
+        self.key_matrix: np.ndarray | None = None
         if not self.full_rank:
             return
         # key of deviation j = i n + p: F times column p of H_i at terminal
         # i's rows, one product per terminal
         F = self._transform(n, A.rows)
         offsets = list(itertools.accumulate(code.m, initial=0))
-        keys = np.concatenate([
-            np.packbits(bits_matmul(F[:, offsets[i] : offsets[i + 1]], H.to_array()).T, axis=1)
-            for i, H in enumerate(code.matrices)
-        ])
+        blocks = zip(offsets, offsets[1:], code.matrices)
+        products = [bits_matmul(F[:, a:b], H.to_array()) for a, b, H in blocks]
+        self.key_matrix = np.concatenate(products, axis=1)
+        keys = np.packbits(self.key_matrix.T, axis=1)
         zero_key = bytes(keys.shape[1])
         seen = self.deviation
         for j, row in enumerate(keys):

@@ -5,13 +5,14 @@ its null spaces (its profile): the sumset criterion in :mod:`codec`
 references nothing else.  Shifting a common subspace K between terminals'
 null spaces preserves compressibility and perfectness, which induces the
 equivalence relation under which every perfect code reduces to the
-row-basis relaxed construction: normalize the profile, fold the s
-terminals into an equivalent 2-source pair, read off the sum-zero
-partition from its combined null space, and reassemble.
+row-basis relaxed construction: normalize the profile, read the sum-zero
+partition off the plan that proves the normalized code perfect, and
+reassemble.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .gf2 import (
     row_basis,
     subspace_intersect,
     subspace_sum,
-    vstack,
 )
 from .ghcms import degenerate_two_source, ghcms_build
 from .hcms import Bundle, _column_values
@@ -116,19 +116,24 @@ def two_source_reduce(code: SwCode) -> tuple[BitMatrix, BitMatrix]:
         raise ValueError("reduction applies to 2-source codes")
     if not is_perfect(code):
         raise NotPerfectError("input code is not a perfect compression")
-    return BitMatrix.identity(code.n), _pair_partition(code, profile(code))
+    return BitMatrix.identity(code.n), _pair_partition(code)
 
 
-def _pair_partition(pair: SwCode, prof: NullProfile) -> BitMatrix:
-    """The matrix whose null space is the direct sum of a perfect 2-source
-    code's null spaces ``prof``: M - n rows, and columns nonzero and
-    pairwise distinct, so a column permutation of the Hamming matrix."""
-    n1, n2 = prof
-    combined = subspace_sum(n1, n2)
-    if combined.dim != n1.dim + n2.dim:
-        raise DecompositionInvalidError("null spaces of a compressing pair meet in 0")
-    P = matrix_with_null_space(combined)
-    rows = sum(pair.m) - pair.n
+def _pair_partition(code: SwCode) -> BitMatrix:
+    """The Hamming partition of a perfect code: the canonical row basis of its
+    plan's key matrix K = F J, J = diag(H_1, ..., H_s), or of K's first n
+    columns for s = 2.  Its null space is N_1 + N_2 for a pair (the blocks
+    of K are equal, as they sum to F A = 0), and null X + null J for the
+    pair (X, J) that :func:`lift_to_two_source` folds an s > 2 code into:
+    w is orthogonal to null X = {(v, ..., v)} iff its blocks sum to zero,
+    w is in row J iff w = c J, and c J's blocks sum to c A, zero iff c is
+    in row F.  It has M - n rows and nonzero, distinct columns."""
+    plan = code.plan
+    if not plan.compressible:
+        raise NotPerfectError("code does not compress S; it has no Hamming partition")
+    K = plan.key_matrix
+    P = row_basis(BitMatrix.from_bits(K[:, : code.n] if code.s == 2 else K))
+    rows = sum(code.m) - code.n
     if P.rows != rows:
         raise DecompositionInvalidError(f"partition has {P.rows} rows, not M - n = {rows}")
     cols = {P.column_bytes(j) for j in range(P.cols)}
@@ -141,14 +146,10 @@ def residual_intersections(prof: NullProfile) -> list[Subspace]:
     """R_i = the intersection of every null space of the profile except the
     i-th, for i < s.  These are the parts normalization moves into terminal
     i."""
-    out = []
-    for i in range(len(prof) - 1):
-        others = prof[:i] + prof[i + 1 :]
-        acc = others[0]
-        for N in others[1:]:
-            acc = subspace_intersect(acc, N)
-        out.append(acc)
-    return out
+    return [
+        functools.reduce(subspace_intersect, prof[:i] + prof[i + 1 :])
+        for i in range(len(prof) - 1)
+    ]
 
 
 def normalize_profile(code: SwCode) -> SwCode:
@@ -244,7 +245,7 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     report = ReduceReport(input_profile_dims=tuple(N.dim for N in prof))
 
     if s == 2:
-        H2 = _pair_partition(code, prof)
+        H2 = _pair_partition(code)
         bundle = degenerate_two_source(H2)
         report.normalized_profile_dims = tuple(N.dim for N in profile(bundle.code))
         report.residual_dims = (prof[1].dim,)
@@ -258,28 +259,22 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     norm_prof = _normalized(prof, residuals)
     norm = code_from_profile(norm_prof)
     report.normalized_profile_dims = tuple(N.dim for N in norm_prof)
-    tail = norm_prof[0]
-    for N in norm_prof[1 : s - 1]:
-        tail = subspace_intersect(tail, N)
+    tail = functools.reduce(subspace_intersect, norm_prof[: s - 1])
     report.tail_intersection_dim = tail.dim
 
-    lifted = lift_to_two_source(norm)
-    P = _pair_partition(lifted, profile(lifted))
+    P = _pair_partition(norm)
     report.hamming_permutation = tuple(int(v) for v in np.argsort(_column_values(P)))
 
     Q = tuple(P.take_cols(i * n, (i + 1) * n) for i in range(s))
-    zsum = Q[0]
-    for B in Q[1:]:
-        zsum = zsum + B
-    if not zsum.is_zero():
+    if not sum(Q[1:], Q[0]).is_zero():
         raise DecompositionInvalidError("partition blocks do not sum to zero")
     for j in range(s - 1):
         if null_space(Q[j]) != norm_prof[j]:
             raise DecompositionInvalidError(f"block {j} must inherit null space")
-    Y = row_basis(vstack(Q[: s - 1]))
-    last = subspace_sum(norm_prof[s - 1], null_space(Y))
+    # so the stack [Q_1; ...; Q_(s-1)] has null space the tail intersection
+    last = subspace_sum(norm_prof[s - 1], tail)
     if null_space(Q[s - 1]) != last:
-        raise DecompositionInvalidError(f"block {s - 1} must have null space N_{s - 1} + null(Y)")
+        raise DecompositionInvalidError(f"block {s - 1} must have null space N_{s - 1} + tail")
 
     A = complement(last, Subspace.full(n))
     T = matrix_with_null_space(subspace_sum(norm_prof[s - 1], A))

@@ -444,6 +444,9 @@ def row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, BitMatr
     """Given a row basis matrix B of A, return (C, D) with A = C B and B = D A.
 
     C is unique; D is one valid choice (free coefficients set to zero).
+    For B of full row rank r, D A = D C B = B iff D C = I_r, so D solves
+    that system of r rows, not B = D A of n; bit for bit the same D, since
+    A^T = B^T C^T with B^T injective gives C^T and A^T the same pivots.
     Raises ValueError when B is not full row rank or the row spaces differ.
     """
     if A.cols != B.cols:
@@ -453,7 +456,7 @@ def row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, BitMatr
         raise ValueError("row(A) is not contained in row(B)")
     if rank(B) != B.rows:
         raise ValueError("B is not full row rank")
-    D = _express_rows(B, A)
+    D = _express_rows(BitMatrix.identity(B.rows), C)
     if D is None:
         raise ValueError("row(B) is not contained in row(A)")
     return C, D

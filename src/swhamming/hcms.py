@@ -43,7 +43,7 @@ from .codec import SwCode, SyndromeTuple, decoder, make_code
 from .errors import SingularMatrixError
 from .sources import SourceTuple, is_perfect_params, perfect_params_for_a
 
-DEFAULT_MAX_A = 7
+MAX_A = 7
 
 
 def hamming_matrix(m: int) -> BitMatrix:
@@ -408,11 +408,7 @@ def _pair_remaining(col, j: int, remaining: list[list[tuple[int, int]]]):
     return out
 
 
-def hcms_for_a(
-    a: int,
-    g_split: Sequence[int] | None = None,
-    max_a: int = DEFAULT_MAX_A,
-) -> Bundle:
+def hcms_for_a(a: int, g_split: Sequence[int] | None = None) -> Bundle:
     """Bundle at parameter a >= 3 (n = (2^(2a)-1)/3, M = n + 2a), built from
     the embedded n = 21 partition by repeated lifting, completed with
     T = [0 | I_(n-4a)]."""
@@ -420,8 +416,8 @@ def hcms_for_a(
         raise HeightNegativeError(
             f"no construction exists for a = {a}: n - 2(M - n) < 0"
         )
-    if a > max_a:
-        raise BudgetExceededError(f"a = {a} exceeds the configured limit {max_a}")
+    if a > MAX_A:
+        raise BudgetExceededError(f"a = {a} exceeds the limit {MAX_A}")
     part = a3_partition()
     for _ in range(a - 3):
         part = lift_partition(*part)

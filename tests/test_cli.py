@@ -250,6 +250,47 @@ def test_gen_rejects_bad_split(tmp_path, capsys, split):
     assert code == 2 and "error=BAD_ARGUMENT" in err
 
 
+def test_gen_trivial_takes_its_split(tmp_path, capsys):
+    # the trivial bundle's T has no rows, so 0,0,0 is its only split
+    plain, split = tmp_path / "plain.txt", tmp_path / "split.txt"
+    assert run(capsys, "gen", "--trivial", "-o", str(plain))[0] == 0
+    assert run(capsys, "gen", "--trivial", "--split", "0,0,0", "-o", str(split))[0] == 0
+    assert split.read_bytes() == plain.read_bytes()
+    bad = tmp_path / "bad.txt"
+    code, _, err = run(capsys, "gen", "--trivial", "--split", "9,0,0", "-o", str(bad))
+    assert code == 2 and err.startswith("error=BAD_ARGUMENT ")
+    assert not bad.exists()
+
+
+def test_gen_a_is_bounded_without_a_knob(tmp_path, capsys):
+    out = str(tmp_path / "b.txt")
+    code, _, err = run(capsys, "gen", "--a", "3", "--max-a", "3", "-o", out)
+    assert code == 2 and err.startswith("error=BAD_ARGUMENT ")
+    code, _, err = run(capsys, "gen", "--a", "8", "-o", out)
+    assert code == 2 and err.startswith("error=BUDGET_EXCEEDED ")
+
+
+def test_verify_roundtrip_runs_in_chunks(tmp_path, capsys, monkeypatch, bundle_a4):
+    path = tmp_path / "a4.txt"
+    bundleio.write_bundle(path, bundle_a4)
+    argv = ("verify", str(path), "--roundtrip", "300")
+    calls = []
+    real = codec.CodePlan.decode_batch
+
+    def counting(plan, parts):
+        calls.append(parts[0].shape[0])
+        return real(plan, parts)
+
+    monkeypatch.setattr(codec.CodePlan, "decode_batch", counting)
+    code, whole, _ = run(capsys, *argv)
+    assert code == 0 and "roundtrip=300/300" in whole
+    assert calls == [256, 44]
+    calls.clear()
+    monkeypatch.setattr(sources, "CHUNK_TUPLES", 7)
+    assert run(capsys, *argv)[:2] == (0, whole)
+    assert len(calls) == -(-300 // 7) and set(calls[:-1]) == {7} and calls[-1] == 300 % 7
+
+
 def test_decode_table_rejects_non_compressible_code(tmp_path, capsys):
     code_path = tmp_path / "code.txt"
     code_path.write_text("3 2\n1 1 1\n1 2\n11\n1 2\n11\n1 2\n11\n")

@@ -6,6 +6,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
 from swhamming import codec, equiv, gf2, ghcms, hcms, sources
@@ -288,6 +290,68 @@ def test_reduce_computes_each_fact_once(bundle_a3, monkeypatch):
     assert [null_calls[id(H)] for H in shifted.matrices] == [1, 1, 1]
     assert perfect_calls[id(shifted)] == 1
     assert set(perfect_calls.values()) == {1}
+
+
+def test_reduce_reads_the_partition_off_the_plan(bundle_a3, monkeypatch):
+    # no folded pair: every plan and every null space eliminated during the
+    # reduction is of the code's own width
+    code = bundle_a3.code
+    prof = equiv.profile(code)
+    common = gf2.subspace_intersect(prof[1], prof[2])
+    K = gf2.random_subspace_of(common, common.dim // 2, np.random.default_rng(7))
+    shifted = equiv.shift_null_space(code, K, 0, 2)
+    plan_widths, null_widths = [], []
+    real_plan, real_null = codec.CodePlan, equiv.null_space
+
+    class WatchedPlan(real_plan):
+        def __init__(self, c):
+            plan_widths.append(c.n)
+            super().__init__(c)
+
+    def watched_null(M):
+        null_widths.append(M.cols)
+        return real_null(M)
+
+    def no_fold(c):
+        raise AssertionError("folded pair built")
+
+    monkeypatch.setattr(codec, "CodePlan", WatchedPlan)
+    monkeypatch.setattr(equiv, "null_space", watched_null)
+    monkeypatch.setattr(equiv, "lift_to_two_source", no_fold)
+    bundle, report = equiv.reduce_with_report(shifted)
+    assert report.perfect and bundle.perfect
+    assert plan_widths and set(plan_widths) == {21}
+    assert null_widths and max(null_widths) <= 21
+
+
+_A3 = hcms.hcms_a3().code
+_A3_PROFILE = equiv.profile(_A3)
+
+
+@st.composite
+def shifted_perfect_codes(draw):
+    """A perfect code shifted by a random K: the a = 3 HCMS (s = 3, n = 21)
+    or the (identity, Hamming) pair at n = 3, 7 or 15."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([None, 2, 3, 4]))
+    if m is None:
+        return equiv.shift_null_space(_A3, *random_valid_shift(_A3, _A3_PROFILE, rng))
+    n = (1 << m) - 1
+    pair = codec.make_code([gf2.BitMatrix.identity(n), hcms.hamming_matrix(m)])
+    N2 = equiv.profile(pair)[1]
+    K = gf2.random_subspace_of(N2, int(rng.integers(N2.dim + 1)), rng)
+    return equiv.shift_null_space(pair, K, from_r=0, to_d=1)
+
+
+@given(shifted_perfect_codes())
+@settings(max_examples=60, deadline=None)
+def test_plan_partition_equals_the_fold_route(code):
+    # the canonical basis of one subspace, computed two ways: off the code's
+    # plan, and from the null spaces of the pair (for s > 2, of the pair
+    # the code folds into)
+    pair = code if code.s == 2 else equiv.lift_to_two_source(code)
+    want = gf2.matrix_with_null_space(gf2.subspace_sum(*equiv.profile(pair)))
+    assert equiv._pair_partition(code) == want
 
 
 def test_reduce_asymmetric_split(rng):

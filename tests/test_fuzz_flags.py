@@ -1,11 +1,16 @@
-"""``search``, ``params`` and ``verify`` under random flag values, integer
-or not: each run exits 0 or prints an ``error=<TOKEN>`` line; it never
+"""``search``, ``params``, ``verify``, ``gen``, ``encode``, ``decode`` and
+``reduce`` under random flag values, integer or not, and random file
+arguments: each run exits 0 or prints an ``error=<TOKEN>`` line; it never
 raises.
 
 Budgets stay at most 5000 (or the default), so a perfect (n, M) either runs
 the (3, 5, 9) search of 3375 triples or fails its budget before listing.
 ``verify`` runs on the ``gen --trivial`` bundle with at most 300 round
-trips, since its memory grows with their number.
+trips, since its time grows with their number.  ``gen --a`` takes values
+up to 5 or from 8 on, which fail before any building: a = 6 and 7 are
+valid but slow to build.  File arguments are missing, empty, malformed, a
+directory, or valid; outputs go to a file, a directory, or a path in a
+missing directory, never over an input.
 """
 
 from __future__ import annotations
@@ -84,6 +89,93 @@ def trivial_bundle(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def files(tmp_path_factory, trivial_bundle):
+    """Named input files, and the output paths out/ (a file), dir and
+    missing/out (in a directory that does not exist)."""
+    root = tmp_path_factory.mktemp("files")
+    with open(trivial_bundle) as fh:
+        bundle_text = fh.read()
+    texts = {
+        "empty": "",
+        "garbage": "3 1\n1 1 x\n\xff\n",
+        "truncated": bundle_text[: len(bundle_text) // 2],
+        # the (identity, Hamming) pair at n = 3, and a code that is not perfect
+        "pair": "2 3\n3 2\n3 3\n100\n010\n001\n2 3\n011\n101\n",
+        "imperfect": "3 2\n1 1 1\n1 2\n11\n1 2\n11\n1 2\n11\n",
+        "tuples": "1\n0\n0\n\n1\n1\n1\n",
+        "bad_tuples": "1\n0\n\n1\n1\n1\n",
+    }
+    paths = {"bundle": trivial_bundle, "missing": str(root / "missing.txt"), "dir": str(root)}
+    for name, text in texts.items():
+        (root / name).write_text(text)
+        paths[name] = str(root / name)
+    (root / "out").mkdir()
+    paths["out"] = str(root / "out" / "out.txt")
+    paths["missing_dir"] = str(root / "missing" / "out.txt")
+    return paths
+
+
+# valid choices weighted up, so that runs also get past argument parsing
+BAD_FILES = ["missing", "dir", "empty", "garbage", "truncated", "imperfect"]
+CODES = st.sampled_from(["bundle"] * 3 + ["pair"] * 2 + BAD_FILES)
+GROUPS = st.sampled_from(["tuples"] * 4 + ["bad_tuples", "bundle"] + BAD_FILES)
+OUTPUTS = st.sampled_from(["out"] * 4 + ["dir", "missing_dir"])
+SPLITS = st.one_of(
+    st.sampled_from(["0,0,0", "9,0,0", "3,3,3", "23,23,23", "1,2", "3,x,3", "-1,10,0", ""]),
+    st.sampled_from([",", "9" * 5000]),
+    st.lists(st.integers(-3, 12), min_size=1, max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.text(max_size=6),
+)
+A_VALUES = st.one_of(st.integers(-3, 5), st.integers(8, 40), st.integers(-(2**80), 2**80))
+
+
+def mostly(strategy):
+    """A value of ``strategy`` four times in five, else None (flag left out)."""
+    return st.sampled_from([True] * 4 + [False]).flatmap(lambda keep: strategy if keep else st.none())
+
+
+def positionals(strategy):
+    """One positional argument four times in six, else none or two."""
+    return st.sampled_from([1] * 4 + [0, 2]).flatmap(
+        lambda k: st.lists(strategy, min_size=k, max_size=k)
+    )
+
+
+@st.composite
+def gen_argv(draw) -> list[str]:
+    mode = draw(st.sampled_from(["a"] * 4 + ["trivial"] * 4 + ["both", "neither"]))
+    a = draw(st.one_of(A_VALUES.map(str), A_VALUES.map(str), NOT_INTS))
+    pairs = [
+        ("--a", a if mode in ("a", "both") else None),
+        ("--split", draw(st.one_of(st.none(), st.none(), SPLITS))),
+        ("-o", draw(mostly(OUTPUTS))),
+    ]
+    pairs = draw(st.permutations(pairs))
+    return ["gen", *flags(pairs), *(["--trivial"] if mode in ("trivial", "both") else [])]
+
+
+@st.composite
+def stream_argv(draw) -> list[str]:
+    pairs = [("--input", draw(mostly(GROUPS))), ("--output", draw(mostly(OUTPUTS)))]
+    pairs = draw(st.permutations(pairs))
+    command = draw(st.sampled_from(["encode", "decode"]))
+    return [command, *draw(positionals(CODES)), *flags(pairs)]
+
+
+@st.composite
+def reduce_argv(draw) -> list[str]:
+    out = flags([("-o", draw(mostly(OUTPUTS)))])
+    kv = draw(st.sampled_from([[], ["--kv"]]))
+    tail = [*out, *kv] if draw(st.booleans()) else [*kv, *out]
+    return ["reduce", *draw(positionals(CODES)), *tail]
+
+
+def named(argv: list[str], files: dict[str, str]) -> list[str]:
+    """argv with each file name replaced by its path."""
+    return [files.get(tok, tok) if i else tok for i, tok in enumerate(argv)]
+
+
 def check(argv, monkeypatch):
     monkeypatch.delenv("HCMS_BUDGET", raising=False)
     out, err = io.StringIO(), io.StringIO()
@@ -121,3 +213,21 @@ def test_negative_seed_is_bad_argument_before_reading(capsys):
 def test_non_integer_flag_is_bad_argument(capsys):
     assert cli.main(["search", "--n", "five", "--M", "9"]) == 2
     assert capsys.readouterr().err.startswith("error=BAD_ARGUMENT ")
+
+
+@given(argv=gen_argv())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_gen_flags_give_a_token_not_a_traceback(monkeypatch, files, argv):
+    check(named(argv, files), monkeypatch)
+
+
+@given(argv=stream_argv())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_encode_decode_flags_give_a_token_not_a_traceback(monkeypatch, files, argv):
+    check(named(argv, files), monkeypatch)
+
+
+@given(argv=reduce_argv())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_reduce_flags_give_a_token_not_a_traceback(monkeypatch, files, argv):
+    check(named(argv, files), monkeypatch)

@@ -1,5 +1,6 @@
 """The array-code subspace routines, matrix text format and matrix product
-against the loop implementations they replaced, kept here as references."""
+against the loop implementations they replaced, and ``row_basis_transforms``
+against the larger elimination it replaced, kept here as references."""
 
 from __future__ import annotations
 
@@ -73,6 +74,22 @@ def ref_null_space(M: BitMatrix) -> Subspace:
     bits[np.arange(n - rk), free] = 1
     bits[:, pivots] = unpack_bits(data[:rk], n)[:, free].T
     return Subspace(n, BitMatrix(n - rk, n, pack_bits(bits)))
+
+
+def ref_row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
+    """(C, D) with A = C B and B = D A, D solving B = D A directly: an
+    elimination of [A^T | B^T], n rows."""
+    if A.cols != B.cols:
+        raise ValueError("width mismatch")
+    C = gf2._express_rows(A, B)
+    if C is None:
+        raise ValueError("row(A) is not contained in row(B)")
+    if gf2.rank(B) != B.rows:
+        raise ValueError("B is not full row rank")
+    D = gf2._express_rows(B, A)
+    if D is None:
+        raise ValueError("row(B) is not contained in row(A)")
+    return C, D
 
 
 def ref_leading_bit(words: np.ndarray) -> int:
@@ -239,6 +256,32 @@ def test_null_space_matches_reference(M):
     got = gf2.null_space(M)
     assert got.basis == ref_null_space(M).basis
     assert (M @ got.basis.transpose()).is_zero()
+
+
+@st.composite
+def row_bases(draw):
+    """(A, B): A of 0-14 rows, dependent ones included, spanning a random
+    subspace of rank 0-10 in 0-140 columns (the word edges and two words
+    included), and B a row basis of A: the canonical one, or a random
+    invertible matrix times it."""
+    n = draw(st.sampled_from([63, 64, 65, 128]) | widths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = gf2.random_matrix(draw(st.integers(0, min(n, 10))), n, rng)
+    A = gf2.random_matrix(draw(st.integers(0, 14)), span.rows, rng) @ span
+    B = gf2.row_basis(A)
+    if draw(st.booleans()):
+        B = gf2.random_invertible(B.rows, rng) @ B
+    return A, B
+
+
+@given(row_bases())
+@settings(max_examples=200, deadline=None)
+def test_row_basis_transforms_matches_reference(pair):
+    A, B = pair
+    C, D = gf2.row_basis_transforms(A, B)
+    assert (C, D) == ref_row_basis_transforms(A, B)
+    assert C @ B == A
+    assert D @ A == B
 
 
 @given(nested_subspaces())

@@ -13,7 +13,8 @@ their shapes first, then P = [Q_1 ... Q_s] (Q_1 for s = 2), R = [Y; T]
 (Y the stack [Q_1; ...; Q_(s-1)] in the direct form), T = [G_1; ...;
 G_s], each coding matrix = [G_i; C_i] (C_i = Q_i in the direct form), and
 in the relaxed form E_i C_i = Q_i and D_i Q_i = C_i.  A failed check is
-MALFORMED_FILE naming the section.  Properties of the construction
+MALFORMED_FILE naming the section.  Last, R must be invertible
+(R_NOT_INVERTIBLE otherwise).  Properties of the construction
 itself (partition validity, perfectness) belong to ``verify``.
 """
 
@@ -24,12 +25,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .codec import SwCode, format_code, parse_code
-from .errors import MalformedFileError, RNotInvertibleError, SingularMatrixError
+from .errors import MalformedFileError
 from .gf2 import (
     BitMatrix,
     format_matrix,
     hstack,
-    invert,
     parse_matrix,
     row_basis_transforms,
     vstack,
@@ -180,14 +180,11 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
         except ValueError as exc:
             raise MalformedFileError(f"Y section is not a row basis of the stack: {exc}")
         relaxed_fields = dict(C=C, Y=Y, E=E, D=D)
-    try:
-        R_inv = invert(R)
-    except SingularMatrixError as exc:
-        raise RNotInvertibleError("stored R is singular") from exc
-    return Bundle(
-        s=s, n=n, M=sum(code.m), P=P, Q=Q, T=T, G=G, R=R, R_inv=R_inv,
-        code=code, **relaxed_fields,
+    bundle = Bundle(
+        s=s, n=n, M=sum(code.m), P=P, Q=Q, T=T, G=G, R=R, code=code, **relaxed_fields
     )
+    bundle.R_inv  # raises RNotInvertible when the stored R is singular
+    return bundle
 
 
 build_hcms = build_bundle

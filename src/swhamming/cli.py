@@ -2,8 +2,9 @@
 
 All outputs are byte-deterministic given flags and --seed.  Failures print
 ``error=<TOKEN> <message>`` on stderr and exit nonzero.  HCMS_BUDGET
-overrides the budget of ``search``.  ``decode`` and ``verify --roundtrip``
-decode every compressible code, plain or bundle, through the code's one
+overrides the budget of ``search`` and bounds the N of ``verify --roundtrip
+N`` (both 2^20 by default).  ``decode`` and ``verify --roundtrip`` decode
+every compressible code, plain or bundle, through the code's one
 elimination (:func:`codec.decoder`), which no budget bounds.
 """
 
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bundleio, codec, equiv, ghcms, hcms, sources
-from .errors import BadArgumentError, NotPerfectError, SwError
+from .errors import BadArgumentError, BudgetExceededError, NotPerfectError, SwError
 from .gf2 import format_matrix, rank
 
 
@@ -155,6 +156,10 @@ def cmd_verify(args) -> int:
         raise BadArgumentError(f"--roundtrip must be >= 0, got {args.roundtrip}")
     if args.seed < 0:
         raise BadArgumentError(f"--seed must be >= 0, got {args.seed}")
+    if args.roundtrip:
+        budget = sources.env_budget(codec.DEFAULT_SEARCH_BUDGET)
+        if args.roundtrip > budget:
+            raise BudgetExceededError(f"--roundtrip {args.roundtrip} exceeds the budget {budget}")
     parsed = bundleio.read_file(args.bundle)
     code = parsed.code
     # a perfect code has surjective matrices and is compressible, so only a

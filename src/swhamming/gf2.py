@@ -447,6 +447,9 @@ def row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, BitMatr
     For B of full row rank r, D A = D C B = B iff D C = I_r, so D solves
     that system of r rows, not B = D A of n; bit for bit the same D, since
     A^T = B^T C^T with B^T injective gives C^T and A^T the same pivots.
+    A B that is not full row rank needs no rank check: C is zero in the
+    column of each row of B that depends on earlier ones, so D C = I_r
+    has no solution then either.
     Raises ValueError when B is not full row rank or the row spaces differ.
     """
     if A.cols != B.cols:
@@ -454,11 +457,9 @@ def row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, BitMatr
     C = _express_rows(A, B)
     if C is None:
         raise ValueError("row(A) is not contained in row(B)")
-    if rank(B) != B.rows:
-        raise ValueError("B is not full row rank")
     D = _express_rows(BitMatrix.identity(B.rows), C)
     if D is None:
-        raise ValueError("row(B) is not contained in row(A)")
+        raise ValueError("B is not full row rank or row(B) is not contained in row(A)")
     return C, D
 
 

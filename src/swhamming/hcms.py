@@ -16,6 +16,7 @@ rows per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     HeightNegativeError,
     NotHammingPartitionError,
     RNotInvertibleError,
+    SingularMatrixError,
     SyndromeNotDecodableError,
 )
 from .gf2 import (
@@ -40,7 +42,6 @@ from .gf2 import (
     vstack,
 )
 from .codec import SwCode, SyndromeTuple, decoder, make_code
-from .errors import SingularMatrixError
 from .sources import SourceTuple, is_perfect_params, perfect_params_for_a
 
 MAX_A = 7
@@ -97,7 +98,8 @@ class Bundle:
     The relaxed form has row bases C_i of the Q_i and Y of [Q_1; ...;
     Q_(s-1)], with Q_i = E_i C_i and C_i = D_i Q_i.  The direct form is
     C_i = Q_i, Y = the stack, E_i = D_i = I, and leaves those four fields
-    None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.
+    None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.  R^-1 is no field:
+    it is derived from R on first read.
     """
 
     s: int
@@ -108,12 +110,19 @@ class Bundle:
     T: BitMatrix
     G: tuple[BitMatrix, ...]
     R: BitMatrix
-    R_inv: BitMatrix
     code: SwCode
     C: tuple[BitMatrix, ...] | None = None
     Y: BitMatrix | None = None
     E: tuple[BitMatrix, ...] | None = None
     D: tuple[BitMatrix, ...] | None = None
+
+    @cached_property
+    def R_inv(self) -> BitMatrix:
+        """R^-1; raises RNotInvertible when R is singular."""
+        try:
+            return invert(self.R)
+        except SingularMatrixError as exc:
+            raise RNotInvertibleError("stored R is singular") from exc
 
     @property
     def g_split(self) -> tuple[int, ...]:
@@ -193,15 +202,13 @@ def assemble(
         E, D = zip(*(row_basis_transforms(Qi, Ci) for Qi, Ci in zip(Q, C)))
         Y = row_basis(stack)
         relaxed = dict(C=C, Y=Y, E=E, D=D)
-    if T is None:
+    custom_T = T is not None
+    if not custom_T:
+        # needs no check: standard_completion raises unless Y has full row
+        # rank, and such a Y with its unit-row completion is invertible
         T = standard_completion(Y)
     if T.rows != n - Y.rows or T.cols != n:
         raise ValueError(f"T must be {n - Y.rows}x{n}, got {T.rows}x{T.cols}")
-    R = vstack([Y, T])
-    try:
-        R_inv = invert(R)
-    except SingularMatrixError as exc:
-        raise RNotInvertibleError("[Q_1; ...; Q_(s-1); T] is singular") from exc
     if g_split is None:
         g_split = default_g_split(T.rows, s)
     g_split = tuple(int(g) for g in g_split)
@@ -210,10 +217,13 @@ def assemble(
     offsets = np.cumsum((0, *g_split)).tolist()
     G = tuple(T.take_rows(a, b) for a, b in zip(offsets, offsets[1:]))
     code = make_code([vstack([Gi, Ci]) for Gi, Ci in zip(G, Q if C is None else C)])
-    return Bundle(
+    bundle = Bundle(
         s=s, n=n, M=sum(code.m), P=hstack(Q) if s > 2 else Q[0], Q=Q, T=T,
-        G=G, R=R, R_inv=R_inv, code=code, **relaxed,
+        G=G, R=vstack([Y, T]), code=code, **relaxed,
     )
+    if custom_T:
+        bundle.R_inv  # raises RNotInvertible when [Y; T] is singular
+    return bundle
 
 
 def hcms_from_parts(

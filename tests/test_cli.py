@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -518,3 +520,89 @@ def test_shifted_plain_code_round_trips(tmp_path, capsys, rng, a):
     status, out, _ = run(capsys, "decode", str(path), "--input", str(synd), "--output", str(back))
     assert status == 0 and "decoded=20 path=algebraic" in out
     assert back.read_text() == src.read_text()
+
+
+@pytest.mark.parametrize("argv", [["--a", "3"], ["--a", "4"], ["--a", "5"], ["--trivial"]])
+def test_gen_never_inverts_R(tmp_path, capsys, monkeypatch, argv):
+    # the standard completion of a full-row-rank Y always gives an
+    # invertible R, so gen checks nothing more
+    def no_invert(*args):
+        raise AssertionError("R inverted")
+
+    monkeypatch.setattr(gf2, "invert", no_invert)
+    monkeypatch.setattr(hcms, "invert", no_invert)
+    code, _, err = run(capsys, "gen", *argv, "-o", str(tmp_path / "b.txt"))
+    assert code == 0, err
+
+
+def test_roundtrip_count_is_bounded_by_budget_env(tmp_path, capsys, monkeypatch, bundle_a3):
+    path = tmp_path / "a3.txt"
+    bundleio.write_bundle(path, bundle_a3)
+    monkeypatch.setenv("HCMS_BUDGET", "10")
+    code, out, err = run(capsys, "verify", str(path), "--roundtrip", "11")
+    assert code == 2 and err.startswith("error=BUDGET_EXCEEDED ") and out == ""
+    code, out, _ = run(capsys, "verify", str(path), "--roundtrip", "10")
+    assert code == 0 and "roundtrip=10/10" in out
+
+
+def test_huge_roundtrip_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HCMS_BUDGET", raising=False)
+    path = tmp_path / "trivial.txt"
+    assert run(capsys, "gen", "--trivial", "-o", str(path))[0] == 0
+
+    def no_sampling(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(sources, "random_member", no_sampling)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path), "--roundtrip", "1000000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and err.startswith("error=BUDGET_EXCEEDED ") and out == ""
+
+
+def _write_singular(tmp_path, bundle) -> tuple[str, list[str]]:
+    """The bundle file's path and decode's file arguments (one tuple of
+    zero syndromes)."""
+    path, synd = tmp_path / "singular.txt", tmp_path / "synd.txt"
+    bundleio.write_bundle(path, bundle)
+    synd.write_text("".join("0" * m + "\n" for m in bundle.code.m))
+    return str(path), ["--input", str(synd), "--output", str(tmp_path / "x.txt")]
+
+
+def test_singular_R_on_load_is_not_invertible(tmp_path, capsys):
+    # sections that agree with each other, as load checks them (s = 2 does
+    # not need Q_1 = Q_2 there): H_1 = [C_1] = [110; 011] and
+    # H_2 = [G_2; C_2] = [101; 100; 010] form a perfect code, while
+    # R = [Y; T] = [110; 011; 101] is singular
+    m = gf2.BitMatrix.from_bits
+    C = (m([[1, 1, 0], [0, 1, 1]]), m([[1, 0, 0], [0, 1, 0]]))
+    T = m([[1, 0, 1]])
+    code = codec.make_code([C[0], gf2.vstack([T, C[1]])])
+    assert codec.is_perfect(code)
+    I2 = gf2.BitMatrix.identity(2)
+    bundle = hcms.Bundle(
+        s=2, n=3, M=5, P=C[0], Q=C, T=T, G=(gf2.BitMatrix.zeros(0, 3), T),
+        R=gf2.vstack([C[0], T]), code=code, C=C, Y=C[0], E=(I2, I2), D=(I2, I2),
+    )
+    path, files = _write_singular(tmp_path, bundle)
+    for argv in (["decode", path, *files], ["verify", path, "--roundtrip", "1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error=R_NOT_INVERTIBLE "), (argv, err)
+
+
+def test_singular_R_of_a3_partition_on_load(tmp_path, capsys):
+    # the a = 3 partition with T = 0: a code on a three-block partition
+    # compresses S only if rank [H_1; H_2; H_3] = rank R = n, so verify
+    # stops at NOT_PERFECT before it loads the sections; decode loads them
+    Q = hcms.a3_partition()
+    T = gf2.BitMatrix.zeros(9, 21)
+    G = tuple(T.take_rows(i, i + 3) for i in (0, 3, 6))
+    bundle = hcms.Bundle(
+        s=3, n=21, M=27, P=gf2.hstack(Q), Q=Q, T=T, G=G, R=gf2.vstack([*Q[:2], T]),
+        code=codec.make_code([gf2.vstack([Gi, Qi]) for Gi, Qi in zip(G, Q)]),
+    )
+    path, files = _write_singular(tmp_path, bundle)
+    code, _, err = run(capsys, "decode", path, *files)
+    assert code == 2 and err.startswith("error=R_NOT_INVERTIBLE "), err
+    code, out, _ = run(capsys, "verify", path, "--roundtrip", "1")
+    assert code == 1 and "compressible=false" in out

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
-from swhamming import bundleio, cli, codec, gf2, hcms
+from swhamming import bundleio, cli, codec, equiv, gf2, hcms
 from swhamming.errors import NotCompressibleError, NotInImageError
 
 MAX_M = 10
@@ -129,11 +129,10 @@ def test_decoder_refuses_non_compressible_code():
         codec.decoder(code)
 
 
-def test_one_elimination_per_verify(tmp_path, monkeypatch, bundle_a4):
+def check_one_elimination_per_verify(path, monkeypatch):
     # verify --roundtrip proves the code perfect and decodes through one
-    # elimination of [A | I], and computes no rank
-    path = tmp_path / "a4.txt"
-    bundleio.write_bundle(path, bundle_a4)
+    # elimination of [A | I], and computes no rank, also while loading the
+    # bundle's sections
     calls = []
     real = codec.rref_augmented
 
@@ -153,3 +152,23 @@ def test_one_elimination_per_verify(tmp_path, monkeypatch, bundle_a4):
         assert cli.main(["verify", str(path), "--roundtrip", "300"]) == 0
     assert "roundtrip=300/300 path=algebraic" in out.getvalue()
     assert len(calls) == 1
+
+
+def test_one_elimination_per_verify(tmp_path, monkeypatch, bundle_a4):
+    path = tmp_path / "a4.txt"
+    bundleio.write_bundle(path, bundle_a4)
+    check_one_elimination_per_verify(path, monkeypatch)
+
+
+def test_one_elimination_per_verify_of_relaxed_bundle(tmp_path, monkeypatch, bundle_a3):
+    # the bundle reduce writes for a shifted a = 3 code: its Y, C_i, D_i and
+    # E_i sections are checked on load too
+    rng = np.random.default_rng(1)
+    code = bundle_a3.code
+    prof = equiv.profile(code)
+    K = gf2.random_subspace_of(gf2.subspace_intersect(prof[1], prof[2]), 2, rng)
+    reduced = equiv.reduce_to_ghcms(equiv.shift_null_space(code, K, 0, 2))
+    assert reduced.C is not None
+    path = tmp_path / "reduced.txt"
+    bundleio.write_bundle(path, reduced)
+    check_one_elimination_per_verify(path, monkeypatch)

@@ -1,0 +1,100 @@
+"""``verify --roundtrip`` and ``reduce`` on bundle files whose labelled
+sections were damaged (lines deleted, duplicated or swapped, a bit of a
+section body flipped, a label renamed) either succeed or print an
+``error=<TOKEN>`` line; they never raise."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from swhamming import bundleio, cli, ghcms, hcms
+
+LABELS = ["P", "Q_1", "Q_4", "T", "G_2", "R", "C_1", "C_3", "Y", "D_1", "E_3", "X"]
+
+_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_BODY_RE = re.compile(r"^[01]+$")
+
+index = st.integers(0, 1 << 20)
+mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("delete"), index, st.just(0)),
+        st.tuples(st.just("duplicate"), index, st.just(0)),
+        st.tuples(st.just("swap"), index, index),
+        # one bit of a section body row (any row after the first label)
+        st.tuples(st.just("flip"), index, index),
+        st.tuples(st.just("rename"), index, st.sampled_from(LABELS)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.fixture(scope="module")
+def bundle_texts(tmp_path_factory) -> dict[str, str]:
+    """The ``gen --a 3`` and ``gen --trivial`` bundle files."""
+    P = hcms.hamming_matrix(2)
+    bundles = {
+        "a3": hcms.hcms_a3(),
+        "trivial": ghcms.ghcms_build(tuple(P.take_cols(j, j + 1) for j in range(3))),
+    }
+    out = {}
+    for name, bundle in bundles.items():
+        path = tmp_path_factory.mktemp("bundles") / f"{name}.txt"
+        bundleio.write_bundle(path, bundle)
+        out[name] = path.read_text()
+    return out
+
+
+def mutate(text: str, edits) -> str:
+    lines = text.split("\n")
+    for kind, where, what in edits:
+        if not lines:
+            break
+        at = where % len(lines)
+        labels = [i for i, line in enumerate(lines) if _LABEL_RE.match(line)]
+        if kind == "delete":
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        elif kind == "swap":
+            other = what % len(lines)
+            lines[at], lines[other] = lines[other], lines[at]
+        elif kind == "flip" and labels:
+            body = [i for i in range(labels[0], len(lines)) if _BODY_RE.match(lines[i])]
+            if body:
+                row = lines[body[at % len(body)]]
+                col = what % len(row)
+                lines[body[at % len(body)]] = row[:col] + "10"[int(row[col])] + row[col + 1 :]
+        elif kind == "rename" and labels:
+            lines[labels[at % len(labels)]] = what
+    return "\n".join(lines)
+
+
+def run_quiet(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@given(name=st.sampled_from(["a3", "trivial"]), edits=mutations)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_bundle_gives_a_token_not_a_traceback(tmp_path, monkeypatch, bundle_texts, name, edits):
+    monkeypatch.delenv("HCMS_BUDGET", raising=False)
+    path = tmp_path / "bundle.txt"
+    path.write_text(mutate(bundle_texts[name], edits))
+    for argv in (
+        ["verify", str(path), "--roundtrip", "20"],
+        ["reduce", str(path), "-o", str(tmp_path / "r.txt")],
+    ):
+        code, err = run_quiet(argv)
+        if code == 0:
+            assert err == "", (argv, err)
+        else:
+            assert re.match(r"error=[A-Z_]+ ", err), (argv, err)

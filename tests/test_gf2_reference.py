@@ -263,7 +263,9 @@ def row_bases(draw):
     """(A, B): A of 0-14 rows, dependent ones included, spanning a random
     subspace of rank 0-10 in 0-140 columns (the word edges and two words
     included), and B a row basis of A: the canonical one, or a random
-    invertible matrix times it."""
+    invertible matrix times it.  Or an invalid pair: B with more rows than
+    its rank, B missing a row of the basis (row(A) not in row(B)), or B
+    with one more row (row(B) larger than row(A), or B rank deficient)."""
     n = draw(st.sampled_from([63, 64, 65, 128]) | widths)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     span = gf2.random_matrix(draw(st.integers(0, min(n, 10))), n, rng)
@@ -271,6 +273,13 @@ def row_bases(draw):
     B = gf2.row_basis(A)
     if draw(st.booleans()):
         B = gf2.random_invertible(B.rows, rng) @ B
+    kind = draw(st.sampled_from(["basis", "basis", "deficient", "narrow", "wide"]))
+    if kind == "deficient":
+        B = gf2.random_matrix(B.rows + draw(st.integers(1, 3)), B.rows, rng) @ B
+    elif kind == "narrow" and B.rows:
+        B = B.take_rows(1, B.rows)
+    elif kind == "wide":
+        B = gf2.vstack([B, gf2.random_matrix(1, n, rng)])
     return A, B
 
 
@@ -278,8 +287,14 @@ def row_bases(draw):
 @settings(max_examples=200, deadline=None)
 def test_row_basis_transforms_matches_reference(pair):
     A, B = pair
+    try:
+        want = ref_row_basis_transforms(A, B)
+    except ValueError:
+        with pytest.raises(ValueError):
+            gf2.row_basis_transforms(A, B)
+        return
     C, D = gf2.row_basis_transforms(A, B)
-    assert (C, D) == ref_row_basis_transforms(A, B)
+    assert (C, D) == want
     assert C @ B == A
     assert D @ A == B
 

@@ -11,6 +11,7 @@ elimination (:func:`codec.decoder`), which no budget bounds.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -120,9 +121,16 @@ def _write_chunks(path, chunks) -> int:
     return count
 
 
+def _check_not_input(args) -> None:
+    """Writing the output would truncate the input before it is read."""
+    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+        raise BadArgumentError(f"--output {args.output} is the --input file")
+
+
 def cmd_encode(args) -> int:
+    _check_not_input(args)
     code = bundleio.read_file(args.bundle).code
-    with open(args.input, errors="replace") as fh:
+    with open(args.input, "rb") as fh:
         chunks = sources.iter_bit_chunks(fh, [code.n] * code.s)
         count = _write_chunks(args.output, (codec.encode_batch(code, x) for x in chunks))
     print(_kv([("encoded", count), ("written", args.output)]))
@@ -138,8 +146,9 @@ def _checked_code(parsed: bundleio.ParsedFile) -> codec.SwCode:
 
 
 def cmd_decode(args) -> int:
+    _check_not_input(args)
     decoder = codec.decoder(_checked_code(bundleio.read_file(args.bundle)))
-    with open(args.input, errors="replace") as fh:
+    with open(args.input, "rb") as fh:
         chunks = sources.iter_bit_chunks(fh, decoder.m)
         count = _write_chunks(args.output, (decoder.decode_batch(y) for y in chunks))
     print(_kv([("decoded", count), ("path", "algebraic"), ("written", args.output)]))

@@ -5,6 +5,19 @@ at every time instance except possibly one, where exactly one terminal
 deviates.  The set S of all such tuples has size (s'n + 1) * 2^n with
 s' = s for s > 2 and s' = 1 for s = 2 (for two terminals the deviating
 side is not identifiable, so deviations are counted once).
+
+Group files, the input of ``encode`` and ``decode``, hold one group of s
+lines per tuple, line i exactly widths[i] characters over {0,1}.  Lines
+end in LF, CRLF or a lone CR, the last line end optional.  Either end of
+a line may carry any whitespace that ``str.strip`` removes from the file
+read as UTF-8, non-ASCII spaces such as U+00A0 included; a line of only
+whitespace is blank, and runs of blank lines separate groups.  Any other
+byte, a blank inside a line, a wrong width or a wrong number of lines is
+a :class:`MalformedFileError` naming the line.  :func:`iter_bit_chunks`
+reads such a file in blocks of one chunk's bytes in the layout the CLI
+writes and parses each block with whole-array operations; on an error it
+has yielded exactly the chunks wholly before the chunk of the first
+malformed group, as a per-chunk check would.
 """
 
 from __future__ import annotations
@@ -278,58 +291,154 @@ def parse_tuples(text: str) -> list[SourceTuple]:
 #: Groups per chunk in the streaming CLI commands; it bounds their memory.
 CHUNK_TUPLES = 256
 
+#: A byte's part of its line's score (see ``_parse_block``): 0 for the
+#: ASCII characters that ``str.strip`` removes (CR and LF end lines; an LF
+#: right after a CR is part of that line end), 2 for any other byte.
+_NOT_SPACE = np.full(256, 2, dtype=np.int8)
+_NOT_SPACE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = 0
+#: The non-ASCII characters that ``str.strip`` removes, whose UTF-8 bytes
+#: score 0 as well: two-byte ones, then three-byte ones.
+_WIDE_SPACE = (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+_SPACE2 = np.array([int.from_bytes(chr(c).encode(), "big") for c in _WIDE_SPACE if c < 0x800])
+_SPACE3 = np.array([int.from_bytes(chr(c).encode(), "big") for c in _WIDE_SPACE if c >= 0x800])
 
-def iter_bit_chunks(lines, widths: Sequence[int]) -> Iterator[list[np.ndarray]]:
-    """Parse a group file into chunks of up to CHUNK_TUPLES groups.
 
-    Each group must have one line per entry of ``widths``, line i holding
-    exactly widths[i] characters over {0,1}; lines are stripped and runs
-    of blank lines separate groups, as in :func:`iter_bit_groups`.  A
-    chunk is one (N, widths[i]) uint8 0/1 array per line position.
+def iter_bit_chunks(fh, widths: Sequence[int]) -> Iterator[list[np.ndarray]]:
+    """Parse a group file, opened in binary, into chunks of up to
+    CHUNK_TUPLES groups of len(widths) lines (the format is in the module
+    docstring).
+
+    A chunk is one (N, widths[i]) uint8 0/1 array per line position, N =
+    CHUNK_TUPLES for every chunk but the last.  The file is read in blocks
+    of one chunk's bytes in the layout that :func:`format_chunk` writes.
+    On a malformed group the chunks wholly before its chunk are yielded,
+    then :class:`MalformedFileError` is raised.
     """
+    chunk = CHUNK_TUPLES
+    size = chunk * (sum(widths) + len(widths) + 1)
+    tail = b"\n"  # the bytes not yet parsed, from the line end before them
+    line_no = 0  # lines before ``tail``
+    rows: list[np.ndarray] = []  # (groups, s, max width) bits not yet yielded
+    held = 0
+    while True:
+        # a tail longer than a block (one very long line or group) is read
+        # at twice its length, so the bytes copied stay linear in the file
+        block = fh.read(max(size, len(tail)))
+        final = not block
+        bits, tail, lines, error = _parse_block(tail, block or b"\n", widths, final, line_no)
+        line_no += lines
+        if bits.shape[0]:
+            rows.append(bits)
+            held += bits.shape[0]
+        if held >= chunk or (final and held):
+            ready = np.concatenate(rows) if len(rows) > 1 else rows[0]
+            stop = held if final and error is None else held - held % chunk
+            for k in range(0, stop, chunk):
+                yield [ready[k : k + chunk, i, :w] for i, w in enumerate(widths)]
+            rows, held = [ready[stop:]], held - stop
+        if error is not None:
+            raise error
+        if final:
+            return
+
+
+def _parse_block(tail: bytes, block: bytes, widths: Sequence[int], final: bool, line_no: int):
+    """Parse the whole lines of ``tail + block``; ``tail`` starts with a
+    line end.
+
+    Returns the bits of the leading run of well-formed closed groups, as a
+    (groups, s, max(widths)) 0/1 array whose row i of a group holds its
+    line i in the first widths[i] columns; the bytes left unparsed, from
+    the line end before them; the number of lines parsed; and the error of
+    the first malformed group, or None.  A group still open at the end of
+    the block is left unparsed unless ``final``, or unless a line of it
+    already shows it malformed.
+    """
+    s, wide = len(widths), max(widths)
+    size = len(tail) + len(block)
+    # padded so that a window of ``wide`` bytes fits at every start
+    data = b"".join((tail, block, bytes(wide)))
+    text = np.frombuffer(data, dtype=np.uint8, count=size)
+    pos = ((text & 0xFE) != 0x30).nonzero()[0]  # all but b"0" and b"1"
+    val = text[pos]
+    prev = text[pos - 1]
+    prev[0] = 0  # pos[0] == 0 is a line end
+    # a CR ends a line, and so does an LF unless it follows a CR
+    ends = ((val == 13) | (val == 10) & (prev != 13)).nonzero()[0]
+    # line k runs from line end k to line end k + 1; its score is 1 per
+    # run of bits plus 2 per byte that is neither a bit nor whitespace, so
+    # a blank line scores 0 and a well-formed one 1
+    gap = pos[1:] - pos[:-1] > 1  # a run of bits follows pos[k]
+    score = _NOT_SPACE[val]
+    _clear_wide_space(score, pos, val)
+    score[1:] += gap
+    score = score.cumsum()[ends]
+    score = score[1:] - score[:-1]
+    bits = pos[ends] - ends
+    bits = bits[1:] - bits[:-1]
+    lines = score.size
+    filled = score.nonzero()[0]
+    count = filled.size
+    at = np.arange(count) % s  # line of its group, while no group is malformed
+    last = at == s - 1
+    good = (score[filled] == 1) & (bits[filled] == np.array(widths)[at])
+    # the lines of a group are adjacent, and a blank line follows its last
+    good[:-1] &= (filled[1:] - filled[:-1] > 1) == last[:-1]
+    open_group = not final and count and filled[-1] == lines - 1
+    if count and not open_group:
+        good[-1] &= last[-1]
+    first_bad = int(good.argmin()) if count else 0
+    error = None
+    if count and not good[first_bad]:
+        done = first_bad - at[first_bad]
+        k, i = filled[first_bad], at[first_bad]
+        error = _group_error(data, pos, ends, k, i, widths, score, bits, line_no)
+    elif open_group:
+        done = count - 1 - at[-1]
+    else:
+        done = count
+    cut = filled[done] if done < count else lines
+    starts = pos[gap.nonzero()[0][:done]] + 1
+    windows = np.ndarray((size, wide), np.uint8, data, strides=(1, 1))
+    out = windows[starts.reshape(-1, s)]
+    out &= 1
+    stop = pos[ends[cut]]
+    return out, data[stop:size], cut, error
+
+
+def _clear_wide_space(score: np.ndarray, pos: np.ndarray, val: np.ndarray) -> None:
+    """Set to 0 the score of the bytes at ``pos`` that belong to two- and
+    three-byte UTF-8 whitespace characters.  A lead byte is never a
+    continuation byte, so such a sequence decodes to its character
+    wherever it occurs."""
+    lead = (val >= 0xC2).nonzero()[0]
+    if not lead.size:
+        return
+    pos = np.append(pos, [-4, -4])
+    val = np.append(val, [0, 0]).astype(np.int64)
+    one = pos[lead + 1] == pos[lead] + 1
+    two = one & (pos[lead + 2] == pos[lead] + 2)
+    code2 = np.where(one, val[lead] << 8 | val[lead + 1], -1)
+    code3 = np.where(two, code2 << 8 | val[lead + 2], -1)
+    at2 = lead[np.isin(code2, _SPACE2)]
+    at3 = lead[np.isin(code3, _SPACE3)]
+    score[np.concatenate((at2, at2 + 1, at3, at3 + 1, at3 + 2))] = 0
+
+
+def _group_error(data, pos, ends, k, i, widths, score, bits, line_no) -> MalformedFileError:
+    """The error of line k of a block, the first bad line of the first
+    malformed group, in which it is line i."""
     s = len(widths)
-    full = CHUNK_TUPLES * s
-    buf: list[str] = []  # lines of complete groups
-    open_lines = 0  # lines of the group being read
-    for raw in lines:
-        line = raw.strip()
-        if line:
-            buf.append(line)
-            open_lines += 1
-            continue
-        if open_lines:
-            _check_group_size(open_lines, s)
-            open_lines = 0
-            if len(buf) == full:
-                yield _chunk_arrays(buf, widths)
-                buf = []
-    if open_lines:
-        _check_group_size(open_lines, s)
-    if buf:
-        yield _chunk_arrays(buf, widths)
-
-
-def _check_group_size(count: int, s: int) -> None:
-    if count != s:
-        raise MalformedFileError(f"group of {count} lines, expected {s}")
-
-
-def _chunk_arrays(buf: list[str], widths: Sequence[int]) -> list[np.ndarray]:
-    s = len(widths)
-    parts = []
-    for i, w in enumerate(widths):
-        rows = buf[i::s]
-        if set(map(len, rows)) != {w}:
-            bad = next(r for r in rows if len(r) != w)
-            raise MalformedFileError(f"line {i} of a group is not {w} bits: {bad!r}")
-        # a non-ASCII character becomes '?' and fails the 0/1 check below
-        arr = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
-        arr = (arr - ord("0")).reshape(len(rows), w)
-        bad_rows = np.nonzero((arr > 1).any(axis=1))[0]
-        if bad_rows.size:
-            raise MalformedFileError(f"line is not over {{0,1}}: {rows[bad_rows[0]]!r}")
-        parts.append(arr)
-    return parts
+    if score[k] != 1:
+        what = "is not over {0,1}"
+    elif bits[k] != widths[i]:
+        what = f"is not {widths[i]} bits, as line {i} of a group"
+    elif i == s - 1:
+        what = f"is line {s} of a group of more than {s} lines"
+    else:
+        what = f"ends a group of {i + 1} lines, expected {s}"
+    line = data[pos[ends[k]] + 1 : pos[ends[k + 1]]].decode(errors="replace").strip()
+    return MalformedFileError(f"line {line_no + k + 1} {what}: {line!r}")
 
 
 def format_chunk(parts: Sequence[np.ndarray]) -> bytes:

@@ -246,6 +246,27 @@ def test_decode_rejects_bad_syndrome_in_second_chunk(tmp_path, capsys, rng, bund
     assert code == 2 and "error=MALFORMED_FILE" in err
 
 
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_output_that_is_the_input_is_refused(tmp_path, capsys, rng, bundle_a3, command):
+    # opening the output first would truncate the input before it is read
+    bundle_path = tmp_path / "a3.txt"
+    bundleio.write_bundle(bundle_path, bundle_a3)
+    xs = [sources.random_member(3, 21, rng) for _ in range(5)]
+    if command == "encode":
+        text = sources.format_tuples(xs)
+    else:
+        text = codec.format_syndromes([codec.encode(bundle_a3.code, x) for x in xs])
+    path = tmp_path / "groups.txt"
+    path.write_text(text)
+    (tmp_path / "sub").mkdir()
+    for out in (path, tmp_path / "sub" / ".." / "groups.txt"):
+        code, stdout, err = run(
+            capsys, command, str(bundle_path), "--input", str(path), "--output", str(out)
+        )
+        assert code == 2 and err.startswith("error=BAD_ARGUMENT ") and stdout == ""
+        assert path.read_text() == text
+
+
 @pytest.mark.parametrize("split", ["1,2", "3,x,3", "3,3,3,0"])
 def test_gen_rejects_bad_split(tmp_path, capsys, split):
     code, _, err = run(capsys, "gen", "--a", "3", "--split", split, "-o", str(tmp_path / "b.txt"))

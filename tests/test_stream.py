@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
+from test_golden import shifted
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import NotInImageError
 
@@ -111,7 +112,8 @@ def test_cli_matches_per_tuple_reference(bundle_files, kind, count, seed, crlf):
 def test_chunk_parser_splits_at_chunk_boundaries(bundle_a3, rng):
     n = bundle_a3.n
     xs = [sources.random_member(3, n, rng) for _ in range(2 * CHUNK + 1)]
-    chunks = list(sources.iter_bit_chunks(sources.format_tuples(xs).splitlines(), [n] * 3))
+    data = io.BytesIO(sources.format_tuples(xs).encode())
+    chunks = list(sources.iter_bit_chunks(data, [n] * 3))
     assert [c[0].shape[0] for c in chunks] == [CHUNK, CHUNK, 1]
     rows = [np.concatenate([c[i] for c in chunks]) for i in range(3)]
     for t, x in enumerate(xs):
@@ -129,3 +131,25 @@ def test_decode_batch_rejects_syndrome_outside_image():
         decoder.decode_batch(parts)
     first = decoder.decode_batch([p[:1] for p in parts])
     assert [b.tolist() for b in first] == [[[0, 1, 0]], [[0, 1, 1]]]
+
+
+@pytest.mark.parametrize("base", ["a3", "pair_n7"])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.sampled_from(COUNTS))
+def test_decode_inverts_encode_through_files(bundle_a3, pair_n7, base, seed, count):
+    # decode(encode(file)) is the file, byte for byte, for a shifted code
+    # file and for the bundle that reduce makes of it
+    rng = np.random.default_rng(seed)
+    code = shifted(bundle_a3.code if base == "a3" else pair_n7, seed)
+    xs = [sources.random_member(code.s, code.n, rng) for _ in range(count)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        bundleio.write_code_file(tmp / "code.txt", code)
+        run_cli("reduce", str(tmp / "code.txt"), "-o", str(tmp / "reduced.txt"))
+        src, synd, back = tmp / "src.txt", tmp / "synd.txt", tmp / "back.txt"
+        # the file as the CLI writes groups: nothing at all for no groups
+        src.write_text(sources.format_tuples(xs) if count else "")
+        for name in ("code.txt", "reduced.txt"):
+            run_cli("encode", str(tmp / name), "--input", str(src), "--output", str(synd))
+            run_cli("decode", str(tmp / name), "--input", str(synd), "--output", str(back))
+            assert back.read_bytes() == src.read_bytes()

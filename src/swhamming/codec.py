@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import bits_matmul, nwords, pack_bits, unpack_bits
+from ._kernels import bits_matmul, nwords, unpack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
@@ -42,6 +42,7 @@ from .gf2 import (
     null_space,
     parse_matrix,
     rref_augmented,
+    split,
     vstack,
 )
 from .sources import (
@@ -233,9 +234,9 @@ class CodePlan:
         """One tuple, as a batch of one."""
         if len(y) != self.s or any(v.n != mi for v, mi in zip(y, self.m)):
             raise ValueError("syndrome tuple does not match the code")
-        bits = np.concatenate([v.to_array() for v in y])[None, :]
-        words = pack_bits(np.concatenate(self._decode_rows(bits)))
-        return tuple(BitVector(self.n, w) for w in words)
+        x = self._decode_rows(concat(y).to_array()[None, :])
+        blocks = BitVector.from_bits(np.concatenate(x, axis=1)[0])
+        return tuple(split(blocks, [self.n] * self.s))
 
     def _decode_rows(self, y: np.ndarray) -> list[np.ndarray]:
         """Decode the rows of y, each a concatenated syndrome tuple."""
@@ -534,7 +535,3 @@ def iter_syndromes(lines, m: Sequence[int]):
                 raise MalformedFileError(f"bad syndrome line {ln!r} (expected {mi} bits)")
             vecs.append(BitVector.from_bits(int(c) for c in ln))
         yield tuple(vecs)
-
-
-def parse_syndromes(text: str, m: Sequence[int]) -> list[SyndromeTuple]:
-    return list(iter_syndromes(text.splitlines(), m))

@@ -2,8 +2,9 @@
 
 Values are immutable after construction: every operation returns fresh
 objects, so matrices, vectors and subspaces can be shared freely across
-threads.  Rows are packed 64 bits per uint64 word (see ``_kernels``);
-elimination costs O(rows * cols^2 / 64).
+threads.  A vector is one Python int, bit j at bit j.  Matrix rows are
+packed 64 bits per uint64 word (see ``_kernels``); elimination costs
+O(rows * cols^2 / 64).  A vector meets a matrix through its ``words``.
 
 Subspaces are kept as reduced-row-echelon bases with no zero rows, which
 makes subspace equality a bit-exact comparison.  The zero-dimensional
@@ -32,89 +33,85 @@ from .errors import MalformedFileError, SingularMatrixError
 
 
 def _mask_tail(data: np.ndarray, cols: int) -> None:
-    # keep bits at or beyond `cols` zero
+    # keep the bits of each row at or beyond `cols` zero
     if not data.size or not cols & 63:
         return
-    m = (1 << (cols & 63)) - 1
-    if data.ndim == 1:
-        tail = int(data[-1])
-        if tail & ~m:
-            data[-1] = np.uint64(tail & m)
-    else:
-        um = np.uint64(m)
-        if (data[..., -1] & ~um).any():
-            data[..., -1] &= um
+    m = np.uint64((1 << (cols & 63)) - 1)
+    if (data[:, -1] & ~m).any():
+        data[:, -1] &= m
 
 
 class BitVector:
-    """A length-n vector over GF(2), packed into uint64 words."""
+    """A length-n vector over GF(2): bit j of the vector is bit j of the
+    Python int ``value``, which has no bit at or beyond n."""
 
-    __slots__ = ("n", "_w")
+    __slots__ = ("n", "value")
 
-    def __init__(self, n: int, words: np.ndarray):
+    def __init__(self, n: int, value: int = 0):
         self.n = n
-        w = np.ascontiguousarray(words, dtype=np.uint64)
-        _mask_tail(w, n)
-        w.flags.writeable = False
-        self._w = w
+        self.value = value & ((1 << n) - 1)
 
     @classmethod
     def zeros(cls, n: int) -> BitVector:
-        return cls(n, np.zeros(nwords(n), dtype=np.uint64))
+        return cls(n)
 
     @classmethod
     def from_bits(cls, bits) -> BitVector:
         if isinstance(bits, np.ndarray):
+            if bits.ndim != 1:
+                raise ValueError("expected a 1-D 0/1 array")
             arr = (bits & 1).astype(np.uint8, copy=False)
         else:
             arr = np.fromiter((int(b) & 1 for b in bits), dtype=np.uint8)
-        return cls(len(arr), pack_bits(arr[None, :])[0])
+        packed = np.packbits(arr, bitorder="little").tobytes()
+        return cls(len(arr), int.from_bytes(packed, "little"))
+
+    @classmethod
+    def from_words(cls, n: int, words: np.ndarray) -> BitVector:
+        """The vector of ``n`` bits packed little-endian into uint64 words."""
+        return cls(n, int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little"))
 
     @classmethod
     def unit(cls, n: int, p: int) -> BitVector:
         if not 0 <= p < n:
             raise IndexError(f"unit position {p} out of range for length {n}")
-        w = np.zeros(nwords(n), dtype=np.uint64)
-        w[p >> 6] = np.uint64(1) << np.uint64(p & 63)
-        return cls(n, w)
+        return cls(n, 1 << p)
 
     @property
     def words(self) -> np.ndarray:
-        return self._w
+        """The bits packed into nwords(n) uint64 words, as ``BitMatrix`` rows are."""
+        return np.frombuffer(self.tobytes(), dtype="<u8")
 
     def bit(self, p: int) -> int:
-        return int((self._w[p >> 6] >> np.uint64(p & 63)) & np.uint64(1))
+        return (self.value >> p) & 1
 
     def weight(self) -> int:
-        return int(np.bitwise_count(self._w).sum())
+        return self.value.bit_count()
 
     def is_zero(self) -> bool:
-        return not self._w.any()
+        return not self.value
 
     def to_array(self) -> np.ndarray:
-        return unpack_bits(self._w[None, :], self.n)[0]
+        packed = np.frombuffer(self.tobytes(), dtype=np.uint8)
+        return np.unpackbits(packed, count=self.n, bitorder="little")
 
     def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self.to_array())
+        # the leading 1 at bit n keeps the zeros above the highest set bit
+        return bin(self.value | 1 << self.n)[:2:-1]
 
     def tobytes(self) -> bytes:
-        return self._w.tobytes()
+        return self.value.to_bytes(8 * nwords(self.n), "little")
 
     def __add__(self, other: BitVector) -> BitVector:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return BitVector(self.n, self._w ^ other._w)
+        return BitVector(self.n, self.value ^ other.value)
 
     def __eq__(self, other: object) -> bool:
-        # words are contiguous with zero tails, so equal bytes mean equal bits
-        return (
-            isinstance(other, BitVector)
-            and self.n == other.n
-            and self._w.tobytes() == other._w.tobytes()
-        )
+        return isinstance(other, BitVector) and self.n == other.n and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash((self.n, self._w.tobytes()))
+        return hash((self.n, self.value))
 
     def __len__(self) -> int:
         return self.n
@@ -173,14 +170,13 @@ class BitMatrix:
         return self._data
 
     def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self._data[i])
+        return BitVector.from_words(self.cols, self._data[i])
 
     def get(self, i: int, j: int) -> int:
         return int((self._data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
 
     def column(self, j: int) -> BitVector:
-        bits = ((self._data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)).astype(np.uint8)
-        return BitVector(self.rows, pack_bits(bits[None, :])[0])
+        return BitVector.from_bits((self._data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
 
     def column_bytes(self, j: int) -> bytes:
         """Unpacked bits of column j as a hashable key."""
@@ -276,37 +272,24 @@ def _concat_words(a: np.ndarray, a_cols: int, b: np.ndarray, b_cols: int) -> np.
 def mat_vec(M: BitMatrix, v: BitVector) -> BitVector:
     if M.cols != v.n:
         raise ValueError(f"dims {M.rows}x{M.cols} vs length {v.n}")
-    return BitVector(M.rows, matvec_packed(M.data, v.words))
-
-
-def _vec_to_int(v: BitVector) -> int:
-    return int.from_bytes(v.words.tobytes(), "little")
-
-
-def _int_to_vec(val: int, n: int) -> BitVector:
-    w = nwords(n)
-    if w == 0:
-        return BitVector(0, np.zeros(0, dtype=np.uint64))
-    buf = val.to_bytes(w * 8, "little")
-    return BitVector(n, np.frombuffer(buf, dtype=np.uint64).copy())
+    return BitVector.from_words(M.rows, matvec_packed(M.data, v.words))
 
 
 def concat(vectors: Sequence[BitVector]) -> BitVector:
-    val = 0
-    off = 0
+    val = off = 0
     for v in vectors:
-        val |= _vec_to_int(v) << off
+        val |= v.value << off
         off += v.n
-    return _int_to_vec(val, off)
+    return BitVector(off, val)
 
 
 def split(v: BitVector, sizes: Sequence[int]) -> list[BitVector]:
     if sum(sizes) != v.n:
         raise ValueError("sizes do not sum to vector length")
-    val = _vec_to_int(v)
+    val = v.value
     out = []
     for s in sizes:
-        out.append(_int_to_vec(val & ((1 << s) - 1), s))
+        out.append(BitVector(s, val))
         val >>= s
     return out
 
@@ -346,21 +329,6 @@ def invert(M: BitMatrix) -> BitMatrix:
     if len(pivots) != n:
         raise SingularMatrixError(f"matrix of rank {len(pivots)} < {n}")
     return red.take_cols(n, 2 * n)
-
-
-def solve(A: BitMatrix, y: BitVector) -> BitVector | None:
-    """One particular solution x of A x = y, or None when y is outside the
-    column space.  The full solution set is x + null_space(A)."""
-    if A.rows != y.n:
-        raise ValueError("dimension mismatch")
-    red, pivots = rref_augmented(A, BitMatrix.from_rows([y]).transpose())
-    ycol = red.to_array()[:, A.cols]
-    rk = len(pivots)
-    if ycol[rk:].any():
-        return None
-    x = np.zeros(A.cols, dtype=np.uint8)
-    x[pivots] = ycol[:rk]
-    return BitVector(A.cols, pack_bits(x[None, :])[0])
 
 
 class Subspace:

@@ -28,9 +28,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import pack_bits
 from .errors import BadArgumentError, BudgetExceededError, MalformedFileError
-from .gf2 import BitVector, _int_to_vec
+from .gf2 import BitVector
 
 SourceTuple = tuple[BitVector, ...]
 
@@ -84,6 +83,15 @@ def hamming_source_size(s: int, n: int) -> int:
     return (effective_s(s) * n + 1) << n
 
 
+def _discrepancy(x: Sequence[BitVector]) -> int:
+    """The instances at which some block differs from the first, as bits."""
+    base = x[0].value
+    diff = 0
+    for v in x[1:]:
+        diff |= base ^ v.value
+    return diff
+
+
 def is_hamming_member(x: Sequence[BitVector]) -> bool:
     """Membership test for S: at most one discrepant instance, and there a
     single terminal deviating from all others."""
@@ -93,26 +101,15 @@ def is_hamming_member(x: Sequence[BitVector]) -> bool:
     n = x[0].n
     if any(v.n != n for v in x):
         return False
-    base = x[0].words
-    diff = np.zeros_like(base)
-    for v in x[1:]:
-        diff |= base ^ v.words
-    w = int(np.bitwise_count(diff).sum())
-    if w == 0:
+    diff = _discrepancy(x)
+    if not diff:
         return True
-    if w > 1:
+    if diff & (diff - 1):
         return False
     # exactly one discrepant column: count terminals carrying each bit value
-    p = _single_bit_position(diff)
+    p = diff.bit_length() - 1
     ones = sum(v.bit(p) for v in x)
     return ones == 1 or ones == s - 1
-
-
-def _single_bit_position(words: np.ndarray) -> int:
-    for k, wd in enumerate(words):
-        if wd:
-            return (k << 6) + int(wd & (~wd + np.uint64(1))).bit_length() - 1
-    raise ValueError("no bit set")
 
 
 def decompose(x: Sequence[BitVector]) -> tuple[BitVector, int | None, int | None]:
@@ -124,13 +121,10 @@ def decompose(x: Sequence[BitVector]) -> tuple[BitVector, int | None, int | None
     if not is_hamming_member(x):
         raise ValueError("tuple is not a Hamming source")
     s = len(x)
-    base = x[0].words
-    diff = np.zeros_like(base)
-    for v in x[1:]:
-        diff |= base ^ v.words
-    if not diff.any():
+    diff = _discrepancy(x)
+    if not diff:
         return x[0], None, None
-    p = _single_bit_position(diff)
+    p = diff.bit_length() - 1
     if s == 2:
         term = 1
     else:
@@ -152,7 +146,7 @@ def member_at(s: int, n: int, index: int) -> SourceTuple:
     if not 0 <= index < size:
         raise IndexError(f"index {index} out of range for |S| = {size}")
     if index < (1 << n):
-        b = _int_to_vec(index, n)
+        b = BitVector(n, index)
         return tuple(b for _ in range(s))
     j = index - (1 << n)
     sp = effective_s(s)
@@ -160,7 +154,7 @@ def member_at(s: int, n: int, index: int) -> SourceTuple:
     t, p = divmod(rem, n)
     if s == 2:
         t = 1
-    b = _int_to_vec(b_val, n)
+    b = BitVector(n, b_val)
     e = BitVector.unit(n, p)
     return tuple(b + e if i == t else b for i in range(s))
 
@@ -179,8 +173,7 @@ def enumerate_hamming_sources(
 def random_member(s: int, n: int, rng: np.random.Generator) -> SourceTuple:
     """Uniform member of S: a uniform common block plus a uniform choice
     among the s'n + 1 deviation patterns (factorized so huge |S| is fine)."""
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    b = BitVector(n, pack_bits(bits[None, :])[0])
+    b = BitVector.from_bits(rng.integers(0, 2, size=n, dtype=np.uint8))
     pattern = int(rng.integers(effective_s(s) * n + 1))
     if pattern == 0:
         return tuple(b for _ in range(s))
@@ -278,10 +271,6 @@ def iter_tuples(lines) -> Iterator[SourceTuple]:
         if len({len(ln) for ln in group}) != 1:
             raise MalformedFileError("tuple lines have unequal lengths")
         yield tuple(BitVector.from_bits(int(c) for c in ln) for ln in group)
-
-
-def parse_tuples(text: str) -> list[SourceTuple]:
-    return list(iter_tuples(text.splitlines()))
 
 
 # ---------------------------------------------------------------------------

@@ -270,4 +270,4 @@ def test_syndrome_file_roundtrip(pair_n7, rng):
         codec.encode(pair_n7, sources.random_member(2, 7, rng)) for _ in range(4)
     ]
     text = codec.format_syndromes(groups)
-    assert codec.parse_syndromes(text, pair_n7.m) == groups
+    assert list(codec.iter_syndromes(text.splitlines(), pair_n7.m)) == groups

@@ -119,23 +119,6 @@ def test_invert(rng):
         gf2.invert(singular)
 
 
-def test_solve(rng):
-    for _ in range(30):
-        A = gf2.random_matrix(int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng)
-        x = gf2.random_matrix(1, A.cols, rng).row(0)
-        y = gf2.mat_vec(A, x)
-        got = gf2.solve(A, y)
-        assert got is not None and gf2.mat_vec(A, got) == y
-    # identity and zero cases
-    I = gf2.BitMatrix.identity(4)
-    v = gf2.BitVector.from_bits([1, 0, 1, 1])
-    assert gf2.solve(I, v) == v
-    assert gf2.solve(gf2.BitMatrix.zeros(3, 4), gf2.BitVector.zeros(3)) is not None
-    # unsolvable
-    Z = gf2.BitMatrix.zeros(2, 3)
-    assert gf2.solve(Z, gf2.BitVector.from_bits([1, 0])) is None
-
-
 def test_subspace_canonical_equality(rng):
     for _ in range(20):
         S = gf2.random_subspace(8, 3, rng)
@@ -220,6 +203,8 @@ def test_vector_basics():
     assert v.bit(0) == 1 and v.bit(1) == 0
     assert gf2.BitVector.zeros(3).is_zero()
     assert gf2.split(gf2.concat([v, w]), [3, 3]) == [v, w]
+    with pytest.raises(ValueError):
+        gf2.BitVector.from_bits(np.ones((2, 3), dtype=np.uint8))
 
 
 def test_word_boundary_shapes(rng):

@@ -1,6 +1,8 @@
 """The array-code subspace routines, matrix text format and matrix product
-against the loop implementations they replaced, and ``row_basis_transforms``
-against the larger elimination it replaced, kept here as references."""
+against the loop implementations they replaced, ``row_basis_transforms``
+against the larger elimination it replaced, and the int-backed
+``BitVector`` against the words-backed one it replaced, kept here as
+references."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swhamming import gf2
-from swhamming._kernels import pack_bits, unpack_bits
+from swhamming._kernels import matvec_packed, nwords, pack_bits, unpack_bits
 from swhamming.errors import MalformedFileError
 from swhamming.gf2 import BitMatrix, BitVector, Subspace
 
@@ -132,6 +134,118 @@ def ref_complement(A: Subspace, within: Subspace) -> Subspace:
             gf2.rref_in_place(stacked, A.n)
             reducer = stacked
     return Subspace.spanned_by(kept, A.n)
+
+
+class RefBitVector:
+    """The vector as it was before it became one int: a read-only uint64
+    array of nwords(n) words with the bits at or beyond n zeroed."""
+
+    __slots__ = ("n", "_w")
+
+    def __init__(self, n: int, words: np.ndarray):
+        self.n = n
+        w = np.array(words, dtype=np.uint64)
+        if n & 63 and w.size:
+            w[-1] &= np.uint64((1 << (n & 63)) - 1)
+        w.flags.writeable = False
+        self._w = w
+
+    @classmethod
+    def zeros(cls, n: int) -> RefBitVector:
+        return cls(n, np.zeros(nwords(n), dtype=np.uint64))
+
+    @classmethod
+    def from_bits(cls, bits) -> RefBitVector:
+        if isinstance(bits, np.ndarray):
+            arr = (bits & 1).astype(np.uint8, copy=False)
+        else:
+            arr = np.fromiter((int(b) & 1 for b in bits), dtype=np.uint8)
+        return cls(len(arr), pack_bits(arr[None, :])[0])
+
+    @classmethod
+    def unit(cls, n: int, p: int) -> RefBitVector:
+        w = np.zeros(nwords(n), dtype=np.uint64)
+        w[p >> 6] = np.uint64(1) << np.uint64(p & 63)
+        return cls(n, w)
+
+    @property
+    def words(self) -> np.ndarray:
+        return self._w
+
+    def bit(self, p: int) -> int:
+        return int((self._w[p >> 6] >> np.uint64(p & 63)) & np.uint64(1))
+
+    def weight(self) -> int:
+        return int(np.bitwise_count(self._w).sum())
+
+    def is_zero(self) -> bool:
+        return not self._w.any()
+
+    def to_array(self) -> np.ndarray:
+        return unpack_bits(self._w[None, :], self.n)[0]
+
+    def to01(self) -> str:
+        return "".join("1" if b else "0" for b in self.to_array())
+
+    def tobytes(self) -> bytes:
+        return self._w.tobytes()
+
+    def __add__(self, other: RefBitVector) -> RefBitVector:
+        if self.n != other.n:
+            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
+        return RefBitVector(self.n, self._w ^ other._w)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, RefBitVector)
+            and self.n == other.n
+            and self._w.tobytes() == other._w.tobytes()
+        )
+
+
+def _ref_int(v: RefBitVector) -> int:
+    return int.from_bytes(v.words.tobytes(), "little")
+
+
+def _ref_vec(val: int, n: int) -> RefBitVector:
+    buf = val.to_bytes(8 * nwords(n), "little")
+    return RefBitVector(n, np.frombuffer(buf, dtype=np.uint64))
+
+
+def ref_concat(vectors) -> RefBitVector:
+    val = off = 0
+    for v in vectors:
+        val |= _ref_int(v) << off
+        off += v.n
+    return _ref_vec(val, off)
+
+
+def ref_split(v: RefBitVector, sizes) -> list[RefBitVector]:
+    val = _ref_int(v)
+    out = []
+    for s in sizes:
+        out.append(_ref_vec(val & ((1 << s) - 1), s))
+        val >>= s
+    return out
+
+
+def ref_mat_vec(M: BitMatrix, v: RefBitVector) -> RefBitVector:
+    return RefBitVector(M.rows, matvec_packed(M.data, v.words))
+
+
+def ref_row(M: BitMatrix, i: int) -> RefBitVector:
+    return RefBitVector(M.cols, M.data[i])
+
+
+def ref_column(M: BitMatrix, j: int) -> RefBitVector:
+    bits = ((M.data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)).astype(np.uint8)
+    return RefBitVector(M.rows, pack_bits(bits[None, :])[0])
+
+
+def ref_from_rows(rows: list[RefBitVector], n: int) -> BitMatrix:
+    if not rows:
+        return BitMatrix.zeros(0, n)
+    return BitMatrix(len(rows), n, np.stack([r.words for r in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +545,85 @@ def test_equality_compares_shape_and_bits():
     assert BitMatrix.zeros(0, 3) != BitMatrix.zeros(0, 4)
     assert BitMatrix.zeros(3, 0) != BitMatrix.zeros(2, 0)
     assert M != "M"
+
+
+# ---------------------------------------------------------------------------
+# vectors: the int against the words it replaced, bit for byte
+# ---------------------------------------------------------------------------
+
+
+def _same(v: BitVector, r: RefBitVector) -> None:
+    """v and r are the same vector in every form either can take."""
+    assert v.n == r.n == len(v)
+    assert v.tobytes() == r.tobytes()
+    assert v.words.dtype == r.words.dtype and v.words.tobytes() == r.words.tobytes()
+    assert v.to_array().dtype == r.to_array().dtype == np.uint8
+    assert np.array_equal(v.to_array(), r.to_array())
+    assert v.to01() == r.to01()
+    assert (v.weight(), v.is_zero()) == (r.weight(), r.is_zero())
+    assert [v.bit(p) for p in range(v.n)] == [r.bit(p) for p in range(r.n)]
+
+
+@st.composite
+def vector_cases(draw):
+    """A length at the word edges or up to 300, three values of that many
+    bits, a value with bits beyond it, and sizes that split it in parts."""
+    n = draw(st.sampled_from([0, 1, 63, 64, 65, 128]) | st.integers(0, 300))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=3, max_size=3))
+    wide = draw(st.integers(0, (1 << (n + 130)) - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    return n, values, wide, sizes, draw(st.integers(0, 2**32 - 1))
+
+
+@given(vector_cases())
+@settings(max_examples=300, deadline=None)
+def test_bit_vector_matches_reference(case):
+    n, values, wide, sizes, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = [np.array([(x >> j) & 1 for j in range(n)], dtype=np.uint8) for x in values]
+    vs = [BitVector.from_bits(a) for a in arrays]
+    rs = [RefBitVector.from_bits(a) for a in arrays]
+    for x, a, v, r in zip(values, arrays, vs, rs):
+        _same(v, r)
+        assert v.value == x
+        assert BitVector.from_bits(a.tolist()) == v == BitVector(n, x)
+        assert BitVector.from_bits(a | 2) == v  # only the low bit of each entry counts
+    _same(BitVector.zeros(n), RefBitVector.zeros(n))
+    for p in {0, n // 2, n - 1} if n else ():
+        _same(BitVector.unit(n, p), RefBitVector.unit(n, p))
+
+    # an int wider than n keeps its low n bits, as the words kept their low n
+    masked = BitVector(n, wide)
+    assert masked.value == wide & ((1 << n) - 1)
+    wide_words = np.frombuffer(wide.to_bytes(8 * nwords(n) + 24, "little"), dtype=np.uint64)
+    _same(masked, RefBitVector(n, wide_words[: nwords(n)]))
+
+    v, w, u = vs
+    r, q, t = rs
+    _same(v + w, r + q)
+    _same(v + v, r + r)
+    assert (v == w) == (r == q)
+    if v == w:
+        assert hash(v) == hash(w)
+    twin = BitVector.from_bits(arrays[0])
+    assert twin == v and hash(twin) == hash(v)
+    assert v != BitVector(n + 1, v.value)
+    with pytest.raises(ValueError):
+        v + BitVector.zeros(n + 1)
+
+    _same(gf2.concat([v, w, u]), ref_concat([r, q, t]))
+    _same(gf2.concat([]), ref_concat([]))
+    for got, want in zip(gf2.split(v, sizes), ref_split(r, sizes), strict=True):
+        _same(got, want)
+    assert gf2.concat(gf2.split(v, sizes)) == v
+
+    rows = int(rng.integers(0, 70))
+    M = BitMatrix.from_bits(rng.integers(0, 2, size=(rows, n), dtype=np.uint8))
+    _same(gf2.mat_vec(M, v), ref_mat_vec(M, r))
+    for i in {0, rows - 1} if rows else ():
+        _same(M.row(i), ref_row(M, i))
+    for j in {0, n - 1} if n else ():
+        _same(M.column(j), ref_column(M, j))
+    assert BitMatrix.from_rows(vs) == ref_from_rows(rs, n)
+    assert BitMatrix.from_rows([], n) == ref_from_rows([], n)

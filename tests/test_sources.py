@@ -130,7 +130,7 @@ def test_feasible_cuvw():
 def test_tuple_text_roundtrip(rng):
     tuples = [sources.random_member(3, 6, rng) for _ in range(5)]
     text = sources.format_tuples(tuples)
-    assert sources.parse_tuples(text) == tuples
+    assert list(sources.iter_tuples(text.splitlines())) == tuples
 
 
 def test_source_params_validation():

@@ -2,7 +2,9 @@
 
 Matrices are stored row-major as ``uint64`` words, 64 bits per word,
 bit ``j`` of a row living at ``data[j >> 6] >> (j & 63) & 1``.  Bits at
-or beyond the logical column count must be zero.
+or beyond the logical column count must be zero.  Row reduction runs in
+two phases: :func:`echelon_in_place` (forward elimination), then
+:func:`back_substitute` only where a reduced form is read.
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
@@ -60,9 +62,20 @@ def get_backend() -> str:
     return "numpy"
 
 
-def rref_in_place(data: np.ndarray, n_pivot_cols: int) -> np.ndarray:
-    """Reduce ``data`` to RREF in place, searching pivots in the first
-    ``n_pivot_cols`` bit columns only.  Returns the pivot column indices."""
+def echelon_in_place(data: np.ndarray, n_pivot_cols: int) -> np.ndarray:
+    """Reduce ``data`` to row echelon form in place, searching pivots in the
+    first ``n_pivot_cols`` bit columns only.  Returns the pivot column
+    indices; row i of the result leads at pivot i, and the rows from
+    ``len(pivots)`` down are zero in the pivot columns.
+
+    Each pivot row is XORed only into the rows below it.  The rows from
+    the current pivot down get exactly the XORs that Gauss-Jordan gives
+    them, since Gauss-Jordan's extra XORs go only into rows above the
+    pivot, which are never read again as pivots or as sources for the
+    rows below.  So the pivot choices, the swaps and every row from
+    ``len(pivots)`` down equal those of :func:`rref_in_place` bit for bit,
+    and :func:`back_substitute` then gives its whole result.
+    """
     rows = data.shape[0]
     pivots = np.empty(min(rows, n_pivot_cols), dtype=np.int64)
     if rows == 0 or n_pivot_cols == 0 or data.shape[1] == 0:
@@ -72,20 +85,39 @@ def rref_in_place(data: np.ndarray, n_pivot_cols: int) -> np.ndarray:
         if r >= rows:
             break
         w = c >> 6
-        sh = np.uint64(c & 63)
-        nz = np.nonzero((data[r:, w] >> sh) & U64_1)[0]
-        if nz.size == 0:
+        hits = np.nonzero((data[r:, w] >> np.uint64(c & 63)) & U64_1)[0]
+        if hits.size == 0:
             continue
-        p = r + int(nz[0])
-        if p != r:
+        if hits[0]:
+            # row r lacks the bit, so the rows in hits[1:] keep their places
+            p = r + int(hits[0])
             data[[r, p]] = data[[p, r]]
-        mask = ((data[:, w] >> sh) & U64_1).astype(bool)
-        mask[r] = False
-        if mask.any():
-            data[mask, w:] ^= data[r, w:]
+        if hits.size > 1:
+            data[hits[1:] + r, w:] ^= data[r, w:]
         pivots[r] = c
         r += 1
     return pivots[:r]
+
+
+def back_substitute(data: np.ndarray, pivots: np.ndarray) -> None:
+    """Turn the echelon form from :func:`echelon_in_place` into RREF in
+    place: clear each pivot column above its row, last pivot first, so
+    each pivot row is final when it is XORed upwards.  Only rows above
+    ``len(pivots)`` change."""
+    for r in range(len(pivots) - 1, 0, -1):
+        c = int(pivots[r])
+        w = c >> 6
+        hits = np.nonzero((data[:r, w] >> np.uint64(c & 63)) & U64_1)[0]
+        if hits.size:
+            data[hits, w:] ^= data[r, w:]
+
+
+def rref_in_place(data: np.ndarray, n_pivot_cols: int) -> np.ndarray:
+    """Reduce ``data`` to RREF in place, searching pivots in the first
+    ``n_pivot_cols`` bit columns only.  Returns the pivot column indices."""
+    pivots = echelon_in_place(data, n_pivot_cols)
+    back_substitute(data, pivots)
+    return pivots
 
 
 def matmul_packed(a_data: np.ndarray, a_cols: int, b_data: np.ndarray, b_cols: int) -> np.ndarray:

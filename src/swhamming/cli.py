@@ -344,7 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compressibility / perfectness report")
     p.add_argument("bundle")
-    p.add_argument("--kv", action="store_true")
+    p.add_argument(
+        "--kv",
+        action="store_true",
+        help="accepted and ignored: verify prints the same key=value report either way",
+    )
     p.add_argument("--roundtrip", type=int, default=0, help="sampled decode round-trips")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)

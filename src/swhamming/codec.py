@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import bits_matmul, nwords, unpack_bits
+from ._kernels import back_substitute, bits_matmul, nwords, unpack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
@@ -36,12 +36,12 @@ from .gf2 import (
     BitVector,
     Subspace,
     concat,
+    echelon_augmented,
     format_matrix,
     mat_vec,
     matrix_with_null_space,
     null_space,
     parse_matrix,
-    rref_augmented,
     split,
     vstack,
 )
@@ -131,10 +131,13 @@ class CodePlan:
     """One elimination of a code's stacked matrices, which both decides
     compressibility and decodes.
 
-    Stack A = [H_1; ...; H_s] (M x n) and reduce [A | I] once, so the
-    transform E gives E A = rref(A).  If rank A < n, a common null vector
-    collides two members of S.  Otherwise the top n rows of E (``top``)
-    give top A = I, and the bottom M - n rows F annihilate exactly Im A.
+    Stack A = [H_1; ...; H_s] (M x n) and bring [A | I] to row echelon
+    form [U | E] once, so E A = U.  If rank A < n, a common null vector
+    collides two members of S.  Otherwise the bottom M - n rows F of E
+    annihilate exactly Im A; they are the rows Gauss-Jordan would give
+    (see ``_kernels.echelon_in_place``).  ``top`` is the n x M transform
+    with top A = I: a copy of the top n rows of [U | E], back-substituted
+    on first read, since only decoders and witnesses read it.
     A member of S is (b + u_1, ..., b + u_s) with at most one u_i nonzero,
     of weight 1 at position p; its syndrome is y = A b + d with d column p
     of H_i at terminal i's rows (zero for no deviation).  So the key F y =
@@ -156,9 +159,9 @@ class CodePlan:
     def __init__(self, code: SwCode):
         s, n = code.s, code.n
         A = vstack(code.matrices)
-        # [rref(A) | E], kept packed: the top n rows of E are read only when
-        # a witness or a decoder needs them
-        self._reduced, pivots = rref_augmented(A, BitMatrix.identity(A.rows))
+        # [U | E], kept packed: the top n rows are reduced only when a
+        # witness or a decoder needs them
+        self._echelon, pivots = echelon_augmented(A, BitMatrix.identity(A.rows))
         self.code, self.s, self.n, self.m = code, s, n, code.m
         self.full_rank = len(pivots) == n
         # key -> deviation index j = i * n + p (s * n: no deviation)
@@ -169,7 +172,7 @@ class CodePlan:
             return
         # key of deviation j = i n + p: F times column p of H_i at terminal
         # i's rows, one product per terminal
-        F = self._transform(n, A.rows)
+        F = self._transform(self._echelon.data[n:])
         offsets = list(itertools.accumulate(code.m, initial=0))
         blocks = zip(offsets, offsets[1:], code.matrices)
         products = [bits_matmul(F[:, a:b], H.to_array()) for a, b, H in blocks]
@@ -194,15 +197,19 @@ class CodePlan:
             return
         seen[zero_key] = s * n
 
-    def _transform(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of E as a 0/1 array."""
-        reduced = self._reduced
-        return unpack_bits(reduced.data[start:stop], reduced.cols)[:, self.n :]
+    def _transform(self, rows: np.ndarray) -> np.ndarray:
+        """The transform half of packed rows of [A | I] as a 0/1 array."""
+        return unpack_bits(rows, self._echelon.cols)[:, self.n :]
 
     @cached_property
     def top(self) -> BitMatrix | None:
-        """The top n rows of E, with top A = I; None when rank A < n."""
-        return BitMatrix.from_bits(self._transform(0, self.n)) if self.full_rank else None
+        """The n x M transform with top A = I; None when rank A < n."""
+        if not self.full_rank:
+            return None
+        # full rank: the top n rows pivot on columns 0..n-1
+        rows = self._echelon.data[: self.n].copy()
+        back_substitute(rows, np.arange(self.n))
+        return BitMatrix.from_bits(self._transform(rows))
 
     @property
     def compressible(self) -> bool:
@@ -218,7 +225,7 @@ class CodePlan:
         for i, H in enumerate(self.code.matrices):
             corr[i * n : (i + 1) * n, offsets[i] : offsets[i + 1]] = H.to_array().T
         return (
-            self._transform(n, offsets[-1]).T.astype(np.float32),
+            self._transform(self._echelon.data[n:]).T.astype(np.float32),
             self.top.to_array().T.astype(np.float32),
             corr,
         )

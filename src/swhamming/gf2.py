@@ -6,6 +6,13 @@ threads.  A vector is one Python int, bit j at bit j.  Matrix rows are
 packed 64 bits per uint64 word (see ``_kernels``); elimination costs
 O(rows * cols^2 / 64).  A vector meets a matrix through its ``words``.
 
+Elimination stops at row echelon form where only pivots, the rank or the
+rows below the rank are read (``rank``, ``pivot_columns``,
+``echelon_augmented``, ``complement``, ``subspace_intersect``), and
+back-substitutes to RREF only where a reduced form is read (``rref``,
+``rref_augmented``, ``row_basis``, ``null_space``, ``invert``,
+``row_basis_transforms``).
+
 Subspaces are kept as reduced-row-echelon bases with no zero rows, which
 makes subspace equality a bit-exact comparison.  The zero-dimensional
 subspace is a 0 x n basis and is accepted everywhere.
@@ -22,6 +29,7 @@ import numpy as np
 from ._kernels import (
     U64_1,
     bits_matmul,
+    echelon_in_place,
     matmul_packed,
     matvec_packed,
     nwords,
@@ -306,9 +314,23 @@ def rref(M: BitMatrix) -> tuple[BitMatrix, list[int]]:
     return BitMatrix(M.rows, M.cols, data), [int(p) for p in pivots]
 
 
+def pivot_columns(M: BitMatrix) -> list[int]:
+    """The pivot columns of rref(M), read off its echelon form."""
+    return echelon_in_place(M.data.copy(), M.cols).tolist()
+
+
 def rank(M: BitMatrix) -> int:
-    data = M.data.copy()
-    return len(rref_in_place(data, M.cols))
+    return len(pivot_columns(M))
+
+
+def echelon_augmented(left: BitMatrix, right: BitMatrix) -> tuple[BitMatrix, list[int]]:
+    """Row echelon form of [left | right] with pivots restricted to the left
+    block; its rows from the rank down are those of rref_augmented."""
+    if left.rows != right.rows:
+        raise ValueError("row counts differ")
+    data = _concat_words(left.data, left.cols, right.data, right.cols)
+    pivots = echelon_in_place(data, left.cols)
+    return BitMatrix(left.rows, left.cols + right.cols, data), pivots.tolist()
 
 
 def rref_augmented(left: BitMatrix, right: BitMatrix) -> tuple[BitMatrix, list[int]]:
@@ -512,8 +534,9 @@ def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
 
 
 def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
-    """Zassenhaus: row reduce [[A|A],[B|0]]; rows with zero left half carry an
-    intersection basis in the right half."""
+    """Zassenhaus: bring [[A|A],[B|0]] to row echelon form; the rows with a
+    zero left half and a nonzero right half are independent and span the
+    intersection, and ``Subspace`` makes that basis canonical."""
     if A.n != B.n:
         raise ValueError("ambient dimension mismatch")
     n = A.n
@@ -521,10 +544,11 @@ def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
         return Subspace.zero(n)
     top = hstack([A.basis, A.basis])
     bot = hstack([B.basis, BitMatrix.zeros(B.dim, n)])
-    red, pivots = rref(vstack([top, bot]))
-    left_rank = sum(1 for p in pivots if p < n)
-    arr = red.to_array()
-    gens = arr[left_rank : len(pivots), n:]
+    stacked = vstack([top, bot])
+    data = stacked.data.copy()
+    pivots = echelon_in_place(data, stacked.cols)
+    left_rank = int(np.searchsorted(pivots, n))
+    gens = unpack_bits(data[left_rank : len(pivots)], 2 * n)[:, n:]
     if gens.size == 0:
         return Subspace.zero(n)
     return Subspace(n, BitMatrix.from_bits(gens))
@@ -535,9 +559,9 @@ def complement(A: Subspace, within: Subspace) -> Subspace:
 
     B is spanned by the rows of within's basis that extend A's basis
     greedily, in order (for the full space, by standard basis vectors).
-    The greedy rows are read off one elimination: row i of within's basis
-    is kept exactly when column A.dim + i is a pivot of
-    rref([A.basis; within.basis]^T), and A lies in within exactly when that
+    The greedy rows are read off the pivots of one echelon form: row i of
+    within's basis is kept exactly when column A.dim + i is a pivot of
+    [A.basis; within.basis]^T, and A lies in within exactly when that
     matrix has rank within.dim.  Raises ValueError when A is not contained
     in within.
     """
@@ -545,7 +569,7 @@ def complement(A: Subspace, within: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     k = A.dim + within.dim
     cols = pack_bits(np.concatenate([A.basis.to_array(), within.basis.to_array()]).T)
-    pivots = rref_in_place(cols, k)
+    pivots = echelon_in_place(cols, k)
     if len(pivots) != within.dim:
         raise ValueError("A is not a subspace of `within`")
     kept = pivots[pivots >= A.dim] - A.dim

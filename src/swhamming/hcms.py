@@ -35,10 +35,10 @@ from .gf2 import (
     BitVector,
     hstack,
     invert,
+    pivot_columns,
     rank,
     row_basis,
     row_basis_transforms,
-    rref,
     vstack,
 )
 from .codec import SwCode, SyndromeTuple, decoder, make_code
@@ -159,7 +159,7 @@ def standard_completion(Y: BitMatrix) -> BitMatrix:
 
     When Y pivots on its first Y.rows columns this is exactly [0 | I];
     either way [Y; T] is invertible whenever any completion makes it so."""
-    _, pivots = rref(Y)
+    pivots = pivot_columns(Y)
     if len(pivots) < Y.rows:
         raise RNotInvertibleError(
             "[Q_1; ...; Q_(s-1)] is row deficient; no completion can work"
@@ -293,7 +293,7 @@ def a3_partition() -> tuple[BitMatrix, BitMatrix, BitMatrix]:
     Q1, Q2, Q3 = (_from_lines(t) for t in (_A3_Q1, _A3_Q2, _A3_Q3))
     K = _from_lines(_A3_K)
     validate_partition((Q1, Q2, Q3))
-    _, pivots = rref(vstack([Q1, Q2]))
+    pivots = pivot_columns(vstack([Q1, Q2]))
     if pivots != list(range(12)):
         raise AssertionError("embedded partition lost the pivot property")
     U = Q1.take_cols(0, 12)
@@ -334,7 +334,7 @@ def check_lift_precondition(A: BitMatrix, B: BitMatrix, C: BitMatrix) -> int:
     if A.rows % 2:
         raise ValueError("partition height must be even")
     k = A.rows // 2
-    _, pivots = rref(vstack([A, B]))
+    pivots = pivot_columns(vstack([A, B]))
     if pivots != list(range(4 * k)):
         raise ValueError("[A; B] must pivot exactly on the first 4k columns")
     return k

@@ -384,6 +384,26 @@ def test_verify_reports_a_non_perfect_code_and_its_witness(tmp_path, capsys):
     assert "compressible=false perfect=false" in out and "first:" in out and "second:" in out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # a perfect bundle, from gen --a 3
+        "3 2\n2 1 1\n2 2\n10\n01\n1 2\n11\n1 2\n11\n",  # full rank, not compressible
+        "3 2\n1 1 1\n1 2\n11\n1 2\n11\n1 2\n11\n",  # rank deficient
+    ],
+)
+def test_verify_prints_the_same_with_and_without_kv(tmp_path, capsys, text):
+    path = tmp_path / "code.txt"
+    if text is None:
+        assert run(capsys, "gen", "--a", "3", "-o", str(path))[0] == 0
+    else:
+        path.write_text(text)
+    plain = run(capsys, "verify", str(path), "--roundtrip", "20")
+    kv = run(capsys, "verify", str(path), "--roundtrip", "20", "--kv")
+    assert kv == plain
+    assert ("counterexample" in plain[1]) == (text is not None)
+
+
 # ---------------------------------------------------------------------------
 # load-time consistency of bundle files
 # ---------------------------------------------------------------------------

@@ -129,21 +129,29 @@ def test_decoder_refuses_non_compressible_code():
         codec.decoder(code)
 
 
-def check_one_elimination_per_verify(path, monkeypatch):
-    # verify --roundtrip proves the code perfect and decodes through one
-    # elimination of [A | I], and computes no rank, also while loading the
-    # bundle's sections
+def counted(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that records each call; returns
+    the list of calls."""
     calls = []
-    real = codec.rref_augmented
+    real = getattr(module, name)
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def check_one_elimination_per_verify(path, monkeypatch):
+    # verify --roundtrip proves the code perfect and decodes through one
+    # elimination of [A | I], and computes no rank, also while loading the
+    # bundle's sections
+    calls = counted(monkeypatch, codec, "echelon_augmented")
+
     def no_rank(*args):
         raise AssertionError("rank computed")
 
-    monkeypatch.setattr(codec, "rref_augmented", counting)
     for mod in (gf2, cli, codec, hcms, bundleio):
         if hasattr(mod, "rank"):
             monkeypatch.setattr(mod, "rank", no_rank)
@@ -158,6 +166,19 @@ def test_one_elimination_per_verify(tmp_path, monkeypatch, bundle_a4):
     path = tmp_path / "a4.txt"
     bundleio.write_bundle(path, bundle_a4)
     check_one_elimination_per_verify(path, monkeypatch)
+
+
+def test_plan_back_substitutes_only_to_decode(tmp_path, monkeypatch):
+    # gen and a plain verify read only the plan's echelon form; the top rows
+    # are back-substituted once, for the decoder of verify --roundtrip
+    path = tmp_path / "a4.txt"
+    calls = counted(monkeypatch, codec, "back_substitute")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--a", "4", "-o", str(path)]) == 0
+        assert cli.main(["verify", str(path)]) == 0
+        assert calls == []
+        assert cli.main(["verify", str(path), "--roundtrip", "300"]) == 0
+    assert len(calls) == 1
 
 
 def test_one_elimination_per_verify_of_relaxed_bundle(tmp_path, monkeypatch, bundle_a3):

@@ -1,8 +1,9 @@
 """The array-code subspace routines, matrix text format and matrix product
 against the loop implementations they replaced, ``row_basis_transforms``
-against the larger elimination it replaced, and the int-backed
-``BitVector`` against the words-backed one it replaced, kept here as
-references."""
+against the larger elimination it replaced, the int-backed ``BitVector``
+against the words-backed one it replaced, and the two-phase elimination
+(echelon form, then back-substitution) against the one-pass Gauss-Jordan
+loop it replaced, kept here as references."""
 
 from __future__ import annotations
 
@@ -11,14 +12,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swhamming import gf2
-from swhamming._kernels import matvec_packed, nwords, pack_bits, unpack_bits
+from swhamming import codec, gf2, hcms
+from swhamming._kernels import (
+    U64_1,
+    back_substitute,
+    echelon_in_place,
+    matvec_packed,
+    nwords,
+    pack_bits,
+    rref_in_place,
+    unpack_bits,
+)
 from swhamming.errors import MalformedFileError
 from swhamming.gf2 import BitMatrix, BitVector, Subspace
 
 # ---------------------------------------------------------------------------
 # references: the loop bodies as they were before the array code
 # ---------------------------------------------------------------------------
+
+
+def ref_rref_in_place(data: np.ndarray, n_pivot_cols: int) -> np.ndarray:
+    """Gauss-Jordan in one pass: each pivot row is XORed into every other
+    row that has its bit, above as well as below."""
+    rows = data.shape[0]
+    pivots = np.empty(min(rows, n_pivot_cols), dtype=np.int64)
+    if rows == 0 or n_pivot_cols == 0 or data.shape[1] == 0:
+        return pivots[:0]
+    r = 0
+    for c in range(n_pivot_cols):
+        if r >= rows:
+            break
+        w = c >> 6
+        sh = np.uint64(c & 63)
+        nz = np.nonzero((data[r:, w] >> sh) & U64_1)[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            data[[r, p]] = data[[p, r]]
+        mask = ((data[:, w] >> sh) & U64_1).astype(bool)
+        mask[r] = False
+        if mask.any():
+            data[mask, w:] ^= data[r, w:]
+        pivots[r] = c
+        r += 1
+    return pivots[:r]
 
 
 def ref_matmul(A: BitMatrix, B: BitMatrix) -> BitMatrix:
@@ -64,7 +102,7 @@ def ref_null_space(M: BitMatrix) -> Subspace:
     canonical basis by a second elimination (``Subspace``)."""
     n = M.cols
     data = M.data.copy()
-    pivots = gf2.rref_in_place(data, n)
+    pivots = ref_rref_in_place(data, n)
     rk = len(pivots)
     if rk == n:
         return Subspace.zero(n)
@@ -92,6 +130,23 @@ def ref_row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, Bit
     if D is None:
         raise ValueError("row(B) is not contained in row(A)")
     return C, D
+
+
+def ref_subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
+    """Zassenhaus on the Gauss-Jordan form of [[A|A],[B|0]]."""
+    n = A.n
+    if A.dim == 0 or B.dim == 0:
+        return Subspace.zero(n)
+    M = gf2.vstack(
+        [gf2.hstack([A.basis, A.basis]), gf2.hstack([B.basis, BitMatrix.zeros(B.dim, n)])]
+    )
+    data = M.data.copy()
+    pivots = ref_rref_in_place(data, M.cols)
+    left_rank = sum(1 for p in pivots if p < n)
+    gens = unpack_bits(data, M.cols)[left_rank : len(pivots), n:]
+    if gens.size == 0:
+        return Subspace.zero(n)
+    return Subspace(n, BitMatrix.from_bits(gens))
 
 
 def ref_leading_bit(words: np.ndarray) -> int:
@@ -131,7 +186,7 @@ def ref_complement(A: Subspace, within: Subspace) -> Subspace:
         if w.any():
             kept.append(cand)
             stacked = np.concatenate([reducer, w[None, :]])
-            gf2.rref_in_place(stacked, A.n)
+            ref_rref_in_place(stacked, A.n)
             reducer = stacked
     return Subspace.spanned_by(kept, A.n)
 
@@ -451,6 +506,20 @@ def test_contains_subspace_matches_reference(pair):
     assert W.contains_subspace(A) == want
 
 
+@given(nested_subspaces(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_subspace_intersect_matches_reference(pair, seed):
+    A, W = pair
+    # a random subspace sharing a random part of W besides
+    rng = np.random.default_rng(seed)
+    part = gf2.random_matrix(int(rng.integers(0, W.dim + 1)), W.dim, rng) @ W.basis
+    B = Subspace(W.n, gf2.vstack([part, gf2.random_matrix(int(rng.integers(0, 4)), W.n, rng)]))
+    for X, Y in ((A, W), (W, B), (A, B)):
+        got = gf2.subspace_intersect(X, Y)
+        assert got == ref_subspace_intersect(X, Y)
+        assert got.basis == gf2.row_basis(got.basis)
+
+
 def test_complement_of_full_space_extends_by_unit_vectors():
     A = Subspace(5, BitMatrix.from_bits([[1, 1, 0, 0, 0], [0, 0, 1, 1, 0]]))
     B = gf2.complement(A, Subspace.full(5))
@@ -627,3 +696,80 @@ def test_bit_vector_matches_reference(case):
         _same(M.column(j), ref_column(M, j))
     assert BitMatrix.from_rows(vs) == ref_from_rows(rs, n)
     assert BitMatrix.from_rows([], n) == ref_from_rows([], n)
+
+
+# ---------------------------------------------------------------------------
+# elimination: echelon form, then back-substitution, against Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def eliminations(draw):
+    """(packed rows, width, n_pivot_cols): 0-80 rows, the word edges and two words
+    among the widths, random, sparse, dense or low-rank rows, zero and
+    duplicate rows among them, and a pivot-column limit from 0 to the
+    width."""
+    rows = draw(st.integers(0, 80))
+    cols = draw(st.sampled_from([0, 1, 63, 64, 65, 128]) | st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "low rank"]))
+    if kind == "low rank":
+        k = int(rng.integers(0, 8))
+        bits = (rng.integers(0, 2, (rows, k)) @ rng.integers(0, 2, (k, cols)) & 1).astype(np.uint8)
+    else:
+        density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+        bits = (rng.random((rows, cols)) < density).astype(np.uint8)
+    if rows:
+        bits[rng.integers(0, rows, draw(st.integers(0, rows)))] = 0
+        dst = rng.integers(0, rows, draw(st.integers(0, rows)))
+        bits[dst] = bits[rng.integers(0, rows, dst.size)]
+    return pack_bits(bits), cols, draw(st.integers(0, cols))
+
+
+def _check_elimination(data: np.ndarray, k: int) -> np.ndarray:
+    """Echelon form, back-substitution and their composition against the
+    Gauss-Jordan reference on ``data`` with pivots in the first k columns;
+    returns the reference's pivots."""
+    want = data.copy()
+    want_pivots = ref_rref_in_place(want, k)
+    got = data.copy()
+    pivots = echelon_in_place(got, k)
+    assert pivots.tolist() == want_pivots.tolist()
+    # the rows from the rank down are Gauss-Jordan's, bit for bit
+    assert np.array_equal(got[len(pivots) :], want[len(pivots) :])
+    back_substitute(got, pivots)
+    assert np.array_equal(got, want)
+    both = data.copy()
+    assert rref_in_place(both, k).tolist() == want_pivots.tolist()
+    assert np.array_equal(both, want)
+    return want_pivots
+
+
+@given(eliminations())
+@settings(max_examples=300, deadline=None)
+def test_echelon_and_back_substitution_match_gauss_jordan(case):
+    data, cols, k = case
+    _check_elimination(data, k)
+    M = BitMatrix(data.shape[0], cols, data)
+    want = ref_rref_in_place(M.data.copy(), cols).tolist()
+    assert gf2.pivot_columns(M) == want
+    assert gf2.rank(M) == len(want)
+
+
+@pytest.mark.parametrize("a", [3, 4, 5, 6])
+def test_plan_elimination_matches_gauss_jordan(a):
+    # the plans' [A | I], as CodePlan eliminates it; its F rows and the
+    # back-substituted top rows are Gauss-Jordan's
+    code = hcms.hcms_for_a(a).code
+    A = gf2.vstack(code.matrices)
+    aug = gf2.hstack([A, BitMatrix.identity(A.rows)])
+    pivots = _check_elimination(aug.data, A.cols)
+    assert pivots.tolist() == list(range(A.cols))
+    assert gf2.pivot_columns(A) == pivots.tolist()
+    assert gf2.rank(A) == A.cols
+    want = aug.data.copy()
+    ref_rref_in_place(want, A.cols)
+    plan = codec.CodePlan(code)
+    n = code.n
+    assert np.array_equal(plan._echelon.data[n:], want[n:])
+    assert plan.top == BitMatrix.from_bits(unpack_bits(want[:n], aug.cols)[:, n:])

@@ -14,7 +14,9 @@ their shapes first, then P = [Q_1 ... Q_s] (Q_1 for s = 2), R = [Y; T]
 G_s], each coding matrix = [G_i; C_i] (C_i = Q_i in the direct form), and
 in the relaxed form E_i C_i = Q_i and D_i Q_i = C_i.  A failed check is
 MALFORMED_FILE naming the section.  Last, R must be invertible
-(R_NOT_INVERTIBLE otherwise).  Properties of the construction
+(R_NOT_INVERTIBLE otherwise).  The checked bundle is attached to its code,
+whose plan is then read off the sections when they certify the code
+(:meth:`codec.CodePlan.from_bundle`).  Properties of the construction
 itself (partition validity, perfectness) belong to ``verify``.
 """
 
@@ -31,7 +33,6 @@ from .gf2 import (
     format_matrix,
     hstack,
     parse_matrix,
-    row_basis_transforms,
     vstack,
 )
 from .hcms import Bundle
@@ -92,7 +93,10 @@ def parse_file(text: str) -> ParsedFile:
             raise MalformedFileError(f"expected a section label, got {label!r}")
         if label in sections:
             raise MalformedFileError(f"duplicate section {label!r}")
-        sections[label] = parse_matrix(lines)
+        try:
+            sections[label] = parse_matrix(lines)
+        except MalformedFileError as exc:
+            raise MalformedFileError(f"section {label}: {exc}") from None
     if not sections:
         kind = "code"
     elif "C_1" in sections:
@@ -175,15 +179,17 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
                 raise MalformedFileError(f"section E_{i}: E_{i} C_{i} is not Q_{i}")
             if Di @ Qi != Ci:
                 raise MalformedFileError(f"section D_{i}: D_{i} Q_{i} is not C_{i}")
-        try:
-            row_basis_transforms(stack, Y)
-        except ValueError as exc:
-            raise MalformedFileError(f"Y section is not a row basis of the stack: {exc}")
         relaxed_fields = dict(C=C, Y=Y, E=E, D=D)
     bundle = Bundle(
         s=s, n=n, M=sum(code.m), P=P, Q=Q, T=T, G=G, R=R, code=code, **relaxed_fields
     )
+    if relaxed:
+        try:
+            bundle.W  # kept for the plan's top
+        except ValueError as exc:
+            raise MalformedFileError(f"Y section is not a row basis of the stack: {exc}")
     bundle.R_inv  # raises RNotInvertible when the stored R is singular
+    code.attach(bundle)
     return bundle
 
 

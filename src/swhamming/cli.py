@@ -3,9 +3,11 @@
 All outputs are byte-deterministic given flags and --seed.  Failures print
 ``error=<TOKEN> <message>`` on stderr and exit nonzero.  HCMS_BUDGET
 overrides the budget of ``search`` and bounds the N of ``verify --roundtrip
-N`` (both 2^20 by default).  ``decode`` and ``verify --roundtrip`` decode
-every compressible code, plain or bundle, through the code's one
-elimination (:func:`codec.decoder`), which no budget bounds.
+N`` (both 2^20 by default).  ``decode`` and ``verify`` of a bundle file
+check its sections first.  ``decode`` and ``verify --roundtrip`` decode
+every compressible code, plain or bundle, through the code's plan
+(:func:`codec.decoder`), which no budget bounds: a checked bundle's plan is
+read off its sections, a plain code's is one elimination.
 """
 
 from __future__ import annotations
@@ -139,7 +141,8 @@ def cmd_encode(args) -> int:
 
 def _checked_code(parsed: bundleio.ParsedFile) -> codec.SwCode:
     """The file's code, once a bundle file's sections pass the load-time
-    checks; a plain code file has none."""
+    checks, which attach the bundle whose sections its plan is read off; a
+    plain code file has none."""
     if parsed.kind != "code":
         bundleio.build_bundle(parsed)
     return parsed.code
@@ -170,7 +173,7 @@ def cmd_verify(args) -> int:
         if args.roundtrip > budget:
             raise BudgetExceededError(f"--roundtrip {args.roundtrip} exceeds the budget {budget}")
     parsed = bundleio.read_file(args.bundle)
-    code = parsed.code
+    code = _checked_code(parsed)
     # a perfect code has surjective matrices and is compressible, so only a
     # code that is not perfect needs its ranks and the collision search,
     # which also yields its witness
@@ -199,7 +202,7 @@ def cmd_verify(args) -> int:
 
     ok = perfect
     if args.roundtrip and compressible:
-        decoder = codec.decoder(_checked_code(parsed))
+        decoder = codec.decoder(code)
         rng = np.random.default_rng(args.seed)
         failures = 0
         # CHUNK_TUPLES members at a time, drawn in order, so memory is bounded

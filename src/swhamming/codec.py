@@ -8,8 +8,9 @@ spaces.  Every S+S member has the form (c + u_1, ..., c + u_s) where the
 u-pattern is one of five families (all zero; one u_i of weight 1; one u_i
 of weight 2; weight-1 deviations at two distinct terminals, possibly at the
 same position), so the whole decision reduces to a stacked elimination
-followed by O(s n) hash probes - no enumeration of S.  The same
-elimination decodes every compressible code (:class:`CodePlan`).
+followed by O(s n) hash probes - no enumeration of S.  The same plan
+decodes every compressible code (:class:`CodePlan`); a checked bundle's
+plan is read off its sections, with no elimination.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -38,10 +39,12 @@ from .gf2 import (
     concat,
     echelon_augmented,
     format_matrix,
+    hstack,
     mat_vec,
     matrix_with_null_space,
     null_space,
     parse_matrix,
+    rank,
     split,
     vstack,
 )
@@ -54,6 +57,9 @@ from .sources import (
     is_perfect_params,
 )
 
+if TYPE_CHECKING:
+    from .hcms import Bundle
+
 SyndromeTuple = tuple[BitVector, ...]
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
@@ -61,10 +67,16 @@ DEFAULT_SEARCH_BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class SwCode:
-    """s coding matrices H_i of size m_i x n."""
+    """s coding matrices H_i of size m_i x n.
+
+    ``bundle`` is the ``hcms.Bundle`` that built or carried the code, once
+    :func:`hcms.assemble` or :func:`bundleio.build_bundle` has checked it
+    and attached it (:meth:`attach`); it is not part of the code's value.
+    """
 
     params: SourceParams
     matrices: tuple[BitMatrix, ...]
+    bundle: Bundle | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.matrices) != self.params.s:
@@ -88,10 +100,17 @@ class SwCode:
     def m(self) -> tuple[int, ...]:
         return self.params.m
 
+    def attach(self, bundle: Bundle) -> None:
+        """Record the checked bundle whose sections the plan is read off."""
+        object.__setattr__(self, "bundle", bundle)
+
     @cached_property
     def plan(self) -> CodePlan:
-        """The code's one elimination, made on first use and kept."""
-        return CodePlan(self)
+        """The code's plan, made on first use and kept: read off its
+        bundle's sections when they certify the code, else the one
+        elimination."""
+        plan = None if self.bundle is None else CodePlan.from_bundle(self.bundle)
+        return CodePlan(self) if plan is None else plan
 
 
 def make_code(matrices: Sequence[BitMatrix]) -> SwCode:
@@ -123,61 +142,120 @@ def syndrome_key(y: SyndromeTuple) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# the code's one elimination: compressibility and decoding
+# the code's plan: compressibility and decoding
 # ---------------------------------------------------------------------------
 
 
 class CodePlan:
-    """One elimination of a code's stacked matrices, which both decides
-    compressibility and decodes.
+    """The checker, keys and solver of a code, which both decide
+    compressibility and decode.
 
-    Stack A = [H_1; ...; H_s] (M x n) and bring [A | I] to row echelon
-    form [U | E] once, so E A = U.  If rank A < n, a common null vector
-    collides two members of S.  Otherwise the bottom M - n rows F of E
-    annihilate exactly Im A; they are the rows Gauss-Jordan would give
-    (see ``_kernels.echelon_in_place``).  ``top`` is the n x M transform
-    with top A = I: a copy of the top n rows of [U | E], back-substituted
-    on first read, since only decoders and witnesses read it.
-    A member of S is (b + u_1, ..., b + u_s) with at most one u_i nonzero,
-    of weight 1 at position p; its syndrome is y = A b + d with d column p
-    of H_i at terminal i's rows (zero for no deviation).  So the key F y =
-    F d names the deviation alone.
+    Stack A = [H_1; ...; H_s] (M x n).  When rank A = n, a plan holds a
+    checker F, whose M - n rows span the left null space of A, and ``top``,
+    an n x M transform with top A = I; if rank A < n, a common null vector
+    collides two members of S.  A member of S is (b + u_1, ..., b + u_s)
+    with at most one u_i nonzero, of weight 1 at position p; its syndrome
+    is y = A b + d with d column p of H_i at terminal i's rows (zero for no
+    deviation).  So the key F y = F d names the deviation alone.
 
-    The code compresses S iff the s n deviation keys are nonzero and
-    pairwise distinct, except that for s = 2 deviating either terminal at
-    one position p gives one member of S: (b + e_p, b) = (b', b' + e_p) for
-    b' = b + e_p.  Those two keys are always equal, since the two
-    deviations sum to A e_p and F A = 0, so they are skipped without a
+    The code compresses S iff rank A = n and the s n deviation keys are
+    nonzero and pairwise distinct, except that for s = 2 deviating either
+    terminal at one position p gives one member of S: (b + e_p, b) = (b',
+    b' + e_p) for b' = b + e_p.  Those two keys are always equal, since the
+    two deviations sum to A e_p and F A = 0, so they are skipped without a
     test.  Then every y whose key is zero or a deviation key is in the
     image of S, since F (y + d) = 0 puts y + d in Im A, and it decodes as
-    b = top (y + d).  ``collision`` is the first
-    u-pattern that breaks injectivity, in the order the keys are made.
-    ``key_matrix`` is K = F diag(H_1, ..., H_s) as a 0/1 array, whose
-    column i n + p is the key of deviation (i, p); None when rank A < n.
+    b = top (y + d).  ``collision`` is the first u-pattern that breaks
+    injectivity, in the order the keys are made.  ``key_matrix`` holds the
+    keys as a 0/1 array, column i n + p the key of deviation (i, p); None
+    when rank A < n.  Two plans of one code agree on all of these: their
+    checkers are F and X F for an invertible X, which keeps keys zero or
+    equal exactly when they were, and top (y + d) is the one b with A b =
+    y + d.
+
+    ``CodePlan(code)`` eliminates: it brings [A | I] to row echelon form
+    [U | E] once, so E A = U, and F is the bottom M - n rows of E, the rows
+    Gauss-Jordan would give (see ``_kernels.echelon_in_place``).  ``top``
+    is a copy of the top n rows of [U | E], back-substituted on first read,
+    since only decoders and witnesses read it.
+
+    :meth:`from_bundle` reads the plan off a checked bundle's sections,
+    with H_i = [G_i; C_i], Q_i = E_i C_i (C_i = Q_i and E_i = I in the
+    direct form), P = [Q_1 ... Q_s] and R = [Y; T] invertible:
+    - F = [0 | E_1 | 0 | E_2 | ... | 0 | E_s], zero at the G_i rows, so
+      F A = E_1 C_1 + ... + E_s C_s = Q_1 + ... + Q_s = 0 when the blocks
+      sum to zero;
+    - rank A = n, because R is invertible and each row of R lies in row(A):
+      T's rows are the G_i rows, and row(Y) = row([Q_1; ...; Q_(s-1)]) is
+      spanned by C_1, ..., C_(s-1);
+    - the key of deviation (i, p) is F times column p of H_i, E_i C_i e_p,
+      which is column p of Q_i: the keys are the columns of P;
+    - so rank F >= rank P = M - n, checked, and the M - n rows of F span
+      the left null space of A, whose dimension is M - rank A = M - n;
+    - top = R^-1 S, for the selection S with S A = R: T's rows are rows
+      of A, and Y = W [C_1; ...; C_(s-1)] (W = I in the direct form).  So
+      top A = R^-1 R = I.
     """
 
     def __init__(self, code: SwCode):
-        s, n = code.s, code.n
+        n = code.n
         A = vstack(code.matrices)
         # [U | E], kept packed: the top n rows are reduced only when a
         # witness or a decoder needs them
         self._echelon, pivots = echelon_augmented(A, BitMatrix.identity(A.rows))
+        F = key_matrix = None
+        if len(pivots) == n:
+            F = unpack_bits(self._echelon.data[n:], self._echelon.cols)[:, n:]
+            # key of deviation j = i n + p: F times column p of H_i at
+            # terminal i's rows, one product per terminal
+            offsets = list(itertools.accumulate(code.m, initial=0))
+            blocks = zip(offsets, offsets[1:], code.matrices)
+            products = [bits_matmul(F[:, a:b], H.to_array()) for a, b, H in blocks]
+            key_matrix = np.concatenate(products, axis=1)
+        self._fill(code, F, key_matrix, None)
+
+    @classmethod
+    def from_bundle(cls, bundle: Bundle) -> CodePlan | None:
+        """The plan of ``bundle.code`` read off the sections of ``bundle``,
+        which :func:`hcms.assemble` or :func:`bundleio.build_bundle` has
+        checked (see the class docstring); None when they do not certify
+        the code: the blocks do not sum to zero, M - n is not the row count
+        of P or not its rank, or a key is zero or repeated.  No n-sized
+        matrix is eliminated; ``top`` reads ``bundle.R_inv``."""
+        code, Q = bundle.code, bundle.Q
+        mn, offsets = Q[0].rows, list(itertools.accumulate(code.m, initial=0))
+        if mn != offsets[-1] - code.n or not sum(Q[1:], Q[0]).is_zero() or rank(bundle.P) < mn:
+            return None
+        F = np.zeros((mn, offsets[-1]), dtype=np.uint8)
+        for i, Ci in enumerate(bundle.C or Q):
+            F[:, offsets[i + 1] - Ci.rows : offsets[i + 1]] = (
+                np.eye(mn, dtype=np.uint8) if bundle.E is None else bundle.E[i].to_array()
+            )
+        plan = cls.__new__(cls)
+        plan._fill(code, F, hstack(Q).to_array(), bundle)
+        return None if plan.collision is not None else plan
+
+    def _fill(
+        self,
+        code: SwCode,
+        F: np.ndarray | None,
+        key_matrix: np.ndarray | None,
+        bundle: Bundle | None,
+    ) -> None:
+        """The fields of the plan of ``code`` with checker F (None when rank
+        A < n), its keys, and the bundle ``top`` is read off (None: the
+        elimination's); the keys are then checked in order up to the first
+        collision."""
+        s, n = code.s, code.n
         self.code, self.s, self.n, self.m = code, s, n, code.m
-        self.full_rank = len(pivots) == n
+        self.full_rank = F is not None
+        self._F, self.key_matrix, self._bundle = F, key_matrix, bundle
         # key -> deviation index j = i * n + p (s * n: no deviation)
         self.deviation: dict[bytes, int] = {}
         self.collision: tuple[int, int, int | None, int | None] | None = None
-        self.key_matrix: np.ndarray | None = None
-        if not self.full_rank:
+        if F is None:
             return
-        # key of deviation j = i n + p: F times column p of H_i at terminal
-        # i's rows, one product per terminal
-        F = self._transform(self._echelon.data[n:])
-        offsets = list(itertools.accumulate(code.m, initial=0))
-        blocks = zip(offsets, offsets[1:], code.matrices)
-        products = [bits_matmul(F[:, a:b], H.to_array()) for a, b, H in blocks]
-        self.key_matrix = np.concatenate(products, axis=1)
-        keys = np.packbits(self.key_matrix.T, axis=1)
+        keys = np.packbits(key_matrix.T, axis=1)
         zero_key = bytes(keys.shape[1])
         seen = self.deviation
         for j, row in enumerate(keys):
@@ -197,19 +275,17 @@ class CodePlan:
             return
         seen[zero_key] = s * n
 
-    def _transform(self, rows: np.ndarray) -> np.ndarray:
-        """The transform half of packed rows of [A | I] as a 0/1 array."""
-        return unpack_bits(rows, self._echelon.cols)[:, self.n :]
-
     @cached_property
     def top(self) -> BitMatrix | None:
         """The n x M transform with top A = I; None when rank A < n."""
         if not self.full_rank:
             return None
+        if self._bundle is not None:
+            return _top_of_bundle(self._bundle)
         # full rank: the top n rows pivot on columns 0..n-1
         rows = self._echelon.data[: self.n].copy()
         back_substitute(rows, np.arange(self.n))
-        return BitMatrix.from_bits(self._transform(rows))
+        return BitMatrix.from_bits(unpack_bits(rows, self._echelon.cols)[:, self.n :])
 
     @property
     def compressible(self) -> bool:
@@ -225,7 +301,7 @@ class CodePlan:
         for i, H in enumerate(self.code.matrices):
             corr[i * n : (i + 1) * n, offsets[i] : offsets[i + 1]] = H.to_array().T
         return (
-            self._transform(self._echelon.data[n:]).T.astype(np.float32),
+            self._F.T.astype(np.float32),
             self.top.to_array().T.astype(np.float32),
             corr,
         )
@@ -265,6 +341,24 @@ class CodePlan:
         term, pos = np.divmod(cols[dev], n)
         x[dev, term, pos] ^= 1
         return [x[:, i] for i in range(s)]
+
+
+def _top_of_bundle(bundle: Bundle) -> BitMatrix:
+    """top = R^-1 S (see :class:`CodePlan`): the columns of R^-1 for T at
+    the G_i rows of A, and those for Y, times W in the relaxed form, at the
+    C_1 ... C_(s-1) rows; zero at the C_s rows.  The columns are scattered,
+    not multiplied by S."""
+    code, s, g = bundle.code, bundle.s, bundle.g_split
+    R_inv = bundle.R_inv.to_array()
+    r = code.n - bundle.T.rows
+    offsets = list(itertools.accumulate(code.m, initial=0))
+    g_rows = [a + k for a, gi in zip(offsets, g) for k in range(gi)]
+    c_rows = [k for a, b, gi in zip(offsets, offsets[1:s], g) for k in range(a + gi, b)]
+    top = np.zeros((code.n, offsets[-1]), dtype=np.uint8)
+    top[:, g_rows] = R_inv[:, r:]
+    y_cols = R_inv[:, :r]
+    top[:, c_rows] = y_cols if bundle.C is None else bits_matmul(y_cols, bundle.W.to_array())
+    return BitMatrix.from_bits(top)
 
 
 def decoder(code: SwCode) -> CodePlan:
@@ -333,7 +427,7 @@ def _validate_pair(code: SwCode, a: SourceTuple, b: SourceTuple):
 
 def is_compressible(code: SwCode) -> bool:
     """True iff the encoding map restricted to S is injective: the verdict of
-    the code's one elimination, proved exact in :class:`CodePlan`.  No
+    the code's plan, proved exact in :class:`CodePlan`.  No
     witness is built; :func:`find_collision` builds and checks one."""
     return code.plan.compressible
 

@@ -598,6 +598,17 @@ def format_matrix(M: BitMatrix) -> str:
     return f"{M.rows} {M.cols}\n" + str(buf, "ascii")
 
 
+#: characters of a bad row that an error message shows
+_ECHO_CHARS = 16
+
+
+def _echo(row: str) -> str:
+    """A bad row as an error message shows it: its first _ECHO_CHARS
+    characters, then its length."""
+    shown = row if len(row) <= _ECHO_CHARS else row[:_ECHO_CHARS] + "..."
+    return f"{shown!r} ({len(row)} characters)"
+
+
 def parse_matrix(lines: Iterable[str]) -> BitMatrix:
     """Read a "rows cols" header and then exactly ``rows`` lines of ``cols``
     ASCII 0/1 characters from ``lines``; each row is stripped of surrounding
@@ -624,7 +635,7 @@ def parse_matrix(lines: Iterable[str]) -> BitMatrix:
     if bad.size:
         good = int(bad[0])
     if good < len(body):
-        raise MalformedFileError(f"bad matrix row {good}: {body[good]!r}")
+        raise MalformedFileError(f"bad matrix row {good}: {_echo(body[good])}")
     if len(body) < rows:
         raise MalformedFileError(f"matrix body ended after {len(body)} of {rows} rows")
     return BitMatrix(rows, cols, pack_bits(bits))

@@ -4,8 +4,8 @@ A sum-zero partition P = [Q_1 ... Q_s] of an (M-n)-bit Hamming matrix,
 together with a completion T making R = [Q_1; ...; Q_{s-1}; T] invertible,
 yields coding matrices [G_i; Q_i] (G_i any row partition of T) that compress
 the s-terminal Hamming sources perfectly.  A bundle is the construction
-witness; decoding needs only its coding matrices, through the one decoder
-of every code (:class:`swhamming.codec.CodePlan`).
+witness: its code is judged and decoded by the one decoder of every code
+(:class:`swhamming.codec.CodePlan`), read off the bundle's sections.
 
 The explicit partition for (n, M) = (21, 27) is embedded as data and
 re-verified on every construction; all larger block lengths are built by
@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._kernels import pack_bits, unpack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
@@ -39,6 +40,7 @@ from .gf2 import (
     rank,
     row_basis,
     row_basis_transforms,
+    rref_augmented,
     vstack,
 )
 from .codec import SwCode, SyndromeTuple, decoder, make_code
@@ -98,8 +100,8 @@ class Bundle:
     The relaxed form has row bases C_i of the Q_i and Y of [Q_1; ...;
     Q_(s-1)], with Q_i = E_i C_i and C_i = D_i Q_i.  The direct form is
     C_i = Q_i, Y = the stack, E_i = D_i = I, and leaves those four fields
-    None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.  R^-1 is no field:
-    it is derived from R on first read.
+    None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.  R^-1 and W are
+    no fields: they are derived on first read.
     """
 
     s: int
@@ -118,11 +120,27 @@ class Bundle:
 
     @cached_property
     def R_inv(self) -> BitMatrix:
-        """R^-1; raises RNotInvertible when R is singular."""
+        """R^-1; raises RNotInvertible when R is singular.
+
+        A T of unit rows (the standard completion, so every ``gen``
+        bundle), with its ones at columns N and P the other r = Y.rows
+        columns, makes R x = z read x_N = z_T and Y_P x_P + Y_N x_N = z_Y.
+        So x_P = Y_P^-1 (z_Y + Y_N z_T), and the rows of R^-1 at P are
+        [Y_P^-1 | Y_P^-1 Y_N], one elimination of the r x (n + r) matrix
+        [Y_P | I | Y_N].  Any other T inverts R itself, n x 2n."""
         try:
-            return invert(self.R)
+            return _unit_completion_inverse(self.R, self.T.rows) or invert(self.R)
         except SingularMatrixError as exc:
             raise RNotInvertibleError("stored R is singular") from exc
+
+    @cached_property
+    def W(self) -> BitMatrix:
+        """The relaxed form's W with Y = W [C_1; ...; C_(s-1)]: D_Y diag(E_1,
+        ..., E_(s-1)) for the D_Y with Y = D_Y [Q_1; ...; Q_(s-1)].  Raises
+        ValueError when Y is not a row basis of that stack."""
+        mn, s = self.Q[0].rows, self.s
+        D_Y = row_basis_transforms(vstack(self.Q[: s - 1]), self.Y)[1]
+        return hstack([D_Y.take_cols(i * mn, (i + 1) * mn) @ self.E[i] for i in range(s - 1)])
 
     @property
     def g_split(self) -> tuple[int, ...]:
@@ -154,12 +172,40 @@ class Bundle:
 HcmsBundle = Bundle
 
 
-def standard_completion(Y: BitMatrix) -> BitMatrix:
-    """Standard-basis rows at the non-pivot columns of Y.
+def _unit_completion_inverse(R: BitMatrix, t: int) -> BitMatrix | None:
+    """R^-1 when the last t rows of R are unit rows (see
+    :attr:`Bundle.R_inv`), else None; raises SingularMatrixError when R
+    is singular.  Only Y is unpacked; R^-1 is assembled packed."""
+    r, n = R.rows - t, R.cols
+    T = R.data[r:]
+    if not (np.bitwise_count(T).sum(axis=1) == 1).all():
+        return None
+    word = (T != 0).argmax(axis=1)
+    N = (word << 6) + np.bitwise_count(T[np.arange(t), word] - np.uint64(1))
+    P = np.setdiff1d(np.arange(n), N)
+    if P.size != r:
+        raise SingularMatrixError("two rows of T are equal")
+    Y = unpack_bits(R.data[:r], n)
+    left = BitMatrix.from_bits(Y[:, P])
+    right = BitMatrix.from_bits(np.hstack([np.eye(r, dtype=np.uint8), Y[:, N]]))
+    red, pivots = rref_augmented(left, right)
+    if len(pivots) < r:
+        raise SingularMatrixError(f"Y on the columns T misses has rank {len(pivots)} < {r}")
+    inv = np.zeros_like(R.data)
+    inv[P] = pack_bits(red.to_array()[:, r:])
+    cols = np.arange(r, n, dtype=np.uint64)
+    inv[N, cols >> np.uint64(6)] = np.uint64(1) << (cols & np.uint64(63))
+    return BitMatrix(n, n, inv)
+
+
+def standard_completion(Y: BitMatrix, pivots: Sequence[int] | None = None) -> BitMatrix:
+    """Standard-basis rows at the non-pivot columns of Y, given Y's pivot
+    columns or finding them.
 
     When Y pivots on its first Y.rows columns this is exactly [0 | I];
     either way [Y; T] is invertible whenever any completion makes it so."""
-    pivots = pivot_columns(Y)
+    if pivots is None:
+        pivots = pivot_columns(Y)
     if len(pivots) < Y.rows:
         raise RNotInvertibleError(
             "[Q_1; ...; Q_(s-1)] is row deficient; no completion can work"
@@ -178,11 +224,15 @@ def assemble(
     C: Sequence[BitMatrix] | None,
     g_split: Sequence[int] | None,
     T: BitMatrix | None,
+    *,
+    pivots: Sequence[int] | None = None,
 ) -> Bundle:
     """The bundle of validated blocks Q_i: direct (Y the stack, coding
     matrices [G_i; Q_i]) when C is None, else relaxed (Y the canonical row
     basis of the stack, coding matrices [G_i; C_i]).  T defaults to the
-    standard completion of Y; the G_i are its rows in g_split.
+    standard completion of Y, from Y's pivot columns when the caller has
+    checked them; the G_i are its rows in g_split.  The code's plan is
+    read off the bundle (:meth:`codec.CodePlan.from_bundle`).
 
     Raises HeightNegative when the direct stack has more than n rows,
     RNotInvertible when [Y; T] is singular, and BadArgument for a bad split.
@@ -206,7 +256,7 @@ def assemble(
     if not custom_T:
         # needs no check: standard_completion raises unless Y has full row
         # rank, and such a Y with its unit-row completion is invertible
-        T = standard_completion(Y)
+        T = standard_completion(Y, pivots)
     if T.rows != n - Y.rows or T.cols != n:
         raise ValueError(f"T must be {n - Y.rows}x{n}, got {T.rows}x{T.cols}")
     if g_split is None:
@@ -223,6 +273,7 @@ def assemble(
     )
     if custom_T:
         bundle.R_inv  # raises RNotInvertible when [Y; T] is singular
+    code.attach(bundle)
     return bundle
 
 
@@ -306,7 +357,7 @@ def a3_partition() -> tuple[BitMatrix, BitMatrix, BitMatrix]:
 
 def hcms_a3(g_split: Sequence[int] | None = None) -> Bundle:
     """The explicit (n, M) = (21, 27) bundle with T = [0 | I_9]."""
-    return hcms_from_parts(a3_partition(), g_split=g_split)
+    return hcms_for_a(3, g_split)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +404,14 @@ def lift_partition(
     the first 4k groups zero-tagged, then groups 0..3 with an invertible
     4x4 tag block.  Remaining positions follow in ascending A-column order.
     """
-    k = check_lift_precondition(A, B, C)
+    return _lift(check_lift_precondition(A, B, C), A, B, C)
+
+
+def _lift(
+    k: int, A: BitMatrix, B: BitMatrix, C: BitMatrix
+) -> tuple[BitMatrix, BitMatrix, BitMatrix]:
+    """:func:`lift_partition` of a partition of height 2k that meets the
+    lift's precondition; the lifted partition is checked against it."""
     n = A.cols
     arrs = [M.to_array() for M in (A, B, C)]
 
@@ -428,10 +486,12 @@ def hcms_for_a(a: int, g_split: Sequence[int] | None = None) -> Bundle:
         )
     if a > MAX_A:
         raise BudgetExceededError(f"a = {a} exceeds the limit {MAX_A}")
+    # each partition of the chain is validated, and its stack [Q_1; Q_2]
+    # found to pivot on its first 2(M - n) columns, once: where it is made
     part = a3_partition()
-    for _ in range(a - 3):
-        part = lift_partition(*part)
-    bundle = hcms_from_parts(part, g_split=g_split)
+    for k in range(3, a):
+        part = _lift(k, *part)
+    bundle = assemble(part, None, g_split, None, pivots=range(4 * a))
     if (bundle.n, bundle.M) != perfect_params_for_a(a):
         raise AssertionError(f"bundle at a = {a} has other (n, M) than the packing equality")
     return bundle

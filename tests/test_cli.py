@@ -125,7 +125,15 @@ def test_verify_sabotaged_bundle(tmp_path, capsys):
     lines[3] = "".join(row)
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
+    # the coding matrix no longer agrees with the sections, so the bundle
+    # file is refused before any verdict
     code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error=MALFORMED_FILE coding matrix 1 is not [G_1; C_1]")
+    # the damaged code alone, as a plain code file, gets the verdict
+    plain = tmp_path / "plain.txt"
+    plain.write_text("\n".join(lines[: lines.index("P")]) + "\n")
+    code, out, err = run(capsys, "verify", str(plain))
     assert code == 1
     assert "perfect=false" in out
     assert "counterexample" in out
@@ -362,6 +370,18 @@ def test_non_utf8_code_file_is_malformed(tmp_path, capsys, bundle_a3, command):
     assert code == 2 and "error=MALFORMED_FILE" in err and "bad matrix row 0" in err
 
 
+def test_bad_matrix_row_names_the_section_and_cuts_the_echo(tmp_path, capsys, bundle_a4):
+    path = tmp_path / "a4.txt"
+    bundleio.write_bundle(path, bundle_a4)
+    lines = path.read_text().splitlines()
+    at = lines.index("R") + 2 + 4  # the label, the header, then row 4
+    lines[at] = lines[at][:40] + "x" + lines[at][41:]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    want = f"section R: bad matrix row 4: '{lines[at][:16]}...' (85 characters)"
+    assert (code, out, err) == (2, "", f"error=MALFORMED_FILE {want}\n")
+
+
 def test_huge_matrix_header_is_malformed(tmp_path, capsys, bundle_a3):
     path = _code_file_with(tmp_path, bundle_a3, 2, b"99999999 99999999")
     code, _, err = run(capsys, "verify", str(path))
@@ -566,14 +586,30 @@ def test_shifted_plain_code_round_trips(tmp_path, capsys, rng, a):
 @pytest.mark.parametrize("argv", [["--a", "3"], ["--a", "4"], ["--a", "5"], ["--trivial"]])
 def test_gen_never_inverts_R(tmp_path, capsys, monkeypatch, argv):
     # the standard completion of a full-row-rank Y always gives an
-    # invertible R, so gen checks nothing more
-    def no_invert(*args):
-        raise AssertionError("R inverted")
+    # invertible R, so gen checks nothing more; verify and decode of the
+    # bundle read R^-1 off an r x r elimination (T is unit rows), and all
+    # three read the code's plan off the bundle's sections, with no
+    # elimination of [A | I] and no back-substitution of its top rows
+    def forbidden(*args):
+        raise AssertionError("R inverted or the plan eliminated")
 
-    monkeypatch.setattr(gf2, "invert", no_invert)
-    monkeypatch.setattr(hcms, "invert", no_invert)
-    code, _, err = run(capsys, "gen", *argv, "-o", str(tmp_path / "b.txt"))
+    for mod, name in (
+        (gf2, "invert"), (hcms, "invert"), (codec, "echelon_augmented"), (codec, "back_substitute"),
+    ):
+        monkeypatch.setattr(mod, name, forbidden)
+    path = tmp_path / "b.txt"
+    code, _, err = run(capsys, "gen", *argv, "-o", str(path))
     assert code == 0, err
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and "perfect=true" in out, err
+    bundle = bundleio.load_bundle(path)
+    rng = np.random.default_rng(1)
+    xs = [sources.random_member(bundle.s, bundle.n, rng) for _ in range(20)]
+    src, synd, back = (tmp_path / f"{name}.txt" for name in ("src", "synd", "back"))
+    src.write_text(sources.format_tuples(xs))
+    synd.write_text(codec.format_syndromes([codec.encode(bundle.code, x) for x in xs]))
+    code, _, err = run(capsys, "decode", str(path), "--input", str(synd), "--output", str(back))
+    assert code == 0 and back.read_text() == src.read_text(), err
 
 
 def test_roundtrip_count_is_bounded_by_budget_env(tmp_path, capsys, monkeypatch, bundle_a3):
@@ -632,9 +668,8 @@ def test_singular_R_on_load_is_not_invertible(tmp_path, capsys):
 
 
 def test_singular_R_of_a3_partition_on_load(tmp_path, capsys):
-    # the a = 3 partition with T = 0: a code on a three-block partition
-    # compresses S only if rank [H_1; H_2; H_3] = rank R = n, so verify
-    # stops at NOT_PERFECT before it loads the sections; decode loads them
+    # the a = 3 partition with T = 0: both commands check the sections
+    # first, and refuse the bundle before any verdict
     Q = hcms.a3_partition()
     T = gf2.BitMatrix.zeros(9, 21)
     G = tuple(T.take_rows(i, i + 3) for i in (0, 3, 6))
@@ -643,7 +678,6 @@ def test_singular_R_of_a3_partition_on_load(tmp_path, capsys):
         code=codec.make_code([gf2.vstack([Gi, Qi]) for Gi, Qi in zip(G, Q)]),
     )
     path, files = _write_singular(tmp_path, bundle)
-    code, _, err = run(capsys, "decode", path, *files)
-    assert code == 2 and err.startswith("error=R_NOT_INVERTIBLE "), err
-    code, out, _ = run(capsys, "verify", path, "--roundtrip", "1")
-    assert code == 1 and "compressible=false" in out
+    for argv in (["decode", path, *files], ["verify", path, "--roundtrip", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error=R_NOT_INVERTIBLE ") and out == "", (argv, err)

@@ -1,7 +1,8 @@
 """The one decoder, ``codec.decoder``, against the syndrome-table oracle.
 
-Every compressible code decodes through its one elimination of
-[H_1; ...; H_s | I].  On small codes the oracle enumerates S, so the two
+Every compressible code decodes through its plan: one elimination of
+[H_1; ...; H_s | I], or, for a checked bundle, the plan read off its
+sections.  On small codes the oracle enumerates S, so the two
 can be compared on every syndrome tuple of the product space, inside the
 image of S and outside it.
 """
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
-from swhamming import bundleio, cli, codec, equiv, gf2, hcms
+from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import NotCompressibleError, NotInImageError
 
 MAX_M = 10
@@ -143,53 +144,155 @@ def counted(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def check_one_elimination_per_verify(path, monkeypatch):
-    # verify --roundtrip proves the code perfect and decodes through one
-    # elimination of [A | I], and computes no rank, also while loading the
-    # bundle's sections
-    calls = counted(monkeypatch, codec, "echelon_augmented")
-
-    def no_rank(*args):
-        raise AssertionError("rank computed")
-
-    for mod in (gf2, cli, codec, hcms, bundleio):
-        if hasattr(mod, "rank"):
-            monkeypatch.setattr(mod, "rank", no_rank)
+def test_one_inversion_per_verify_of_relaxed_bundle(tmp_path, monkeypatch, bundle_a4):
+    # the bundle reduce writes for a shifted a = 4 code has a T that is not
+    # unit rows, so loading it inverts R once, n x 2n; the plan is read off
+    # the sections, with that R^-1 for its top rows, and eliminates nothing
+    rng = np.random.default_rng(1)
+    code = bundle_a4.code
+    prof = equiv.profile(code)
+    K = gf2.random_subspace_of(gf2.subspace_intersect(prof[1], prof[2]), 2, rng)
+    reduced = equiv.reduce_to_ghcms(equiv.shift_null_space(code, K, 0, 2))
+    assert reduced.C is not None and reduced.T.to_array().sum(axis=1).max() > 1
+    path = tmp_path / "reduced.txt"
+    bundleio.write_bundle(path, reduced)
+    inversions = counted(monkeypatch, hcms, "invert")
+    eliminations = counted(monkeypatch, codec, "echelon_augmented")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["verify", str(path), "--roundtrip", "300"]) == 0
     assert "roundtrip=300/300 path=algebraic" in out.getvalue()
-    assert len(calls) == 1
+    assert len(inversions) == 1 and eliminations == []
 
 
-def test_one_elimination_per_verify(tmp_path, monkeypatch, bundle_a4):
-    path = tmp_path / "a4.txt"
-    bundleio.write_bundle(path, bundle_a4)
-    check_one_elimination_per_verify(path, monkeypatch)
+# ---------------------------------------------------------------------------
+# the plan read off a bundle against the elimination plan
+# ---------------------------------------------------------------------------
+
+A3 = hcms.a3_partition()
 
 
-def test_plan_back_substitutes_only_to_decode(tmp_path, monkeypatch):
-    # gen and a plain verify read only the plan's echelon form; the top rows
-    # are back-substituted once, for the decoder of verify --roundtrip
-    path = tmp_path / "a4.txt"
-    calls = counted(monkeypatch, codec, "back_substitute")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["gen", "--a", "4", "-o", str(path)]) == 0
-        assert cli.main(["verify", str(path)]) == 0
-        assert calls == []
-        assert cli.main(["verify", str(path), "--roundtrip", "300"]) == 0
-    assert len(calls) == 1
+def random_split(rows: int, s: int, rng: np.random.Generator) -> tuple[int, ...]:
+    cuts = np.sort(rng.integers(0, rows + 1, size=s - 1))
+    return tuple(int(g) for g in np.diff([0, *cuts, rows]))
 
 
-def test_one_elimination_per_verify_of_relaxed_bundle(tmp_path, monkeypatch, bundle_a3):
-    # the bundle reduce writes for a shifted a = 3 code: its Y, C_i, D_i and
-    # E_i sections are checked on load too
-    rng = np.random.default_rng(1)
-    code = bundle_a3.code
-    prof = equiv.profile(code)
-    K = gf2.random_subspace_of(gf2.subspace_intersect(prof[1], prof[2]), 2, rng)
-    reduced = equiv.reduce_to_ghcms(equiv.shift_null_space(code, K, 0, 2))
-    assert reduced.C is not None
-    path = tmp_path / "reduced.txt"
-    bundleio.write_bundle(path, reduced)
-    check_one_elimination_per_verify(path, monkeypatch)
+def random_bundle(kind: str, rng: np.random.Generator) -> hcms.Bundle:
+    """A bundle whose sections certify its code, built as ``assemble`` or
+    ``degenerate_two_source`` builds it.  s = 3: the a = 3 partition, maybe
+    shortened by up to three positions outside the stack's pivot columns
+    (so the code is not perfect and has syndromes outside the image of S),
+    direct, or relaxed with C_i = A_i row_basis(Q_i) for random invertible
+    A_i.  s = 2: a random surjective H with distinct nonzero columns, not
+    perfect unless H is a whole Hamming matrix."""
+    if kind == "trivial":
+        P = hcms.hamming_matrix(2)
+        return ghcms.ghcms_build(tuple(P.take_cols(j, j + 1) for j in range(3)))
+    if kind == "pair":
+        mn = int(rng.integers(2, 5))
+        n = int(rng.integers(mn, (1 << mn)))
+        while True:
+            H = distinct_columns(mn, n, rng)
+            if gf2.rank(H) == mn:
+                break
+        return ghcms.degenerate_two_source(H, g_split=random_split(n - mn, 2, rng))
+    dropped = int(rng.integers(4))
+    keep = np.concatenate([np.arange(12), np.sort(rng.permutation(np.arange(12, 21))[dropped:])])
+    Q = tuple(matrix(Qi.to_array()[:, keep]) for Qi in A3)
+    C = None
+    if kind == "relaxed":
+        C = tuple(gf2.random_invertible(6, rng) @ gf2.row_basis(Qi) for Qi in Q)
+    return hcms.assemble(Q, C, random_split(len(keep) - 12, 3, rng), None)
+
+
+def decode_outcome(plan: codec.CodePlan, parts) -> list[np.ndarray] | str:
+    try:
+        return plan.decode_batch(parts)
+    except NotInImageError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["direct", "relaxed", "pair", "trivial"]), seed=st.integers(0, 2**32 - 1))
+def test_bundle_plan_matches_elimination_plan(kind, seed):
+    rng = np.random.default_rng(seed)
+    bundle = random_bundle(kind, rng)
+    code = bundle.code
+    plan, oracle = code.plan, codec.CodePlan(code)
+    assert not hasattr(plan, "_echelon"), "the bundle's plan was eliminated"
+    assert plan.compressible and oracle.compressible
+    assert plan.collision is oracle.collision is None
+    assert plan.top @ gf2.vstack(code.matrices) == gf2.BitMatrix.identity(code.n)
+    # members of S, then the same with some tuples replaced by uniform
+    # syndrome tuples, which miss the image of S unless the code is perfect
+    xs = [sources.random_member(code.s, code.n, rng) for _ in range(30)]
+    inside = [np.stack([x[i].to_array() for x in xs]) for i in range(code.s)]
+    ys = codec.encode_batch(code, inside)
+    assert all(np.array_equal(g, x) for g, x in zip(plan.decode_batch(ys), inside))
+    replaced = rng.random(30) < 0.2
+    for y in ys:
+        y[replaced] = rng.integers(0, 2, size=(int(replaced.sum()), y.shape[1]), dtype=np.uint8)
+    got, want = decode_outcome(plan, ys), decode_outcome(oracle, ys)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def damaged_a3(fault: str) -> tuple[gf2.BitMatrix, ...]:
+    """The a = 3 partition with a damaged third block: two columns swapped,
+    so the columns stay distinct but the blocks do not sum to zero, or a
+    column repeated (and the second block mended to keep the sum zero).
+    Only the third block, or columns outside the stack's pivot columns,
+    change, so [Q_1; Q_2] keeps full row rank."""
+    Q1, Q2, Q3 = (Qi.to_array() for Qi in A3)
+    if fault == "sum":
+        Q3[:, [15, 16]] = Q3[:, [16, 15]]
+    else:
+        Q3[:, 15] = Q3[:, 16]
+        Q2[:, 15] = Q1[:, 15] ^ Q3[:, 15]
+    return tuple(matrix(Qi) for Qi in (Q1, Q2, Q3))
+
+
+
+@pytest.mark.parametrize("fault", ["sum", "repeated"])
+def test_damaged_bundle_falls_back_to_elimination(tmp_path, fault):
+    bundle = hcms.assemble(damaged_a3(fault), None, None, None)
+    assert codec.CodePlan.from_bundle(bundle) is None
+    assert hasattr(bundle.code.plan, "_echelon")
+    # verify of the bundle file prints the verdict and the witness that the
+    # plain code file of the same code gets
+    bundle_path, code_path = tmp_path / "bundle.txt", tmp_path / "code.txt"
+    bundleio.write_bundle(bundle_path, bundle)
+    bundleio.write_code_file(code_path, bundle.code)
+    reports = []
+    for path in (bundle_path, code_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["verify", str(path)]) == 1
+        reports.append(out.getvalue())
+    assert "compressible=false" in reports[0] and "counterexample" in reports[0]
+    assert reports[0].replace("kind=hcms", "kind=code", 1) == reports[1]
+
+
+def test_rank_deficient_bundle_falls_back_to_elimination(tmp_path):
+    # a file whose sections agree but whose C_i repeat a row: s = 2, n = 1,
+    # Q_1 = Q_2 = (1, 0, 0)^T, C_i = (1, 1)^T.  Its keys are distinct and
+    # nonzero and M - n = 3 = P.rows, but rank P = 1, so the closed-form F
+    # would not span the left null space, and (1, 0), (0, 0) would decode
+    # instead of being refused
+    Q = matrix([[1], [0], [0]])
+    C = matrix([[1], [1]])
+    D, E = matrix([[1, 0, 0], [1, 0, 0]]), matrix([[1, 0], [0, 0], [0, 0]])
+    none = gf2.BitMatrix.zeros(0, 1)
+    bundle = hcms.Bundle(
+        s=2, n=1, M=4, P=Q, Q=(Q, Q), T=none, G=(none, none), R=matrix([[1]]),
+        code=codec.make_code([C, C]), C=(C, C), Y=matrix([[1]]), E=(E, E), D=(D, D),
+    )
+    path = tmp_path / "b.txt"
+    bundleio.write_bundle(path, bundle)
+    loaded = bundleio.load_bundle(path)
+    assert codec.CodePlan.from_bundle(loaded) is None
+    plan = codec.decoder(loaded.code)
+    with pytest.raises(NotInImageError):
+        plan.decode_batch([np.array([[1, 0]], dtype=np.uint8), np.array([[0, 0]], dtype=np.uint8)])

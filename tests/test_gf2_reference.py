@@ -92,7 +92,8 @@ def ref_parse_matrix(lines) -> BitMatrix:
         except StopIteration as exc:
             raise MalformedFileError(f"matrix body ended after {i} of {rows} rows") from exc
         if len(line) != cols or set(line) - {"0", "1"}:
-            raise MalformedFileError(f"bad matrix row {i}: {line!r}")
+            shown = line if len(line) <= 16 else line[:16] + "..."
+            raise MalformedFileError(f"bad matrix row {i}: {shown!r} ({len(line)} characters)")
         bits[i] = [c == "1" for c in line]
     return BitMatrix.from_bits(bits)
 

@@ -1,6 +1,7 @@
 """Golden sha256 sums of outputs that must stay byte-identical: generated
-bundle files, a verify report with its sampled round trips, the (3, 5, 9)
-search report, and the input, bundle and report of ``reduce``.  A refactor
+bundle files, verify reports (with sampled round trips, and of a reduced
+bundle), a decoded file and its report, the (3, 5, 9) search report, and
+the input, bundle and report of ``reduce``.  A refactor
 that changes any of these bytes changes the program's output, and must say
 so."""
 
@@ -13,7 +14,7 @@ import io
 import numpy as np
 import pytest
 
-from swhamming import bundleio, cli, codec, equiv, gf2, hcms
+from swhamming import bundleio, cli, codec, equiv, gf2, hcms, sources
 
 # gen flags and the sum of the bundle file they write
 BUNDLES = {
@@ -27,6 +28,17 @@ BUNDLES = {
 }
 VERIFY_A3_ROUNDTRIP = "77e70d07720a7ad57683923f097e2bf7376b91cbfd78a229368fa640f81a3897"
 SEARCH_5_9_KV = "39d1df37c59cdb252d222c2caa2c3b95405b7209f196f7f8b1237905bfa31e9a"
+VERIFY_A5 = "cd18660da0987680507fd972273841b940a8ded6579b9d1337f72a2ae4032ece"
+# decode of DECODE_COUNT uniform syndrome tuples through the gen --a 4
+# bundle: sums of the decoded file and of stdout
+DECODE_SEED, DECODE_COUNT = 11, 2000
+DECODE_A4 = (
+    "fd191e5fcbdcca1e94cd47ccf23dba50578f6a987994065fe00888e7882be643",
+    "ebf580e497f50db5e85de26d1bc5eb874da1aac1bd398d88ed070676d33959c6",
+)
+# verify --kv --roundtrip 300 of the bundle reduce writes for the shifted
+# gen --a 4 code
+VERIFY_REDUCED_A4_ROUNDTRIP = "dcd1901820643a2023971a851fb2171574595fc8daf77822ad43a350233ea164"
 
 # reduce inputs: a perfect code, shifted with a fixed seed, and the sum of
 # its code file
@@ -87,6 +99,23 @@ def test_verify_roundtrip_report(tmp_path):
     assert sha256(stdout_of("verify", str(path), "--kv", "--roundtrip", "300")) == VERIFY_A3_ROUNDTRIP
 
 
+def test_verify_report_a5(tmp_path):
+    path = tmp_path / "a5.txt"
+    stdout_of("gen", "--a", "5", "-o", str(path))
+    assert sha256(stdout_of("verify", str(path), "--kv")) == VERIFY_A5
+
+
+def test_decode_report(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    stdout_of("gen", "--a", "4", "-o", "a4.txt")
+    m = bundleio.read_file("a4.txt").code.m
+    y = np.random.default_rng(DECODE_SEED).integers(0, 2, (DECODE_COUNT, sum(m)), np.uint8)
+    parts = np.split(y, np.cumsum(m)[:-1], axis=1)
+    (tmp_path / "syndromes.txt").write_bytes(sources.format_chunk(parts)[1:])
+    out = stdout_of("decode", "a4.txt", "--input", "syndromes.txt", "--output", "decoded.txt")
+    assert (sha256((tmp_path / "decoded.txt").read_bytes()), sha256(out)) == DECODE_A4
+
+
 def test_search_report():
     assert sha256(stdout_of("search", "--n", "5", "--M", "9", "--kv")) == SEARCH_5_9_KV
 
@@ -114,3 +143,11 @@ def test_reduce_bytes(tmp_path, monkeypatch, name, flags):
     out = stdout_of("reduce", "shifted.txt", "-o", "reduced.txt", *flags)
     assert sha256((tmp_path / "reduced.txt").read_bytes()) == want_bundle
     assert sha256(out) == want_stdout
+
+
+def test_verify_roundtrip_report_of_reduced_bundle(tmp_path, monkeypatch, bundle_a4):
+    monkeypatch.chdir(tmp_path)
+    bundleio.write_code_file("shifted.txt", shifted(bundle_a4.code, REDUCE_SEED))
+    stdout_of("reduce", "shifted.txt", "-o", "reduced.txt")
+    out = stdout_of("verify", "reduced.txt", "--kv", "--roundtrip", "300")
+    assert sha256(out) == VERIFY_REDUCED_A4_ROUNDTRIP

@@ -139,6 +139,57 @@ def test_lift_chain_to_a5():
         assert hcms.check_lift_precondition(*part) == k + 1
 
 
+def test_hcms_for_a_checks_each_partition_once(monkeypatch):
+    # a = 6 makes four partitions: the embedded one and three lifts; each is
+    # validated, and its stack's pivots found, exactly once
+    validated, pivoted = [], []
+    real_validate, real_pivots = hcms.validate_partition, hcms.pivot_columns
+
+    def validate(Q):
+        validated.append(Q[0].rows)
+        return real_validate(Q)
+
+    def pivots(M):
+        pivoted.append(M.rows)
+        return real_pivots(M)
+
+    monkeypatch.setattr(hcms, "validate_partition", validate)
+    monkeypatch.setattr(hcms, "pivot_columns", pivots)
+    bundle = hcms.hcms_for_a(6)
+    assert validated == [6, 8, 10, 12] and pivoted == [12, 16, 20, 24]
+    assert codec.is_perfect(bundle.code)
+    # a partition handed to lift_partition is still checked
+    validated.clear()
+    pivoted.clear()
+    hcms.lift_partition(*hcms.a3_partition())
+    assert validated == [6, 6, 8] and pivoted == [12, 12, 16]
+
+
+def test_unit_completion_inverse_matches_invert(rng):
+    # R = [Y; T] with T unit rows at random distinct columns, or a repeated
+    # one: R^-1 from the r x r elimination, or SingularMatrixError, as
+    # gf2.invert gives
+    for _ in range(100):
+        n = int(rng.integers(1, 70))
+        r = int(rng.integers(0, n + 1))
+        N = rng.permutation(n)[: n - r]
+        if n - r > 1 and rng.integers(4) == 0:
+            N[0] = N[1]
+        T = np.zeros((n - r, n), dtype=np.uint8)
+        T[np.arange(n - r), N] = 1
+        R = gf2.vstack([gf2.random_matrix(r, n, rng), gf2.BitMatrix.from_bits(T)])
+        try:
+            want = gf2.invert(R)
+        except gf2.SingularMatrixError:
+            with pytest.raises(gf2.SingularMatrixError):
+                hcms._unit_completion_inverse(R, n - r)
+        else:
+            assert hcms._unit_completion_inverse(R, n - r) == want
+    # a T that is not unit rows is left to gf2.invert
+    R = gf2.BitMatrix.from_bits([[1, 0], [1, 1]])
+    assert hcms._unit_completion_inverse(R, 1) is None
+
+
 def test_lift_rejects_bad_input():
     Q1, Q2, Q3 = hcms.a3_partition()
     with pytest.raises(NotHammingPartitionError):

@@ -3,20 +3,24 @@
 
 Times the three packed GF(2) kernels on representative shapes, plus two
 end-to-end operations (perfectness verification of the n = 341 code and a
-batch of algebraic decodes), and prints the fastest of ``--repeat`` runs of
-each.  Run with ``python benchmarks/bench_kernels.py``.  The matrix product
-goes through numpy's float32 matmul, so its time depends on the BLAS numpy
-links and on how many threads that BLAS starts.
+batch of algebraic decodes) and the byte parser of bundle files on the
+a = 5 bundle (``bundleio.read_file``, written to a temporary directory),
+and prints the fastest of ``--repeat`` runs of each.  Run with ``python
+benchmarks/bench_kernels.py``.  The matrix product goes through numpy's
+float32 matmul, so its time depends on the BLAS numpy links and on how
+many threads that BLAS starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from swhamming import _kernels, codec, gf2, hcms, sources
+from swhamming import _kernels, bundleio, codec, gf2, hcms, sources
 
 
 def best_of(fn, repeat: int) -> float:
@@ -28,7 +32,9 @@ def best_of(fn, repeat: int) -> float:
     return min(times)
 
 
-def make_cases(rng: np.random.Generator):
+def make_cases(rng: np.random.Generator, workdir: Path | None = None):
+    """(name, function) of each case; the ``read_file`` case only with a
+    ``workdir`` to write its bundle to."""
     rref_m = gf2.random_matrix(341, 682, rng)
     mm_a = gf2.random_matrix(341, 341, rng)
     mm_b = gf2.random_matrix(341, 341, rng)
@@ -56,13 +62,22 @@ def make_cases(rng: np.random.Generator):
         for y in syndromes:
             hcms.hcms_decode(bundle, y)
 
-    return [
+    cases = [
         ("rref 341x682", bench_rref),
         ("matmul 341^2", bench_matmul),
         ("matvec 341 x100", bench_matvec),
         ("is_perfect n=341", bench_is_perfect),
         ("decode n=341 x200", bench_decode),
     ]
+    if workdir is not None:
+        path = Path(workdir) / "gen_a5.txt"
+        bundleio.write_bundle(path, bundle)
+
+        def bench_read_file():
+            bundleio.read_file(path)
+
+        cases.append(("read_file a=5", bench_read_file))
+    return cases
 
 
 def main() -> int:
@@ -72,12 +87,13 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    cases = make_cases(rng)
-    width = max(len(name) for name, _ in cases)
-    print(f"{'case':<{width}}  {_kernels.get_backend():>12}")
-    for name, fn in cases:
-        fn()  # warm caches before timing
-        print(f"{name:<{width}}  {best_of(fn, args.repeat) * 1e3:>10.3f}ms")
+    with tempfile.TemporaryDirectory() as workdir:
+        cases = make_cases(rng, Path(workdir))
+        width = max(len(name) for name, _ in cases)
+        print(f"{'case':<{width}}  {_kernels.get_backend():>12}")
+        for name, fn in cases:
+            fn()  # warm caches before timing
+            print(f"{name:<{width}}  {best_of(fn, args.repeat) * 1e3:>10.3f}ms")
     return 0
 
 

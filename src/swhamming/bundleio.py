@@ -18,24 +18,38 @@ MALFORMED_FILE naming the section.  Last, R must be invertible
 whose plan is then read off the sections when they certify the code
 (:meth:`codec.CodePlan.from_bundle`).  Properties of the construction
 itself (partition validity, perfectness) belong to ``verify``.
+
+Both forms are read as bytes (:func:`read_file`, :func:`parse_file`).
+Lines end in LF, CRLF or a lone CR, as in group files; the other
+characters that ``str.splitlines`` breaks at (``\\v``, ``\\f``,
+``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029) are whitespace here.  Header
+and label lines are few: each is decoded as UTF-8 (a bad byte becomes
+U+FFFD, which no header or label accepts) and read by the ``str`` rules
+of ``split``, ``int`` and ``strip``.  A matrix is a ``rows cols`` header
+line, then ``rows`` lines each of exactly ``cols`` ASCII ``0``/``1``
+once the whitespace that ``str.strip`` removes is stripped; its body is
+checked and packed with whole-array operations over the one line scan
+of :func:`sources.scan_lines`, and nothing is allocated for it before
+every row has passed.  A refusal is MALFORMED_FILE naming the file line
+(``line 12: section R: bad matrix row 4: '0110...' (85 characters)``).
 """
 
 from __future__ import annotations
 
+import os
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codec import SwCode, format_code, parse_code
+import numpy as np
+
+from ._kernels import nwords
+from .codec import SwCode, format_code
 from .errors import MalformedFileError
-from .gf2 import (
-    BitMatrix,
-    format_matrix,
-    hstack,
-    parse_matrix,
-    vstack,
-)
+from .gf2 import BitMatrix, format_matrix, hstack, vstack
 from .hcms import Bundle
+from .sources import SourceParams, scan_lines
 
 _LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -80,23 +94,127 @@ def write_code_file(path: str | Path, code: SwCode) -> None:
     Path(path).write_text(format_code(code))
 
 
-def parse_file(text: str) -> ParsedFile:
-    lines = iter(text.splitlines())
-    del text  # the lines hold the file's text from here on
-    code = parse_code(lines)
+#: characters of a bad row that an error message shows
+_ECHO_CHARS = 16
+
+
+def _echo(row: str) -> str:
+    """A bad row as an error message shows it: its first _ECHO_CHARS
+    characters, then its length."""
+    shown = row if len(row) <= _ECHO_CHARS else row[:_ECHO_CHARS] + "..."
+    return f"{shown!r} ({len(row)} characters)"
+
+
+class _Lines:
+    """The lines of a file, scanned once, and a cursor over them.
+
+    ``data`` is a line end and then the file's bytes; a line end is
+    appended when the file does not end with one.
+    """
+
+    def __init__(self, data: bytearray):
+        if not data.endswith((b"\n", b"\r")):
+            data.append(ord("\n"))
+        self.data = data
+        pos, ends, gap, score, bits = scan_lines(np.frombuffer(data, dtype=np.uint8))
+        self.count = score.size
+        self.at = 0  # the next line
+        # line k is data[edge[k] + 1 : edge[k + 1]]
+        self.edge = pos[ends].tolist()
+        # a blank line has width 0, one run of bits between whitespace its
+        # number of bits, any other line -1
+        self.width = np.where(score <= 1, bits, -1)
+        # where the (first) run of bits of each line starts
+        runs = gap.nonzero()[0]
+        self.start = np.zeros(self.count, dtype=np.intp)
+        self.start[ends.searchsorted(runs, side="right") - 1] = pos[runs] + 1
+
+    def line(self, k: int) -> str:
+        """Line k, decoded."""
+        return self.data[self.edge[k] + 1 : self.edge[k + 1]].decode(errors="replace")
+
+    def take(self) -> str:
+        """The next line, decoded; EOFError past the last line."""
+        if self.at == self.count:
+            raise EOFError
+        self.at += 1
+        return self.line(self.at - 1)
+
+    def error(self, k: int, message: str) -> MalformedFileError:
+        return MalformedFileError(f"line {k + 1}: {message}")
+
+    def matrix(self, where: str = "") -> BitMatrix:
+        """The matrix at the cursor, a "rows cols" header line and ``rows``
+        body lines; ``where`` starts the message of a refusal."""
+        k = self.at
+        try:
+            header = self.take().split()
+            rows, cols = int(header[0]), int(header[1])
+        except (EOFError, IndexError, ValueError):
+            raise self.error(k, f"{where}expected 'rows cols' header") from None
+        if not (0 <= rows <= sys.maxsize and 0 <= cols <= sys.maxsize):
+            raise self.error(k, f"{where}matrix dimensions {rows} x {cols} out of range")
+        first = self.at
+        got = min(rows, self.count - first)
+        self.at += got
+        bad = (self.width[first : first + got] != cols).nonzero()[0]
+        if bad.size:
+            i = int(bad[0])
+            row = _echo(self.line(first + i).strip())
+            raise self.error(first + i, f"{where}bad matrix row {i}: {row}")
+        if got < rows:
+            raise self.error(first + got, f"{where}matrix body ended after {got} of {rows} rows")
+        if not rows or not cols:
+            return BitMatrix.zeros(rows, cols)
+        # each row is one run of ``cols`` bits: gather the runs, keep the
+        # low bit of each byte, and pack
+        windows = np.ndarray((len(self.data) - cols + 1, cols), np.uint8, self.data, strides=(1, 1))
+        bits = windows[self.start[first : first + rows]]
+        bits &= 1
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        words = np.zeros((rows, 8 * nwords(cols)), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        return BitMatrix(rows, cols, words.view(np.uint64))
+
+
+def _parse_code(lines: _Lines) -> SwCode:
+    """The plain code at the start of a file."""
+    k = 0  # the line read
+    try:
+        s, n = (int(t) for t in lines.take().split())
+        k = 1
+        m = tuple(int(t) for t in lines.take().split())
+    except (EOFError, ValueError):
+        raise lines.error(k, "expected 's n' and 'm_1 ... m_s' header lines") from None
+    if s < 2 or n < 1:
+        raise lines.error(0, f"code header 's n' is '{s} {n}': need s >= 2 and n >= 1")
+    if len(m) != s:
+        raise lines.error(1, f"expected {s} syndrome lengths, got {len(m)}")
+    mats = []
+    for mi in m:
+        k = lines.at
+        H = lines.matrix()
+        if H.rows != mi or H.cols != n:
+            raise lines.error(k, f"matrix {H.rows}x{H.cols} disagrees with header ({mi}x{n})")
+        mats.append(H)
+    return SwCode(SourceParams(s, n, m), tuple(mats))
+
+
+def _parse(data: bytearray) -> ParsedFile:
+    """Parse a line end followed by the bytes of a code or bundle file."""
+    lines = _Lines(data)
+    code = _parse_code(lines)
     sections: dict[str, BitMatrix] = {}
-    for line in lines:
-        label = line.strip()
+    while lines.at < lines.count:
+        k = lines.at
+        label = lines.take().strip()
         if not label:
             continue
         if not _LABEL_RE.match(label):
-            raise MalformedFileError(f"expected a section label, got {label!r}")
+            raise lines.error(k, f"expected a section label, got {label!r}")
         if label in sections:
-            raise MalformedFileError(f"duplicate section {label!r}")
-        try:
-            sections[label] = parse_matrix(lines)
-        except MalformedFileError as exc:
-            raise MalformedFileError(f"section {label}: {exc}") from None
+            raise lines.error(k, f"duplicate section {label!r}")
+        sections[label] = lines.matrix(f"section {label}: ")
     if not sections:
         kind = "code"
     elif "C_1" in sections:
@@ -106,10 +224,22 @@ def parse_file(text: str) -> ParsedFile:
     return ParsedFile(kind=kind, code=code, sections=sections)
 
 
+def parse_file(data: bytes) -> ParsedFile:
+    """Parse the bytes of a code or bundle file."""
+    return _parse(bytearray(b"\n") + data)
+
+
 def read_file(path: str | Path) -> ParsedFile:
-    # a byte that is not UTF-8 becomes U+FFFD, which no matrix row, header or
-    # label accepts, so it is reported as MALFORMED_FILE
-    return parse_file(Path(path).read_text(errors="replace"))
+    with open(path, "rb") as fh:
+        # read straight into the buffer after its leading line end; a
+        # stream that is not a regular file is read by the last read
+        data = bytearray(1 + os.fstat(fh.fileno()).st_size)
+        data[0] = ord("\n")
+        with memoryview(data)[1:] as view:
+            got = fh.readinto(view)
+        del data[1 + got :]
+        data += fh.read()
+    return _parse(data)
 
 
 def _section(parsed: ParsedFile, name: str) -> BitMatrix:

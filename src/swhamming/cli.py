@@ -3,11 +3,11 @@
 All outputs are byte-deterministic given flags and --seed.  Failures print
 ``error=<TOKEN> <message>`` on stderr and exit nonzero.  HCMS_BUDGET
 overrides the budget of ``search`` and bounds the N of ``verify --roundtrip
-N`` (both 2^20 by default).  ``decode`` and ``verify`` of a bundle file
-check its sections first.  ``decode`` and ``verify --roundtrip`` decode
-every compressible code, plain or bundle, through the code's plan
-(:func:`codec.decoder`), which no budget bounds: a checked bundle's plan is
-read off its sections, a plain code's is one elimination.
+N`` (both 2^20 by default).  ``decode``, ``verify`` and ``reduce`` of a
+bundle file check its sections first.  ``decode`` and ``verify
+--roundtrip`` decode every compressible code, plain or bundle, through the
+code's plan (:func:`codec.decoder`), which no budget bounds: a checked
+bundle's plan is read off its sections, a plain code's is one elimination.
 """
 
 from __future__ import annotations
@@ -281,8 +281,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    parsed = bundleio.read_file(args.bundle)
-    bundle, report = equiv.reduce_with_report(parsed.code)
+    bundle, report = equiv.reduce_with_report(_checked_code(bundleio.read_file(args.bundle)))
     bundleio.write_bundle(args.output, bundle)
     print(_kv([("written", args.output), ("kind", "ghcms"), ("s", bundle.s), ("n", bundle.n)]))
     print(_kv([("input_null_dims", _intlist(report.input_profile_dims))]))

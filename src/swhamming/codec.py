@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .gf2 import (
     mat_vec,
     matrix_with_null_space,
     null_space,
-    parse_matrix,
     rank,
     split,
     vstack,
@@ -589,40 +588,14 @@ def search_perfect_null_spaces(
 
 
 # ---------------------------------------------------------------------------
-# plain code files: "s n", "m_1 ... m_s", then the s matrices
+# plain code files: "s n", "m_1 ... m_s", then the s matrices (read by
+# ``bundleio``)
 # ---------------------------------------------------------------------------
 
 
 def format_code(code: SwCode) -> str:
     head = f"{code.s} {code.n}\n" + " ".join(str(mi) for mi in code.m) + "\n"
     return head + "".join(format_matrix(H) for H in code.matrices)
-
-
-def parse_code(lines: Iterable[str]) -> SwCode:
-    it = iter(lines)
-    try:
-        s, n = (int(t) for t in next(it).split())
-        m = tuple(int(t) for t in next(it).split())
-    except (StopIteration, ValueError) as exc:
-        raise MalformedFileError("expected 's n' and 'm_1 ... m_s' header lines") from exc
-    if s < 2 or n < 1:
-        raise MalformedFileError(f"code header 's n' is '{s} {n}': need s >= 2 and n >= 1")
-    if len(m) != s:
-        raise MalformedFileError(f"expected {s} syndrome lengths, got {len(m)}")
-    mats = []
-    for mi in m:
-        H = parse_matrix(it)
-        if H.rows != mi or H.cols != n:
-            raise MalformedFileError(
-                f"matrix {H.rows}x{H.cols} disagrees with header ({mi}x{n})"
-            )
-        mats.append(H)
-    return SwCode(SourceParams(s, n, m), tuple(mats))
-
-
-def format_syndromes(groups: Sequence[SyndromeTuple]) -> str:
-    blocks = ["\n".join(v.to01() for v in y) for y in groups]
-    return "\n\n".join(blocks) + "\n"
 
 
 def iter_syndromes(lines, m: Sequence[int]):

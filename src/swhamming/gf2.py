@@ -20,9 +20,7 @@ subspace is a 0 x n basis and is accepted everywhere.
 
 from __future__ import annotations
 
-import itertools
-import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +35,7 @@ from ._kernels import (
     rref_in_place,
     unpack_bits,
 )
-from .errors import MalformedFileError, SingularMatrixError
+from .errors import SingularMatrixError
 
 
 def _mask_tail(data: np.ndarray, cols: int) -> None:
@@ -580,15 +578,12 @@ def complement(A: Subspace, within: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# text format: first line "rows cols", then rows lines over {0,1}
+# text format: first line "rows cols", then rows lines over {0,1}; files
+# are read by ``bundleio``
 # ---------------------------------------------------------------------------
 
 
 _ASCII_0 = ord("0")
-# byte -> bit value, 2 for any byte other than "0" and "1"
-_BIT_OF_BYTE = np.full(256, 2, dtype=np.uint8)
-_BIT_OF_BYTE[_ASCII_0] = 0
-_BIT_OF_BYTE[_ASCII_0 + 1] = 1
 
 
 def format_matrix(M: BitMatrix) -> str:
@@ -596,49 +591,6 @@ def format_matrix(M: BitMatrix) -> str:
     np.add(M.to_array(), _ASCII_0, out=buf[:, : M.cols])
     buf[:, M.cols] = ord("\n")
     return f"{M.rows} {M.cols}\n" + str(buf, "ascii")
-
-
-#: characters of a bad row that an error message shows
-_ECHO_CHARS = 16
-
-
-def _echo(row: str) -> str:
-    """A bad row as an error message shows it: its first _ECHO_CHARS
-    characters, then its length."""
-    shown = row if len(row) <= _ECHO_CHARS else row[:_ECHO_CHARS] + "..."
-    return f"{shown!r} ({len(row)} characters)"
-
-
-def parse_matrix(lines: Iterable[str]) -> BitMatrix:
-    """Read a "rows cols" header and then exactly ``rows`` lines of ``cols``
-    ASCII 0/1 characters from ``lines``; each row is stripped of surrounding
-    whitespace first.  Raises MalformedFileError naming the first bad row.
-
-    All body lines are collected before anything is allocated, so a header
-    larger than the input fails on the truncated body, not in numpy.
-    """
-    it = iter(lines)
-    try:
-        header = next(it).split()
-        rows, cols = int(header[0]), int(header[1])
-    except (StopIteration, IndexError, ValueError) as exc:
-        raise MalformedFileError("expected 'rows cols' header") from exc
-    if not (0 <= rows <= sys.maxsize and 0 <= cols <= sys.maxsize):
-        raise MalformedFileError(f"matrix dimensions {rows} x {cols} out of range")
-    body = [line.strip() for line in itertools.islice(it, rows)]
-    # rows before the first one of the wrong length, checked for bad characters
-    good = next((i for i, line in enumerate(body) if len(line) != cols), len(body))
-    raw = np.frombuffer("".join(body[:good]).encode("ascii", errors="replace"), dtype=np.uint8)
-    bits = _BIT_OF_BYTE[raw].reshape(good, cols)
-    del raw  # free the encoded copy before packing
-    bad = np.flatnonzero(bits.max(axis=1, initial=0) > 1)
-    if bad.size:
-        good = int(bad[0])
-    if good < len(body):
-        raise MalformedFileError(f"bad matrix row {good}: {_echo(body[good])}")
-    if len(body) < rows:
-        raise MalformedFileError(f"matrix body ended after {len(body)} of {rows} rows")
-    return BitMatrix(rows, cols, pack_bits(bits))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ a :class:`MalformedFileError` naming the line.  :func:`iter_bit_chunks`
 reads such a file in blocks of one chunk's bytes in the layout the CLI
 writes and parses each block with whole-array operations; on an error it
 has yielded exactly the chunks wholly before the chunk of the first
-malformed group, as a per-chunk check would.
+malformed group, as a per-chunk check would.  Its line scanner,
+:func:`scan_lines`, also reads code and bundle files (``bundleio``).
 """
 
 from __future__ import annotations
@@ -83,15 +84,6 @@ def hamming_source_size(s: int, n: int) -> int:
     return (effective_s(s) * n + 1) << n
 
 
-def _discrepancy(x: Sequence[BitVector]) -> int:
-    """The instances at which some block differs from the first, as bits."""
-    base = x[0].value
-    diff = 0
-    for v in x[1:]:
-        diff |= base ^ v.value
-    return diff
-
-
 def is_hamming_member(x: Sequence[BitVector]) -> bool:
     """Membership test for S: at most one discrepant instance, and there a
     single terminal deviating from all others."""
@@ -101,7 +93,10 @@ def is_hamming_member(x: Sequence[BitVector]) -> bool:
     n = x[0].n
     if any(v.n != n for v in x):
         return False
-    diff = _discrepancy(x)
+    # the instances at which some block differs from the first, as bits
+    diff = 0
+    for v in x[1:]:
+        diff |= x[0].value ^ v.value
     if not diff:
         return True
     if diff & (diff - 1):
@@ -110,29 +105,6 @@ def is_hamming_member(x: Sequence[BitVector]) -> bool:
     p = diff.bit_length() - 1
     ones = sum(v.bit(p) for v in x)
     return ones == 1 or ones == s - 1
-
-
-def decompose(x: Sequence[BitVector]) -> tuple[BitVector, int | None, int | None]:
-    """Split a member of S into (common block b, deviating terminal, position).
-
-    All-equal tuples return (b, None, None).  For s = 2 the deviation is
-    attributed to terminal 1 (0-based) by convention.
-    """
-    if not is_hamming_member(x):
-        raise ValueError("tuple is not a Hamming source")
-    s = len(x)
-    diff = _discrepancy(x)
-    if not diff:
-        return x[0], None, None
-    p = diff.bit_length() - 1
-    if s == 2:
-        term = 1
-    else:
-        ones = sum(v.bit(p) for v in x)
-        minority = 1 if ones == 1 else 0
-        term = next(i for i, v in enumerate(x) if v.bit(p) == minority)
-    b = x[0] if term != 0 else x[1]
-    return b, term, p
 
 
 def member_at(s: int, n: int, index: int) -> SourceTuple:
@@ -280,7 +252,7 @@ def iter_tuples(lines) -> Iterator[SourceTuple]:
 #: Groups per chunk in the streaming CLI commands; it bounds their memory.
 CHUNK_TUPLES = 256
 
-#: A byte's part of its line's score (see ``_parse_block``): 0 for the
+#: A byte's part of its line's score (see :func:`scan_lines`): 0 for the
 #: ASCII characters that ``str.strip`` removes (CR and LF end lines; an LF
 #: right after a CR is part of that line end), 2 for any other byte.
 _NOT_SPACE = np.full(256, 2, dtype=np.int8)
@@ -347,24 +319,7 @@ def _parse_block(tail: bytes, block: bytes, widths: Sequence[int], final: bool, 
     size = len(tail) + len(block)
     # padded so that a window of ``wide`` bytes fits at every start
     data = b"".join((tail, block, bytes(wide)))
-    text = np.frombuffer(data, dtype=np.uint8, count=size)
-    pos = ((text & 0xFE) != 0x30).nonzero()[0]  # all but b"0" and b"1"
-    val = text[pos]
-    prev = text[pos - 1]
-    prev[0] = 0  # pos[0] == 0 is a line end
-    # a CR ends a line, and so does an LF unless it follows a CR
-    ends = ((val == 13) | (val == 10) & (prev != 13)).nonzero()[0]
-    # line k runs from line end k to line end k + 1; its score is 1 per
-    # run of bits plus 2 per byte that is neither a bit nor whitespace, so
-    # a blank line scores 0 and a well-formed one 1
-    gap = pos[1:] - pos[:-1] > 1  # a run of bits follows pos[k]
-    score = _NOT_SPACE[val]
-    _clear_wide_space(score, pos, val)
-    score[1:] += gap
-    score = score.cumsum()[ends]
-    score = score[1:] - score[:-1]
-    bits = pos[ends] - ends
-    bits = bits[1:] - bits[:-1]
+    pos, ends, gap, score, bits = scan_lines(np.frombuffer(data, dtype=np.uint8, count=size))
     lines = score.size
     filled = score.nonzero()[0]
     count = filled.size
@@ -393,6 +348,64 @@ def _parse_block(tail: bytes, block: bytes, widths: Sequence[int], final: bool, 
     out &= 1
     stop = pos[ends[cut]]
     return out, data[stop:size], cut, error
+
+
+# ---------------------------------------------------------------------------
+# the one 0/1 line scanner: group files here, code and bundle files in bundleio
+# ---------------------------------------------------------------------------
+
+
+def scan_lines(text: np.ndarray):
+    """Scan the lines of ``text``, a uint8 array of a file's bytes that
+    starts with a line end, with whole-array operations.
+
+    Line ends are LF, CRLF and a lone CR; line k runs from line end k to
+    line end k + 1, so the bytes after the last line end belong to no line.
+    Returns ``(pos, ends, gap, score, bits)``:
+    - ``pos``, the positions of the bytes that are not ``0``/``1``;
+    - ``ends``, the indices into ``pos`` of the line ends;
+    - ``gap``, true at k when a run of bits follows ``pos[k]``;
+    - ``score``, per line, 1 per run of bits plus 2 per byte that is
+      neither a bit nor whitespace that ``str.strip`` removes (the UTF-8
+      bytes of non-ASCII spaces included), so that a blank line scores 0
+      and a line of one run of bits between whitespace scores 1;
+    - ``bits``, per line, its number of ``0``/``1`` bytes.
+    """
+    pos = _not_bits(text)
+    val = text[pos]
+    prev = text[pos - 1]
+    prev[0] = 0  # pos[0] == 0 is a line end
+    # a CR ends a line, and so does an LF unless it follows a CR
+    ends = ((val == 13) | (val == 10) & (prev != 13)).nonzero()[0]
+    gap = pos[1:] - pos[:-1] > 1
+    score = _NOT_SPACE[val]
+    _clear_wide_space(score, pos, val)
+    score[1:] += gap
+    score = score.cumsum()[ends]
+    score = score[1:] - score[:-1]
+    bits = pos[ends] - ends
+    bits = bits[1:] - bits[:-1]
+    return pos, ends, gap, score, bits
+
+
+#: bytes that :func:`_not_bits` scans in one step, so that its temporary
+#: stays in cache and is not allocated afresh for a large file
+_SCAN_BLOCK = 1 << 18
+
+
+def _not_bits(text: np.ndarray) -> np.ndarray:
+    """The positions of the bytes of ``text`` that are not ``0``/``1``."""
+    if text.size <= _SCAN_BLOCK:
+        return ((text & 0xFE) != 0x30).nonzero()[0]
+    flag = np.empty(_SCAN_BLOCK, dtype=bool)
+    found = []
+    for at in range(0, text.size, _SCAN_BLOCK):
+        block = text[at : at + _SCAN_BLOCK]
+        out = flag[: block.size]
+        np.bitwise_and(block, 0xFE, out=out.view(np.uint8))
+        np.not_equal(out.view(np.uint8), 0x30, out=out)
+        found.append(out.nonzero()[0] + at)
+    return np.concatenate(found)
 
 
 def _clear_wide_space(score: np.ndarray, pos: np.ndarray, val: np.ndarray) -> None:

@@ -1,0 +1,55 @@
+"""Small helpers the tests share: the per-tuple text of syndrome files, the
+decomposition of a member of S, and the byte parser of code and bundle
+files applied to one matrix."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from swhamming import bundleio, codec
+from swhamming.gf2 import BitMatrix, BitVector
+from swhamming.sources import is_hamming_member
+
+
+def format_syndromes(groups: Sequence[codec.SyndromeTuple]) -> str:
+    """Syndrome tuples in the group file format: one line per terminal, a
+    blank line between tuples."""
+    blocks = ["\n".join(v.to01() for v in y) for y in groups]
+    return "\n\n".join(blocks) + "\n"
+
+
+def decompose(x: Sequence[BitVector]) -> tuple[BitVector, int | None, int | None]:
+    """Split a member of S into (common block b, deviating terminal, position).
+
+    All-equal tuples return (b, None, None).  For s = 2 the deviation is
+    attributed to terminal 1 (0-based) by convention.
+    """
+    if not is_hamming_member(x):
+        raise ValueError("tuple is not a Hamming source")
+    s = len(x)
+    diff = 0
+    for v in x[1:]:
+        diff |= x[0].value ^ v.value
+    if not diff:
+        return x[0], None, None
+    p = diff.bit_length() - 1
+    if s == 2:
+        term = 1
+    else:
+        ones = sum(v.bit(p) for v in x)
+        minority = 1 if ones == 1 else 0
+        term = next(i for i, v in enumerate(x) if v.bit(p) == minority)
+    b = x[0] if term != 0 else x[1]
+    return b, term, p
+
+
+def matrix_lines(data: bytes):
+    """The lines of ``data`` as the byte parser of code and bundle files
+    reads them, with its cursor at the first line."""
+    return bundleio._Lines(bytearray(b"\n") + data)
+
+
+def parse_matrix_bytes(data: bytes) -> BitMatrix:
+    """The matrix at the start of ``data``, read by the byte parser of code
+    and bundle files."""
+    return matrix_lines(data).matrix()

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import format_syndromes, parse_matrix_bytes
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 
 
@@ -101,7 +102,7 @@ def test_decode_plain_code_ignores_budget_env(tmp_path, capsys, monkeypatch, pai
     bundleio.write_code_file(code_path, pair_n7)
     x = sources.member_at(2, 7, 1000)
     synd = tmp_path / "synd.txt"
-    synd.write_text(codec.format_syndromes([codec.encode(pair_n7, x)]))
+    synd.write_text(format_syndromes([codec.encode(pair_n7, x)]))
     monkeypatch.setenv("HCMS_BUDGET", "16")
     out_path = tmp_path / "o.txt"
     code, out, _ = run(capsys, "decode", str(code_path), "--input", str(synd), "--output", str(out_path))
@@ -247,7 +248,7 @@ def test_decode_rejects_bad_syndrome_in_second_chunk(tmp_path, capsys, rng, bund
         for _ in range(sources.CHUNK_TUPLES + 2)
     ]
     synd = tmp_path / "synd.txt"
-    synd.write_text(codec.format_syndromes(ys) + "\n" + "\n".join(["1" * 8] * 3) + "\n")
+    synd.write_text(format_syndromes(ys) + "\n" + "\n".join(["1" * 8] * 3) + "\n")
     code, _, err = run(
         capsys, "decode", str(bundle_path), "--input", str(synd), "--output", str(tmp_path / "x.txt")
     )
@@ -263,7 +264,7 @@ def test_output_that_is_the_input_is_refused(tmp_path, capsys, rng, bundle_a3, c
     if command == "encode":
         text = sources.format_tuples(xs)
     else:
-        text = codec.format_syndromes([codec.encode(bundle_a3.code, x) for x in xs])
+        text = format_syndromes([codec.encode(bundle_a3.code, x) for x in xs])
     path = tmp_path / "groups.txt"
     path.write_text(text)
     (tmp_path / "sub").mkdir()
@@ -339,7 +340,7 @@ def test_decode_algebraic_ignores_table_budget(tmp_path, capsys, monkeypatch, rn
     bundleio.write_bundle(bundle_path, bundle_a3)
     xs = [sources.random_member(3, 21, rng) for _ in range(5)]
     synd = tmp_path / "synd.txt"
-    synd.write_text(codec.format_syndromes([codec.encode(bundle_a3.code, x) for x in xs]))
+    synd.write_text(format_syndromes([codec.encode(bundle_a3.code, x) for x in xs]))
     monkeypatch.setenv("HCMS_BUDGET", "16")
     out_path = tmp_path / "x.txt"
     code, out, _ = run(capsys, "decode", str(bundle_path), "--input", str(synd), "--output", str(out_path))
@@ -378,7 +379,20 @@ def test_bad_matrix_row_names_the_section_and_cuts_the_echo(tmp_path, capsys, bu
     lines[at] = lines[at][:40] + "x" + lines[at][41:]
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "verify", str(path))
-    want = f"section R: bad matrix row 4: '{lines[at][:16]}...' (85 characters)"
+    want = f"line {at + 1}: section R: bad matrix row 4: '{lines[at][:16]}...' (85 characters)"
+    assert (code, out, err) == (2, "", f"error=MALFORMED_FILE {want}\n")
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_bad_matrix_header_names_the_file_line(tmp_path, capsys, bundle_a3, eol):
+    path = tmp_path / "a3.txt"
+    bundleio.write_bundle(path, bundle_a3)
+    lines = path.read_text().splitlines()
+    at = lines.index("T") + 1
+    lines[at] = "9 x"
+    path.write_bytes(eol.join(lines).encode() + eol.encode())
+    code, out, err = run(capsys, "verify", str(path))
+    want = f"line {at + 1}: section T: expected 'rows cols' header"
     assert (code, out, err) == (2, "", f"error=MALFORMED_FILE {want}\n")
 
 
@@ -444,7 +458,7 @@ def bundle_texts(tmp_path_factory, bundle_a3):
     for form, bundle in (("direct", bundle_a3), ("relaxed", ghcms.ghcms_build(bundle_a3.Q))):
         bundleio.write_bundle(path, bundle)
         ys = [codec.encode(bundle.code, sources.random_member(3, 21, rng)) for _ in range(5)]
-        out[form] = (path.read_text(), codec.format_syndromes(ys))
+        out[form] = (path.read_text(), format_syndromes(ys))
     return out
 
 
@@ -455,7 +469,7 @@ def _replace_section(text: str, label: str, edit) -> str:
     at = lines.index(label + "\n") + 1
     rows = int(lines[at].split()[0])
     body = iter(lines[at : at + 1 + rows])
-    new = gf2.format_matrix(edit(gf2.parse_matrix(body)))
+    new = gf2.format_matrix(edit(parse_matrix_bytes("".join(body).encode())))
     return "".join(lines[:at]) + new + "".join(lines[at + 1 + rows :])
 
 
@@ -485,6 +499,16 @@ def test_tampered_bundle_section_is_malformed(tmp_path, capsys, bundle_texts, fo
     tampered = _replace_section(text, label, _flip_first_bit)
     for code, err in _decode_and_verify(tmp_path, capsys, tampered, synd):
         assert code == 2 and "error=MALFORMED_FILE" in err
+
+
+@pytest.mark.parametrize("form", ["direct", "relaxed"])
+def test_reduce_refuses_a_tampered_bundle(tmp_path, capsys, bundle_texts, form):
+    # R is not [Y; T], but the code itself is untouched and perfect
+    path, out = tmp_path / "bundle.txt", tmp_path / "reduced.txt"
+    path.write_text(_replace_section(bundle_texts[form][0], "R", _flip_first_bit))
+    code, stdout, err = run(capsys, "reduce", str(path), "-o", str(out))
+    assert (code, stdout) == (2, "") and err.startswith("error=MALFORMED_FILE section R")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -607,7 +631,7 @@ def test_gen_never_inverts_R(tmp_path, capsys, monkeypatch, argv):
     xs = [sources.random_member(bundle.s, bundle.n, rng) for _ in range(20)]
     src, synd, back = (tmp_path / f"{name}.txt" for name in ("src", "synd", "back"))
     src.write_text(sources.format_tuples(xs))
-    synd.write_text(codec.format_syndromes([codec.encode(bundle.code, x) for x in xs]))
+    synd.write_text(format_syndromes([codec.encode(bundle.code, x) for x in xs]))
     code, _, err = run(capsys, "decode", str(path), "--input", str(synd), "--output", str(back))
     assert code == 0 and back.read_text() == src.read_text(), err
 

@@ -12,7 +12,8 @@ import itertools
 import pytest
 
 from decode_oracle import DecodeTable
-from swhamming import codec, gf2, sources
+from helpers import format_syndromes
+from swhamming import bundleio, codec, gf2, sources
 from swhamming.errors import (
     BudgetExceededError,
     NotInImageError,
@@ -261,7 +262,7 @@ def test_gaussian_binomial():
 
 def test_code_file_roundtrip(pair_n7):
     text = codec.format_code(pair_n7)
-    back = codec.parse_code(iter(text.splitlines()))
+    back = bundleio.parse_file(text.encode()).code
     assert back == pair_n7
 
 
@@ -269,5 +270,5 @@ def test_syndrome_file_roundtrip(pair_n7, rng):
     groups = [
         codec.encode(pair_n7, sources.random_member(2, 7, rng)) for _ in range(4)
     ]
-    text = codec.format_syndromes(groups)
+    text = format_syndromes(groups)
     assert list(codec.iter_syndromes(text.splitlines(), pair_n7.m)) == groups

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
+from helpers import decompose
 from swhamming import codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import DecompositionInvalidError, NotPerfectError
 
@@ -196,7 +197,7 @@ def lifted_decode(code, inner_decode, y):
     inner = inner_decode(tuple(inner_y))  # (b_1 + v_1, ..., b_1 + v_s)
     b1 = None
     vs = []
-    base, term, pos = sources.decompose(inner)
+    base, term, pos = decompose(inner)
     b1 = base
     # rebuild both folded blocks
     blocks1 = []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import parse_matrix_bytes
 from swhamming import gf2
 from swhamming.errors import MalformedFileError, SingularMatrixError
 
@@ -188,11 +189,11 @@ def test_matrix_with_null_space(rng):
 def test_matrix_text_roundtrip(rng):
     for rows, cols in [(0, 3), (3, 1), (4, 70)]:
         M = gf2.random_matrix(rows, cols, rng)
-        assert gf2.parse_matrix(gf2.format_matrix(M).splitlines()) == M
+        assert parse_matrix_bytes(gf2.format_matrix(M).encode()) == M
     with pytest.raises(MalformedFileError):
-        gf2.parse_matrix(["2 2", "01"])
+        parse_matrix_bytes(b"2 2\n01\n")
     with pytest.raises(MalformedFileError):
-        gf2.parse_matrix(["1 3", "012"])
+        parse_matrix_bytes(b"1 3\n012\n")
 
 
 def test_vector_basics():

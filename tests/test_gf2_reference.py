@@ -1,5 +1,6 @@
-"""The array-code subspace routines, matrix text format and matrix product
-against the loop implementations they replaced, ``row_basis_transforms``
+"""The array-code subspace routines, matrix text format (read by the byte
+parser of code and bundle files) and matrix product against the loop
+implementations they replaced, ``row_basis_transforms``
 against the larger elimination it replaced, the int-backed ``BitVector``
 against the words-backed one it replaced, and the two-phase elimination
 (echelon form, then back-substitution) against the one-pass Gauss-Jordan
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import matrix_lines, parse_matrix_bytes
 from swhamming import codec, gf2, hcms
 from swhamming._kernels import (
     U64_1,
@@ -396,7 +398,7 @@ def test_format_matrix_matches_reference(M):
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_parse_inverts_format(M):
-    back = gf2.parse_matrix(gf2.format_matrix(M).splitlines())
+    back = parse_matrix_bytes(gf2.format_matrix(M).encode())
     assert back == M
     assert back == ref_parse_matrix(ref_format_matrix(M).splitlines())
 
@@ -533,18 +535,27 @@ def test_complement_of_full_space_extends_by_unit_vectors():
 # ---------------------------------------------------------------------------
 
 
-@given(matrices(max_rows=6), st.sampled_from(["\r\n", "\n", ""]), st.sampled_from(["", " ", "\t "]))
+@given(
+    matrices(max_rows=6),
+    st.sampled_from(["\r\n", "\n", "\r"]),
+    st.sampled_from(["", " ", "\t ", "\u00a0", "\u2003 "]),
+)
 @settings(max_examples=100, deadline=None)
 def test_parse_accepts_crlf_and_surrounding_blanks(M, end, pad):
     body = ref_format_matrix(M).splitlines()
-    lines = [body[0] + end] + [pad + row + pad + end for row in body[1:]]
-    assert gf2.parse_matrix(lines) == M == ref_parse_matrix(lines)
+    text = body[0] + end + "".join(pad + row + pad + end for row in body[1:])
+    assert parse_matrix_bytes(text.encode()) == M == ref_parse_matrix(text.splitlines())
 
 
 def _rejection(parse, lines) -> str:
     with pytest.raises(MalformedFileError) as info:
         parse(lines)
     return str(info.value)
+
+
+def _byte_rejection(lines) -> str:
+    """The byte parser's refusal of the file of these lines, LF-ended."""
+    return _rejection(parse_matrix_bytes, "".join(line + "\n" for line in lines).encode())
 
 
 @given(
@@ -568,39 +579,41 @@ def test_parse_rejects_bad_body_naming_the_row(M, data, fault):
         lines[1 + i] = row + "0"
     else:
         lines = lines[: 1 + i]
-    got = _rejection(gf2.parse_matrix, lines)
-    assert got == _rejection(ref_parse_matrix, lines)
+    got = _byte_rejection(lines)
+    # the file line of the bad row, or of the first row missing
+    assert got == f"line {i + 2}: " + _rejection(ref_parse_matrix, lines)
     named = f"after {i} of {M.rows} rows" if fault == "truncated" else f"bad matrix row {i}:"
     assert named in got
 
 
 def test_parse_reports_the_first_bad_row():
     lines = ["4 3", "010", "0x0", "01", "111"]
-    assert _rejection(gf2.parse_matrix, lines).startswith("bad matrix row 1:")
+    assert _byte_rejection(lines).startswith("line 3: bad matrix row 1:")
     lines = ["4 3", "010", "01", "0x0"]
-    assert _rejection(gf2.parse_matrix, lines).startswith("bad matrix row 1:")
+    assert _byte_rejection(lines).startswith("line 3: bad matrix row 1:")
     lines = ["3 3", "010", "011"]
-    assert _rejection(gf2.parse_matrix, lines) == "matrix body ended after 2 of 3 rows"
+    assert _byte_rejection(lines) == "line 4: matrix body ended after 2 of 3 rows"
 
 
 @pytest.mark.parametrize(
     "header", ["-1 4", "4 -1", "99999999999999999999999 1", "0 99999999999999999999999"]
 )
 def test_parse_rejects_out_of_range_header(header):
-    assert "out of range" in _rejection(gf2.parse_matrix, [header, "0000"])
+    assert _byte_rejection([header, "0000"]).startswith("line 1: matrix dimensions")
+    assert "out of range" in _byte_rejection([header, "0000"])
 
 
 def test_parse_bounds_a_huge_header_by_the_body():
-    got = _rejection(gf2.parse_matrix, ["99999999 99999999", "01", "10"])
-    assert got.startswith("bad matrix row 0:")
-    got = _rejection(gf2.parse_matrix, ["99999999 2", "01", "10"])
-    assert got == "matrix body ended after 2 of 99999999 rows"
+    got = _byte_rejection(["99999999 99999999", "01", "10"])
+    assert got.startswith("line 2: bad matrix row 0:")
+    got = _byte_rejection(["99999999 2", "01", "10"])
+    assert got == "line 4: matrix body ended after 2 of 99999999 rows"
 
 
 def test_parse_consumes_exactly_the_matrix():
-    it = iter(["2 2", "01", "10", "next"])
-    assert gf2.parse_matrix(it).to_array().tolist() == [[0, 1], [1, 0]]
-    assert next(it) == "next"
+    lines = matrix_lines(b"2 2\n01\n10\nnext\n")
+    assert lines.matrix().to_array().tolist() == [[0, 1], [1, 0]]
+    assert lines.take() == "next"
 
 
 def test_equality_compares_shape_and_bits():

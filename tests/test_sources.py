@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import decompose
 from swhamming import gf2, sources
 from swhamming.errors import BudgetExceededError
 
@@ -79,14 +80,14 @@ def test_membership_rejects_constructed_outsiders(rng):
 def test_decompose_roundtrip():
     for s, n in [(2, 3), (3, 4)]:
         for x in sources.enumerate_hamming_sources(s, n):
-            b, t, p = sources.decompose(x)
+            b, t, p = decompose(x)
             if t is None:
                 assert all(v == b for v in x)
             else:
                 e = gf2.BitVector.unit(n, p)
                 assert all(v == (b + e if i == t else b) for i, v in enumerate(x))
     with pytest.raises(ValueError):
-        sources.decompose(
+        decompose(
             (gf2.BitVector.from_bits([1, 1]), gf2.BitVector.from_bits([0, 0]))
         )
 

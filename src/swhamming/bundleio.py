@@ -19,7 +19,7 @@ whose plan is then read off the sections when they certify the code
 (:meth:`codec.CodePlan.from_bundle`).  Properties of the construction
 itself (partition validity, perfectness) belong to ``verify``.
 
-Both forms are read as bytes (:func:`read_file`, :func:`parse_file`).
+Both forms are read as bytes (:func:`read_file`).
 Lines end in LF, CRLF or a lone CR, as in group files; the other
 characters that ``str.splitlines`` breaks at (``\\v``, ``\\f``,
 ``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029) are whitespace here.  Header
@@ -124,7 +124,7 @@ class _Lines:
         # a blank line has width 0, one run of bits between whitespace its
         # number of bits, any other line -1
         self.width = np.where(score <= 1, bits, -1)
-        # where the (first) run of bits of each line starts
+        # where the run of bits of each line of one run starts
         runs = gap.nonzero()[0]
         self.start = np.zeros(self.count, dtype=np.intp)
         self.start[ends.searchsorted(runs, side="right") - 1] = pos[runs] + 1
@@ -222,11 +222,6 @@ def _parse(data: bytearray) -> ParsedFile:
     else:
         kind = "hcms"
     return ParsedFile(kind=kind, code=code, sections=sections)
-
-
-def parse_file(data: bytes) -> ParsedFile:
-    """Parse the bytes of a code or bundle file."""
-    return _parse(bytearray(b"\n") + data)
 
 
 def read_file(path: str | Path) -> ParsedFile:

@@ -260,9 +260,10 @@ def test_gaussian_binomial():
 # ---------------------------------------------------------------------------
 
 
-def test_code_file_roundtrip(pair_n7):
-    text = codec.format_code(pair_n7)
-    back = bundleio.parse_file(text.encode()).code
+def test_code_file_roundtrip(pair_n7, tmp_path):
+    path = tmp_path / "code.txt"
+    path.write_text(codec.format_code(pair_n7))
+    back = bundleio.read_file(path).code
     assert back == pair_n7
 
 

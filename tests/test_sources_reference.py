@@ -168,3 +168,16 @@ def test_long_line_and_open_group_span_blocks():
         got, raised = outcome(sources.iter_bit_chunks(io.BytesIO(data), [2, 2]))
     assert not raised
     assert [[p.tolist() for p in c] for c in got] == [[[[0, 1]], [[1, 0]]], [[[1, 1]], [[0, 0]]]]
+
+
+def test_not_bits_across_scan_blocks():
+    # bytes scanned in several blocks, with non-bit bytes on both sides of
+    # each block boundary, give the positions one whole-array test gives
+    block = sources._SCAN_BLOCK
+    rng = np.random.default_rng(7)
+    text = rng.choice(np.frombuffer(b"0101010101\n\r \xa0x", dtype=np.uint8), 3 * block + 17)
+    for at in (block - 1, block, 2 * block - 1, 2 * block, 3 * block):
+        text[at] = ord("\n")
+    want = ((text & 0xFE) != 0x30).nonzero()[0]
+    assert np.array_equal(sources._not_bits(text), want)
+    assert np.array_equal(sources._not_bits(text[:5]), want[want < 5])

@@ -388,9 +388,9 @@ def scan_lines(text: np.ndarray):
     return pos, ends, gap, score, bits
 
 
-#: bytes that :func:`_not_bits` scans in one step; one reused buffer of
-#: this size replaces a temporary the size of the file, which on the
-#: 7.3 MB a = 6 bundle halves the scan and saves 10 MB of peak memory
+#: bytes that :func:`_not_bits` tests in one step; one reused buffer of
+#: this size, in place of a temporary the size of the file, makes a large
+#: file faster to scan and keeps a second file-sized array out of memory
 _SCAN_BLOCK = 1 << 18
 
 

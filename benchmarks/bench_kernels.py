@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Time the packed GF(2) kernels.
 
-Times the three packed GF(2) kernels on representative shapes, plus two
-end-to-end operations (perfectness verification of the n = 341 code and a
-batch of algebraic decodes) and the byte parser of bundle files on the
+Times the three packed GF(2) kernels on representative shapes, plus three
+end-to-end operations (perfectness verification of the n = 341 code, a
+batch of algebraic decodes and the construction of the a = 6 bundle,
+lifting chain included) and the byte parser of bundle files on the
 a = 5 bundle (``bundleio.read_file``, written to a temporary directory),
 and prints the fastest of ``--repeat`` runs of each.  Run with ``python
 benchmarks/bench_kernels.py``.  The matrix product goes through numpy's
@@ -62,12 +63,16 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         for y in syndromes:
             hcms.hcms_decode(bundle, y)
 
+    def bench_hcms_for_a():
+        hcms.hcms_for_a(6)
+
     cases = [
         ("rref 341x682", bench_rref),
         ("matmul 341^2", bench_matmul),
         ("matvec 341 x100", bench_matvec),
         ("is_perfect n=341", bench_is_perfect),
         ("decode n=341 x200", bench_decode),
+        ("hcms_for_a a=6", bench_hcms_for_a),
     ]
     if workdir is not None:
         path = Path(workdir) / "gen_a5.txt"

@@ -3,8 +3,8 @@
 All outputs are byte-deterministic given flags and --seed.  Failures print
 ``error=<TOKEN> <message>`` on stderr and exit nonzero.  HCMS_BUDGET
 overrides the budget of ``search`` and bounds the N of ``verify --roundtrip
-N`` (both 2^20 by default).  ``decode``, ``verify`` and ``reduce`` of a
-bundle file check its sections first.  ``decode`` and ``verify
+N`` (both 2^20 by default).  Every command that reads a bundle file
+checks its sections first.  ``decode`` and ``verify
 --roundtrip`` decode every compressible code, plain or bundle, through the
 code's plan (:func:`codec.decoder`), which no budget bounds: a checked
 bundle's plan is read off its sections, a plain code's is one elimination.
@@ -13,6 +13,8 @@ bundle's plan is read off its sections, a plain code's is one elimination.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import os
 import sys
 
@@ -131,7 +133,7 @@ def _check_not_input(args) -> None:
 
 def cmd_encode(args) -> int:
     _check_not_input(args)
-    code = bundleio.read_file(args.bundle).code
+    code = _checked_code(bundleio.read_file(args.bundle))
     with open(args.input, "rb") as fh:
         chunks = sources.iter_bit_chunks(fh, [code.n] * code.s)
         count = _write_chunks(args.output, (codec.encode_batch(code, x) for x in chunks))
@@ -309,7 +311,9 @@ class _Parser(argparse.ArgumentParser):
         raise BadArgumentError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     ap = _Parser(
         prog="swhamming",
         description="Syndrome-based Slepian-Wolf codes for Hamming-correlated sources",
@@ -383,6 +387,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error=IO {exc}", file=sys.stderr)
         return 2
+    finally:
+        # a command's code, plan and bundle refer to one another, so only the
+        # cyclic collector frees them; they are young, and collecting the
+        # young generations costs microseconds where a full collection costs ms
+        gc.collect(1)
 
 
 if __name__ == "__main__":

@@ -136,8 +136,8 @@ def _pair_partition(code: SwCode) -> BitMatrix:
     rows = sum(code.m) - code.n
     if P.rows != rows:
         raise DecompositionInvalidError(f"partition has {P.rows} rows, not M - n = {rows}")
-    cols = {P.column_bytes(j) for j in range(P.cols)}
-    if len(cols) != P.cols or bytes(P.rows) in cols:
+    bits = P.to_array()
+    if np.unique(bits, axis=1).shape[1] != P.cols or not bits.any(axis=0).all():
         raise DecompositionInvalidError("partition columns must be nonzero and distinct")
     return P
 

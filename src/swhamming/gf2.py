@@ -184,11 +184,6 @@ class BitMatrix:
     def column(self, j: int) -> BitVector:
         return BitVector.from_bits((self._data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
 
-    def column_bytes(self, j: int) -> bytes:
-        """Unpacked bits of column j as a hashable key."""
-        bits = (self._data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
-        return bits.astype(np.uint8).tobytes()
-
     def take_rows(self, start: int, stop: int) -> BitMatrix:
         return BitMatrix(stop - start, self.cols, self._data[start:stop].copy())
 

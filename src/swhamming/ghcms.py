@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .gf2 import BitMatrix, row_basis
 from .hcms import Bundle, assemble, hcms_decode, validate_partition
 
@@ -49,8 +51,8 @@ def degenerate_two_source(
     surjective H, so the blocks sum to zero without any stacked Hamming
     matrix existing.  Terminal 1 absorbs the whole completion by default,
     making its coding matrix invertible."""
-    cols = {H.column_bytes(j) for j in range(H.cols)}
-    if len(cols) != H.cols or bytes(H.rows) in cols:
+    bits = H.to_array()
+    if np.unique(bits, axis=1).shape[1] != H.cols or not bits.any(axis=0).all():
         raise ValueError("columns must be nonzero and pairwise distinct")
     C = row_basis(H)
     if C.rows != H.rows:

@@ -11,6 +11,10 @@ The explicit partition for (n, M) = (21, 27) is embedded as data and
 re-verified on every construction; all larger block lengths are built by
 lifting a verified partition, doubling the Hamming matrix height by two
 rows per step.
+
+Where a partition is built or checked (the Hamming matrix, the lift, the
+random search, :func:`validate_partition`), each column is handled as its
+int64 value with row 0 as the most significant bit.
 """
 
 from __future__ import annotations
@@ -56,18 +60,21 @@ def hamming_matrix(m: int) -> BitMatrix:
         raise ValueError("m must be positive")
     if m > 24:
         raise BudgetExceededError(f"2^{m} - 1 columns is beyond the supported size")
-    vals = np.arange(1, 1 << m, dtype=np.int64)
-    bits = np.zeros((m, vals.size), dtype=np.uint8)
-    for i in range(m):
-        bits[i] = (vals >> (m - 1 - i)) & 1
-    return BitMatrix.from_bits(bits)
+    return _from_values(np.arange(1, 1 << m, dtype=np.int64), m)
 
 
 def _column_values(M: BitMatrix) -> np.ndarray:
-    """Integer value of every column, row 0 as MSB."""
-    arr = M.to_array()
-    weights = (np.int64(1) << np.arange(M.rows - 1, -1, -1)).astype(object)
-    return arr.T.astype(object) @ weights
+    """Integer value of every column, row 0 as the most significant bit, as
+    int64: M has at most 62 rows."""
+    weights = np.int64(1) << np.arange(M.rows - 1, -1, -1, dtype=np.int64)
+    return weights @ M.to_array()
+
+
+def _from_values(values: np.ndarray | Sequence[int], rows: int) -> BitMatrix:
+    """The rows x len(values) matrix whose columns have the given values,
+    the inverse of :func:`_column_values`."""
+    shifts = np.arange(rows - 1, -1, -1, dtype=np.int64)[:, None]
+    return BitMatrix.from_bits((np.asarray(values, dtype=np.int64) >> shifts) & 1)
 
 
 def validate_partition(Q: Sequence[BitMatrix]) -> None:
@@ -83,13 +90,10 @@ def validate_partition(Q: Sequence[BitMatrix]) -> None:
         raise NotHammingPartitionError(
             f"{len(Q)} blocks of {n} columns cannot partition a {mn}-bit Hamming matrix"
         )
-    acc = Q[0]
-    for B in Q[1:]:
-        acc = acc + B
-    if not acc.is_zero():
+    vals = np.stack([_column_values(B) for B in Q])
+    if np.bitwise_xor.reduce(vals, axis=0).any():
         raise NotHammingPartitionError("blocks do not sum to zero")
-    vals = sorted(_column_values(hstack(Q)))
-    if vals != list(range(1, (1 << mn))):
+    if not np.array_equal(np.sort(vals, axis=None), np.arange(1, 1 << mn)):
         raise NotHammingPartitionError("columns are not the distinct nonzero vectors")
 
 
@@ -364,9 +368,9 @@ def hcms_a3(g_split: Sequence[int] | None = None) -> Bundle:
 # lifting a partition from 2k to 2(k+1) rows
 # ---------------------------------------------------------------------------
 
-_TAG_U = (1, 0)
-_TAG_V = (0, 1)
-_TAG_W = (1, 1)
+# a tag t appended below a column of value v gives the column 4v + t
+_TAG_U, _TAG_V, _TAG_W = 2, 1, 3
+_TAGS = (_TAG_U, _TAG_V, _TAG_W, 0)
 # tag combos pinned to the four head positions after the zero-tagged block
 # (groups 0..3); the last two re-pair columns across blocks, legal because
 # each block still uses every tag once per group and position sums stay
@@ -411,51 +415,33 @@ def _lift(
     k: int, A: BitMatrix, B: BitMatrix, C: BitMatrix
 ) -> tuple[BitMatrix, BitMatrix, BitMatrix]:
     """:func:`lift_partition` of a partition of height 2k that meets the
-    lift's precondition; the lifted partition is checked against it."""
+    lift's precondition; the lifted partition is checked against it.
+
+    On column values, ascending A-column order is ascending value (the
+    values are distinct), and the groups fall into six configurations of
+    used head tags, each paired once: groups 0..3 one each, groups
+    4..4k-1 (zero tags used) and the rest (none used)."""
     n = A.cols
-    arrs = [M.to_array() for M in (A, B, C)]
-
-    def col(block: int, j: int, tag: tuple[int, int]) -> tuple[int, ...]:
-        return tuple(arrs[block][:, j]) + tag
-
-    head: list[tuple] = []
-    used: dict[int, list] = {j: [] for j in range(n)}
-    for j in range(4 * k):
-        head.append((col(0, j, (0, 0)), col(1, j, (0, 0)), col(2, j, (0, 0))))
-        used[j].append(((0, 0), (0, 0), (0, 0)))
-    for j, combo in enumerate(_HEAD_COMBOS):
-        head.append((col(0, j, combo[0]), col(1, j, combo[1]), col(2, j, combo[2])))
-        used[j].append(combo)
-
-    tail: list[tuple] = [
-        (
-            (0,) * (2 * k) + _TAG_U,
-            (0,) * (2 * k) + _TAG_V,
-            (0,) * (2 * k) + _TAG_W,
-        )
-    ]
-    for j in range(n):
-        remaining_tags = [
-            [t for t in (_TAG_U, _TAG_V, _TAG_W, (0, 0)) if t not in
-             [u[b] for u in used[j]]]
-            for b in range(3)
-        ]
-        tail.extend(_pair_remaining(col, j, remaining_tags))
-
-    tail.sort(key=lambda trip: trip[0])
-    triples = head + tail
-
-    mats = []
-    for b in range(3):
-        bits = np.array([trip[b] for trip in triples], dtype=np.uint8).T
-        mats.append(BitMatrix.from_bits(bits))
-    out = tuple(mats)
+    vals = np.stack([_column_values(M) for M in (A, B, C)]) << 2
+    head = np.hstack([vals[:, : 4 * k], vals[:, :4] + np.array(_HEAD_COMBOS).T])
+    zero = (0, 0, 0)
+    configs = [(slice(j, j + 1), (zero, combo)) for j, combo in enumerate(_HEAD_COMBOS)]
+    configs += [(slice(4, 4 * k), (zero,)), (slice(4 * k, n), ())]
+    tail = [np.array([[_TAG_U], [_TAG_V], [_TAG_W]])]
+    for groups, used in configs:
+        left = [[t for t in _TAGS if t not in [u[b] for u in used]] for b in range(3)]
+        tags = np.array(_pair_remaining(left)).T
+        tail.append((vals[:, None, groups] + tags[:, :, None]).reshape(3, -1))
+    tail = np.hstack(tail)
+    lifted = np.hstack([head, tail[:, np.argsort(tail[0])]])
+    out = tuple(_from_values(v, 2 * k + 2) for v in lifted)
     check_lift_precondition(*out)
     return out
 
 
-def _pair_remaining(col, j: int, remaining: list[list[tuple[int, int]]]):
-    """First-fit pairing of group j's leftover tags into zero-sum triples.
+def _pair_remaining(remaining: list[list[int]]) -> list[tuple[int, int, int]]:
+    """First-fit pairing of one configuration's leftover tags into zero-sum
+    triples.
 
     The leftover configurations are fixed by the head arrangement (six
     cases) and first-fit completes all of them; a stranded tag would be a
@@ -465,14 +451,14 @@ def _pair_remaining(col, j: int, remaining: list[list[tuple[int, int]]]):
     while a_tags:
         ta = a_tags.pop(0)
         for tb in b_tags:
-            tc = (ta[0] ^ tb[0], ta[1] ^ tb[1])
+            tc = ta ^ tb
             if tc in c_tags:
-                out.append((col(0, j, ta), col(1, j, tb), col(2, j, tc)))
+                out.append((ta, tb, tc))
                 b_tags.remove(tb)
                 c_tags.remove(tc)
                 break
         else:
-            raise AssertionError(f"could not pair leftover tags of group {j}")
+            raise AssertionError(f"could not pair leftover tags {remaining}")
     return out
 
 
@@ -532,12 +518,7 @@ def random_sum_zero_partition(
         groups = _random_zero_sum_groups(s, mn, rng)
         if groups is None:
             continue
-        Q = tuple(
-            BitMatrix.from_bits(
-                [[(val >> (mn - 1 - r)) & 1 for val in block] for r in range(mn)]
-            )
-            for block in groups
-        )
+        Q = tuple(_from_values(block, mn) for block in groups)
         stack = vstack(Q[: s - 1])
         if rank(stack) == (s - 1) * mn:
             return Q

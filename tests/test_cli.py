@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -511,6 +513,17 @@ def test_reduce_refuses_a_tampered_bundle(tmp_path, capsys, bundle_texts, form):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("form", ["direct", "relaxed"])
+def test_encode_refuses_a_tampered_bundle(tmp_path, capsys, bundle_texts, form, rng):
+    # the code itself is untouched, so only the load check stops encode
+    path, src, out = tmp_path / "bundle.txt", tmp_path / "src.txt", tmp_path / "enc.txt"
+    path.write_text(_replace_section(bundle_texts[form][0], "R", _flip_first_bit))
+    src.write_text(format_syndromes([sources.random_member(3, 21, rng) for _ in range(5)]))
+    code, stdout, err = run(capsys, "encode", str(path), "--input", str(src), "--output", str(out))
+    assert (code, stdout) == (2, "") and err.startswith("error=MALFORMED_FILE section R")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "form,label,drop",
     [
@@ -605,6 +618,28 @@ def test_shifted_plain_code_round_trips(tmp_path, capsys, rng, a):
     status, out, _ = run(capsys, "decode", str(path), "--input", str(synd), "--output", str(back))
     assert status == 0 and "decoded=20 path=algebraic" in out
     assert back.read_text() == src.read_text()
+
+
+def test_main_frees_what_a_command_made(tmp_path, capsys, monkeypatch):
+    # a bundle and its code refer to each other, so only the cyclic
+    # collector frees them; with automatic collection off, nothing but
+    # main's own collection can have freed the bundle gen made
+    made = []
+    real = hcms.assemble
+
+    def assemble(*args, **kwargs):
+        bundle = real(*args, **kwargs)
+        made.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr(hcms, "assemble", assemble)
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run(capsys, "gen", "--a", "3", "-o", str(tmp_path / "b.txt"))
+    finally:
+        gc.enable()
+    assert code == 0 and len(made) == 1 and made[0]() is None
 
 
 @pytest.mark.parametrize("argv", [["--a", "3"], ["--a", "4"], ["--a", "5"], ["--trivial"]])

@@ -30,12 +30,15 @@ line, then ``rows`` lines each of exactly ``cols`` ASCII ``0``/``1``
 once the whitespace that ``str.strip`` removes is stripped; its body is
 checked and packed with whole-array operations over the one line scan
 of :func:`sources.scan_lines`, and nothing is allocated for it before
-every row has passed.  A refusal is MALFORMED_FILE naming the file line
-(``line 12: section R: bad matrix row 4: '0110...' (85 characters)``).
+every row has passed.  A matrix is at most ``MAX_COLS`` columns wide and
+a code's n at most ``MAX_N``, whatever the rows.  A refusal is
+MALFORMED_FILE naming the file line (``line 12: section R: bad matrix row
+4: '0110...' (85 characters)``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import sys
@@ -45,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from ._kernels import nwords
-from .codec import SwCode, format_code
+from .codec import DEFAULT_SEARCH_BUDGET, SwCode, format_code
 from .errors import MalformedFileError
 from .gf2 import BitMatrix, format_matrix, hstack, vstack
 from .hcms import Bundle
@@ -93,6 +96,13 @@ def write_bundle(path: str | Path, bundle: Bundle) -> None:
 def write_code_file(path: str | Path, code: SwCode) -> None:
     Path(path).write_text(format_code(code))
 
+
+#: the widest matrix a file may declare, 2^20 columns (the default of
+#: HCMS_BUDGET), and the largest n, whose n x n GF(2) matrices (the null
+#: space ``verify`` builds for the witness of a rank-deficient code) hold at
+#: most 2^20 words; both are checked before anything is allocated for them
+MAX_COLS = DEFAULT_SEARCH_BUDGET
+MAX_N = math.isqrt(64 * MAX_COLS)
 
 #: characters of a bad row that an error message shows
 _ECHO_CHARS = 16
@@ -164,6 +174,9 @@ class _Lines:
             raise self.error(first + i, f"{where}bad matrix row {i}: {row}")
         if got < rows:
             raise self.error(first + got, f"{where}matrix body ended after {got} of {rows} rows")
+        # a row bounds the width by the file's length; zero rows do not
+        if cols > MAX_COLS:
+            raise self.error(k, f"{where}matrix dimensions {rows} x {cols} out of range")
         if not rows or not cols:
             return BitMatrix.zeros(rows, cols)
         # each row is one run of ``cols`` bits: gather the runs, keep the
@@ -190,6 +203,8 @@ def _parse_code(lines: _Lines) -> SwCode:
         raise lines.error(0, f"code header 's n' is '{s} {n}': need s >= 2 and n >= 1")
     if len(m) != s:
         raise lines.error(1, f"expected {s} syndrome lengths, got {len(m)}")
+    if n > MAX_N:
+        raise lines.error(0, f"code header 's n' is '{s} {n}': need n <= {MAX_N}")
     mats = []
     for mi in m:
         k = lines.at

@@ -63,3 +63,10 @@ class NotCompressibleError(SwError, ValueError):
     """Two members of S share a syndrome tuple, so no decoder exists."""
 
     token = "NOT_COMPRESSIBLE"
+
+
+class VerdictMismatchError(SwError):
+    """Two exact compressibility tests disagreed on one code: a defect in
+    the library, not in its input."""
+
+    token = "VERDICT_MISMATCH"

@@ -568,6 +568,34 @@ def test_code_header_outside_the_model_is_malformed(tmp_path, capsys, text, comm
     assert code == 2 and "error=MALFORMED_FILE" in err and "need s >= 2 and n >= 1" in err
 
 
+# zero-row matrices declare a width that no row bounds
+HUGE = 1 << 62
+WIDE_FILES = {
+    "huge-n": (f"2 {HUGE}\n0 0\n0 {HUGE}\n0 {HUGE}\n", "need n <= 8192"),
+    "n-above-bound": ("2 8193\n0 0\n0 8193\n0 8193\n", "need n <= 8192"),
+    "wide-section": (f"2 1\n1 1\n1 1\n1\n1 1\n1\nP\n0 {HUGE}\n", f"0 x {HUGE} out of range"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_FILES))
+@pytest.mark.parametrize("command", ["verify", "encode", "decode", "reduce"])
+def test_declared_widths_are_bounded_before_allocation(tmp_path, capsys, name, command):
+    # before the bound, verify died in null_space and encode in the group
+    # file reader, both with a traceback
+    text, message = WIDE_FILES[name]
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    (tmp_path / "in.txt").write_text("0\n0\n")
+    argv = {
+        "verify": [],
+        "reduce": ["-o", str(tmp_path / "r.txt")],
+    }.get(command, ["--input", str(tmp_path / "in.txt"), "--output", str(tmp_path / "out.txt")])
+    code, out, err = run(capsys, command, str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error=MALFORMED_FILE ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out.txt").exists() and not (tmp_path / "r.txt").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

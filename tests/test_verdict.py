@@ -3,11 +3,16 @@
 ``codec.is_compressible`` returns ``code.plan.compressible`` and builds no
 witness.  Here that verdict is checked against the witness path
 (``find_collision``) and against the explicit enumeration of S
-(``brute_force_collision``) on random small codes, and the profile search
-is checked to ask for it exactly once per triple.
+(``brute_force_collision``) on random small codes.  The profile search's
+coset test (``codec.compressible_grid``), which reads only the null spaces,
+is checked against the verdict on random profiles, on a seeded sweep and
+on every (5, 9) triple, and the search is checked to cross-check it
+through the verdict on one triple per row split plus each profile found.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swhamming import codec, gf2
+from swhamming.errors import BadArgumentError, BudgetExceededError, VerdictMismatchError
 
 
 def matrix(bits) -> gf2.BitMatrix:
@@ -85,9 +91,65 @@ def test_common_null_vector_collides():
     assert not check_verdict(code)
 
 
-def test_search_asks_for_the_verdict_once_per_triple(monkeypatch):
-    # a caller can time or count the tests by wrapping the module binding,
-    # and the search builds no witness for the triples that collide
+def random_subspace(n: int, d: int, rng: np.random.Generator) -> gf2.Subspace:
+    """The span of d random vectors of GF(2)^n: dimension d or less."""
+    return gf2.Subspace(n, gf2.random_matrix(d, n, rng))
+
+
+def coset_verdict(profile) -> bool:
+    n = profile[0].n
+    return bool(codec.compressible_grid([codec.coset_masks([N], n) for N in profile]).item())
+
+
+def plan_verdict(profile) -> bool:
+    return codec.is_compressible(codec.make_code([gf2.matrix_with_null_space(N) for N in profile]))
+
+
+@given(
+    n=st.integers(2, 7),
+    s=st.integers(3, 5),
+    dims=st.lists(st.integers(0, 6), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_coset_test_matches_the_plan(n, s, dims, seed):
+    # n = 7 gives two-word masks
+    rng = np.random.default_rng(seed)
+    profile = [random_subspace(n, min(d, n - 1), rng) for d in dims[:s]]
+    assert coset_verdict(profile) == plan_verdict(profile)
+
+
+def test_coset_test_sweep_meets_both_verdicts():
+    rng = np.random.default_rng(20261019)
+    verdicts = []
+    for _ in range(1200):
+        n, s = int(rng.integers(2, 8)), int(rng.integers(3, 6))
+        profile = [random_subspace(n, int(rng.integers(0, n)), rng) for _ in range(s)]
+        verdicts.append(coset_verdict(profile))
+        assert verdicts[-1] == plan_verdict(profile)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (0, 1, 2), (1, 1, 1)])
+def test_coset_grid_matches_the_plan_on_every_triple(dims):
+    # (2, 2, 2) is the (5, 9) search; the others meet both verdicts
+    cands = {d: codec.admissible_null_spaces(5, d) for d in set(dims)}
+    grid = codec.compressible_grid([codec.coset_masks(cands[d], 5) for d in dims])
+    triples = list(itertools.product(*(cands[d] for d in dims)))
+    assert grid.shape == tuple(len(cands[d]) for d in dims)
+    assert grid.ravel().tolist() == [plan_verdict(t) for t in triples]
+    assert grid.any() == (dims != (2, 2, 2))
+
+
+def test_coset_test_needs_three_terminals():
+    masks = codec.coset_masks([gf2.Subspace.zero(3)], 3)
+    with pytest.raises(BadArgumentError):
+        codec.compressible_grid([masks, masks])
+
+
+def test_search_cross_checks_one_triple_per_row_split(monkeypatch):
+    # a caller can time or count the cross-checks by wrapping the module
+    # binding; the coset test decides the rest, and no witness is built
     calls = []
     real = codec.is_compressible
 
@@ -101,5 +163,24 @@ def test_search_asks_for_the_verdict_once_per_triple(monkeypatch):
     monkeypatch.setattr(codec, "is_compressible", counting)
     monkeypatch.setattr(codec, "_collision_from_pattern", no_witness)
     result = codec.search_perfect_null_spaces(5, 9, jobs=1)
-    assert len(calls) == result.triples_tested == 3375
-    assert result.profiles == []
+    assert result.triples_tested == 3375 and result.profiles == []
+    assert len(calls) == len(result.assignments_admissible) == 1
+    calls.clear()
+    # (1, 3): the one triple is also the one profile, checked once
+    result = codec.search_perfect_null_spaces(1, 3, jobs=1)
+    assert len(calls) == len(result.profiles) == 1
+
+
+@pytest.mark.parametrize("n, M, found", [(5, 9, 0), (1, 3, 1)])
+def test_search_refuses_a_verdict_the_plan_contradicts(monkeypatch, n, M, found):
+    # the cross-checked triples are the first of the row split and the profiles
+    monkeypatch.setattr(codec, "is_compressible", lambda code: found == 0)
+    with pytest.raises(VerdictMismatchError, match="the coset test says"):
+        codec.search_perfect_null_spaces(n, M)
+
+
+def test_search_budget_counts_the_coset_masks():
+    # 3375 triples fit; their masks (3 x 15 words) and one grid (3375) do not
+    with pytest.raises(BudgetExceededError, match="coset masks of 3420 words"):
+        codec.search_perfect_null_spaces(5, 9, budget=3400)
+    assert codec.search_perfect_null_spaces(5, 9, budget=3420).triples_tested == 3375

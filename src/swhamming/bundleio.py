@@ -52,7 +52,7 @@ from .codec import DEFAULT_SEARCH_BUDGET, SwCode, format_code
 from .errors import MalformedFileError
 from .gf2 import BitMatrix, format_matrix, hstack, vstack
 from .hcms import Bundle
-from .sources import SourceParams, scan_lines
+from .sources import scan_lines
 
 _LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -212,7 +212,7 @@ def _parse_code(lines: _Lines) -> SwCode:
         if H.rows != mi or H.cols != n:
             raise lines.error(k, f"matrix {H.rows}x{H.cols} disagrees with header ({mi}x{n})")
         mats.append(H)
-    return SwCode(SourceParams(s, n, m), tuple(mats))
+    return SwCode(tuple(mats))
 
 
 def _parse(data: bytearray) -> ParsedFile:

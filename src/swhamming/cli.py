@@ -134,6 +134,9 @@ def _check_not_input(args) -> None:
 def cmd_encode(args) -> int:
     _check_not_input(args)
     code = _checked_code(bundleio.read_file(args.bundle))
+    if 0 in code.m:
+        i = code.m.index(0) + 1
+        raise BadArgumentError(f"terminal {i} has m_{i} = 0: its syndrome lines would be blank")
     with open(args.input, "rb") as fh:
         chunks = sources.iter_bit_chunks(fh, [code.n] * code.s)
         count = _write_chunks(args.output, (codec.encode_batch(code, x) for x in chunks))
@@ -210,8 +213,7 @@ def cmd_verify(args) -> int:
         # CHUNK_TUPLES members at a time, drawn in order, so memory is bounded
         for start in range(0, args.roundtrip, sources.CHUNK_TUPLES):
             count = min(sources.CHUNK_TUPLES, args.roundtrip - start)
-            xs = [sources.random_member(code.s, code.n, rng) for _ in range(count)]
-            parts = [np.stack([x[i].to_array() for x in xs]) for i in range(code.s)]
+            parts = sources.random_members(code.s, code.n, count, rng)
             back = decoder.decode_batch(codec.encode_batch(code, parts))
             wrong = np.concatenate(back, axis=1) != np.concatenate(parts, axis=1)
             failures += int(wrong.any(axis=1).sum())

@@ -1,6 +1,7 @@
 """Syndrome-based encoding plus exact compressibility and perfectness checks.
 
-A code is an s-tuple of coding matrices; terminal i transmits y_i = H_i x_i.
+A code is an s-tuple of coding matrices, and nothing else: its s, n and
+m_i are read off them (:class:`SwCode`); terminal i transmits y_i = H_i x_i.
 The code compresses the Hamming-source set S iff no two distinct members of
 S share a syndrome tuple.  Injectivity is decided algebraically: it fails
 iff some nonzero member of the sumset S+S lies componentwise in the null
@@ -17,7 +18,8 @@ criterion is a question about the null spaces N_i alone (some S+S member
 in N_1 x ... x N_s), which :func:`compressible_grid` answers for a whole
 grid of profiles at once, each N_i and the unions of its cosets held as
 bit masks over GF(2)^n.  The search re-decides a few profiles through
-the plan as a run-time cross-check.
+the plan as a run-time cross-check.  Syndrome files are group files, and
+:func:`iter_syndromes` is a per-tuple view of their reader (``sources``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from ._kernels import back_substitute, bits_matmul, nwords, unpack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
-    MalformedFileError,
     NotCompressibleError,
     NotInImageError,
     ParamsNotPerfectError,
@@ -50,16 +51,15 @@ from .gf2 import (
     hstack,
     mat_vec,
     matrix_with_null_space,
-    null_space,
+    null_vector,
     rank,
     split,
     vstack,
 )
 from .sources import (
-    SourceParams,
     SourceTuple,
     enumerate_hamming_sources,
-    iter_bit_groups,
+    iter_groups,
     is_hamming_member,
     is_perfect_params,
 )
@@ -74,38 +74,33 @@ DEFAULT_SEARCH_BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class SwCode:
-    """s coding matrices H_i of size m_i x n.
+    """s >= 2 coding matrices H_i of size m_i x n, one n >= 1 for all;
+    s, n and m = (m_1, ..., m_s) are read off the matrices.
 
     ``bundle`` is the ``hcms.Bundle`` that built or carried the code, once
     :func:`hcms.assemble` or :func:`bundleio.build_bundle` has checked it
     and attached it (:meth:`attach`); it is not part of the code's value.
     """
 
-    params: SourceParams
     matrices: tuple[BitMatrix, ...]
     bundle: Bundle | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.matrices) != self.params.s:
-            raise ValueError("one matrix per terminal required")
-        for H, mi in zip(self.matrices, self.params.m):
-            if H.rows != mi or H.cols != self.params.n:
-                raise ValueError(
-                    f"matrix {H.rows}x{H.cols} disagrees with params "
-                    f"({mi}x{self.params.n})"
-                )
+        if len(self.matrices) < 2 or self.n < 1 or any(H.cols != self.n for H in self.matrices):
+            shapes = [f"{H.rows}x{H.cols}" for H in self.matrices]
+            raise ValueError(f"need s >= 2 matrices of one width n >= 1, got {shapes}")
 
     @property
     def s(self) -> int:
-        return self.params.s
+        return len(self.matrices)
 
     @property
     def n(self) -> int:
-        return self.params.n
+        return self.matrices[0].cols
 
     @property
     def m(self) -> tuple[int, ...]:
-        return self.params.m
+        return tuple(H.rows for H in self.matrices)
 
     def attach(self, bundle: Bundle) -> None:
         """Record the checked bundle whose sections the plan is read off."""
@@ -121,12 +116,8 @@ class SwCode:
 
 
 def make_code(matrices: Sequence[BitMatrix]) -> SwCode:
-    """Wrap coding matrices in an SwCode, inferring the parameters."""
-    mats = tuple(matrices)
-    if not mats:
-        raise ValueError("no matrices")
-    n = mats[0].cols
-    return SwCode(SourceParams(len(mats), n, tuple(H.rows for H in mats)), mats)
+    """The SwCode of any sequence of coding matrices."""
+    return SwCode(tuple(matrices))
 
 
 def encode(code: SwCode, x: SourceTuple) -> SyndromeTuple:
@@ -382,7 +373,7 @@ def find_collision(code: SwCode) -> tuple[SourceTuple, SourceTuple] | None:
     (see :class:`CodePlan`)."""
     plan = code.plan
     if not plan.full_rank:
-        x = null_space(vstack(code.matrices)).basis.row(0)
+        x = null_vector(vstack(code.matrices))
         zero = BitVector.zeros(code.n)
         return _validate_pair(code, (x,) * code.s, (zero,) * code.s)
     if plan.collision is None:
@@ -697,13 +688,6 @@ def format_code(code: SwCode) -> str:
 
 
 def iter_syndromes(lines, m: Sequence[int]):
-    """Parse syndrome tuples one blank-line separated group at a time."""
-    for group in iter_bit_groups(lines):
-        if len(group) != len(m):
-            raise MalformedFileError(f"expected {len(m)} syndrome lines per tuple")
-        vecs = []
-        for ln, mi in zip(group, m):
-            if len(ln) != mi:
-                raise MalformedFileError(f"bad syndrome line {ln!r} (expected {mi} bits)")
-            vecs.append(BitVector.from_bits(int(c) for c in ln))
-        yield tuple(vecs)
+    """Syndrome tuples of m_i bits at line i of a group, read by
+    :func:`sources.iter_groups`."""
+    return iter_groups(lines, m)

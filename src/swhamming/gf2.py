@@ -460,7 +460,20 @@ def _express_rows(A: BitMatrix, B: BitMatrix) -> BitMatrix | None:
 
 
 def null_space(M: BitMatrix) -> Subspace:
-    """Kernel {x : M x = 0} as a canonical subspace of GF(2)^cols.
+    """Kernel {x : M x = 0} as a canonical subspace of GF(2)^cols."""
+    return Subspace(M.cols, BitMatrix.from_bits(_null_basis(M, M.cols)), _canonical=True)
+
+
+def null_vector(M: BitMatrix) -> BitVector | None:
+    """The first basis vector of :func:`null_space`, built alone; None when
+    M x = 0 only for x = 0."""
+    bits = _null_basis(M, 1)
+    return BitVector.from_bits(bits[0]) if bits.shape[0] else None
+
+
+def _null_basis(M: BitMatrix, count: int) -> np.ndarray:
+    """The first ``count`` vectors of the canonical basis of M's kernel, as
+    a 0/1 array with one vector per row.
 
     M is eliminated once, with its columns reversed, so each pivot column
     p_i is the highest set column of its row i.  The basis vector of a free
@@ -472,17 +485,15 @@ def null_space(M: BitMatrix) -> Subspace:
     n = M.cols
     data = pack_bits(M.to_array()[:, ::-1])
     pivots = rref_in_place(data, n)
-    rk = len(pivots)
-    if rk == n:
-        return Subspace.zero(n)
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    # reversing rows and columns back puts the vectors in order of f
-    bits = np.zeros((n - rk, n), dtype=np.uint8)
-    bits[np.arange(n - rk), free] = 1
-    bits[:, pivots] = unpack_bits(data[:rk], n)[:, free].T
-    return Subspace(n, BitMatrix(n - rk, n, pack_bits(bits[::-1, ::-1])), _canonical=True)
+    # from the highest reversed free column down, once the columns are
+    # reversed back, the vectors come in canonical order
+    free = np.flatnonzero(is_free)[::-1][:count]
+    bits = np.zeros((free.size, n), dtype=np.uint8)
+    bits[np.arange(free.size), free] = 1
+    bits[:, pivots] = unpack_bits(data[: len(pivots)], n)[:, free].T
+    return bits[:, ::-1]
 
 
 def matrix_with_null_space(N: Subspace) -> BitMatrix:

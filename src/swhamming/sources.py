@@ -5,6 +5,8 @@ at every time instance except possibly one, where exactly one terminal
 deviates.  The set S of all such tuples has size (s'n + 1) * 2^n with
 s' = s for s > 2 and s' = 1 for s = 2 (for two terminals the deviating
 side is not identifiable, so deviations are counted once).
+:func:`random_members` samples S as arrays; :func:`random_member` is its
+draw of one.
 
 Group files, the input of ``encode`` and ``decode``, hold one group of s
 lines per tuple, line i exactly widths[i] characters over {0,1}.  Lines
@@ -17,15 +19,17 @@ a :class:`MalformedFileError` naming the line.  :func:`iter_bit_chunks`
 reads such a file in blocks of one chunk's bytes in the layout the CLI
 writes and parses each block with whole-array operations; on an error it
 has yielded exactly the chunks wholly before the chunk of the first
-malformed group, as a per-chunk check would.  Its line scanner,
-:func:`scan_lines`, also reads code and bundle files (``bundleio``).
+malformed group, as a per-chunk check would; :func:`format_chunk` writes
+them.  :func:`iter_groups`, :func:`iter_tuples` and :func:`format_tuples`
+are per-tuple views of these two, with no rules of their own.  The line
+scanner, :func:`scan_lines`, also reads code and bundle files (``bundleio``).
 """
 
 from __future__ import annotations
 
+import io
 import os
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,32 +48,6 @@ def env_budget(default: int) -> int:
         return int(raw) if raw else default
     except ValueError:
         raise BadArgumentError(f"HCMS_BUDGET must be an integer, got {raw!r}") from None
-
-
-@dataclass(frozen=True)
-class SourceParams:
-    """Code-side parameters: terminal count, block length, syndrome lengths."""
-
-    s: int
-    n: int
-    m: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.s < 2:
-            raise ValueError("at least two terminals required")
-        if self.n < 1:
-            raise ValueError("block length must be positive")
-        if len(self.m) != self.s:
-            raise ValueError("one syndrome length per terminal required")
-        if any(mi < 0 for mi in self.m):
-            raise ValueError("syndrome lengths must be nonnegative")
-
-    @property
-    def M(self) -> int:
-        return sum(self.m)
-
-    def rates(self) -> tuple[float, ...]:
-        return tuple(mi / self.n for mi in self.m)
 
 
 def effective_s(s: int) -> int:
@@ -142,18 +120,22 @@ def enumerate_hamming_sources(
         yield member_at(s, n, index)
 
 
+def random_members(s: int, n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """``count`` uniform members of S as one (count, n) 0/1 array per
+    terminal: ``count`` uniform common blocks, then one of the s'n + 1
+    deviation patterns per member (factorized so huge |S| is fine).
+    Pattern 1 + t n + p flips bit p of terminal t, of terminal 1 for s = 2."""
+    x = np.tile(rng.integers(0, 2, size=(count, n), dtype=np.uint8), s)
+    pattern = rng.integers(effective_s(s) * n + 1, size=count)
+    dev = pattern.nonzero()[0]
+    # bit p of terminal t is column t n + p of the s blocks side by side
+    x[dev, pattern[dev] - 1 + n * (s == 2)] ^= 1
+    return [x[:, i * n : (i + 1) * n] for i in range(s)]
+
+
 def random_member(s: int, n: int, rng: np.random.Generator) -> SourceTuple:
-    """Uniform member of S: a uniform common block plus a uniform choice
-    among the s'n + 1 deviation patterns (factorized so huge |S| is fine)."""
-    b = BitVector.from_bits(rng.integers(0, 2, size=n, dtype=np.uint8))
-    pattern = int(rng.integers(effective_s(s) * n + 1))
-    if pattern == 0:
-        return tuple(b for _ in range(s))
-    t, p = divmod(pattern - 1, n)
-    if s == 2:
-        t = 1
-    e = BitVector.unit(n, p)
-    return tuple(b + e if i == t else b for i in range(s))
+    """One uniform member of S: :func:`random_members` with count = 1."""
+    return tuple(BitVector.from_bits(part[0]) for part in random_members(s, n, 1, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -211,42 +193,7 @@ def feasible_cuvw(n: int, M: int) -> list[tuple[int, int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# tuple text format: s lines of n chars per tuple, blank line between tuples
-# ---------------------------------------------------------------------------
-
-
-def format_tuples(tuples: Sequence[SourceTuple]) -> str:
-    groups = ["\n".join(v.to01() for v in t) for t in tuples]
-    return "\n\n".join(groups) + "\n"
-
-
-def iter_bit_groups(lines: Iterator[str] | Sequence[str]) -> Iterator[list[str]]:
-    """Blank-line separated groups of 0/1 lines, streamed."""
-    group: list[str] = []
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            if group:
-                yield group
-                group = []
-            continue
-        if set(line) - {"0", "1"}:
-            raise MalformedFileError(f"line is not over {{0,1}}: {line!r}")
-        group.append(line)
-    if group:
-        yield group
-
-
-def iter_tuples(lines) -> Iterator[SourceTuple]:
-    """Parse source tuples one group at a time."""
-    for group in iter_bit_groups(lines):
-        if len({len(ln) for ln in group}) != 1:
-            raise MalformedFileError("tuple lines have unequal lengths")
-        yield tuple(BitVector.from_bits(int(c) for c in ln) for ln in group)
-
-
-# ---------------------------------------------------------------------------
-# chunked group files: the same text format, CHUNK_TUPLES groups at a time
+# group files, CHUNK_TUPLES groups at a time, and per-tuple views of them
 # ---------------------------------------------------------------------------
 
 #: Groups per chunk in the streaming CLI commands; it bounds their memory.
@@ -348,6 +295,36 @@ def _parse_block(tail: bytes, block: bytes, widths: Sequence[int], final: bool, 
     out &= 1
     stop = pos[ends[cut]]
     return out, data[stop:size], cut, error
+
+
+def format_tuples(tuples: Sequence[SourceTuple]) -> str:
+    """The group file of ``tuples``, as :func:`format_chunk` writes it
+    without its first line end; each line position has its own width."""
+    if not tuples:
+        return "\n"
+    parts = [np.stack([v.to_array() for v in column]) for column in zip(*tuples)]
+    return format_chunk(parts)[1:].decode()
+
+
+def iter_groups(lines: Iterable[str], widths: Sequence[int]) -> Iterator[tuple[BitVector, ...]]:
+    """The groups of a group file given as its lines without their line
+    ends (as ``str.splitlines`` gives them), as tuples of BitVector:
+    :func:`iter_bit_chunks` over the joined lines, with its refusals."""
+    fh = io.BytesIO("\n".join(lines).encode())
+    for parts in iter_bit_chunks(fh, widths):
+        yield from zip(*([BitVector.from_bits(row) for row in part] for part in parts))
+
+
+def iter_tuples(lines: Iterable[str]) -> Iterator[SourceTuple]:
+    """:func:`iter_groups` with the shape read off the first group: its
+    line count s and the n bits of its first line, for every group."""
+    lines = list(lines)
+    data = np.frombuffer(("\n" + "\n".join(lines) + "\n").encode(), dtype=np.uint8)
+    _, _, _, score, bits = scan_lines(data)
+    filled = score.nonzero()[0]
+    if filled.size:
+        s = int((np.diff(filled, append=filled[-1] + 2) > 1).argmax()) + 1
+        yield from iter_groups(lines, [int(bits[filled[0]])] * s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,13 @@
-"""Small helpers the tests share: the per-tuple text of syndrome files, the
-decomposition of a member of S, and the byte parser of code and bundle
-files applied to one matrix."""
+"""Small helpers the tests share: the decomposition of a member of S, and
+the byte parser of code and bundle files applied to one matrix."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from swhamming import bundleio, codec
+from swhamming import bundleio
 from swhamming.gf2 import BitMatrix, BitVector
 from swhamming.sources import is_hamming_member
-
-
-def format_syndromes(groups: Sequence[codec.SyndromeTuple]) -> str:
-    """Syndrome tuples in the group file format: one line per terminal, a
-    blank line between tuples."""
-    blocks = ["\n".join(v.to01() for v in y) for y in groups]
-    return "\n\n".join(blocks) + "\n"
 
 
 def decompose(x: Sequence[BitVector]) -> tuple[BitVector, int | None, int | None]:

@@ -21,7 +21,6 @@ from swhamming._kernels import pack_bits
 from swhamming.codec import SwCode
 from swhamming.errors import MalformedFileError
 from swhamming.gf2 import BitMatrix
-from swhamming.sources import SourceParams
 
 # ---------------------------------------------------------------------------
 # reference: the text parser as it was
@@ -81,7 +80,7 @@ def ref_parse_code(it) -> SwCode:
         if H.rows != mi or H.cols != n:
             raise MalformedFileError(f"matrix {H.rows}x{H.cols} disagrees with header ({mi}x{n})")
         mats.append(H)
-    return SwCode(SourceParams(s, n, m), tuple(mats))
+    return SwCode(tuple(mats))
 
 
 def ref_parse_file(data: bytes) -> bundleio.ParsedFile:

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import format_syndromes, parse_matrix_bytes
+from helpers import parse_matrix_bytes
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 
 
@@ -104,7 +104,7 @@ def test_decode_plain_code_ignores_budget_env(tmp_path, capsys, monkeypatch, pai
     bundleio.write_code_file(code_path, pair_n7)
     x = sources.member_at(2, 7, 1000)
     synd = tmp_path / "synd.txt"
-    synd.write_text(format_syndromes([codec.encode(pair_n7, x)]))
+    synd.write_text(sources.format_tuples([codec.encode(pair_n7, x)]))
     monkeypatch.setenv("HCMS_BUDGET", "16")
     out_path = tmp_path / "o.txt"
     code, out, _ = run(capsys, "decode", str(code_path), "--input", str(synd), "--output", str(out_path))
@@ -250,7 +250,7 @@ def test_decode_rejects_bad_syndrome_in_second_chunk(tmp_path, capsys, rng, bund
         for _ in range(sources.CHUNK_TUPLES + 2)
     ]
     synd = tmp_path / "synd.txt"
-    synd.write_text(format_syndromes(ys) + "\n" + "\n".join(["1" * 8] * 3) + "\n")
+    synd.write_text(sources.format_tuples(ys) + "\n" + "\n".join(["1" * 8] * 3) + "\n")
     code, _, err = run(
         capsys, "decode", str(bundle_path), "--input", str(synd), "--output", str(tmp_path / "x.txt")
     )
@@ -266,7 +266,7 @@ def test_output_that_is_the_input_is_refused(tmp_path, capsys, rng, bundle_a3, c
     if command == "encode":
         text = sources.format_tuples(xs)
     else:
-        text = format_syndromes([codec.encode(bundle_a3.code, x) for x in xs])
+        text = sources.format_tuples([codec.encode(bundle_a3.code, x) for x in xs])
     path = tmp_path / "groups.txt"
     path.write_text(text)
     (tmp_path / "sub").mkdir()
@@ -336,13 +336,37 @@ def test_decode_table_rejects_non_compressible_code(tmp_path, capsys):
     assert code == 2 and "error=NOT_COMPRESSIBLE" in err
 
 
+@pytest.mark.parametrize(
+    "code_text, terminal",
+    [
+        ("3 2\n0 1 1\n0 2\n1 2\n10\n1 2\n01\n", 1),
+        ("3 2\n1 1 0\n1 2\n10\n1 2\n01\n0 2\n", 3),
+        ("2 2\n2 0\n2 2\n10\n01\n0 2\n", 2),
+    ],
+)
+def test_encode_refuses_a_terminal_without_syndrome_bits(tmp_path, capsys, code_text, terminal):
+    # its syndrome line would be blank, a file no reader accepts; such a
+    # code never compresses S, so decode refuses it too
+    code_path, src, out_path = tmp_path / "code.txt", tmp_path / "src.txt", tmp_path / "y.txt"
+    code_path.write_text(code_text)
+    s = int(code_text[0])
+    src.write_text(("01\n" * s + "\n") * 2)
+    code, out, err = run(capsys, "encode", str(code_path), "--input", str(src), "--output", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error=BAD_ARGUMENT ") and err.count("\n") == 1
+    assert f"terminal {terminal} " in err
+    assert not out_path.exists()
+    code, _, err = run(capsys, "decode", str(code_path), "--input", str(src), "--output", str(out_path))
+    assert code == 2 and err.startswith("error=NOT_COMPRESSIBLE")
+
+
 def test_decode_algebraic_ignores_table_budget(tmp_path, capsys, monkeypatch, rng, bundle_a3):
     # HCMS_BUDGET bounds the search, not the decoder
     bundle_path = tmp_path / "a3.txt"
     bundleio.write_bundle(bundle_path, bundle_a3)
     xs = [sources.random_member(3, 21, rng) for _ in range(5)]
     synd = tmp_path / "synd.txt"
-    synd.write_text(format_syndromes([codec.encode(bundle_a3.code, x) for x in xs]))
+    synd.write_text(sources.format_tuples([codec.encode(bundle_a3.code, x) for x in xs]))
     monkeypatch.setenv("HCMS_BUDGET", "16")
     out_path = tmp_path / "x.txt"
     code, out, _ = run(capsys, "decode", str(bundle_path), "--input", str(synd), "--output", str(out_path))
@@ -460,7 +484,7 @@ def bundle_texts(tmp_path_factory, bundle_a3):
     for form, bundle in (("direct", bundle_a3), ("relaxed", ghcms.ghcms_build(bundle_a3.Q))):
         bundleio.write_bundle(path, bundle)
         ys = [codec.encode(bundle.code, sources.random_member(3, 21, rng)) for _ in range(5)]
-        out[form] = (path.read_text(), format_syndromes(ys))
+        out[form] = (path.read_text(), sources.format_tuples(ys))
     return out
 
 
@@ -518,7 +542,7 @@ def test_encode_refuses_a_tampered_bundle(tmp_path, capsys, bundle_texts, form, 
     # the code itself is untouched, so only the load check stops encode
     path, src, out = tmp_path / "bundle.txt", tmp_path / "src.txt", tmp_path / "enc.txt"
     path.write_text(_replace_section(bundle_texts[form][0], "R", _flip_first_bit))
-    src.write_text(format_syndromes([sources.random_member(3, 21, rng) for _ in range(5)]))
+    src.write_text(sources.format_tuples([sources.random_member(3, 21, rng) for _ in range(5)]))
     code, stdout, err = run(capsys, "encode", str(path), "--input", str(src), "--output", str(out))
     assert (code, stdout) == (2, "") and err.startswith("error=MALFORMED_FILE section R")
     assert not out.exists()
@@ -694,7 +718,7 @@ def test_gen_never_inverts_R(tmp_path, capsys, monkeypatch, argv):
     xs = [sources.random_member(bundle.s, bundle.n, rng) for _ in range(20)]
     src, synd, back = (tmp_path / f"{name}.txt" for name in ("src", "synd", "back"))
     src.write_text(sources.format_tuples(xs))
-    synd.write_text(format_syndromes([codec.encode(bundle.code, x) for x in xs]))
+    synd.write_text(sources.format_tuples([codec.encode(bundle.code, x) for x in xs]))
     code, _, err = run(capsys, "decode", str(path), "--input", str(synd), "--output", str(back))
     assert code == 0 and back.read_text() == src.read_text(), err
 
@@ -717,7 +741,7 @@ def test_huge_roundtrip_fails_before_sampling(tmp_path, capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled")
 
-    monkeypatch.setattr(sources, "random_member", no_sampling)
+    monkeypatch.setattr(sources, "random_members", no_sampling)
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", str(path), "--roundtrip", "1000000000000")
     assert time.perf_counter() - start < 1

@@ -7,13 +7,15 @@ else trusts it.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from decode_oracle import DecodeTable
-from helpers import format_syndromes
-from swhamming import bundleio, codec, gf2, sources
+from swhamming import bundleio, cli, codec, gf2, sources
 from swhamming.errors import (
     BudgetExceededError,
     NotInImageError,
@@ -271,5 +273,69 @@ def test_syndrome_file_roundtrip(pair_n7, rng):
     groups = [
         codec.encode(pair_n7, sources.random_member(2, 7, rng)) for _ in range(4)
     ]
-    text = format_syndromes(groups)
+    text = sources.format_tuples(groups)
     assert list(codec.iter_syndromes(text.splitlines(), pair_n7.m)) == groups
+
+
+def test_code_is_its_matrices():
+    H, row, empty = gf2.BitMatrix.identity(3), gf2.BitMatrix.zeros(1, 3), gf2.BitMatrix.zeros(0, 3)
+    code = codec.make_code([H, row, empty])
+    assert (code.s, code.n, code.m) == (3, 3, (3, 1, 0))
+    assert code == codec.SwCode((H, row, empty)) == codec.make_code(iter([H, row, empty]))
+    bad = [[], [H], [H, gf2.BitMatrix.identity(4)], [H, H, row.transpose()], [empty.transpose()] * 2]
+    for mats in bad:
+        with pytest.raises(ValueError):
+            codec.make_code(mats)
+
+
+# verify of rank-deficient codes (a common null vector is the witness):
+# (s, n, m, seed) of a random code, a zero-row one among them, and the
+# sum of verify's stdout
+RANK_DEFICIENT = [
+    (
+        (2, 8192, (0, 0), 0),
+        "11baeb294612fd581eb26c2f33a52f4d758c4fbf82a6ce264e8e205e687a206c",
+    ),
+    (
+        (3, 40, (5, 6, 7), 1),
+        "3c67be0d6f150c0b187cea4137b47205e7f966fbfb9f8454388fcb19b2054097",
+    ),
+    (
+        (3, 12, (4, 4, 3), 2),
+        "11e012c70be00bedc27818931802f75deec0d00c07a277518b6d0c1e1a03a11c",
+    ),
+    (
+        (4, 70, (20, 0, 9, 30), 3),
+        "fcf8fb9ee09f34ed9eedd3f3a4a6eebfb98d9ca25ed9bd8e9a16400f49861d77",
+    ),
+]
+
+
+def rank_deficient_code(s, n, m, seed):
+    rng = np.random.default_rng(seed)
+    return codec.make_code([gf2.random_matrix(mi, n, rng) for mi in m])
+
+
+@pytest.mark.parametrize(
+    "params, want", RANK_DEFICIENT, ids=[f"s{p[0]}n{p[1]}" for p, _ in RANK_DEFICIENT]
+)
+def test_rank_deficient_witness_output(tmp_path, capsys, params, want):
+    path = tmp_path / "code.txt"
+    bundleio.write_code_file(path, rank_deficient_code(*params))
+    assert cli.main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "compressible=false" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_rank_deficient_witness_builds_one_null_vector():
+    code = rank_deficient_code(2, 8192, (0, 0), 0)
+    tracemalloc.start()
+    try:
+        a, b = codec.find_collision(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a[0] == a[1] == gf2.BitVector.unit(8192, 0) and b[0].is_zero()
+    # the whole null-space basis would be 8192 x 8192 bytes, 64 MiB
+    assert peak < 4 << 20

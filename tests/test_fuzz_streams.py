@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import format_syndromes
 from swhamming import bundleio, cli, codec, hcms, sources
 
 mutations = st.lists(
@@ -40,7 +39,7 @@ def inputs(tmp_path_factory):
     xs = [sources.random_member(3, bundle.n, rng) for _ in range(4)]
     texts = {
         "encode": sources.format_tuples(xs).encode(),
-        "decode": format_syndromes([codec.encode(bundle.code, x) for x in xs]).encode(),
+        "decode": sources.format_tuples([codec.encode(bundle.code, x) for x in xs]).encode(),
     }
     return root, texts
 

@@ -51,6 +51,13 @@ def test_null_space_annihilates(M):
         assert gf2.mat_vec(M, N.basis.row(i)).is_zero()
 
 
+@given(matrices)
+@settings(max_examples=60, deadline=None)
+def test_null_vector_is_the_first_basis_vector(M):
+    N = gf2.null_space(M)
+    assert gf2.null_vector(M) == (N.basis.row(0) if N.dim else None)
+
+
 def test_rank_examples():
     assert gf2.rank(gf2.BitMatrix.zeros(3, 5)) == 0
     assert gf2.rank(gf2.BitMatrix.identity(6)) == 6
@@ -58,6 +65,8 @@ def test_rank_examples():
 
 def test_null_space_examples():
     assert gf2.null_space(gf2.BitMatrix.identity(4)).dim == 0
+    assert gf2.null_vector(gf2.BitMatrix.identity(4)) is None
+    assert gf2.null_vector(gf2.BitMatrix.zeros(0, 70)) == gf2.BitVector.unit(70, 0)
     ones = gf2.BitMatrix.from_bits([[1, 1, 1, 1, 1]])
     N = gf2.null_space(ones)
     assert N.dim == 4
@@ -215,3 +224,4 @@ def test_word_boundary_shapes(rng):
         assert A @ gf2.invert(A) == gf2.BitMatrix.identity(n)
         M = gf2.random_matrix(7, n, rng)
         assert gf2.rank(M) + gf2.null_space(M).dim == n
+        assert gf2.null_vector(M) == gf2.null_space(M).basis.row(0)

@@ -36,6 +36,15 @@ DECODE_A4 = (
     "fd191e5fcbdcca1e94cd47ccf23dba50578f6a987994065fe00888e7882be643",
     "ebf580e497f50db5e85de26d1bc5eb874da1aac1bd398d88ed070676d33959c6",
 )
+# encode of ENCODE_COUNT members of S, drawn by random_member from
+# ENCODE_SEED, through the gen --a 4 bundle: sums of the source file, the
+# encoded file and stdout
+ENCODE_SEED, ENCODE_COUNT = 11, 2000
+ENCODE_A4 = (
+    "d909a2e21640ab5e4e55c76f49be88e4c86a7c2cf275e0c50b99033387b9b742",
+    "61c0da110edc38ce251686f8fdf5f64f313dc56ae02ec4b7b3d0f3365bcaed28",
+    "f848ead0ec835206c10abb343c060e2bbc4b7b0885802e3ac297092f80d0759b",
+)
 # verify --kv --roundtrip 300 of the bundle reduce writes for the shifted
 # gen --a 4 code
 VERIFY_REDUCED_A4_ROUNDTRIP = "dcd1901820643a2023971a851fb2171574595fc8daf77822ad43a350233ea164"
@@ -114,6 +123,17 @@ def test_decode_report(tmp_path, monkeypatch):
     (tmp_path / "syndromes.txt").write_bytes(sources.format_chunk(parts)[1:])
     out = stdout_of("decode", "a4.txt", "--input", "syndromes.txt", "--output", "decoded.txt")
     assert (sha256((tmp_path / "decoded.txt").read_bytes()), sha256(out)) == DECODE_A4
+
+
+def test_encode_report(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    stdout_of("gen", "--a", "4", "-o", "a4.txt")
+    rng = np.random.default_rng(ENCODE_SEED)
+    xs = [sources.random_member(3, 85, rng) for _ in range(ENCODE_COUNT)]
+    (tmp_path / "sources.txt").write_text(sources.format_tuples(xs))
+    out = stdout_of("encode", "a4.txt", "--input", "sources.txt", "--output", "encoded.txt")
+    got = [sha256((tmp_path / name).read_bytes()) for name in ("sources.txt", "encoded.txt")]
+    assert (*got, sha256(out)) == ENCODE_A4
 
 
 def test_search_report():

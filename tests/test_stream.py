@@ -5,8 +5,7 @@ The CLI streams group files through ``sources.iter_bit_chunks``,
 bundle and plain code files alike.  Its output files must be
 byte-identical to what the per-tuple functions give: ``codec.encode``,
 ``hcms_decode``/``ghcms_decode`` or the syndrome-table oracle's
-``DecodeTable.decode``, formatted by ``format_syndromes``/
-``format_tuples``.
+``DecodeTable.decode``, formatted by ``sources.format_tuples``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
-from helpers import format_syndromes
 from test_golden import shifted
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import NotInImageError
@@ -93,7 +91,7 @@ def test_cli_matches_per_tuple_reference(bundle_files, kind, count, seed, crlf):
     xs = [sources.random_member(code.s, code.n, rng) for _ in range(count)]
     ys = [codec.encode(code, x) for x in xs]
     # the CLI writes nothing at all for an empty input
-    want_y = format_syndromes(ys) if count else ""
+    want_y = sources.format_tuples(ys) if count else ""
     want_x = sources.format_tuples([decode(y) for y in ys]) if count else ""
     assert want_x == (sources.format_tuples(xs) if count else "")
 

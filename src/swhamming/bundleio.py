@@ -320,9 +320,7 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
             if Di @ Qi != Ci:
                 raise MalformedFileError(f"section D_{i}: D_{i} Q_{i} is not C_{i}")
         relaxed_fields = dict(C=C, Y=Y, E=E, D=D)
-    bundle = Bundle(
-        s=s, n=n, M=sum(code.m), P=P, Q=Q, T=T, G=G, R=R, code=code, **relaxed_fields
-    )
+    bundle = Bundle(P=P, Q=Q, T=T, G=G, R=R, code=code, **relaxed_fields)
     if relaxed:
         try:
             bundle.W  # kept for the plan's top

@@ -26,11 +26,13 @@ from .gf2 import (
     matrix_with_null_space,
     null_space,
     row_basis,
+    row_basis_and_transforms,
+    row_basis_transforms,
     subspace_intersect,
     subspace_sum,
 )
-from .ghcms import degenerate_two_source, ghcms_build
-from .hcms import Bundle, _column_values
+from .ghcms import degenerate_two_source
+from .hcms import Bundle, _column_values, assemble, validate_partition
 from .sources import hamming_source_size
 
 __all__ = [
@@ -170,20 +172,20 @@ def _normalized(prof: NullProfile, residuals: list[Subspace]) -> NullProfile:
     """The profile of :func:`normalize_profile`, from the input's profile
     and its residual intersections."""
     s = len(prof)
-    D = Subspace.zero(prof[0].n)
-    for R in residuals:
-        D = subspace_sum(D, R)
-    if D.dim != sum(R.dim for R in residuals):
-        raise DecompositionInvalidError("residuals must sum directly")
+    D = functools.reduce(subspace_sum, residuals, Subspace.zero(prof[0].n))
     if not prof[s - 1].contains_subspace(D):
         raise DecompositionInvalidError("residuals must lie in the last null space")
+    kept = complement(D, prof[s - 1])
+    # kept has dim N_(s-1) - dim D, so this reads dim D = the sum of dim R_i
+    if prof[s - 1].dim - kept.dim != sum(R.dim for R in residuals):
+        raise DecompositionInvalidError("residuals must sum directly")
     new_prof = []
     for i in range(s - 1):
         merged = subspace_sum(prof[i], residuals[i])
         if merged.dim != prof[i].dim + residuals[i].dim:
             raise DecompositionInvalidError(f"residual {i} meets null space {i}")
         new_prof.append(merged)
-    new_prof = (*new_prof, complement(D, prof[s - 1]))
+    new_prof = (*new_prof, kept)
     if any(R.dim for R in residual_intersections(new_prof)):
         raise DecompositionInvalidError(
             "normalization must leave all-but-one intersections trivial"
@@ -254,12 +256,19 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
         report.perfect = bundle.perfect
         return bundle, report
 
+    # the complement in N_(s-1) reads its basis; read first, it also meets
+    # each other null space's check in the residuals, with canonical results
+    prof[s - 1].basis
     residuals = residual_intersections(prof)
     report.residual_dims = tuple(R.dim for R in residuals)
     norm_prof = _normalized(prof, residuals)
     norm = code_from_profile(norm_prof)
     report.normalized_profile_dims = tuple(N.dim for N in norm_prof)
     tail = functools.reduce(subspace_intersect, norm_prof[: s - 1])
+    # the tail's check is the canonical row basis Y of the stack of the
+    # normalized checks, and so of [Q_1; ...; Q_(s-1)] once their null
+    # spaces are checked below
+    Y = tail.check
     report.tail_intersection_dim = tail.dim
 
     P = _pair_partition(norm)
@@ -268,22 +277,45 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     Q = tuple(P.take_cols(i * n, (i + 1) * n) for i in range(s))
     if not sum(Q[1:], Q[0]).is_zero():
         raise DecompositionInvalidError("partition blocks do not sum to zero")
+    # null(Q_j) = N'_j iff Q_j has the row space of N'_j's check, which is
+    # then C_j, with E_j and D_j its transforms
+    C, E, D = [], [], []
     for j in range(s - 1):
-        if null_space(Q[j]) != norm_prof[j]:
-            raise DecompositionInvalidError(f"block {j} must inherit null space")
-    # so the stack [Q_1; ...; Q_(s-1)] has null space the tail intersection
-    last = subspace_sum(norm_prof[s - 1], tail)
-    if null_space(Q[s - 1]) != last:
+        C.append(norm_prof[j].check)
+        try:
+            Ej, Dj = row_basis_transforms(Q[j], C[j])
+        except ValueError:
+            raise DecompositionInvalidError(f"block {j} must inherit null space") from None
+        E.append(Ej)
+        D.append(Dj)
+    for X, x in zip((C, E, D), row_basis_and_transforms(Q[s - 1])):
+        X.append(x)
+    # so the stack [Q_1; ...; Q_(s-1)] has null space the tail intersection.
+    # The tail meets N_(s-1) in {0}, inside the all-but-one intersection
+    # that normalization left trivial, so null(Q_(s-1)) = null(C_(s-1)) is
+    # N_(s-1) + tail iff it holds both and has their dimensions' sum
+    last = Subspace.annihilated_by(C[s - 1], canonical=True)
+    if not (
+        last.contains_subspace(norm_prof[s - 1])
+        and last.contains_subspace(tail)
+        and last.dim == norm_prof[s - 1].dim + tail.dim
+    ):
         raise DecompositionInvalidError(f"block {s - 1} must have null space N_{s - 1} + tail")
 
     A = complement(last, Subspace.full(n))
     T = matrix_with_null_space(subspace_sum(norm_prof[s - 1], A))
+    validate_partition(Q)
     g_split = (0,) * (s - 1) + (T.rows,)
-    bundle = ghcms_build(Q, g_split=g_split, T=T)
+    bundle = assemble(Q, C, g_split, T, Y=Y, E=E, D=D)
 
-    out_prof = profile(bundle.code)
-    if out_prof != norm_prof:
-        raise DecompositionInvalidError("output profile must equal the normalized input's")
+    # every coding matrix of a relaxed bundle has full row rank: [G_i; C_i]
+    # with C_i a row basis, row(C_i) in row(Y) as the blocks sum to zero,
+    # and the G_i rows of T, independent of row(Y) as R = [Y; T] is
+    # invertible.  So null(H_i) = N'_i iff H_i annihilates N'_i and has
+    # n - dim N'_i rows.
+    for H, N in zip(bundle.code.matrices, norm_prof):
+        if H.rows != n - N.dim or not Subspace.annihilated_by(H).contains_subspace(N):
+            raise DecompositionInvalidError("output profile must equal the normalized input's")
     report.output_rates = bundle.code.m
     report.perfect = bundle.perfect
     if not bundle.perfect or (1 << sum(bundle.code.m)) != hamming_source_size(s, n):

@@ -2,20 +2,25 @@
 
 Values are immutable after construction: every operation returns fresh
 objects, so matrices, vectors and subspaces can be shared freely across
-threads.  A vector is one Python int, bit j at bit j.  Matrix rows are
-packed 64 bits per uint64 word (see ``_kernels``); elimination costs
-O(rows * cols^2 / 64).  A vector meets a matrix through its ``words``.
+threads (a subspace may derive and keep a side it was not made with, the
+same bits whichever thread does).  A vector is one Python int, bit j at
+bit j.  Matrix rows are packed 64 bits per uint64 word (see
+``_kernels``); elimination costs O(rows * cols^2 / 64).  A vector meets a
+matrix through its ``words``.
 
 Elimination stops at row echelon form where only pivots, the rank or the
 rows below the rank are read (``rank``, ``pivot_columns``,
-``echelon_augmented``, ``complement``, ``subspace_intersect``), and
+``echelon_augmented``, ``complement``, Zassenhaus intersections), and
 back-substitutes to RREF only where a reduced form is read (``rref``,
 ``rref_augmented``, ``row_basis``, ``null_space``, ``invert``,
-``row_basis_transforms``).
+``row_basis_transforms``, ``row_basis_and_transforms``).
 
-Subspaces are kept as reduced-row-echelon bases with no zero rows, which
-makes subspace equality a bit-exact comparison.  The zero-dimensional
-subspace is a 0 x n basis and is accepted everywhere.
+A subspace has two canonical sides, its basis and its check (the basis of
+its orthogonal complement), each a reduced-row-echelon matrix with no zero
+rows, which makes subspace equality a bit-exact comparison.  Sums and
+intersections go through whichever sides are held and smaller
+(:class:`Subspace`).  The zero-dimensional subspace is a 0 x n basis and
+is accepted everywhere.
 """
 
 from __future__ import annotations
@@ -347,29 +352,66 @@ def invert(M: BitMatrix) -> BitMatrix:
 
 
 class Subspace:
-    """A subspace of GF(2)^n held as a canonical RREF basis with no zero rows.
+    """A subspace N of GF(2)^n, held by either of its two canonical sides.
 
-    Canonical form makes equality bit-exact: two Subspace values compare
-    equal iff they are the same subspace.
+    Each side is a matrix in reduced row echelon form with no zero rows:
+    the basis, whose rows span N, and the check, whose rows span N's
+    orthogonal complement, so that N = null(check).  Either side fixes N,
+    which makes equality bit-exact: two Subspace values compare equal iff
+    they are the same subspace.
+
+    A value is made from one side, from rows that span N, or from rows
+    whose kernel N is (``null_space`` keeps its input beside the side it
+    computes).  A side that is not held is derived on first read, by one
+    elimination of the fewest rows at hand, and kept.  So a subspace of
+    dimension near n is met through its few check rows, a small one is
+    summed through its few basis rows, and the large side of either is
+    built only if it is read.
     """
 
-    __slots__ = ("n", "basis")
+    __slots__ = ("n", "_basis", "_check", "_span", "_kernel_of", "_dim")
 
     def __init__(self, n: int, basis: BitMatrix, *, _canonical: bool = False):
+        """The span of the rows of ``basis``, which ``_canonical`` says is
+        already the canonical basis."""
         if basis.cols != n:
             raise ValueError("basis width disagrees with ambient dimension")
-        if not _canonical:
-            basis = row_basis(basis)
+        if _canonical:
+            self._hold(n, basis=basis)
+        else:
+            self._hold(n, span=basis)
+
+    def _hold(
+        self,
+        n: int,
+        *,
+        basis: BitMatrix | None = None,
+        check: BitMatrix | None = None,
+        span: BitMatrix | None = None,
+        kernel_of: BitMatrix | None = None,
+        dim: int | None = None,
+    ) -> None:
         self.n = n
-        self.basis = basis
+        self._basis, self._check, self._span, self._kernel_of = basis, check, span, kernel_of
+        if basis is not None:
+            dim = basis.rows
+        elif check is not None:
+            dim = n - check.rows
+        self._dim = dim
+
+    @classmethod
+    def _held(cls, n: int, **sides) -> Subspace:
+        N = cls.__new__(cls)
+        N._hold(n, **sides)
+        return N
 
     @classmethod
     def zero(cls, n: int) -> Subspace:
-        return cls(n, BitMatrix.zeros(0, n), _canonical=True)
+        return cls._held(n, basis=BitMatrix.zeros(0, n), check=BitMatrix.identity(n))
 
     @classmethod
     def full(cls, n: int) -> Subspace:
-        return cls(n, BitMatrix.identity(n), _canonical=True)
+        return cls._held(n, basis=BitMatrix.identity(n), check=BitMatrix.zeros(0, n))
 
     @classmethod
     def spanned_by(cls, vectors: Sequence[BitVector], n: int | None = None) -> Subspace:
@@ -379,17 +421,79 @@ class Subspace:
             return cls.zero(n)
         return cls(vectors[0].n, BitMatrix.from_rows(vectors))
 
+    @classmethod
+    def annihilated_by(cls, H: BitMatrix, *, canonical: bool = False) -> Subspace:
+        """The kernel of H.  With ``canonical`` H is taken as its check (in
+        RREF with no zero rows, as the caller has made it); else H is any
+        matrix with that kernel."""
+        if canonical:
+            return cls._held(H.cols, check=H)
+        return cls._held(H.cols, kernel_of=H)
+
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        if self._dim is None:
+            # derive the side that is likely the smaller: few spanning rows
+            # make a small basis and many a small check, and the other way
+            # round for rows whose kernel N is
+            rows = self._span if self._span is not None else self._kernel_of
+            few = 2 * rows.rows <= self.n
+            _ = self.basis if few == (rows is self._span) else self.check
+        return self._dim
+
+    @property
+    def basis(self) -> BitMatrix:
+        """The canonical basis: RREF rows spanning N."""
+        if self._basis is None:
+            self._basis = self._derive(spanning=True)
+            self._dim = self._basis.rows
+        return self._basis
+
+    @property
+    def check(self) -> BitMatrix:
+        """The canonical check, ``matrix_with_null_space(N)``: RREF rows
+        spanning N's orthogonal complement, so that null(check) = N."""
+        if self._check is None:
+            self._check = self._derive(spanning=False)
+            self._dim = self.n - self._check.rows
+        return self._check
+
+    def _derive(self, spanning: bool) -> BitMatrix:
+        """The canonical side asked for, from the fewest rows held: rows
+        that span N give the basis by row reduction and the check as their
+        kernel, and rows whose kernel N is the other way round."""
+        held = [(M, True) for M in (self._basis, self._span) if M is not None]
+        held += [(M, False) for M in (self._check, self._kernel_of) if M is not None]
+        M, spans = min(held, key=lambda h: h[0].rows)
+        if spans == spanning:
+            return row_basis(M)
+        return BitMatrix.from_bits(_null_basis(M, M.cols))
+
+    def _spanning(self) -> BitMatrix | None:
+        """Rows held that span N, the basis if held; None if there are none."""
+        return self._basis if self._basis is not None else self._span
+
+    def _annihilating(self) -> BitMatrix | None:
+        """Rows held whose kernel is N, the check if held; None if there
+        are none."""
+        return self._check if self._check is not None else self._kernel_of
 
     def contains(self, v: BitVector) -> bool:
         return subspace_contains(self, v)
 
     def contains_subspace(self, other: Subspace) -> bool:
+        """Whether other lies in N: N's annihilating rows times other's
+        spanning rows is zero, or, when other is held by its check alone,
+        N's annihilating rows lie in other's orthogonal complement."""
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        return bool(_in_row_space(self.basis, other.basis.data).all())
+        H, rows = self._annihilating(), other._spanning()
+        if H is None:
+            inside = _in_row_space(self.basis, (other.basis if rows is None else rows).data)
+            return bool(inside.all())
+        if rows is None:
+            return bool(_in_row_space(other.check, H.data).all())
+        return not bits_matmul(H.to_array(), rows.to_array().T).any()
 
     def vectors(self):
         """Iterate all 2^dim members (small subspaces only)."""
@@ -405,11 +509,21 @@ class Subspace:
                 i += 1
             yield v
 
+    def _key(self) -> BitMatrix:
+        """The smaller canonical side, which equality and hashing read."""
+        return self.basis if 2 * self.dim <= self.n else self.check
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Subspace) and self.n == other.n and self.basis == other.basis
+        if not isinstance(other, Subspace) or self.n != other.n or self.dim != other.dim:
+            return False
+        if self._basis is not None and other._basis is not None:
+            return self._basis == other._basis
+        if self._check is not None and other._check is not None:
+            return self._check == other._check
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.basis))
+        return hash((self.n, self._key()))
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.n}, dim={self.dim})"
@@ -432,18 +546,44 @@ def row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, BitMatr
     A^T = B^T C^T with B^T injective gives C^T and A^T the same pivots.
     A B that is not full row rank needs no rank check: C is zero in the
     column of each row of B that depends on earlier ones, so D C = I_r
-    has no solution then either.
+    has no solution then either.  A B in RREF needs no elimination for C:
+    each pivot column of B is a unit column, so C is A's columns at B's
+    pivots, and A = B gives C = D = I.
     Raises ValueError when B is not full row rank or the row spaces differ.
     """
     if A.cols != B.cols:
         raise ValueError("width mismatch")
-    C = _express_rows(A, B)
-    if C is None:
-        raise ValueError("row(A) is not contained in row(B)")
+    pivots = _rref_pivots(B)
+    if pivots is None:
+        C = _express_rows(A, B)
+        if C is None:
+            raise ValueError("row(A) is not contained in row(B)")
+    else:
+        C = BitMatrix.from_bits(A.to_array()[:, pivots])
+        if C @ B != A:
+            raise ValueError("row(A) is not contained in row(B)")
+        if A == B:
+            return C, C
     D = _express_rows(BitMatrix.identity(B.rows), C)
     if D is None:
         raise ValueError("B is not full row rank or row(B) is not contained in row(A)")
     return C, D
+
+
+def row_basis_and_transforms(A: BitMatrix) -> tuple[BitMatrix, BitMatrix, BitMatrix]:
+    """(row_basis(A), C, D) with (C, D) = row_basis_transforms(A,
+    row_basis(A)), from one elimination of [A | I] when A has full row
+    rank: its reduced form is then [row_basis(A) | D], as D is the one
+    solution of D C = I.  For A with dependent rows D is solved for
+    separately."""
+    red, pivots = rref_augmented(A, BitMatrix.identity(A.rows))
+    r = len(pivots)
+    bits = red.to_array()
+    B = BitMatrix.from_bits(bits[:r, : A.cols])
+    C = BitMatrix.from_bits(A.to_array()[:, pivots])
+    if r == A.rows:
+        return B, C, BitMatrix.from_bits(bits[:, A.cols :])
+    return B, C, _express_rows(BitMatrix.identity(r), C)
 
 
 def _express_rows(A: BitMatrix, B: BitMatrix) -> BitMatrix | None:
@@ -460,8 +600,14 @@ def _express_rows(A: BitMatrix, B: BitMatrix) -> BitMatrix | None:
 
 
 def null_space(M: BitMatrix) -> Subspace:
-    """Kernel {x : M x = 0} as a canonical subspace of GF(2)^cols."""
-    return Subspace(M.cols, BitMatrix.from_bits(_null_basis(M, M.cols)), _canonical=True)
+    """Kernel {x : M x = 0} as a subspace of GF(2)^cols, held by M (any
+    matrix with that kernel meets it, see ``subspace_intersect``) and by
+    the smaller of its canonical sides, from one elimination of M: the
+    check, row_basis(M), when M has at most cols / 2 rows, else the
+    basis."""
+    N = Subspace.annihilated_by(M)
+    N.dim  # derives the smaller side
+    return N
 
 
 def null_vector(M: BitMatrix) -> BitVector | None:
@@ -497,18 +643,42 @@ def _null_basis(M: BitMatrix, count: int) -> np.ndarray:
 
 
 def matrix_with_null_space(N: Subspace) -> BitMatrix:
-    """Deterministic surjective (n - dim N) x n matrix H with null(H) = N.
-
-    Uses duality: row(H) must be the orthogonal complement of N, which is
-    the kernel of N's basis matrix.  For N = {0} this yields the identity.
-    """
-    return null_space(N.basis).basis
+    """Deterministic surjective (n - dim N) x n matrix H with null(H) = N:
+    N's check, the canonical basis of N's orthogonal complement (the
+    kernel of N's basis).  For N = {0} this is the identity."""
+    return N.check
 
 
 def subspace_contains(A: Subspace, v: BitVector) -> bool:
     if A.n != v.n:
         raise ValueError("ambient dimension mismatch")
+    H = A._annihilating()
+    if H is not None:
+        return mat_vec(H, v).is_zero()
     return bool(_in_row_space(A.basis, v.words[None, :])[0])
+
+
+def _leading_bits(data: np.ndarray) -> np.ndarray:
+    """The lowest set bit of each packed row, none of which is zero."""
+    if not data.shape[0]:
+        return np.zeros(0, dtype=np.int64)
+    first = (data != 0).argmax(axis=1)
+    lead = data[np.arange(data.shape[0]), first]
+    return (first << 6) + np.bitwise_count((lead & (~lead + U64_1)) - U64_1)
+
+
+def _rref_pivots(M: BitMatrix) -> np.ndarray | None:
+    """The pivot columns of M when M is in RREF with no zero rows, else
+    None: each row leads at a later column than the row above, and each
+    leading column is a unit column."""
+    if not M.data.any(axis=1).all():
+        return None
+    pivots = _leading_bits(M.data)
+    if (np.diff(pivots) <= 0).any():
+        return None
+    if not (M.to_array()[:, pivots] == np.eye(M.rows, dtype=np.uint8)).all():
+        return None
+    return pivots
 
 
 def _in_row_space(basis: BitMatrix, rows: np.ndarray) -> np.ndarray:
@@ -518,44 +688,89 @@ def _in_row_space(basis: BitMatrix, rows: np.ndarray) -> np.ndarray:
     rows whose pivot bit v has set."""
     if not basis.rows:
         return ~rows.any(axis=1)
-    d = basis.data
-    # pivot of each row: the lowest set bit of its first nonzero word
-    first = (d != 0).argmax(axis=1)
-    lead = d[np.arange(basis.rows), first]
-    pivots = (first << 6) + np.bitwise_count((lead & (~lead + U64_1)) - U64_1)
+    pivots = _leading_bits(basis.data)
     v = unpack_bits(rows, basis.cols)
-    return (bits_matmul(v[:, pivots], unpack_bits(d, basis.cols)) == v).all(axis=1)
+    return (bits_matmul(v[:, pivots], basis.to_array()) == v).all(axis=1)
 
 
-def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
-    if A.n != B.n:
-        raise ValueError("ambient dimension mismatch")
-    if A.dim == 0:
-        return B
-    if B.dim == 0:
-        return A
-    return Subspace(A.n, vstack([A.basis, B.basis]))
-
-
-def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
-    """Zassenhaus: bring [[A|A],[B|0]] to row echelon form; the rows with a
-    zero left half and a nonzero right half are independent and span the
-    intersection, and ``Subspace`` makes that basis canonical."""
-    if A.n != B.n:
-        raise ValueError("ambient dimension mismatch")
-    n = A.n
-    if A.dim == 0 or B.dim == 0:
-        return Subspace.zero(n)
-    top = hstack([A.basis, A.basis])
-    bot = hstack([B.basis, BitMatrix.zeros(B.dim, n)])
-    stacked = vstack([top, bot])
+def _zassenhaus(X: BitMatrix, Y: BitMatrix) -> BitMatrix:
+    """Independent rows spanning row(X) ∩ row(Y): bring [[X|X],[Y|0]] to row
+    echelon form; the rows with a zero left half and a nonzero right half
+    are independent and span the intersection."""
+    n = X.cols
+    stacked = vstack([hstack([X, X]), hstack([Y, BitMatrix.zeros(Y.rows, n)])])
     data = stacked.data.copy()
     pivots = echelon_in_place(data, stacked.cols)
     left_rank = int(np.searchsorted(pivots, n))
-    gens = unpack_bits(data[left_rank : len(pivots)], 2 * n)[:, n:]
-    if gens.size == 0:
-        return Subspace.zero(n)
-    return Subspace(n, BitMatrix.from_bits(gens))
+    return BitMatrix.from_bits(unpack_bits(data[left_rank : len(pivots)], 2 * n)[:, n:])
+
+
+def _orthogonal_part(H: BitMatrix, S: BitMatrix, canonical: bool) -> Subspace:
+    """null(H) + row(S), held by the rows of row(H) orthogonal to S: c H for
+    each c in the kernel of S H^T, one elimination of that S.rows x H.rows
+    product.  With H a canonical check (``canonical``) they are the sum's
+    canonical check: c is in RREF, and so is c H, whose row j leads, at a
+    unit column, at the pivot of H where row j of c leads."""
+    coeff = _null_basis(S @ H.transpose(), H.rows)
+    rows = BitMatrix.from_bits(coeff) @ H if coeff.shape[0] else BitMatrix.zeros(0, H.cols)
+    return Subspace._held(H.cols, **{"check" if canonical else "kernel_of": rows})
+
+
+def _perp(N: Subspace) -> Subspace:
+    """N's orthogonal complement, holding N's rows in the other roles: N's
+    check is its basis, and rows whose kernel is N span it."""
+    return Subspace._held(
+        N.n,
+        basis=N._check,
+        check=N._basis,
+        span=N._kernel_of,
+        kernel_of=N._span,
+        dim=None if N._dim is None else N.n - N._dim,
+    )
+
+
+def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
+    """A + B through the rows held, by the fewest rows to eliminate now and
+    when a canonical side of the sum is read:
+    - the stacked spanning rows of A and B;
+    - one's annihilating rows restricted to the other's spanning rows
+      (:func:`_orthogonal_part`), which annihilate the sum;
+    - the Zassenhaus intersection of the two annihilators' row spaces,
+      the sum's orthogonal complement.
+    The sum's canonical sides are derived only when read."""
+    if A.n != B.n:
+        raise ValueError("ambient dimension mismatch")
+    n = A.n
+    if A._dim == 0 or B._dim == n:
+        return B
+    if B._dim == 0 or A._dim == n:
+        return A
+    routes = []  # (rows, make)
+    SA, SB, HA, HB = A._spanning(), B._spanning(), A._annihilating(), B._annihilating()
+    if SA is not None and SB is not None:
+        routes.append((SA.rows + SB.rows, lambda: Subspace._held(n, span=vstack([SA, SB]))))
+    for X, H, S in ((A, HA, SB), (B, HB, SA)):
+        if H is not None and S is not None:
+            canonical = H is X._check
+            rows = max(H.rows, S.rows) + (0 if canonical else H.rows)
+            routes.append((rows, lambda H=H, S=S, c=canonical: _orthogonal_part(H, S, c)))
+    if HA is not None and HB is not None:
+
+        def through_checks():
+            Z = _zassenhaus(HA, HB)
+            return Subspace._held(n, kernel_of=Z, dim=n - Z.rows)
+
+        routes.append((HA.rows + HB.rows + min(HA.rows, HB.rows), through_checks))
+    return min(routes, key=lambda r: r[0])[1]()
+
+
+def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
+    """A ∩ B, the orthogonal complement of A^⊥ + B^⊥: the sum's routes with
+    the roles of the rows swapped, so that the kernel of the two stacked
+    annihilators, one's spanning rows restricted to the other's annihilator
+    or the Zassenhaus intersection of the two bases' row spaces, whichever
+    has the fewest rows to eliminate."""
+    return _perp(subspace_sum(_perp(A), _perp(B)))
 
 
 def complement(A: Subspace, within: Subspace) -> Subspace:
@@ -563,24 +778,36 @@ def complement(A: Subspace, within: Subspace) -> Subspace:
 
     B is spanned by the rows of within's basis that extend A's basis
     greedily, in order (for the full space, by standard basis vectors).
-    The greedy rows are read off the pivots of one echelon form: row i of
-    within's basis is kept exactly when column A.dim + i is a pivot of
-    [A.basis; within.basis]^T, and A lies in within exactly when that
-    matrix has rank within.dim.  Raises ValueError when A is not contained
-    in within.
+    In the full space, for A held by its check (or by no spanning rows),
+    these are the unit vectors at the pivot columns of the check: e_i
+    extends A and the earlier unit vectors iff column i of the check is no
+    sum of earlier columns, which in RREF means a pivot column.  Otherwise
+    the greedy rows are read off the pivots of one echelon form: row i of
+    within's basis is kept exactly when column k + i is a pivot of [S;
+    within.basis]^T, for k rows S spanning A (canonical or not), and A
+    lies in within exactly when that matrix has rank within.dim.  Raises
+    ValueError when A is not contained in within.
     """
     if A.n != within.n:
         raise ValueError("ambient dimension mismatch")
-    k = A.dim + within.dim
-    cols = pack_bits(np.concatenate([A.basis.to_array(), within.basis.to_array()]).T)
-    pivots = echelon_in_place(cols, k)
+    n = A.n
+    S = A._spanning()
+    if within.dim == n and (A._check is not None or S is None):
+        kept = _leading_bits(A.check.data)
+        bits = np.zeros((kept.size, n), dtype=np.uint8)
+        bits[np.arange(kept.size), kept] = 1
+        return Subspace(n, BitMatrix.from_bits(bits), _canonical=True)
+    if S is None:
+        S = A.basis
+    cols = pack_bits(np.concatenate([S.to_array(), within.basis.to_array()]).T)
+    pivots = echelon_in_place(cols, S.rows + within.dim)
     if len(pivots) != within.dim:
         raise ValueError("A is not a subspace of `within`")
-    kept = pivots[pivots >= A.dim] - A.dim
+    kept = pivots[pivots >= S.rows] - S.rows
     if not kept.size:
-        return Subspace.zero(A.n)
+        return Subspace.zero(n)
     # rows of an RREF basis, in order, are themselves an RREF basis
-    return Subspace(A.n, BitMatrix(kept.size, A.n, within.basis.data[kept]), _canonical=True)
+    return Subspace(n, BitMatrix(kept.size, n, within.basis.data[kept]), _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +848,7 @@ def random_subspace(n: int, dim: int, rng: np.random.Generator) -> Subspace:
     while True:
         M = random_matrix(dim, n, rng)
         if rank(M) == dim:
-            return Subspace(n, M)
+            return Subspace._held(n, span=M, dim=dim)
 
 
 def random_subspace_of(space: Subspace, dim: int, rng: np.random.Generator) -> Subspace:
@@ -633,4 +860,4 @@ def random_subspace_of(space: Subspace, dim: int, rng: np.random.Generator) -> S
     while True:
         coeff = random_matrix(dim, space.dim, rng)
         if rank(coeff) == dim:
-            return Subspace(space.n, coeff @ space.basis)
+            return Subspace._held(space.n, span=coeff @ space.basis, dim=dim)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, row_basis
+from .gf2 import BitMatrix, row_basis_and_transforms
 from .hcms import Bundle, assemble, hcms_decode, validate_partition
 
 GhcmsBundle = Bundle
@@ -40,8 +40,10 @@ def ghcms_build(
     """
     Q = tuple(Q)
     validate_partition(Q)
-    C = tuple(row_basis(Qi) for Qi in Q) if C_choices is None else C_choices
-    return assemble(Q, C, g_split, T)
+    if C_choices is not None:
+        return assemble(Q, C_choices, g_split, T)
+    C, E, D = zip(*(row_basis_and_transforms(Qi) for Qi in Q))
+    return assemble(Q, C, g_split, T, E=E, D=D)
 
 
 def degenerate_two_source(
@@ -54,9 +56,9 @@ def degenerate_two_source(
     bits = H.to_array()
     if np.unique(bits, axis=1).shape[1] != H.cols or not bits.any(axis=0).all():
         raise ValueError("columns must be nonzero and pairwise distinct")
-    C = row_basis(H)
+    C, E, D = row_basis_and_transforms(H)
     if C.rows != H.rows:
         raise ValueError("H must be full row rank")
     if g_split is None:
         g_split = (H.cols - H.rows, 0)
-    return assemble((H, H), (C, C), g_split, None)
+    return assemble((H, H), (C, C), g_split, None, E=(E, E), D=(D, D))

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import pack_bits, unpack_bits
+from ._kernels import bits_matmul, pack_bits, unpack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
@@ -38,9 +38,11 @@ from .errors import (
 from .gf2 import (
     BitMatrix,
     BitVector,
+    _leading_bits,
     hstack,
     invert,
     pivot_columns,
+    random_invertible,
     rank,
     row_basis,
     row_basis_transforms,
@@ -104,13 +106,11 @@ class Bundle:
     The relaxed form has row bases C_i of the Q_i and Y of [Q_1; ...;
     Q_(s-1)], with Q_i = E_i C_i and C_i = D_i Q_i.  The direct form is
     C_i = Q_i, Y = the stack, E_i = D_i = I, and leaves those four fields
-    None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.  R^-1 and W are
-    no fields: they are derived on first read.
+    None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.  The shape s, n
+    and M is the code's; R^-1 and W are no fields: they are derived on
+    first read.
     """
 
-    s: int
-    n: int
-    M: int
     P: BitMatrix
     Q: tuple[BitMatrix, ...]
     T: BitMatrix
@@ -126,12 +126,14 @@ class Bundle:
     def R_inv(self) -> BitMatrix:
         """R^-1; raises RNotInvertible when R is singular.
 
-        A T of unit rows (the standard completion, so every ``gen``
-        bundle), with its ones at columns N and P the other r = Y.rows
-        columns, makes R x = z read x_N = z_T and Y_P x_P + Y_N x_N = z_Y.
-        So x_P = Y_P^-1 (z_Y + Y_N z_T), and the rows of R^-1 at P are
-        [Y_P^-1 | Y_P^-1 Y_N], one elimination of the r x (n + r) matrix
-        [Y_P | I | Y_N].  Any other T inverts R itself, n x 2n."""
+        A T with a unit column per row (T in RREF, so every ``gen`` and
+        every reduced bundle, whose T are unit rows or a canonical check)
+        makes R^-1 cheap: with N those columns, in row order, and F the
+        other r = Y.rows, R x = z reads x_N = z_T + T_F x_F and S x_F =
+        z_Y + Y_N z_T for S = Y_N T_F + Y_F.  So the rows of R^-1 at F are
+        V = S^-1 [I | Y_N], one elimination of the r x (n + r) matrix
+        [S | I | Y_N], and those at N are T_F V + [0 | I].  Any other T
+        inverts R itself, n x 2n."""
         try:
             return _unit_completion_inverse(self.R, self.T.rows) or invert(self.R)
         except SingularMatrixError as exc:
@@ -145,6 +147,18 @@ class Bundle:
         mn, s = self.Q[0].rows, self.s
         D_Y = row_basis_transforms(vstack(self.Q[: s - 1]), self.Y)[1]
         return hstack([D_Y.take_cols(i * mn, (i + 1) * mn) @ self.E[i] for i in range(s - 1)])
+
+    @property
+    def s(self) -> int:
+        return self.code.s
+
+    @property
+    def n(self) -> int:
+        return self.code.n
+
+    @property
+    def M(self) -> int:
+        return sum(self.code.m)
 
     @property
     def g_split(self) -> tuple[int, ...]:
@@ -177,28 +191,40 @@ HcmsBundle = Bundle
 
 
 def _unit_completion_inverse(R: BitMatrix, t: int) -> BitMatrix | None:
-    """R^-1 when the last t rows of R are unit rows (see
-    :attr:`Bundle.R_inv`), else None; raises SingularMatrixError when R
-    is singular.  Only Y is unpacked; R^-1 is assembled packed."""
+    """R^-1 when each of the last t rows of R has a unit column at its
+    lowest set bit, as unit rows and an RREF T do (see
+    :attr:`Bundle.R_inv`), else None; raises SingularMatrixError when R is
+    singular.  Only Y and T's columns at F are unpacked; R^-1 is assembled
+    packed."""
     r, n = R.rows - t, R.cols
     T = R.data[r:]
-    if not (np.bitwise_count(T).sum(axis=1) == 1).all():
+    if not T.any(axis=1).all():
         return None
-    word = (T != 0).argmax(axis=1)
-    N = (word << 6) + np.bitwise_count(T[np.arange(t), word] - np.uint64(1))
-    P = np.setdiff1d(np.arange(n), N)
-    if P.size != r:
-        raise SingularMatrixError("two rows of T are equal")
+    N = _leading_bits(T)
+    at_N = np.zeros(n, dtype=bool)
+    at_N[N] = True
+    rows = np.arange(t)
+    others = T.copy()
+    others[rows, N >> 6] ^= np.uint64(1) << (N & 63).astype(np.uint64)
+    if np.count_nonzero(at_N) != t or (others & pack_bits(at_N[None, :])).any():
+        return None
+    F = np.flatnonzero(~at_N)
+    T_F = ((T[:, F >> 6] >> (F & 63).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
     Y = unpack_bits(R.data[:r], n)
-    left = BitMatrix.from_bits(Y[:, P])
+    S = Y[:, F]
+    if T_F.any():
+        S = S ^ bits_matmul(Y[:, N], T_F)
     right = BitMatrix.from_bits(np.hstack([np.eye(r, dtype=np.uint8), Y[:, N]]))
-    red, pivots = rref_augmented(left, right)
+    red, pivots = rref_augmented(BitMatrix.from_bits(S), right)
     if len(pivots) < r:
-        raise SingularMatrixError(f"Y on the columns T misses has rank {len(pivots)} < {r}")
+        raise SingularMatrixError(f"R on the kernel of T has rank {len(pivots)} < {r}")
+    V = red.to_array()[:, r:]
     inv = np.zeros_like(R.data)
-    inv[P] = pack_bits(red.to_array()[:, r:])
-    cols = np.arange(r, n, dtype=np.uint64)
-    inv[N, cols >> np.uint64(6)] = np.uint64(1) << (cols & np.uint64(63))
+    inv[F] = pack_bits(V)
+    if T_F.any():
+        inv[N] = pack_bits(bits_matmul(T_F, V))
+    cols = r + rows.astype(np.uint64)
+    inv[N, cols >> np.uint64(6)] ^= np.uint64(1) << (cols & np.uint64(63))
     return BitMatrix(n, n, inv)
 
 
@@ -230,13 +256,18 @@ def assemble(
     T: BitMatrix | None,
     *,
     pivots: Sequence[int] | None = None,
+    Y: BitMatrix | None = None,
+    E: Sequence[BitMatrix] | None = None,
+    D: Sequence[BitMatrix] | None = None,
 ) -> Bundle:
     """The bundle of validated blocks Q_i: direct (Y the stack, coding
     matrices [G_i; Q_i]) when C is None, else relaxed (Y the canonical row
-    basis of the stack, coding matrices [G_i; C_i]).  T defaults to the
-    standard completion of Y, from Y's pivot columns when the caller has
-    checked them; the G_i are its rows in g_split.  The code's plan is
-    read off the bundle (:meth:`codec.CodePlan.from_bundle`).
+    basis of the stack, coding matrices [G_i; C_i], Q_i = E_i C_i and C_i
+    = D_i Q_i from ``row_basis_transforms``; a caller that has Y, or E and
+    D, and has checked them passes them).  T defaults to the standard
+    completion of Y, from Y's pivot columns when the caller has checked
+    them; the G_i are its rows in g_split.  The code's plan is read off the
+    bundle (:meth:`codec.CodePlan.from_bundle`).
 
     Raises HeightNegative when the direct stack has more than n rows,
     RNotInvertible when [Y; T] is singular, and BadArgument for a bad split.
@@ -253,9 +284,11 @@ def assemble(
         Y = stack
     else:
         C = tuple(C)
-        E, D = zip(*(row_basis_transforms(Qi, Ci) for Qi, Ci in zip(Q, C)))
-        Y = row_basis(stack)
-        relaxed = dict(C=C, Y=Y, E=E, D=D)
+        if E is None or D is None:
+            E, D = zip(*(row_basis_transforms(Qi, Ci) for Qi, Ci in zip(Q, C)))
+        if Y is None:
+            Y = row_basis(stack)
+        relaxed = dict(C=C, Y=Y, E=tuple(E), D=tuple(D))
     custom_T = T is not None
     if not custom_T:
         # needs no check: standard_completion raises unless Y has full row
@@ -272,8 +305,7 @@ def assemble(
     G = tuple(T.take_rows(a, b) for a, b in zip(offsets, offsets[1:]))
     code = make_code([vstack([Gi, Ci]) for Gi, Ci in zip(G, Q if C is None else C)])
     bundle = Bundle(
-        s=s, n=n, M=sum(code.m), P=hstack(Q) if s > 2 else Q[0], Q=Q, T=T,
-        G=G, R=vstack([Y, T]), code=code, **relaxed,
+        P=hstack(Q) if s > 2 else Q[0], Q=Q, T=T, G=G, R=vstack([Y, T]), code=code, **relaxed
     )
     if custom_T:
         bundle.R_inv  # raises RNotInvertible when [Y; T] is singular
@@ -505,8 +537,10 @@ def random_sum_zero_partition(
     """Try to partition the mn-bit Hamming matrix into s sum-zero blocks
     whose first s-1 blocks stack to a full-row-rank matrix.
 
-    This is a bounded randomized search only; returning None proves
-    nothing about existence.
+    For s = 3 each try takes the lines of a random line spread
+    (:func:`_random_lines`); greedy placement strands the last values
+    there.  Other s place values greedily.  This is a bounded randomized
+    search only; returning None proves nothing about existence.
     """
     total = (1 << mn) - 1
     if total % s:
@@ -515,7 +549,7 @@ def random_sum_zero_partition(
     if (s - 1) * mn > n:
         return None
     for _ in range(tries):
-        groups = _random_zero_sum_groups(s, mn, rng)
+        groups = _random_lines(mn, rng) if s == 3 else _random_zero_sum_groups(s, mn, rng)
         if groups is None:
             continue
         Q = tuple(_from_values(block, mn) for block in groups)
@@ -523,6 +557,30 @@ def random_sum_zero_partition(
         if rank(stack) == (s - 1) * mn:
             return Q
     return None
+
+
+def _random_lines(mn: int, rng: np.random.Generator) -> np.ndarray:
+    """All nonzero values of an even number mn of bits as 3 x n blocks, each
+    column a line {a, b, a ^ b} of a random line spread, in random order
+    and orientation.
+
+    The lines are the classes {v, w v, w^2 v} of a GF(4) scaling w,
+    carried by a random invertible linear map, which keeps sums zero.  w
+    maps each 2-bit pair (a, b) to (b, a + b), so w^3 = 1 and 1 + w + w^2
+    = 0: every class has three values summing to zero."""
+    v = np.arange(1, 1 << mn, dtype=np.int64)
+    lo = np.int64(int("01" * (mn // 2), 2))
+
+    def scale(x: np.ndarray) -> np.ndarray:
+        return ((x & lo) << 1) | ((x >> 1) & lo) ^ (x & lo)
+
+    w1 = scale(v)
+    w2 = scale(w1)
+    first = (v < w1) & (v < w2)
+    lines = np.stack([v[first], w1[first], w2[first]])
+    carried = random_invertible(mn, rng) @ _from_values(lines.ravel(), mn)
+    lines = _column_values(carried).reshape(3, -1)[:, rng.permutation(lines.shape[1])]
+    return rng.permuted(lines, axis=0)
 
 
 def _random_zero_sum_groups(s: int, mn: int, rng: np.random.Generator):

@@ -1,11 +1,15 @@
-"""Small helpers the tests share: the decomposition of a member of S, and
-the byte parser of code and bundle files applied to one matrix."""
+"""Small helpers the tests share: the decomposition of a member of S, the
+byte parser of code and bundle files applied to one matrix, and the
+shifted perfect codes that ``reduce`` is benchmarked on."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from swhamming import bundleio
+import numpy as np
+
+from swhamming import bundleio, equiv, gf2
+from swhamming.codec import SwCode
 from swhamming.gf2 import BitMatrix, BitVector
 from swhamming.sources import is_hamming_member
 
@@ -45,3 +49,15 @@ def parse_matrix_bytes(data: bytes) -> BitMatrix:
     """The matrix at the start of ``data``, read by the byte parser of code
     and bundle files."""
     return matrix_lines(data).matrix()
+
+
+def shifted(code: SwCode, rng: np.random.Generator) -> SwCode:
+    """An equivalent perfect code, made as the benchmark's certify inputs
+    are: a random half of the null space common to terminals 1..s-1 moved
+    out of the last terminal's null space into terminal 0's."""
+    prof = equiv.profile(code)
+    common = prof[1]
+    for N in prof[2:]:
+        common = gf2.subspace_intersect(common, N)
+    K = gf2.random_subspace_of(common, common.dim // 2, rng)
+    return equiv.shift_null_space(code, K, 0, code.s - 1)

@@ -769,7 +769,7 @@ def test_singular_R_on_load_is_not_invertible(tmp_path, capsys):
     assert codec.is_perfect(code)
     I2 = gf2.BitMatrix.identity(2)
     bundle = hcms.Bundle(
-        s=2, n=3, M=5, P=C[0], Q=C, T=T, G=(gf2.BitMatrix.zeros(0, 3), T),
+        P=C[0], Q=C, T=T, G=(gf2.BitMatrix.zeros(0, 3), T),
         R=gf2.vstack([C[0], T]), code=code, C=C, Y=C[0], E=(I2, I2), D=(I2, I2),
     )
     path, files = _write_singular(tmp_path, bundle)
@@ -785,7 +785,7 @@ def test_singular_R_of_a3_partition_on_load(tmp_path, capsys):
     T = gf2.BitMatrix.zeros(9, 21)
     G = tuple(T.take_rows(i, i + 3) for i in (0, 3, 6))
     bundle = hcms.Bundle(
-        s=3, n=21, M=27, P=gf2.hstack(Q), Q=Q, T=T, G=G, R=gf2.vstack([*Q[:2], T]),
+        P=gf2.hstack(Q), Q=Q, T=T, G=G, R=gf2.vstack([*Q[:2], T]),
         code=codec.make_code([gf2.vstack([Gi, Qi]) for Gi, Qi in zip(G, Q)]),
     )
     path, files = _write_singular(tmp_path, bundle)

@@ -146,8 +146,10 @@ def counted(monkeypatch, module, name: str) -> list:
 
 def test_one_inversion_per_verify_of_relaxed_bundle(tmp_path, monkeypatch, bundle_a4):
     # the bundle reduce writes for a shifted a = 4 code has a T that is not
-    # unit rows, so loading it inverts R once, n x 2n; the plan is read off
-    # the sections, with that R^-1 for its top rows, and eliminates nothing
+    # unit rows but a canonical check, in RREF, so loading it inverts R
+    # once, through the r x (n + r) system on T's kernel and never n x 2n;
+    # the plan is read off the sections, with that R^-1 for its top rows,
+    # and eliminates nothing
     rng = np.random.default_rng(1)
     code = bundle_a4.code
     prof = equiv.profile(code)
@@ -156,13 +158,14 @@ def test_one_inversion_per_verify_of_relaxed_bundle(tmp_path, monkeypatch, bundl
     assert reduced.C is not None and reduced.T.to_array().sum(axis=1).max() > 1
     path = tmp_path / "reduced.txt"
     bundleio.write_bundle(path, reduced)
-    inversions = counted(monkeypatch, hcms, "invert")
+    inversions = counted(monkeypatch, hcms, "_unit_completion_inverse")
+    full_inversions = counted(monkeypatch, hcms, "invert")
     eliminations = counted(monkeypatch, codec, "echelon_augmented")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["verify", str(path), "--roundtrip", "300"]) == 0
     assert "roundtrip=300/300 path=algebraic" in out.getvalue()
-    assert len(inversions) == 1 and eliminations == []
+    assert len(inversions) == 1 and full_inversions == [] and eliminations == []
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +289,7 @@ def test_rank_deficient_bundle_falls_back_to_elimination(tmp_path):
     D, E = matrix([[1, 0, 0], [1, 0, 0]]), matrix([[1, 0], [0, 0], [0, 0]])
     none = gf2.BitMatrix.zeros(0, 1)
     bundle = hcms.Bundle(
-        s=2, n=1, M=4, P=Q, Q=(Q, Q), T=none, G=(none, none), R=matrix([[1]]),
+        P=Q, Q=(Q, Q), T=none, G=(none, none), R=matrix([[1]]),
         code=codec.make_code([C, C]), C=(C, C), Y=matrix([[1]]), E=(E, E), D=(D, D),
     )
     path = tmp_path / "b.txt"

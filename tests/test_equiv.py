@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
-from helpers import decompose
-from swhamming import codec, equiv, gf2, ghcms, hcms, sources
+from helpers import decompose, shifted
+from swhamming import _kernels, codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import DecompositionInvalidError, NotPerfectError
 
 
@@ -323,6 +325,111 @@ def test_reduce_reads_the_partition_off_the_plan(bundle_a3, monkeypatch):
     assert report.perfect and bundle.perfect
     assert plan_widths and set(plan_widths) == {21}
     assert null_widths and max(null_widths) <= 21
+
+
+@pytest.mark.parametrize("a", [3, 4, 5])
+def test_reduce_runs_at_most_21_eliminations(a, bundle_a3, bundle_a4, bundle_a5, monkeypatch):
+    # every elimination goes through _kernels.echelon_in_place; counted at
+    # every module that binds it, a reduction of the benchmark's shifted
+    # codes runs at most 21 of them (it ran 42 while each subspace was held
+    # by its basis alone)
+    bundle = {3: bundle_a3, 4: bundle_a4, 5: bundle_a5}[a]
+    code = codec.make_code(shifted(bundle.code, np.random.default_rng(1)).matrices)
+    calls = []
+    real = _kernels.echelon_in_place
+
+    def counting(data, n_pivot_cols):
+        calls.append(data.shape)
+        return real(data, n_pivot_cols)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("swhamming")]
+    for module in modules:
+        if getattr(module, "echelon_in_place", None) is real:
+            monkeypatch.setattr(module, "echelon_in_place", counting)
+    bundle, report = equiv.reduce_with_report(code)
+    assert report.perfect and bundle.perfect
+    assert 0 < len(calls) <= 21
+
+
+def _reduce_with(monkeypatch, name, damage, call):
+    """reduce_with_report of a shifted a = 3 code, with equiv's ``name``
+    replaced by a wrapper that damages its result of the given call."""
+    code = shifted(hcms.hcms_a3().code, np.random.default_rng(1))
+    real = getattr(equiv, name)
+    calls = []
+
+    def damaged(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(1)
+        return damage(out) if len(calls) == call else out
+
+    monkeypatch.setattr(equiv, name, damaged)
+    return equiv.reduce_with_report(code)
+
+
+def _outside(N):
+    """A subspace one vector larger than N."""
+    for i in range(N.n):
+        e = gf2.BitVector.unit(N.n, i)
+        if not N.contains(e):
+            return gf2.Subspace(N.n, gf2.vstack([N.basis, gf2.BitMatrix.from_rows([e])]))
+    raise AssertionError("N is the whole space")
+
+
+def _swap_first_columns(P):
+    """P with columns 0 and 1 of every block of 21 exchanged: the blocks
+    still sum to zero, but their null spaces change."""
+    bits = P.to_array().copy()
+    for b in range(0, bits.shape[1], 21):
+        bits[:, [b, b + 1]] = bits[:, [b + 1, b]]
+    return gf2.BitMatrix.from_bits(bits)
+
+
+def _flip_bit(M, i=0, j=0):
+    bits = M.to_array().copy()
+    bits[i, j] ^= 1
+    return gf2.BitMatrix.from_bits(bits)
+
+
+def _with_damaged_code(bundle):
+    H = list(bundle.code.matrices)
+    H[0] = _flip_bit(H[0])
+    return dataclasses.replace(bundle, code=codec.make_code(H))
+
+
+# (equiv's name, which of its calls, the damage to that call's result, and
+# the message it must raise); together they reach every
+# DecompositionInvalidError of _normalized and reduce_with_report
+_DAMAGES = [
+    # a residual that leaves the last null space
+    ("residual_intersections", 1, lambda R: [_outside(R[0]), R[1]],
+     "residuals must lie in the last null space"),
+    # residuals whose sum is not direct
+    ("residual_intersections", 1, lambda R: [R[0], R[0]], "residuals must sum directly"),
+    # residuals swapped: R_1 = N_0 ∩ N_2 meets null space 0
+    ("residual_intersections", 1, lambda R: [R[1], R[0]], "residual 0 meets null space 0"),
+    # no residuals moved: the input's all-but-one intersections remain
+    ("residual_intersections", 1, lambda R: [gf2.Subspace.zero(21)] * 2,
+     "normalization must leave all-but-one intersections trivial"),
+    ("_pair_partition", 1, _flip_bit, "partition blocks do not sum to zero"),
+    ("_pair_partition", 1, _swap_first_columns, "block 0 must inherit null space"),
+    # a tail intersection one vector too large; two intersections each for
+    # the residuals of the input and of the normalized profile come first
+    ("subspace_intersect", 5, _outside, "block 2 must have null space N_2 + tail"),
+    ("assemble", 1, _with_damaged_code, "output profile must equal the normalized input's"),
+    ("hamming_source_size", 1, lambda size: size * 2, "the reduced bundle must be perfect"),
+]
+
+
+@pytest.mark.parametrize("name, call, damage, message", _DAMAGES, ids=[d[3] for d in _DAMAGES])
+def test_each_decomposition_check_fires_on_a_damaged_intermediate(
+    monkeypatch, name, call, damage, message
+):
+    # each cheap check (a product, or a dimension already known) catches the
+    # damage that the equality of canonical subspaces caught
+    with pytest.raises(DecompositionInvalidError) as exc:
+        _reduce_with(monkeypatch, name, damage, call)
+    assert str(exc.value) == message
 
 
 _A3 = hcms.hcms_a3().code

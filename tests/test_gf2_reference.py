@@ -1,6 +1,8 @@
 """The array-code subspace routines, matrix text format (read by the byte
 parser of code and bundle files) and matrix product against the loop
-implementations they replaced, ``row_basis_transforms``
+implementations they replaced, the sums and intersections that choose
+between a subspace's basis and check against the basis-only routes they
+replaced, ``row_basis_transforms``
 against the larger elimination it replaced, the int-backed ``BitVector``
 against the words-backed one it replaced, and the two-phase elimination
 (echelon form, then back-substitution) against the one-pass Gauss-Jordan
@@ -135,8 +137,15 @@ def ref_row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, Bit
     return C, D
 
 
+def ref_subspace_sum(A: Subspace, B: Subspace) -> Subspace:
+    """The stacked bases, made canonical by ``row_basis``: the one route
+    ``subspace_sum`` took before it chose between the sides."""
+    return Subspace(A.n, gf2.row_basis(gf2.vstack([A.basis, B.basis])), _canonical=True)
+
+
 def ref_subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
-    """Zassenhaus on the Gauss-Jordan form of [[A|A],[B|0]]."""
+    """Zassenhaus on the Gauss-Jordan form of [[A|A],[B|0]]: the one route
+    ``subspace_intersect`` took before it chose between the sides."""
     n = A.n
     if A.dim == 0 or B.dim == 0:
         return Subspace.zero(n)
@@ -521,6 +530,70 @@ def test_subspace_intersect_matches_reference(pair, seed):
         got = gf2.subspace_intersect(X, Y)
         assert got == ref_subspace_intersect(X, Y)
         assert got.basis == gf2.row_basis(got.basis)
+
+
+@st.composite
+def held_subspaces(draw, n: int):
+    """(N, basis): a subspace of GF(2)^n of dimension 0, small, about n/2,
+    large or n, held in one of the ways a Subspace can be (its basis, rows
+    spanning it, its check, rows whose kernel it is, or ``null_space``'s
+    basis and input), and its canonical basis computed apart."""
+    d = draw(st.sampled_from([0, 1, 2, n // 2, n - 2, n - 1, n]) | st.integers(0, n))
+    d = min(max(d, 0), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = gf2.row_basis(gf2.random_subspace(n, d, rng).basis)
+    check = ref_null_space(basis).basis
+    extra = int(rng.integers(0, 3))
+
+    def mixed(M: BitMatrix) -> BitMatrix:
+        # the same row space in other rows, and some dependent ones
+        if not M.rows:
+            return M
+        mix = gf2.vstack([gf2.random_invertible(M.rows, rng), gf2.random_matrix(extra, M.rows, rng)])
+        return mix @ M
+
+    how = draw(st.sampled_from(["basis", "span", "check", "kernel", "null_space"]))
+    if how == "basis":
+        N = Subspace(n, basis, _canonical=True)
+    elif how == "span":
+        N = Subspace(n, mixed(basis))
+    elif how == "check":
+        N = Subspace.annihilated_by(check, canonical=True)
+    elif how == "kernel":
+        N = Subspace.annihilated_by(mixed(check))
+    else:
+        N = gf2.null_space(mixed(check))
+    return N, basis
+
+
+@st.composite
+def subspace_pairs(draw):
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 100]) | st.integers(1, 100))
+    return n, draw(held_subspaces(n)), draw(held_subspaces(n))
+
+
+@given(subspace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_sum_and_intersect_choosing_sides_match_reference(case):
+    # the routes through checks, through a check restricted to spanning
+    # rows, and through bases give the reference's canonical bits; and
+    # every check side, held, derived or read off a result, is the
+    # canonical matrix_with_null_space: the kernel of the basis, with
+    # null(check) = N
+    n, (A, a), (B, b) = case
+    ref_A, ref_B = Subspace(n, a, _canonical=True), Subspace(n, b, _canonical=True)
+    want = {"sum": ref_subspace_sum(ref_A, ref_B), "meet": ref_subspace_intersect(ref_A, ref_B)}
+    got = {"sum": gf2.subspace_sum(A, B), "meet": gf2.subspace_intersect(A, B)}
+    for key in ("sum", "meet"):
+        assert got[key].dim == want[key].dim
+        assert got[key].basis == want[key].basis
+        assert got[key] == want[key] and hash(got[key]) == hash(want[key])
+    results = [(got[key], want[key].basis) for key in ("sum", "meet")]
+    for N, basis in [(A, a), (B, b), *results]:
+        H = gf2.matrix_with_null_space(N)
+        assert H is N.check
+        assert H == ref_null_space(basis).basis
+        assert ref_null_space(H).basis == basis
 
 
 def test_complement_of_full_space_extends_by_unit_vectors():

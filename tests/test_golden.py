@@ -1,7 +1,8 @@
 """Golden sha256 sums of outputs that must stay byte-identical: generated
 bundle files, verify reports (with sampled round trips, and of a reduced
-bundle), a decoded file and its report, the (3, 5, 9) search report, and
-the input, bundle and report of ``reduce``.  A refactor
+bundle), a decoded file and its report, the (3, 5, 9) search report, the
+seeded sum-zero partitions for s = 5 and 7, and the input, bundle and
+report of ``reduce``.  A refactor
 that changes any of these bytes changes the program's output, and must say
 so."""
 
@@ -14,7 +15,8 @@ import io
 import numpy as np
 import pytest
 
-from swhamming import bundleio, cli, codec, equiv, gf2, hcms, sources
+from helpers import shifted
+from swhamming import bundleio, cli, codec, gf2, hcms, sources
 
 # gen flags and the sum of the bundle file they write
 BUNDLES = {
@@ -48,6 +50,14 @@ ENCODE_A4 = (
 # verify --kv --roundtrip 300 of the bundle reduce writes for the shifted
 # gen --a 4 code
 VERIFY_REDUCED_A4_ROUNDTRIP = "dcd1901820643a2023971a851fb2171574595fc8daf77822ad43a350233ea164"
+
+# seeded draws of random_sum_zero_partition(s, mn, default_rng(1)) for
+# s > 3, which a gen for other terminal counts would write: sums of the
+# blocks' text
+PARTITION_DRAWS = {
+    (5, 8): "6f4659fb1db1ce6cca596f3025ad8db3113e6bdaa74213dc9692286d4876db48",
+    (7, 9): "60d32ffe0aaa47da20e44df8194df41a42e2aaca0e0812d69847a69c735f2ac9",
+}
 
 # reduce inputs: a perfect code, shifted with a fixed seed, and the sum of
 # its code file
@@ -140,16 +150,10 @@ def test_search_report():
     assert sha256(stdout_of("search", "--n", "5", "--M", "9", "--kv")) == SEARCH_5_9_KV
 
 
-def shifted(code: codec.SwCode, seed: int) -> codec.SwCode:
-    """An equivalent perfect code: a random half of the null space common to
-    terminals 1..s-1 moved out of the last terminal's null space into
-    terminal 0's."""
-    prof = equiv.profile(code)
-    common = prof[1]
-    for N in prof[2:]:
-        common = gf2.subspace_intersect(common, N)
-    K = gf2.random_subspace_of(common, common.dim // 2, np.random.default_rng(seed))
-    return equiv.shift_null_space(code, K, 0, code.s - 1)
+@pytest.mark.parametrize("s, mn", sorted(PARTITION_DRAWS))
+def test_random_partition_draws(s, mn):
+    Q = hcms.random_sum_zero_partition(s, mn, np.random.default_rng(1))
+    assert sha256("".join(gf2.format_matrix(B) for B in Q).encode()) == PARTITION_DRAWS[s, mn]
 
 
 @pytest.mark.parametrize("name, flags", sorted(REDUCE_OUTPUTS), ids=str)
@@ -157,7 +161,7 @@ def test_reduce_bytes(tmp_path, monkeypatch, name, flags):
     # relative paths, so that the printed path is the same in every run
     monkeypatch.chdir(tmp_path)
     make, want_input = REDUCE_INPUTS[name]
-    bundleio.write_code_file("shifted.txt", shifted(make(), REDUCE_SEED))
+    bundleio.write_code_file("shifted.txt", shifted(make(), np.random.default_rng(REDUCE_SEED)))
     assert sha256((tmp_path / "shifted.txt").read_bytes()) == want_input
     want_bundle, want_stdout = REDUCE_OUTPUTS[name, flags]
     out = stdout_of("reduce", "shifted.txt", "-o", "reduced.txt", *flags)
@@ -167,7 +171,8 @@ def test_reduce_bytes(tmp_path, monkeypatch, name, flags):
 
 def test_verify_roundtrip_report_of_reduced_bundle(tmp_path, monkeypatch, bundle_a4):
     monkeypatch.chdir(tmp_path)
-    bundleio.write_code_file("shifted.txt", shifted(bundle_a4.code, REDUCE_SEED))
+    code = shifted(bundle_a4.code, np.random.default_rng(REDUCE_SEED))
+    bundleio.write_code_file("shifted.txt", code)
     stdout_of("reduce", "shifted.txt", "-o", "reduced.txt")
     out = stdout_of("verify", "reduced.txt", "--kv", "--roundtrip", "300")
     assert sha256(out) == VERIFY_REDUCED_A4_ROUNDTRIP

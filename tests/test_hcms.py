@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -166,18 +168,19 @@ def test_hcms_for_a_checks_each_partition_once(monkeypatch):
 
 
 def test_unit_completion_inverse_matches_invert(rng):
-    # R = [Y; T] with T unit rows at random distinct columns, or a repeated
-    # one: R^-1 from the r x r elimination, or SingularMatrixError, as
-    # gf2.invert gives
-    for _ in range(100):
+    # R = [Y; T] with a unit column in each row of T, at its lowest set bit:
+    # unit rows at random distinct columns, or T in RREF.  R^-1 from the
+    # r x (n + r) elimination, or SingularMatrixError, as gf2.invert gives
+    for _ in range(150):
         n = int(rng.integers(1, 70))
         r = int(rng.integers(0, n + 1))
-        N = rng.permutation(n)[: n - r]
-        if n - r > 1 and rng.integers(4) == 0:
-            N[0] = N[1]
-        T = np.zeros((n - r, n), dtype=np.uint8)
-        T[np.arange(n - r), N] = 1
-        R = gf2.vstack([gf2.random_matrix(r, n, rng), gf2.BitMatrix.from_bits(T)])
+        if rng.integers(2):
+            T = np.zeros((n - r, n), dtype=np.uint8)
+            T[np.arange(n - r), rng.permutation(n)[: n - r]] = 1
+            T = gf2.BitMatrix.from_bits(T)
+        else:
+            T = gf2.random_subspace(n, n - r, rng).basis
+        R = gf2.vstack([gf2.random_matrix(r, n, rng), T])
         try:
             want = gf2.invert(R)
         except gf2.SingularMatrixError:
@@ -185,9 +188,15 @@ def test_unit_completion_inverse_matches_invert(rng):
                 hcms._unit_completion_inverse(R, n - r)
         else:
             assert hcms._unit_completion_inverse(R, n - r) == want
-    # a T that is not unit rows is left to gf2.invert
-    R = gf2.BitMatrix.from_bits([[1, 0], [1, 1]])
-    assert hcms._unit_completion_inverse(R, 1) is None
+    # two rows of T leading at one column are left to gf2.invert, which
+    # inverts R or, for a repeated unit row, finds it singular
+    R = gf2.BitMatrix.from_bits([[0, 0, 1], [1, 1, 0], [1, 0, 0]])
+    assert hcms._unit_completion_inverse(R, 2) is None
+    assert R @ gf2.invert(R) == gf2.BitMatrix.identity(3)
+    R = gf2.BitMatrix.from_bits([[1, 0, 0], [0, 1, 0], [0, 1, 0]])
+    assert hcms._unit_completion_inverse(R, 2) is None
+    with pytest.raises(gf2.SingularMatrixError):
+        gf2.invert(R)
 
 
 def test_lift_rejects_bad_input():
@@ -281,6 +290,18 @@ def test_random_partition_search(rng):
     assert Q is not None
     bundle = hcms.hcms_from_parts(Q)
     assert codec.is_perfect(bundle.code)
+
+
+@pytest.mark.parametrize("mn", [8, 10])
+def test_random_partition_search_s3_draws_a_spread(rng, mn):
+    # greedy placement strands the last values for s = 3 (at mn = 8 it gave
+    # up after about 1 s); the lines of a random spread are found at once
+    start = time.perf_counter()
+    Q = hcms.random_sum_zero_partition(3, mn, rng)
+    assert time.perf_counter() - start < 0.1
+    hcms.validate_partition(Q)
+    assert gf2.rank(gf2.vstack(Q[:2])) == 2 * mn
+    assert codec.is_perfect(hcms.hcms_from_parts(Q).code)
 
 
 def test_random_partition_search_infeasible_s5(rng):

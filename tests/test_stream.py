@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
-from test_golden import shifted
+from helpers import shifted
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import NotInImageError
 
@@ -139,7 +139,7 @@ def test_decode_inverts_encode_through_files(bundle_a3, pair_n7, base, seed, cou
     # decode(encode(file)) is the file, byte for byte, for a shifted code
     # file and for the bundle that reduce makes of it
     rng = np.random.default_rng(seed)
-    code = shifted(bundle_a3.code if base == "a3" else pair_n7, seed)
+    code = shifted(bundle_a3.code if base == "a3" else pair_n7, np.random.default_rng(seed))
     xs = [sources.random_member(code.s, code.n, rng) for _ in range(count)]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

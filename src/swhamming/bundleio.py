@@ -3,21 +3,26 @@
 A plain code file is ``s n``, then ``m_1 ... m_s``, then the s coding
 matrices in the shared text format.  A bundle file appends labelled
 sections (a bare label line, then a matrix): ``P``, ``Q_i``, ``T``,
-``G_i``, ``R``, and for a relaxed bundle (``C`` set) also ``C_i``, ``Y``,
+``G_i``, ``R``, and for a relaxed bundle (``E`` set) also ``C_i``, ``Y``,
 ``D_i``, ``E_i``.  Whether those sections are written depends only on
 whether the bundle has them, never on their values.
 
+Of those sections a file chooses only E_i, Y and D_i, in the relaxed
+form; the code fixes the others, which :class:`Bundle` derives.
 :func:`build_bundle` loads either form into one :class:`Bundle`, relaxed
-when the file has ``C_1``, and checks the sections against each other:
-their shapes first, then P = [Q_1 ... Q_s] (Q_1 for s = 2), R = [Y; T]
-(Y the stack [Q_1; ...; Q_(s-1)] in the direct form), T = [G_1; ...;
-G_s], each coding matrix = [G_i; C_i] (C_i = Q_i in the direct form), and
-in the relaxed form E_i C_i = Q_i and D_i Q_i = C_i.  A failed check is
-MALFORMED_FILE naming the section.  Last, R must be invertible
-(R_NOT_INVERTIBLE otherwise).  The checked bundle is attached to its code,
-whose plan is then read off the sections when they certify the code
-(:meth:`codec.CodePlan.from_bundle`).  Properties of the construction
-itself (partition validity, perfectness) belong to ``verify``.
+when the file has ``C_1``.  It checks the shapes of the chosen sections
+(E_i with d_i <= m_i columns and as many rows as E_1, D_i d_i x that, Y
+making R n x n) or, in the direct form, that 1 <= M - n <= m_i.  It then
+compares each other section with the one the bundle derives: first G_i
+and C_i (Q_i in the direct form), read off coding matrix i, whose
+mismatch is ``coding matrix i is not [G_i; C_i]``; then the rest in file
+order, each mismatch naming the equation it breaks.  Last come D_i Q_i =
+C_i, Y a row basis of the stack (both MALFORMED_FILE) and R invertible
+(R_NOT_INVERTIBLE otherwise).  The checked bundle is attached to its
+code, whose plan is then read off the sections when they certify the
+code (:meth:`codec.CodePlan.from_bundle`).  Properties of the
+construction itself (partition validity, perfectness) belong to
+``verify``.
 
 Both forms are read as bytes (:func:`read_file`).
 Lines end in LF, CRLF or a lone CR, as in group files; the other
@@ -50,7 +55,7 @@ import numpy as np
 from ._kernels import nwords
 from .codec import DEFAULT_SEARCH_BUDGET, SwCode, format_code
 from .errors import MalformedFileError
-from .gf2 import BitMatrix, format_matrix, hstack, vstack
+from .gf2 import BitMatrix, format_matrix
 from .hcms import Bundle
 from .sources import scan_lines
 
@@ -71,7 +76,7 @@ def _sections(bundle: Bundle):
     yield "T", bundle.T
     yield from ((f"G_{i}", Gi) for i, Gi in enumerate(bundle.G, 1))
     yield "R", bundle.R
-    if bundle.C is not None:
+    if bundle.E is not None:
         yield from ((f"C_{i}", Ci) for i, Ci in enumerate(bundle.C, 1))
         yield "Y", bundle.Y
         yield from ((f"D_{i}", Di) for i, Di in enumerate(bundle.D, 1))
@@ -266,62 +271,47 @@ def _expect(label: str, M: BitMatrix, rows: int, cols: int) -> None:
         )
 
 
+#: the refusal when a section differs from the one the bundle derives, by
+#: label without its index; "G" for every section read off a coding matrix
+_MISMATCH = {
+    "G": "coding matrix {i} is not [G_{i}; C_{i}]",
+    "P": "section P is not [Q_1 ... Q_s]",
+    "Q": "section E_{i}: E_{i} C_{i} is not Q_{i}",
+    "T": "sections G_1 ... G_s do not split T",
+    "R": "section R is not [Y; T]",
+}
+
+
 def build_bundle(parsed: ParsedFile) -> Bundle:
     """The bundle of a parsed file, relaxed when it has a ``C_1`` section,
-    after checking that its sections agree (see the module docstring)."""
+    once its sections are those the bundle derives (see the module
+    docstring)."""
     code = parsed.code
-    s, n = code.s, code.n
-
-    def each(name: str) -> tuple[BitMatrix, ...]:
-        return tuple(_section(parsed, f"{name}_{i}") for i in range(1, s + 1))
-
-    Q, G = each("Q"), each("G")
-    P, T, R = (_section(parsed, name) for name in ("P", "T", "R"))
-    relaxed = parsed.kind == "ghcms"
-    if relaxed:
-        C, D, E = each("C"), each("D"), each("E")
+    s, n, m = code.s, code.n, code.m
+    chosen = {}
+    if parsed.kind == "ghcms":
+        E, D = (tuple(_section(parsed, f"{name}_{i}") for i in range(1, s + 1)) for name in "ED")
         Y = _section(parsed, "Y")
-    else:
-        C = Q
-
-    # shapes first, so that the stacks and products below are defined
-    mn = Q[0].rows
-    if mn == 0:
-        raise MalformedFileError("section Q_1 has no rows")
-    for i, Qi in enumerate(Q, 1):
-        _expect(f"Q_{i}", Qi, mn, n)
-    _expect("P", P, mn, s * n if s > 2 else n)
-    _expect("R", R, n, n)
-    if relaxed:
-        _expect("Y", Y, Y.rows, n)
-        for i, (Ci, Di, Ei) in enumerate(zip(C, D, E), 1):
-            _expect(f"C_{i}", Ci, Ci.rows, n)
-            _expect(f"D_{i}", Di, Ci.rows, mn)
-            _expect(f"E_{i}", Ei, mn, Ci.rows)
-    _expect("T", T, n - (Y.rows if relaxed else (s - 1) * mn), n)
-    for i, (Gi, Ci, H) in enumerate(zip(G, C, code.matrices), 1):
-        _expect(f"G_{i}", Gi, H.rows - Ci.rows, n)
-
-    stack = vstack(Q[: s - 1])
-    if P != (hstack(Q) if s > 2 else Q[0]):
-        raise MalformedFileError("section P is not [Q_1 ... Q_s]")
-    if R != vstack([Y if relaxed else stack, T]):
-        raise MalformedFileError("section R is not [Y; T]")
-    if vstack(G) != T:
-        raise MalformedFileError("sections G_1 ... G_s do not split T")
-    for i, (Gi, Ci, H) in enumerate(zip(G, C, code.matrices), 1):
-        if H != vstack([Gi, Ci]):
-            raise MalformedFileError(f"coding matrix {i} is not [G_{i}; C_{i}]")
-    relaxed_fields = {}
-    if relaxed:
-        for i, (Qi, Ci, Di, Ei) in enumerate(zip(Q, C, D, E), 1):
-            if Ei @ Ci != Qi:
-                raise MalformedFileError(f"section E_{i}: E_{i} C_{i} is not Q_{i}")
+        # shapes first, so that the sections derived from these are defined
+        for i, (Ei, Di, mi) in enumerate(zip(E, D, m), 1):
+            _expect(f"E_{i}", Ei, E[0].rows, min(Ei.cols, mi))
+            _expect(f"D_{i}", Di, Ei.cols, E[0].rows)
+        _expect("Y", Y, n - sum(m) + sum(Ei.cols for Ei in E), n)
+        chosen = dict(E=E, Y=Y, D=D)
+    elif not 0 < sum(m) - n <= min(m):
+        raise MalformedFileError(f"M - n is {sum(m) - n}: the direct form needs 1 <= M - n <= m_i")
+    bundle = Bundle(code, **chosen)
+    # the sections read straight off the coding matrices first, so that a
+    # damaged coding matrix is named as such, not as a section it feeds
+    off_code = ("G", "C" if chosen else "Q")
+    for label, derived in sorted(_sections(bundle), key=lambda sec: sec[0][0] not in off_code):
+        if _section(parsed, label) != derived:
+            name = "G" if label[0] in off_code else label[0]
+            raise MalformedFileError(_MISMATCH[name].format(i=label[2:]))
+    if chosen:
+        for i, (Qi, Ci, Di) in enumerate(zip(bundle.Q, bundle.C, D), 1):
             if Di @ Qi != Ci:
                 raise MalformedFileError(f"section D_{i}: D_{i} Q_{i} is not C_{i}")
-        relaxed_fields = dict(C=C, Y=Y, E=E, D=D)
-    bundle = Bundle(P=P, Q=Q, T=T, G=G, R=R, code=code, **relaxed_fields)
-    if relaxed:
         try:
             bundle.W  # kept for the plan's top
         except ValueError as exc:

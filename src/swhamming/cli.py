@@ -97,7 +97,7 @@ def cmd_gen(args) -> int:
         _kv(
             [
                 ("written", args.output),
-                ("kind", "hcms" if bundle.C is None else "ghcms"),
+                ("kind", "hcms" if bundle.E is None else "ghcms"),
                 ("s", bundle.s),
                 ("n", bundle.n),
                 ("M", bundle.M),

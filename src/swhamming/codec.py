@@ -225,10 +225,8 @@ class CodePlan:
         if mn != offsets[-1] - code.n or not sum(Q[1:], Q[0]).is_zero() or rank(bundle.P) < mn:
             return None
         F = np.zeros((mn, offsets[-1]), dtype=np.uint8)
-        for i, Ci in enumerate(bundle.C or Q):
-            F[:, offsets[i + 1] - Ci.rows : offsets[i + 1]] = (
-                np.eye(mn, dtype=np.uint8) if bundle.E is None else bundle.E[i].to_array()
-            )
+        for b, Ei in zip(offsets[1:], bundle.E or (BitMatrix.identity(mn),) * code.s):
+            F[:, b - Ei.cols : b] = Ei.to_array()
         plan = cls.__new__(cls)
         plan._fill(code, F, hstack(Q).to_array(), bundle)
         return None if plan.collision is not None else plan
@@ -348,14 +346,14 @@ def _top_of_bundle(bundle: Bundle) -> BitMatrix:
     not multiplied by S."""
     code, s, g = bundle.code, bundle.s, bundle.g_split
     R_inv = bundle.R_inv.to_array()
-    r = code.n - bundle.T.rows
+    r = code.n - sum(g)
     offsets = list(itertools.accumulate(code.m, initial=0))
     g_rows = [a + k for a, gi in zip(offsets, g) for k in range(gi)]
     c_rows = [k for a, b, gi in zip(offsets, offsets[1:s], g) for k in range(a + gi, b)]
     top = np.zeros((code.n, offsets[-1]), dtype=np.uint8)
     top[:, g_rows] = R_inv[:, r:]
     y_cols = R_inv[:, :r]
-    top[:, c_rows] = y_cols if bundle.C is None else bits_matmul(y_cols, bundle.W.to_array())
+    top[:, c_rows] = y_cols if bundle.E is None else bits_matmul(y_cols, bundle.W.to_array())
     return BitMatrix.from_bits(top)
 
 

@@ -243,19 +243,24 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     s, n = code.s, code.n
     if not is_perfect(code):
         raise NotPerfectError("input code is not a perfect compression")
-    prof = profile(code)
-    report = ReduceReport(input_profile_dims=tuple(N.dim for N in prof))
-
     if s == 2:
+        # every coding matrix of a perfect code, the input's and the
+        # output's, has full row rank (see codec.is_perfect): its null
+        # space has dimension n - m_i
         H2 = _pair_partition(code)
         bundle = degenerate_two_source(H2)
-        report.normalized_profile_dims = tuple(N.dim for N in profile(bundle.code))
-        report.residual_dims = (prof[1].dim,)
-        report.hamming_permutation = tuple(int(v) for v in np.argsort(_column_values(H2)))
-        report.output_rates = bundle.code.m
-        report.perfect = bundle.perfect
+        report = ReduceReport(
+            input_profile_dims=tuple(n - mi for mi in code.m),
+            residual_dims=(n - code.m[1],),
+            normalized_profile_dims=tuple(n - mi for mi in bundle.code.m),
+            hamming_permutation=tuple(int(v) for v in np.argsort(_column_values(H2))),
+            output_rates=bundle.code.m,
+            perfect=bundle.perfect,
+        )
         return bundle, report
 
+    prof = profile(code)
+    report = ReduceReport(input_profile_dims=tuple(N.dim for N in prof))
     # the complement in N_(s-1) reads its basis; read first, it also meets
     # each other null space's check in the residuals, with canonical results
     prof[s - 1].basis

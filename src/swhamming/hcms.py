@@ -4,8 +4,10 @@ A sum-zero partition P = [Q_1 ... Q_s] of an (M-n)-bit Hamming matrix,
 together with a completion T making R = [Q_1; ...; Q_{s-1}; T] invertible,
 yields coding matrices [G_i; Q_i] (G_i any row partition of T) that compress
 the s-terminal Hamming sources perfectly.  A bundle is the construction
-witness: its code is judged and decoded by the one decoder of every code
-(:class:`swhamming.codec.CodePlan`), read off the bundle's sections.
+witness.  It keeps only its code and, in the relaxed form, the chosen E,
+Y and D; the code's rows fix every other section, which it derives (see
+:class:`Bundle`).  Its code is judged and decoded by the one decoder of
+every code (:class:`swhamming.codec.CodePlan`), read off those sections.
 
 The explicit partition for (n, M) = (21, 27) is embedded as data and
 re-verified on every construction; all larger block lengths are built by
@@ -101,26 +103,68 @@ def validate_partition(Q: Sequence[BitMatrix]) -> None:
 
 @dataclass(frozen=True)
 class Bundle:
-    """Construction witness: the partition, completion, and induced code.
+    """Construction witness: a code whose coding matrices are H_i = [G_i;
+    C_i], and what a bundle file chooses beside it.
 
-    The relaxed form has row bases C_i of the Q_i and Y of [Q_1; ...;
-    Q_(s-1)], with Q_i = E_i C_i and C_i = D_i Q_i.  The direct form is
-    C_i = Q_i, Y = the stack, E_i = D_i = I, and leaves those four fields
-    None.  For s = 2 (relaxed only, Q_1 = Q_2) P is Q_1.  The shape s, n
-    and M is the code's; R^-1 and W are no fields: they are derived on
-    first read.
+    Chosen, the fields: the code and, in the relaxed form, E_i with Q_i =
+    E_i C_i, D_i with C_i = D_i Q_i, and Y, a row basis of [Q_1; ...;
+    Q_(s-1)].  The direct form leaves E, Y and D None: there C_i = Q_i,
+    E_i = D_i = I and Y is the stack itself.
+
+    Derived, every other section, each made once on first read: d_i rows
+    of C_i (E_i.cols, M - n in the direct form), G_i and C_i the top m_i -
+    d_i and bottom d_i rows of H_i (C None in the direct form), T = [G_1;
+    ...; G_s], Q_i = E_i C_i, P = [Q_1 ... Q_s] (Q_1 for s = 2, whose
+    blocks are equal), R = [Y; T], R^-1 and W.  The shape s, n and M is
+    the code's.
     """
 
-    P: BitMatrix
-    Q: tuple[BitMatrix, ...]
-    T: BitMatrix
-    G: tuple[BitMatrix, ...]
-    R: BitMatrix
     code: SwCode
-    C: tuple[BitMatrix, ...] | None = None
-    Y: BitMatrix | None = None
     E: tuple[BitMatrix, ...] | None = None
+    Y: BitMatrix | None = None
     D: tuple[BitMatrix, ...] | None = None
+
+    @property
+    def d(self) -> tuple[int, ...]:
+        """Rows of the c-part of each coding matrix."""
+        if self.E is None:
+            return (self.M - self.n,) * self.s
+        return tuple(Ei.cols for Ei in self.E)
+
+    @property
+    def g_split(self) -> tuple[int, ...]:
+        return tuple(mi - di for mi, di in zip(self.code.m, self.d))
+
+    @cached_property
+    def G(self) -> tuple[BitMatrix, ...]:
+        return tuple(H.take_rows(0, g) for H, g in zip(self.code.matrices, self.g_split))
+
+    @cached_property
+    def _bottoms(self) -> tuple[BitMatrix, ...]:
+        """The bottom d_i rows of each H_i."""
+        return tuple(H.take_rows(g, H.rows) for H, g in zip(self.code.matrices, self.g_split))
+
+    @property
+    def C(self) -> tuple[BitMatrix, ...] | None:
+        return None if self.E is None else self._bottoms
+
+    @cached_property
+    def Q(self) -> tuple[BitMatrix, ...]:
+        C = self._bottoms
+        return C if self.E is None else tuple(Ei @ Ci for Ei, Ci in zip(self.E, C))
+
+    @cached_property
+    def T(self) -> BitMatrix:
+        return vstack(self.G)
+
+    @cached_property
+    def P(self) -> BitMatrix:
+        return hstack(self.Q) if self.s > 2 else self.Q[0]
+
+    @cached_property
+    def R(self) -> BitMatrix:
+        Y = vstack(self.Q[: self.s - 1]) if self.Y is None else self.Y
+        return vstack([Y, self.T])
 
     @cached_property
     def R_inv(self) -> BitMatrix:
@@ -159,15 +203,6 @@ class Bundle:
     @property
     def M(self) -> int:
         return sum(self.code.m)
-
-    @property
-    def g_split(self) -> tuple[int, ...]:
-        return tuple(Gi.rows for Gi in self.G)
-
-    @property
-    def d(self) -> tuple[int, ...]:
-        """Rows of the c-part of each coding matrix."""
-        return tuple(Ci.rows for Ci in (self.Q if self.C is None else self.C))
 
     @property
     def perfect(self) -> bool:
@@ -266,8 +301,10 @@ def assemble(
     = D_i Q_i from ``row_basis_transforms``; a caller that has Y, or E and
     D, and has checked them passes them).  T defaults to the standard
     completion of Y, from Y's pivot columns when the caller has checked
-    them; the G_i are its rows in g_split.  The code's plan is read off the
-    bundle (:meth:`codec.CodePlan.from_bundle`).
+    them; the G_i are its rows in g_split.  Only the code and the relaxed
+    form's E, Y and D are kept: the bundle derives the other sections from
+    them.  The code's plan is read off the bundle
+    (:meth:`codec.CodePlan.from_bundle`).
 
     Raises HeightNegative when the direct stack has more than n rows,
     RNotInvertible when [Y; T] is singular, and BadArgument for a bad split.
@@ -275,20 +312,18 @@ def assemble(
     Q = tuple(Q)
     s, n = len(Q), Q[0].cols
     stack = vstack(Q[: s - 1])
-    relaxed = {}
     if C is None:
         if stack.rows > n:
             raise HeightNegativeError(
                 f"completion height n - (s-1)(M-n) = {n - stack.rows} is negative"
             )
-        Y = stack
+        C, Y, chosen = Q, stack, {}
     else:
-        C = tuple(C)
         if E is None or D is None:
             E, D = zip(*(row_basis_transforms(Qi, Ci) for Qi, Ci in zip(Q, C)))
         if Y is None:
             Y = row_basis(stack)
-        relaxed = dict(C=C, Y=Y, E=tuple(E), D=tuple(D))
+        chosen = dict(E=tuple(E), Y=Y, D=tuple(D))
     custom_T = T is not None
     if not custom_T:
         # needs no check: standard_completion raises unless Y has full row
@@ -302,11 +337,10 @@ def assemble(
     if len(g_split) != s or any(g < 0 for g in g_split) or sum(g_split) != T.rows:
         raise BadArgumentError(f"row split {g_split} does not partition {T.rows} rows")
     offsets = np.cumsum((0, *g_split)).tolist()
-    G = tuple(T.take_rows(a, b) for a, b in zip(offsets, offsets[1:]))
-    code = make_code([vstack([Gi, Ci]) for Gi, Ci in zip(G, Q if C is None else C)])
-    bundle = Bundle(
-        P=hstack(Q) if s > 2 else Q[0], Q=Q, T=T, G=G, R=vstack([Y, T]), code=code, **relaxed
+    code = make_code(
+        [vstack([T.take_rows(a, b), Ci]) for a, b, Ci in zip(offsets, offsets[1:], C)]
     )
+    bundle = Bundle(code, **chosen)
     if custom_T:
         bundle.R_inv  # raises RNotInvertible when [Y; T] is singular
     code.attach(bundle)

@@ -1,6 +1,7 @@
 """Small helpers the tests share: the decomposition of a member of S, the
 byte parser of code and bundle files applied to one matrix, and the
-shifted perfect codes that ``reduce`` is benchmarked on."""
+shifted perfect codes that ``reduce`` is benchmarked on, and a relaxed
+bundle whose transforms are not identities."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from swhamming import bundleio, equiv, gf2
+from swhamming import bundleio, equiv, ghcms, gf2, hcms
 from swhamming.codec import SwCode
 from swhamming.gf2 import BitMatrix, BitVector
 from swhamming.sources import is_hamming_member
@@ -61,3 +62,11 @@ def shifted(code: SwCode, rng: np.random.Generator) -> SwCode:
         common = gf2.subspace_intersect(common, N)
     K = gf2.random_subspace_of(common, common.dim // 2, rng)
     return equiv.shift_null_space(code, K, 0, code.s - 1)
+
+
+def relaxed_a3(rng: np.random.Generator):
+    """The relaxed bundle of the a = 3 partition with row bases C_i = U_i
+    Q_i for random invertible U_i, so that E_i = U_i^-1 and D_i = U_i are
+    not identities."""
+    Q = hcms.a3_partition()
+    return ghcms.ghcms_build(Q, C_choices=tuple(gf2.random_invertible(6, rng) @ Qi for Qi in Q))

@@ -5,6 +5,7 @@ same file, the same bundle and a decoder that inverts the encoder."""
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -80,6 +81,23 @@ def test_relaxed_bundle_with_identity_transforms_keeps_its_sections(tmp_path, rn
     assert {"C_1", "Y", "D_3", "E_3"} <= labels
     assert bundleio.read_file(path).kind == "ghcms"
     check_round_trip(bundle, rng)
+
+
+def test_a_bundle_keeps_only_its_choices_and_derives_the_sections(rng):
+    # the code's rows give G_i and C_i, and E_i the Q_i: the sections the
+    # bundle was assembled from come back on read
+    assert [f.name for f in dataclasses.fields(hcms.Bundle)] == ["code", "E", "Y", "D"]
+    C = tuple(random_invertible(6, rng) @ Qi for Qi in A3)
+    T = hcms.standard_completion(gf2.vstack(A3[:2]))
+    direct = hcms.hcms_from_parts(A3, T, (1, 3, 5))
+    relaxed = ghcms.ghcms_build(A3, C, (1, 3, 5), T)
+    assert direct.C is None and relaxed.C == C and direct.d == relaxed.d == (6, 6, 6)
+    for bundle, Y, C_parts in ((direct, gf2.vstack(A3[:2]), A3), (relaxed, relaxed.Y, C)):
+        assert bundle.Q == A3 and bundle.P == gf2.hstack(A3)
+        assert bundle.T == T and bundle.R == gf2.vstack([Y, T]) and bundle.g_split == (1, 3, 5)
+        assert bundle.code.matrices == tuple(
+            gf2.vstack([Gi, Ci]) for Gi, Ci in zip(bundle.G, C_parts)
+        )
 
 
 def test_direct_and_relaxed_forms_share_the_type(bundle_a3):

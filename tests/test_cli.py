@@ -468,10 +468,36 @@ def test_verify_prints_the_same_with_and_without_kv(tmp_path, capsys, text):
 # load-time consistency of bundle files
 # ---------------------------------------------------------------------------
 
-_DIRECT_SECTIONS = ["P", "Q_1", "Q_2", "Q_3", "T", "G_1", "G_2", "G_3", "R"]
-_RELAXED_SECTIONS = _DIRECT_SECTIONS + [
-    "C_1", "C_2", "C_3", "Y", "D_1", "D_2", "D_3", "E_1", "E_2", "E_3"
-]
+def _off_the_code(i: int) -> str:
+    return f"coding matrix {i} is not [G_{i}; C_{i}]"
+
+
+# section -> the refusal of a bundle whose section has one bit flipped.
+# G_i, and C_i (Q_i in the direct form), are read off coding matrix i; Y is
+# R's top, and E_i changes the Q_i that P stacks
+_P, _T, _R = (
+    "section P is not [Q_1 ... Q_s]",
+    "sections G_1 ... G_s do not split T",
+    "section R is not [Y; T]",
+)
+_DIRECT_REFUSALS = {
+    "P": _P,
+    **{f"Q_{i}": _off_the_code(i) for i in (1, 2, 3)},
+    "T": _T,
+    **{f"G_{i}": _off_the_code(i) for i in (1, 2, 3)},
+    "R": _R,
+}
+_RELAXED_REFUSALS = {
+    "P": _P,
+    **{f"Q_{i}": f"section E_{i}: E_{i} C_{i} is not Q_{i}" for i in (1, 2, 3)},
+    "T": _T,
+    **{f"G_{i}": _off_the_code(i) for i in (1, 2, 3)},
+    "R": _R,
+    **{f"C_{i}": _off_the_code(i) for i in (1, 2, 3)},
+    "Y": _R,
+    **{f"D_{i}": f"section D_{i}: D_{i} Q_{i} is not C_{i}" for i in (1, 2, 3)},
+    **{f"E_{i}": _P for i in (1, 2, 3)},
+}
 
 
 @pytest.fixture(scope="module")
@@ -517,14 +543,20 @@ def _decode_and_verify(tmp_path, capsys, bundle_text, synd_text):
 
 
 @pytest.mark.parametrize(
-    "form,label",
-    [("direct", s) for s in _DIRECT_SECTIONS] + [("relaxed", s) for s in _RELAXED_SECTIONS],
+    "form,label,refusal",
+    [
+        pytest.param(form, label, refusal, id=f"{form}-{label}")
+        for form, refusals in (("direct", _DIRECT_REFUSALS), ("relaxed", _RELAXED_REFUSALS))
+        for label, refusal in refusals.items()
+    ],
 )
-def test_tampered_bundle_section_is_malformed(tmp_path, capsys, bundle_texts, form, label):
+def test_tampered_bundle_section_is_malformed(
+    tmp_path, capsys, bundle_texts, form, label, refusal
+):
     text, synd = bundle_texts[form]
     tampered = _replace_section(text, label, _flip_first_bit)
     for code, err in _decode_and_verify(tmp_path, capsys, tampered, synd):
-        assert code == 2 and "error=MALFORMED_FILE" in err
+        assert code == 2 and err == f"error=MALFORMED_FILE {refusal}\n"
 
 
 @pytest.mark.parametrize("form", ["direct", "relaxed"])
@@ -768,10 +800,7 @@ def test_singular_R_on_load_is_not_invertible(tmp_path, capsys):
     code = codec.make_code([C[0], gf2.vstack([T, C[1]])])
     assert codec.is_perfect(code)
     I2 = gf2.BitMatrix.identity(2)
-    bundle = hcms.Bundle(
-        P=C[0], Q=C, T=T, G=(gf2.BitMatrix.zeros(0, 3), T),
-        R=gf2.vstack([C[0], T]), code=code, C=C, Y=C[0], E=(I2, I2), D=(I2, I2),
-    )
+    bundle = hcms.Bundle(code, E=(I2, I2), Y=C[0], D=(I2, I2))
     path, files = _write_singular(tmp_path, bundle)
     for argv in (["decode", path, *files], ["verify", path, "--roundtrip", "1"]):
         code, _, err = run(capsys, *argv)
@@ -784,10 +813,7 @@ def test_singular_R_of_a3_partition_on_load(tmp_path, capsys):
     Q = hcms.a3_partition()
     T = gf2.BitMatrix.zeros(9, 21)
     G = tuple(T.take_rows(i, i + 3) for i in (0, 3, 6))
-    bundle = hcms.Bundle(
-        P=gf2.hstack(Q), Q=Q, T=T, G=G, R=gf2.vstack([*Q[:2], T]),
-        code=codec.make_code([gf2.vstack([Gi, Qi]) for Gi, Qi in zip(G, Q)]),
-    )
+    bundle = hcms.Bundle(codec.make_code([gf2.vstack([Gi, Qi]) for Gi, Qi in zip(G, Q)]))
     path, files = _write_singular(tmp_path, bundle)
     for argv in (["decode", path, *files], ["verify", path, "--roundtrip", "1"]):
         code, out, err = run(capsys, *argv)

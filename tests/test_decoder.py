@@ -287,11 +287,7 @@ def test_rank_deficient_bundle_falls_back_to_elimination(tmp_path):
     Q = matrix([[1], [0], [0]])
     C = matrix([[1], [1]])
     D, E = matrix([[1, 0, 0], [1, 0, 0]]), matrix([[1, 0], [0, 0], [0, 0]])
-    none = gf2.BitMatrix.zeros(0, 1)
-    bundle = hcms.Bundle(
-        P=Q, Q=(Q, Q), T=none, G=(none, none), R=matrix([[1]]),
-        code=codec.make_code([C, C]), C=(C, C), Y=matrix([[1]]), E=(E, E), D=(D, D),
-    )
+    bundle = hcms.Bundle(codec.make_code([C, C]), E=(E, E), Y=matrix([[1]]), D=(D, D))
     path = tmp_path / "b.txt"
     bundleio.write_bundle(path, bundle)
     loaded = bundleio.load_bundle(path)

@@ -327,14 +327,17 @@ def test_reduce_reads_the_partition_off_the_plan(bundle_a3, monkeypatch):
     assert null_widths and max(null_widths) <= 21
 
 
-@pytest.mark.parametrize("a", [3, 4, 5])
-def test_reduce_runs_at_most_21_eliminations(a, bundle_a3, bundle_a4, bundle_a5, monkeypatch):
+@pytest.mark.parametrize("a", [3, 4, 5, "pair"])
+def test_reduce_runs_at_most_21_eliminations(
+    a, bundle_a3, bundle_a4, bundle_a5, pair_n7, monkeypatch
+):
     # every elimination goes through _kernels.echelon_in_place; counted at
     # every module that binds it, a reduction of the benchmark's shifted
     # codes runs at most 21 of them (it ran 42 while each subspace was held
-    # by its basis alone)
-    bundle = {3: bundle_a3, 4: bundle_a4, 5: bundle_a5}[a]
-    code = codec.make_code(shifted(bundle.code, np.random.default_rng(1)).matrices)
+    # by its basis alone), and of the shifted n = 7 pair exactly 5 (9 while
+    # the dims it reports came from both codes' null spaces)
+    perfect = {3: bundle_a3.code, 4: bundle_a4.code, 5: bundle_a5.code, "pair": pair_n7}[a]
+    code = codec.make_code(shifted(perfect, np.random.default_rng(1)).matrices)
     calls = []
     real = _kernels.echelon_in_place
 
@@ -348,7 +351,7 @@ def test_reduce_runs_at_most_21_eliminations(a, bundle_a3, bundle_a4, bundle_a5,
             monkeypatch.setattr(module, "echelon_in_place", counting)
     bundle, report = equiv.reduce_with_report(code)
     assert report.perfect and bundle.perfect
-    assert 0 < len(calls) <= 21
+    assert len(calls) == 5 if a == "pair" else 0 < len(calls) <= 21
 
 
 def _reduce_with(monkeypatch, name, damage, call):

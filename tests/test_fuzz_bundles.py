@@ -9,10 +9,12 @@ import contextlib
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import relaxed_a3
 from swhamming import bundleio, cli, ghcms, hcms
 
 LABELS = ["P", "Q_1", "Q_4", "T", "G_2", "R", "C_1", "C_3", "Y", "D_1", "E_3", "X"]
@@ -37,11 +39,15 @@ mutations = st.lists(
 
 @pytest.fixture(scope="module")
 def bundle_texts(tmp_path_factory) -> dict[str, str]:
-    """The ``gen --a 3`` and ``gen --trivial`` bundle files."""
+    """The ``gen --a 3`` and ``gen --trivial`` bundle files, a relaxed a = 3
+    bundle whose E_i and D_i are not identities, and the s = 2 bundle of
+    the 3-bit Hamming matrix."""
     P = hcms.hamming_matrix(2)
     bundles = {
         "a3": hcms.hcms_a3(),
         "trivial": ghcms.ghcms_build(tuple(P.take_cols(j, j + 1) for j in range(3))),
+        "relaxed": relaxed_a3(np.random.default_rng(5)),
+        "pair": ghcms.degenerate_two_source(hcms.hamming_matrix(3)),
     }
     out = {}
     for name, bundle in bundles.items():
@@ -83,7 +89,7 @@ def run_quiet(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@given(name=st.sampled_from(["a3", "trivial"]), edits=mutations)
+@given(name=st.sampled_from(["a3", "trivial", "relaxed", "pair"]), edits=mutations)
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_damaged_bundle_gives_a_token_not_a_traceback(tmp_path, monkeypatch, bundle_texts, name, edits):
     monkeypatch.delenv("HCMS_BUDGET", raising=False)

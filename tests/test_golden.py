@@ -1,5 +1,5 @@
 """Golden sha256 sums of outputs that must stay byte-identical: generated
-bundle files, verify reports (with sampled round trips, and of a reduced
+bundle files (and a seeded relaxed one), verify reports (with sampled round trips, and of a reduced
 bundle), a decoded file and its report, the (3, 5, 9) search report, the
 seeded sum-zero partitions for s = 5 and 7, and the input, bundle and
 report of ``reduce``.  A refactor
@@ -15,19 +15,25 @@ import io
 import numpy as np
 import pytest
 
-from helpers import shifted
+from helpers import relaxed_a3, shifted
 from swhamming import bundleio, cli, codec, gf2, hcms, sources
 
 # gen flags and the sum of the bundle file they write
 BUNDLES = {
     "a3": (("--a", "3"), "8f235415f41ecc8550d774e29370ec2672acc2dbb73641069da481f06da82517"),
     "a4": (("--a", "4"), "e01cc10b3310c553bfacad349c7869e9fee3c54058027051ded78995c55a5bf3"),
+    "a5": (("--a", "5"), "c6905521a19a9d29cf4f4ab8c39eab2e3ab11011eee254212ecde3f6e5782a80"),
+    "a6": (("--a", "6"), "0361f9b7b09edc1a80e3debff2d2bca4a08d733cd9fef3a077557b31377d3dc3"),
     "trivial": (("--trivial",), "4091e5470c0ad0631242a31f52d83c788784082a466a2ea8b3c0d7d0adb3a8e3"),
     "a3_split_9_0_0": (
         ("--a", "3", "--split", "9,0,0"),
         "027fdb31c8f525173c31c80b805b9cef947318dbe0cc98304cd022c837b99753",
     ),
 }
+# write_bundle of helpers.relaxed_a3(default_rng(RELAXED_SEED)), whose E_i
+# and D_i are not identities
+RELAXED_SEED = 5
+RELAXED_A3 = "5d9183d11f4123d9bd85e18be72b6eb13c8a914a95a6746e3fbf3fea0ffd7707"
 VERIFY_A3_ROUNDTRIP = "77e70d07720a7ad57683923f097e2bf7376b91cbfd78a229368fa640f81a3897"
 SEARCH_5_9_KV = "39d1df37c59cdb252d222c2caa2c3b95405b7209f196f7f8b1237905bfa31e9a"
 VERIFY_A5 = "cd18660da0987680507fd972273841b940a8ded6579b9d1337f72a2ae4032ece"
@@ -67,6 +73,10 @@ REDUCE_INPUTS = {
         lambda: hcms.hcms_a3().code,
         "159c0c8d2d28a745b0ff82b32fbf47fdfac7fa072e145aa52a4671f02290e44e",
     ),
+    "a4": (
+        lambda: hcms.hcms_for_a(4).code,
+        "56565bdb445e9a7ee0aea5b7cd0861ae09801ae4fd4c0fd9f4a6e1ce23cc772e",
+    ),
     "pair_n7": (
         lambda: codec.make_code([gf2.BitMatrix.identity(7), hcms.hamming_matrix(3)]),
         "2d982362b681f0dc396fa954996622553bce657664e81655d1386c976f5882ec",
@@ -81,6 +91,14 @@ REDUCE_OUTPUTS = {
     ("a3", ("--kv",)): (
         "84aea8eca00f08996c33091ce71aadcfda6824b0dabc76314a5c14fd3850819a",
         "682f902ae24a5a9702fc28387faa4ec52517b67485145f6ac44337e2d5d01c35",
+    ),
+    ("a4", ()): (
+        "c6f52aa3e4175ef3b23676771e0eb6213e5cb286288bcf2c4cccc2d42487abdc",
+        "83966114dd765914053f8f7d04317e375fff17dd01f14b1e7fd4eed36164c027",
+    ),
+    ("a4", ("--kv",)): (
+        "c6f52aa3e4175ef3b23676771e0eb6213e5cb286288bcf2c4cccc2d42487abdc",
+        "69d914f58f7c0bfc098d5cbbb94d648c4c746cdca28ee13be86f9b1c9acfdf58",
     ),
     ("pair_n7", ()): (
         "fac23b76434e602b6f83395a4ee99a3dcd66eb6c959dd2f246c50014561437c3",
@@ -110,6 +128,12 @@ def test_gen_bundle_bytes(tmp_path, name):
     path = tmp_path / "bundle.txt"
     stdout_of("gen", *flags, "-o", str(path))
     assert sha256(path.read_bytes()) == want
+
+
+def test_relaxed_bundle_bytes(tmp_path):
+    path = tmp_path / "bundle.txt"
+    bundleio.write_bundle(path, relaxed_a3(np.random.default_rng(RELAXED_SEED)))
+    assert sha256(path.read_bytes()) == RELAXED_A3
 
 
 def test_verify_roundtrip_report(tmp_path):

@@ -10,6 +10,7 @@ These tests read the scripts' source and resolve each such name.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -140,3 +141,16 @@ def test_bench_kernels_spans_name_functions():
     for _, _, span in cases:
         obj = _resolve(f"swhamming.{span}")
         assert inspect.isfunction(obj) or inspect.ismethod(obj), span
+
+
+def test_bundle_exposes_what_the_probes_read_off_instances(bundle_a3):
+    # probes.py reads attributes off bundle instances (b4.code, b4.G[0].rows,
+    # b4.M, b4.n), which the scan above cannot resolve; tracing.py wraps
+    # Bundle.locate_column
+    from swhamming import hcms
+
+    assert callable(hcms.Bundle.__dict__["locate_column"])
+    assert "code" in {f.name for f in dataclasses.fields(hcms.Bundle)}
+    assert isinstance(bundle_a3, hcms.Bundle)
+    assert bundle_a3.G[0].rows == bundle_a3.g_split[0]
+    assert (bundle_a3.n, bundle_a3.M) == (21, 27)

@@ -15,7 +15,8 @@ when the file has ``C_1``.  It checks the shapes of the chosen sections
 making R n x n) or, in the direct form, that 1 <= M - n <= m_i.  It then
 compares each other section with the one the bundle derives: first G_i
 and C_i (Q_i in the direct form), read off coding matrix i, whose
-mismatch is ``coding matrix i is not [G_i; C_i]``; then the rest in file
+mismatch is ``coding matrix i is not [G_i; C_i]``; then, in the relaxed
+form, Q_i = E_i C_i, whose mismatch names E_i; then the rest in file
 order, each mismatch naming the equation it breaks.  Last come D_i Q_i =
 C_i, Y a row basis of the stack (both MALFORMED_FILE) and R invertible
 (R_NOT_INVERTIBLE otherwise).  The checked bundle is attached to its
@@ -302,9 +303,12 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
         raise MalformedFileError(f"M - n is {sum(m) - n}: the direct form needs 1 <= M - n <= m_i")
     bundle = Bundle(code, **chosen)
     # the sections read straight off the coding matrices first, so that a
-    # damaged coding matrix is named as such, not as a section it feeds
+    # damaged coding matrix is named as such, not as a section it feeds,
+    # then Q_i = E_i C_i, so that a damaged E_i is named, not P
     off_code = ("G", "C" if chosen else "Q")
-    for label, derived in sorted(_sections(bundle), key=lambda sec: sec[0][0] not in off_code):
+    for label, derived in sorted(
+        _sections(bundle), key=lambda sec: (sec[0][0] not in off_code, sec[0][0] != "Q")
+    ):
         if _section(parsed, label) != derived:
             name = "G" if label[0] in off_code else label[0]
             raise MalformedFileError(_MISMATCH[name].format(i=label[2:]))

@@ -45,6 +45,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     Subspace,
+    _span_values,
     concat,
     echelon_augmented,
     format_matrix,
@@ -491,21 +492,12 @@ def admissible_null_spaces(n: int, d: int) -> list[Subspace]:
                 # pivots[i] and no other row has that bit set
                 words = b"".join(r.to_bytes(width, "little") for r in rows)
                 data = np.frombuffer(words, dtype="<u8").reshape(d, -1)
-                out.append(Subspace(n, BitMatrix(d, n, data), _canonical=True))
+                out.append(Subspace(n, basis=BitMatrix(d, n, data)))
     return out
 
 
-def _span(rows: list[int]) -> list[int]:
-    """The members of the span of ``rows`` (bit j of an int is coordinate
-    j), zero first."""
-    span = [0]
-    for r in rows:
-        span += [v ^ r for v in span]
-    return span
-
-
 def _min_weight_at_least_3(rows: list[int]) -> bool:
-    return all(v.bit_count() >= 3 for v in _span(rows)[1:])
+    return all(v.bit_count() >= 3 for v in _span_values(rows)[1:])
 
 
 def coset_masks(spaces: Sequence[Subspace], n: int) -> np.ndarray:
@@ -514,7 +506,7 @@ def coset_masks(spaces: Sequence[Subspace], n: int) -> np.ndarray:
     masks[2, k] over the u of weight 1 or 2.  Bit w % 64 of word w // 64 is
     set iff w is in the set; the shape is (3, len(spaces), nwords(2^n)), one
     word per mask for n <= 6."""
-    spans = [_span([int(w) for w in N.basis.data[:, 0]]) for N in spaces]
+    spans = [_span_values([int(w) for w in N.basis.data[:, 0]]) for N in spaces]
     width = max(map(len, spans), default=1)
     # a short span is padded with 0, which every subspace holds
     members = np.array([sp + [0] * (width - len(sp)) for sp in spans], dtype=np.int64)

@@ -299,7 +299,7 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     # The tail meets N_(s-1) in {0}, inside the all-but-one intersection
     # that normalization left trivial, so null(Q_(s-1)) = null(C_(s-1)) is
     # N_(s-1) + tail iff it holds both and has their dimensions' sum
-    last = Subspace.annihilated_by(C[s - 1], canonical=True)
+    last = Subspace(n, check=C[s - 1])
     if not (
         last.contains_subspace(norm_prof[s - 1])
         and last.contains_subspace(tail)
@@ -319,10 +319,10 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     # invertible.  So null(H_i) = N'_i iff H_i annihilates N'_i and has
     # n - dim N'_i rows.
     for H, N in zip(bundle.code.matrices, norm_prof):
-        if H.rows != n - N.dim or not Subspace.annihilated_by(H).contains_subspace(N):
+        if H.rows != n - N.dim or not Subspace(n, kernel_of=H).contains_subspace(N):
             raise DecompositionInvalidError("output profile must equal the normalized input's")
     report.output_rates = bundle.code.m
     report.perfect = bundle.perfect
-    if not bundle.perfect or (1 << sum(bundle.code.m)) != hamming_source_size(s, n):
+    if (1 << sum(bundle.code.m)) != hamming_source_size(s, n):
         raise DecompositionInvalidError("the reduced bundle must be perfect")
     return bundle, report

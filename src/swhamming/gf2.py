@@ -10,7 +10,7 @@ matrix through its ``words``.
 
 Elimination stops at row echelon form where only pivots, the rank or the
 rows below the rank are read (``rank``, ``pivot_columns``,
-``echelon_augmented``, ``complement``, Zassenhaus intersections), and
+``echelon_augmented``, ``complement``), and
 back-substitutes to RREF only where a reduced form is read (``rref``,
 ``rref_augmented``, ``row_basis``, ``null_space``, ``invert``,
 ``row_basis_transforms``, ``row_basis_and_transforms``).
@@ -360,75 +360,48 @@ class Subspace:
     which makes equality bit-exact: two Subspace values compare equal iff
     they are the same subspace.
 
-    A value is made from one side, from rows that span N, or from rows
-    whose kernel N is (``null_space`` keeps its input beside the side it
-    computes).  A side that is not held is derived on first read, by one
-    elimination of the fewest rows at hand, and kept.  So a subspace of
-    dimension near n is met through its few check rows, a small one is
-    summed through its few basis rows, and the large side of either is
-    built only if it is read.
+    A value is made from any of four kinds of rows, each ``n`` wide: rows
+    that ``span`` N, its canonical ``basis``, its canonical ``check``, or
+    rows whose kernel N is (``kernel_of``; ``null_space`` keeps its input
+    beside the side it computes).  A side that is not held is derived on
+    first read, by one elimination of the fewest rows at hand, and kept.
+    So a subspace of dimension near n is met through its few check rows, a
+    small one is summed through its few basis rows, and the large side of
+    either is built only if it is read.  ``dim`` may be given when it is
+    known and no canonical side is.
     """
 
     __slots__ = ("n", "_basis", "_check", "_span", "_kernel_of", "_dim")
 
-    def __init__(self, n: int, basis: BitMatrix, *, _canonical: bool = False):
-        """The span of the rows of ``basis``, which ``_canonical`` says is
-        already the canonical basis."""
-        if basis.cols != n:
-            raise ValueError("basis width disagrees with ambient dimension")
-        if _canonical:
-            self._hold(n, basis=basis)
-        else:
-            self._hold(n, span=basis)
-
-    def _hold(
+    def __init__(
         self,
         n: int,
+        span: BitMatrix | None = None,
         *,
         basis: BitMatrix | None = None,
         check: BitMatrix | None = None,
-        span: BitMatrix | None = None,
         kernel_of: BitMatrix | None = None,
         dim: int | None = None,
-    ) -> None:
+    ):
+        sides = {"span": span, "basis": basis, "check": check, "kernel_of": kernel_of}
+        if all(M is None for M in sides.values()):
+            raise ValueError("a subspace needs rows to hold it by")
+        for name, M in sides.items():
+            if M is not None and M.cols != n:
+                raise ValueError(f"{name} width {M.cols} disagrees with ambient dimension {n}")
         self.n = n
         self._basis, self._check, self._span, self._kernel_of = basis, check, span, kernel_of
-        if basis is not None:
-            dim = basis.rows
-        elif check is not None:
-            dim = n - check.rows
+        if basis is not None or check is not None:
+            dim = basis.rows if basis is not None else n - check.rows
         self._dim = dim
 
     @classmethod
-    def _held(cls, n: int, **sides) -> Subspace:
-        N = cls.__new__(cls)
-        N._hold(n, **sides)
-        return N
-
-    @classmethod
     def zero(cls, n: int) -> Subspace:
-        return cls._held(n, basis=BitMatrix.zeros(0, n), check=BitMatrix.identity(n))
+        return cls(n, basis=BitMatrix.zeros(0, n), check=BitMatrix.identity(n))
 
     @classmethod
     def full(cls, n: int) -> Subspace:
-        return cls._held(n, basis=BitMatrix.identity(n), check=BitMatrix.zeros(0, n))
-
-    @classmethod
-    def spanned_by(cls, vectors: Sequence[BitVector], n: int | None = None) -> Subspace:
-        if not vectors:
-            if n is None:
-                raise ValueError("ambient dimension required for empty span")
-            return cls.zero(n)
-        return cls(vectors[0].n, BitMatrix.from_rows(vectors))
-
-    @classmethod
-    def annihilated_by(cls, H: BitMatrix, *, canonical: bool = False) -> Subspace:
-        """The kernel of H.  With ``canonical`` H is taken as its check (in
-        RREF with no zero rows, as the caller has made it); else H is any
-        matrix with that kernel."""
-        if canonical:
-            return cls._held(H.cols, check=H)
-        return cls._held(H.cols, kernel_of=H)
+        return cls(n, basis=BitMatrix.identity(n), check=BitMatrix.zeros(0, n))
 
     @property
     def dim(self) -> int:
@@ -478,9 +451,6 @@ class Subspace:
         are none."""
         return self._check if self._check is not None else self._kernel_of
 
-    def contains(self, v: BitVector) -> bool:
-        return subspace_contains(self, v)
-
     def contains_subspace(self, other: Subspace) -> bool:
         """Whether other lies in N: N's annihilating rows times other's
         spanning rows is zero, or, when other is held by its check alone,
@@ -495,19 +465,11 @@ class Subspace:
             return bool(_in_row_space(other.check, H.data).all())
         return not bits_matmul(H.to_array(), rows.to_array().T).any()
 
-    def vectors(self):
-        """Iterate all 2^dim members (small subspaces only)."""
-        basis_rows = [self.basis.row(i) for i in range(self.dim)]
-        for mask in range(1 << self.dim):
-            v = BitVector.zeros(self.n)
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    v = v + basis_rows[i]
-                m >>= 1
-                i += 1
-            yield v
+    def vectors(self) -> list[BitVector]:
+        """All 2^dim members (small subspaces only), member k the sum of
+        the basis rows at the set bits of k."""
+        rows = [self.basis.row(i).value for i in range(self.dim)]
+        return [BitVector(self.n, v) for v in _span_values(rows)]
 
     def _key(self) -> BitMatrix:
         """The smaller canonical side, which equality and hashing read."""
@@ -527,6 +489,15 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.n}, dim={self.dim})"
+
+
+def _span_values(rows: list[int]) -> list[int]:
+    """The members of the span of ``rows`` (bit j of an int is coordinate
+    j), member k the sum of the rows at the set bits of k."""
+    span = [0]
+    for r in rows:
+        span += [v ^ r for v in span]
+    return span
 
 
 def row_basis(M: BitMatrix) -> BitMatrix:
@@ -605,7 +576,7 @@ def null_space(M: BitMatrix) -> Subspace:
     the smaller of its canonical sides, from one elimination of M: the
     check, row_basis(M), when M has at most cols / 2 rows, else the
     basis."""
-    N = Subspace.annihilated_by(M)
+    N = Subspace(M.cols, kernel_of=M)
     N.dim  # derives the smaller side
     return N
 
@@ -693,18 +664,6 @@ def _in_row_space(basis: BitMatrix, rows: np.ndarray) -> np.ndarray:
     return (bits_matmul(v[:, pivots], basis.to_array()) == v).all(axis=1)
 
 
-def _zassenhaus(X: BitMatrix, Y: BitMatrix) -> BitMatrix:
-    """Independent rows spanning row(X) ∩ row(Y): bring [[X|X],[Y|0]] to row
-    echelon form; the rows with a zero left half and a nonzero right half
-    are independent and span the intersection."""
-    n = X.cols
-    stacked = vstack([hstack([X, X]), hstack([Y, BitMatrix.zeros(Y.rows, n)])])
-    data = stacked.data.copy()
-    pivots = echelon_in_place(data, stacked.cols)
-    left_rank = int(np.searchsorted(pivots, n))
-    return BitMatrix.from_bits(unpack_bits(data[left_rank : len(pivots)], 2 * n)[:, n:])
-
-
 def _orthogonal_part(H: BitMatrix, S: BitMatrix, canonical: bool) -> Subspace:
     """null(H) + row(S), held by the rows of row(H) orthogonal to S: c H for
     each c in the kernel of S H^T, one elimination of that S.rows x H.rows
@@ -713,17 +672,17 @@ def _orthogonal_part(H: BitMatrix, S: BitMatrix, canonical: bool) -> Subspace:
     unit column, at the pivot of H where row j of c leads."""
     coeff = _null_basis(S @ H.transpose(), H.rows)
     rows = BitMatrix.from_bits(coeff) @ H if coeff.shape[0] else BitMatrix.zeros(0, H.cols)
-    return Subspace._held(H.cols, **{"check" if canonical else "kernel_of": rows})
+    return Subspace(H.cols, check=rows) if canonical else Subspace(H.cols, kernel_of=rows)
 
 
 def _perp(N: Subspace) -> Subspace:
     """N's orthogonal complement, holding N's rows in the other roles: N's
     check is its basis, and rows whose kernel is N span it."""
-    return Subspace._held(
+    return Subspace(
         N.n,
+        span=N._kernel_of,
         basis=N._check,
         check=N._basis,
-        span=N._kernel_of,
         kernel_of=N._span,
         dim=None if N._dim is None else N.n - N._dim,
     )
@@ -731,13 +690,12 @@ def _perp(N: Subspace) -> Subspace:
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
     """A + B through the rows held, by the fewest rows to eliminate now and
-    when a canonical side of the sum is read:
-    - the stacked spanning rows of A and B;
-    - one's annihilating rows restricted to the other's spanning rows
-      (:func:`_orthogonal_part`), which annihilate the sum;
-    - the Zassenhaus intersection of the two annihilators' row spaces,
-      the sum's orthogonal complement.
-    The sum's canonical sides are derived only when read."""
+    when a canonical side of the sum is read: the stacked spanning rows of
+    A and B, or one's annihilating rows restricted to the other's spanning
+    rows (:func:`_orthogonal_part`), which annihilate the sum.  When
+    neither is held, A and B held by annihilating rows alone, the sum is
+    spanned by their stacked bases.  The sum's canonical sides are derived
+    only when read."""
     if A.n != B.n:
         raise ValueError("ambient dimension mismatch")
     n = A.n
@@ -745,31 +703,28 @@ def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
         return B
     if B._dim == 0 or A._dim == n:
         return A
+    SA, SB = A._spanning(), B._spanning()
+    if SA is None and SB is None:
+        return Subspace(n, vstack([A.basis, B.basis]))
     routes = []  # (rows, make)
-    SA, SB, HA, HB = A._spanning(), B._spanning(), A._annihilating(), B._annihilating()
     if SA is not None and SB is not None:
-        routes.append((SA.rows + SB.rows, lambda: Subspace._held(n, span=vstack([SA, SB]))))
-    for X, H, S in ((A, HA, SB), (B, HB, SA)):
+        routes.append((SA.rows + SB.rows, lambda: Subspace(n, vstack([SA, SB]))))
+    for X, S in ((A, SB), (B, SA)):
+        H = X._annihilating()
         if H is not None and S is not None:
             canonical = H is X._check
             rows = max(H.rows, S.rows) + (0 if canonical else H.rows)
             routes.append((rows, lambda H=H, S=S, c=canonical: _orthogonal_part(H, S, c)))
-    if HA is not None and HB is not None:
-
-        def through_checks():
-            Z = _zassenhaus(HA, HB)
-            return Subspace._held(n, kernel_of=Z, dim=n - Z.rows)
-
-        routes.append((HA.rows + HB.rows + min(HA.rows, HB.rows), through_checks))
     return min(routes, key=lambda r: r[0])[1]()
 
 
 def subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
     """A ∩ B, the orthogonal complement of A^⊥ + B^⊥: the sum's routes with
-    the roles of the rows swapped, so that the kernel of the two stacked
-    annihilators, one's spanning rows restricted to the other's annihilator
-    or the Zassenhaus intersection of the two bases' row spaces, whichever
-    has the fewest rows to eliminate."""
+    the roles of the rows swapped, so the kernel of the two stacked
+    annihilators or one's spanning rows restricted to the other's
+    annihilator, whichever has the fewest rows to eliminate, and the
+    kernel of the two stacked checks when both are held by spanning rows
+    alone."""
     return _perp(subspace_sum(_perp(A), _perp(B)))
 
 
@@ -796,7 +751,7 @@ def complement(A: Subspace, within: Subspace) -> Subspace:
         kept = _leading_bits(A.check.data)
         bits = np.zeros((kept.size, n), dtype=np.uint8)
         bits[np.arange(kept.size), kept] = 1
-        return Subspace(n, BitMatrix.from_bits(bits), _canonical=True)
+        return Subspace(n, basis=BitMatrix.from_bits(bits))
     if S is None:
         S = A.basis
     cols = pack_bits(np.concatenate([S.to_array(), within.basis.to_array()]).T)
@@ -807,7 +762,7 @@ def complement(A: Subspace, within: Subspace) -> Subspace:
     if not kept.size:
         return Subspace.zero(n)
     # rows of an RREF basis, in order, are themselves an RREF basis
-    return Subspace(n, BitMatrix(kept.size, n, within.basis.data[kept]), _canonical=True)
+    return Subspace(n, basis=BitMatrix(kept.size, n, within.basis.data[kept]))
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +803,7 @@ def random_subspace(n: int, dim: int, rng: np.random.Generator) -> Subspace:
     while True:
         M = random_matrix(dim, n, rng)
         if rank(M) == dim:
-            return Subspace._held(n, span=M, dim=dim)
+            return Subspace(n, M, dim=dim)
 
 
 def random_subspace_of(space: Subspace, dim: int, rng: np.random.Generator) -> Subspace:
@@ -860,4 +815,4 @@ def random_subspace_of(space: Subspace, dim: int, rng: np.random.Generator) -> S
     while True:
         coeff = random_matrix(dim, space.dim, rng)
         if rank(coeff) == dim:
-            return Subspace._held(space.n, span=coeff @ space.basis, dim=dim)
+            return Subspace(space.n, coeff @ space.basis, dim=dim)

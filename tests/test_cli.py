@@ -496,7 +496,7 @@ _RELAXED_REFUSALS = {
     **{f"C_{i}": _off_the_code(i) for i in (1, 2, 3)},
     "Y": _R,
     **{f"D_{i}": f"section D_{i}: D_{i} Q_{i} is not C_{i}" for i in (1, 2, 3)},
-    **{f"E_{i}": _P for i in (1, 2, 3)},
+    **{f"E_{i}": f"section E_{i}: E_{i} C_{i} is not Q_{i}" for i in (1, 2, 3)},
 }
 
 

@@ -56,7 +56,7 @@ def test_shift_rejects_bad_decompositions(bundle_a3, rng):
     code = bundle_a3.code
     prof = equiv.profile(code)
     outside = gf2.complement(prof[1], gf2.Subspace.full(21))
-    K_bad = gf2.Subspace.spanned_by([outside.basis.row(0)])
+    K_bad = gf2.Subspace(21, outside.basis.take_rows(0, 1))
     with pytest.raises(DecompositionInvalidError):
         equiv.shift_null_space(code, K_bad, from_r=0, to_d=2)
     # K meeting the source terminal's null space
@@ -327,17 +327,9 @@ def test_reduce_reads_the_partition_off_the_plan(bundle_a3, monkeypatch):
     assert null_widths and max(null_widths) <= 21
 
 
-@pytest.mark.parametrize("a", [3, 4, 5, "pair"])
-def test_reduce_runs_at_most_21_eliminations(
-    a, bundle_a3, bundle_a4, bundle_a5, pair_n7, monkeypatch
-):
-    # every elimination goes through _kernels.echelon_in_place; counted at
-    # every module that binds it, a reduction of the benchmark's shifted
-    # codes runs at most 21 of them (it ran 42 while each subspace was held
-    # by its basis alone), and of the shifted n = 7 pair exactly 5 (9 while
-    # the dims it reports came from both codes' null spaces)
-    perfect = {3: bundle_a3.code, 4: bundle_a4.code, 5: bundle_a5.code, "pair": pair_n7}[a]
-    code = codec.make_code(shifted(perfect, np.random.default_rng(1)).matrices)
+def _count_eliminations(monkeypatch) -> list:
+    """The shapes of the echelon_in_place calls from here on: every
+    elimination goes through it, counted at every module that binds it."""
     calls = []
     real = _kernels.echelon_in_place
 
@@ -349,9 +341,36 @@ def test_reduce_runs_at_most_21_eliminations(
     for module in modules:
         if getattr(module, "echelon_in_place", None) is real:
             monkeypatch.setattr(module, "echelon_in_place", counting)
+    return calls
+
+
+@pytest.mark.parametrize("a", [3, 4, 5, "pair"])
+def test_reduce_runs_at_most_21_eliminations(
+    a, bundle_a3, bundle_a4, bundle_a5, pair_n7, monkeypatch
+):
+    # a reduction of the benchmark's shifted codes runs at most 21
+    # eliminations (it ran 42 while each subspace was held by its basis
+    # alone), and of the shifted n = 7 pair exactly 5 (9 while the dims it
+    # reports came from both codes' null spaces)
+    perfect = {3: bundle_a3.code, 4: bundle_a4.code, 5: bundle_a5.code, "pair": pair_n7}[a]
+    code = codec.make_code(shifted(perfect, np.random.default_rng(1)).matrices)
+    calls = _count_eliminations(monkeypatch)
     bundle, report = equiv.reduce_with_report(code)
     assert report.perfect and bundle.perfect
     assert len(calls) == 5 if a == "pair" else 0 < len(calls) <= 21
+
+
+@pytest.mark.parametrize("a", [3, 4, 5])
+def test_shifting_runs_14_eliminations(a, bundle_a3, bundle_a4, bundle_a5, monkeypatch):
+    # the benchmark's set-up makes its reduce inputs this way: the profile,
+    # the common null space of terminals 1..s-1, and shift_null_space,
+    # whose sums and intersections take the stacked-spans route and both
+    # forms of _orthogonal_part
+    perfect = {3: bundle_a3.code, 4: bundle_a4.code, 5: bundle_a5.code}[a]
+    calls = _count_eliminations(monkeypatch)
+    code = shifted(perfect, np.random.default_rng(1))
+    assert len(calls) == 14
+    assert codec.is_perfect(code)
 
 
 def _reduce_with(monkeypatch, name, damage, call):
@@ -374,7 +393,7 @@ def _outside(N):
     """A subspace one vector larger than N."""
     for i in range(N.n):
         e = gf2.BitVector.unit(N.n, i)
-        if not N.contains(e):
+        if not gf2.subspace_contains(N, e):
             return gf2.Subspace(N.n, gf2.vstack([N.basis, gf2.BitMatrix.from_rows([e])]))
     raise AssertionError("N is the whole space")
 

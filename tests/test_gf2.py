@@ -138,6 +138,21 @@ def test_subspace_canonical_equality(rng):
         assert S == S2 and hash(S) == hash(S2)
 
 
+@pytest.mark.parametrize("side", ["span", "basis", "check", "kernel_of"])
+def test_subspace_refuses_a_side_of_another_width(side):
+    rows = {side: gf2.BitMatrix.identity(5)}
+    assert gf2.Subspace(5, **rows).n == 5
+    for n in (4, 6):
+        with pytest.raises(ValueError, match=f"{side} width 5"):
+            gf2.Subspace(n, **rows)
+    # one side of the right width does not excuse another
+    other = "kernel_of" if side == "span" else "span"
+    with pytest.raises(ValueError, match=f"{side} width 5"):
+        gf2.Subspace(6, **rows, **{other: gf2.BitMatrix.zeros(0, 6)})
+    with pytest.raises(ValueError, match="needs rows"):
+        gf2.Subspace(5)
+
+
 def test_subspace_idempotence(rng):
     A = gf2.random_subspace(9, 4, rng)
     assert gf2.subspace_intersect(A, A) == A

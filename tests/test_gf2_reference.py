@@ -140,7 +140,7 @@ def ref_row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, Bit
 def ref_subspace_sum(A: Subspace, B: Subspace) -> Subspace:
     """The stacked bases, made canonical by ``row_basis``: the one route
     ``subspace_sum`` took before it chose between the sides."""
-    return Subspace(A.n, gf2.row_basis(gf2.vstack([A.basis, B.basis])), _canonical=True)
+    return Subspace(A.n, basis=gf2.row_basis(gf2.vstack([A.basis, B.basis])))
 
 
 def ref_subspace_intersect(A: Subspace, B: Subspace) -> Subspace:
@@ -200,7 +200,7 @@ def ref_complement(A: Subspace, within: Subspace) -> Subspace:
             stacked = np.concatenate([reducer, w[None, :]])
             ref_rref_in_place(stacked, A.n)
             reducer = stacked
-    return Subspace.spanned_by(kept, A.n)
+    return Subspace(A.n, BitMatrix.from_rows(kept, A.n))
 
 
 class RefBitVector:
@@ -554,13 +554,13 @@ def held_subspaces(draw, n: int):
 
     how = draw(st.sampled_from(["basis", "span", "check", "kernel", "null_space"]))
     if how == "basis":
-        N = Subspace(n, basis, _canonical=True)
+        N = Subspace(n, basis=basis)
     elif how == "span":
         N = Subspace(n, mixed(basis))
     elif how == "check":
-        N = Subspace.annihilated_by(check, canonical=True)
+        N = Subspace(n, check=check)
     elif how == "kernel":
-        N = Subspace.annihilated_by(mixed(check))
+        N = Subspace(n, kernel_of=mixed(check))
     else:
         N = gf2.null_space(mixed(check))
     return N, basis
@@ -575,13 +575,14 @@ def subspace_pairs(draw):
 @given(subspace_pairs())
 @settings(max_examples=150, deadline=None)
 def test_sum_and_intersect_choosing_sides_match_reference(case):
-    # the routes through checks, through a check restricted to spanning
-    # rows, and through bases give the reference's canonical bits; and
+    # the routes through stacked spanning rows, through annihilating rows
+    # restricted to spanning rows, and through the stacked bases when
+    # neither is held give the reference's canonical bits; and
     # every check side, held, derived or read off a result, is the
     # canonical matrix_with_null_space: the kernel of the basis, with
     # null(check) = N
     n, (A, a), (B, b) = case
-    ref_A, ref_B = Subspace(n, a, _canonical=True), Subspace(n, b, _canonical=True)
+    ref_A, ref_B = Subspace(n, basis=a), Subspace(n, basis=b)
     want = {"sum": ref_subspace_sum(ref_A, ref_B), "meet": ref_subspace_intersect(ref_A, ref_B)}
     got = {"sum": gf2.subspace_sum(A, B), "meet": gf2.subspace_intersect(A, B)}
     for key in ("sum", "meet"):

@@ -77,6 +77,10 @@ REDUCE_INPUTS = {
         lambda: hcms.hcms_for_a(4).code,
         "56565bdb445e9a7ee0aea5b7cd0861ae09801ae4fd4c0fd9f4a6e1ce23cc772e",
     ),
+    "a5": (
+        lambda: hcms.hcms_for_a(5).code,
+        "e6f06719a918243758cb1966b7e69342cf81bf2f2d46d6808c697ab2375e0f49",
+    ),
     "pair_n7": (
         lambda: codec.make_code([gf2.BitMatrix.identity(7), hcms.hamming_matrix(3)]),
         "2d982362b681f0dc396fa954996622553bce657664e81655d1386c976f5882ec",
@@ -99,6 +103,14 @@ REDUCE_OUTPUTS = {
     ("a4", ("--kv",)): (
         "c6f52aa3e4175ef3b23676771e0eb6213e5cb286288bcf2c4cccc2d42487abdc",
         "69d914f58f7c0bfc098d5cbbb94d648c4c746cdca28ee13be86f9b1c9acfdf58",
+    ),
+    ("a5", ()): (
+        "cfef6584baa0790c7ccb851ad37b2e7c36727f338a1238c6317f57fca7568afe",
+        "c2c0b35675cf54b56dc7108bef7cf9e4389b883088c014e97b380685327a52c4",
+    ),
+    ("a5", ("--kv",)): (
+        "cfef6584baa0790c7ccb851ad37b2e7c36727f338a1238c6317f57fca7568afe",
+        "a28f0b6562bb48ddecaff846f5a1ad67a114bec07f39916b9922aa817ed6c22f",
     ),
     ("pair_n7", ()): (
         "fac23b76434e602b6f83395a4ee99a3dcd66eb6c959dd2f246c50014561437c3",

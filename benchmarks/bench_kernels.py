@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Time the packed GF(2) kernels.
 
-Times the three packed GF(2) kernels on representative shapes, plus three
-end-to-end operations (perfectness verification of the n = 341 code, a
-batch of algebraic decodes and the construction of the a = 6 bundle,
-lifting chain included) and the byte parser of bundle files on the
-a = 5 bundle (``bundleio.read_file``, written to a temporary directory),
+Times the three packed GF(2) kernels on representative shapes, the two
+phases of row reduction on the a = 6 code's [A | I], plus three
+end-to-end operations (perfectness verification of the n = 341 code,
+its [A | I] elimination included, a batch of algebraic decodes and the
+construction of the a = 6 bundle, lifting chain included) and the byte
+parser of bundle files on the a = 5 bundle (``bundleio.read_file``,
+written to a temporary directory),
 and prints the fastest of ``--repeat`` runs of each.  Run with ``python
 benchmarks/bench_kernels.py``.  The matrix product goes through numpy's
 float32 matmul, so its time depends on the BLAS numpy links and on how
@@ -44,6 +46,10 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
     bundle = hcms.hcms_for_a(5)
     members = [sources.random_member(3, 341, rng) for _ in range(200)]
     syndromes = [codec.encode(bundle.code, x) for x in members]
+    A6 = gf2.vstack(hcms.hcms_for_a(6).code.matrices)
+    aug6 = gf2.hstack([A6, gf2.BitMatrix.identity(A6.rows)]).data
+    echelon6 = aug6.copy()
+    pivots6 = _kernels.echelon_in_place(echelon6, A6.cols)
 
     def bench_rref():
         data = rref_m.data.copy()
@@ -56,8 +62,17 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         for _ in range(100):
             gf2.mat_vec(mv_m, mv_x)
 
+    def bench_echelon():
+        _kernels.echelon_in_place(aug6.copy(), A6.cols)
+
+    def bench_back_substitute():
+        _kernels.back_substitute(echelon6.copy(), pivots6)
+
     def bench_is_perfect():
-        assert codec.is_perfect(bundle.code)
+        # a fresh code per call: the plan cached on bundle.code would skip
+        # the [A | I] elimination
+        if not codec.is_perfect(codec.make_code(bundle.code.matrices)):
+            raise RuntimeError("the a = 5 code is not perfect")
 
     def bench_decode():
         for y in syndromes:
@@ -70,6 +85,8 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         ("rref 341x682", bench_rref),
         ("matmul 341^2", bench_matmul),
         ("matvec 341 x100", bench_matvec),
+        ("echelon [A|I] a=6", bench_echelon),
+        ("back_substitute [A|I] a=6", bench_back_substitute),
         ("is_perfect n=341", bench_is_perfect),
         ("decode n=341 x200", bench_decode),
         ("hcms_for_a a=6", bench_hcms_for_a),

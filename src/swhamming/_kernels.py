@@ -4,7 +4,9 @@ Matrices are stored row-major as ``uint64`` words, 64 bits per word,
 bit ``j`` of a row living at ``data[j >> 6] >> (j & 63) & 1``.  Bits at
 or beyond the logical column count must be zero.  Row reduction runs in
 two phases: :func:`echelon_in_place` (forward elimination), then
-:func:`back_substitute` only where a reduced form is read.
+:func:`back_substitute` only where a reduced form is read.  Both cost a
+handful of numpy calls per pivot, on views that skip the words left of
+the pivot's, and both give Gauss-Jordan's pivots and rows bit for bit.
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 U64_1 = np.uint64(1)
+_BIT = tuple(np.uint64(1 << i) for i in range(64))  # bit i of a word
 _FOLD_SHIFTS = (32, 16, 8, 4, 2, 1)
 
 
@@ -68,48 +71,55 @@ def echelon_in_place(data: np.ndarray, n_pivot_cols: int) -> np.ndarray:
     indices; row i of the result leads at pivot i, and the rows from
     ``len(pivots)`` down are zero in the pivot columns.
 
-    Each pivot row is XORed only into the rows below it.  The rows from
-    the current pivot down get exactly the XORs that Gauss-Jordan gives
-    them, since Gauss-Jordan's extra XORs go only into rows above the
-    pivot, which are never read again as pivots or as sources for the
-    rows below.  So the pivot choices, the swaps and every row from
-    ``len(pivots)`` down equal those of :func:`rref_in_place` bit for bit,
-    and :func:`back_substitute` then gives its whole result.
+    At column c (word w) with r pivots found, the rows from r down are zero
+    in every column before c, so each step works on the view
+    ``data[r:, w:]`` and never reads the words before w.  A column with no
+    bit from row r down costs one OR of its word column, which jumps to the
+    next column with a bit or to the next word.  Each pivot row is XORed
+    only into the rows below it: Gauss-Jordan's extra XORs go only into
+    rows above the pivot, which are never read again as pivots or as
+    sources for the rows below.  So the pivot choices, the swaps and every
+    row from ``len(pivots)`` down equal Gauss-Jordan's bit for bit, and
+    :func:`back_substitute` then gives its whole result.
     """
-    rows = data.shape[0]
-    pivots = np.empty(min(rows, n_pivot_cols), dtype=np.int64)
-    if rows == 0 or n_pivot_cols == 0 or data.shape[1] == 0:
-        return pivots[:0]
-    r = 0
-    for c in range(n_pivot_cols):
-        if r >= rows:
-            break
+    rows, end = data.shape[0], min(n_pivot_cols, data.shape[1] << 6)
+    pivots, r, c = [], 0, 0
+    while c < end and r < rows:
         w = c >> 6
-        hits = np.nonzero((data[r:, w] >> np.uint64(c & 63)) & U64_1)[0]
-        if hits.size == 0:
+        block = data[r:, w:]
+        hits = (block[:, 0] & _BIT[c & 63]).nonzero()[0]
+        if not hits.size:
+            # bits before c are zero from row r down: jump to the lowest set one
+            word = int(np.bitwise_or.reduce(block[:, 0]))
+            c = (w << 6) + (word & -word).bit_length() - 1 if word else (w + 1) << 6
             continue
-        if hits[0]:
+        h = hits[0]
+        if h:
             # row r lacks the bit, so the rows in hits[1:] keep their places
-            p = r + int(hits[0])
-            data[[r, p]] = data[[p, r]]
+            lead = block[0].copy()
+            block[0], block[h] = block[h], lead
         if hits.size > 1:
-            data[hits[1:] + r, w:] ^= data[r, w:]
-        pivots[r] = c
+            block[hits[1:]] ^= block[0]
+        pivots.append(c)
         r += 1
-    return pivots[:r]
+        c += 1
+    return np.array(pivots, dtype=np.int64)
 
 
 def back_substitute(data: np.ndarray, pivots: np.ndarray) -> None:
     """Turn the echelon form from :func:`echelon_in_place` into RREF in
     place: clear each pivot column above its row, last pivot first, so
-    each pivot row is final when it is XORed upwards.  Only rows above
-    ``len(pivots)`` change."""
-    for r in range(len(pivots) - 1, 0, -1):
-        c = int(pivots[r])
-        w = c >> 6
-        hits = np.nonzero((data[:r, w] >> np.uint64(c & 63)) & U64_1)[0]
+    each pivot row is final when it is XORed upwards.  Pivot row r leads
+    at column c of word w, so it is zero before w and each step works on
+    the view ``data[:r + 1, w:]``.  Only rows above ``len(pivots)``
+    change, and the result is Gauss-Jordan's bit for bit."""
+    cols = pivots.tolist()
+    for r in range(len(cols) - 1, 0, -1):
+        c = cols[r]
+        block = data[: r + 1, c >> 6 :]
+        hits = (block[:r, 0] & _BIT[c & 63]).nonzero()[0]
         if hits.size:
-            data[hits, w:] ^= data[r, w:]
+            block[hits] ^= block[r]
 
 
 def rref_in_place(data: np.ndarray, n_pivot_cols: int) -> np.ndarray:

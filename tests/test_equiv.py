@@ -328,14 +328,16 @@ def test_reduce_reads_the_partition_off_the_plan(bundle_a3, monkeypatch):
 
 
 def _count_eliminations(monkeypatch) -> list:
-    """The shapes of the echelon_in_place calls from here on: every
-    elimination goes through it, counted at every module that binds it."""
+    """The shape and the pivot count of each echelon_in_place call from here
+    on: every elimination goes through it, counted at every module that
+    binds it."""
     calls = []
     real = _kernels.echelon_in_place
 
     def counting(data, n_pivot_cols):
-        calls.append(data.shape)
-        return real(data, n_pivot_cols)
+        pivots = real(data, n_pivot_cols)
+        calls.append((data.shape, len(pivots)))
+        return pivots
 
     modules = [m for name, m in sys.modules.items() if name.startswith("swhamming")]
     for module in modules:
@@ -358,6 +360,17 @@ def test_reduce_runs_at_most_21_eliminations(
     bundle, report = equiv.reduce_with_report(code)
     assert report.perfect and bundle.perfect
     assert len(calls) == 5 if a == "pair" else 0 < len(calls) <= 21
+
+
+def test_reduce_a5_holds_at_most_1836_pivots(bundle_a5, monkeypatch):
+    # an elimination costs a few numpy calls per pivot, so the pivot count
+    # is the reduction's cost: 1836 at a = 5 (6922 while each subspace was
+    # held by its basis alone)
+    code = codec.make_code(shifted(bundle_a5.code, np.random.default_rng(1)).matrices)
+    calls = _count_eliminations(monkeypatch)
+    bundle, report = equiv.reduce_with_report(code)
+    assert report.perfect and bundle.perfect
+    assert sum(pivots for _, pivots in calls) <= 1836
 
 
 @pytest.mark.parametrize("a", [3, 4, 5])

@@ -793,12 +793,15 @@ def test_bit_vector_matches_reference(case):
 
 @st.composite
 def eliminations(draw):
-    """(packed rows, width, n_pivot_cols): 0-80 rows, the word edges and two words
-    among the widths, random, sparse, dense or low-rank rows, zero and
-    duplicate rows among them, and a pivot-column limit from 0 to the
-    width."""
-    rows = draw(st.integers(0, 80))
-    cols = draw(st.sampled_from([0, 1, 63, 64, 65, 128]) | st.integers(0, 200))
+    """(packed rows, width, n_pivot_cols): widths at the word edges and up to
+    four words; 0-80 rows, or a tall stack of more rows than columns (so
+    rank deficient); random, sparse, dense or low-rank rows, zero and
+    duplicate rows among them; a run of zero columns that may straddle a
+    word edge; and a pivot-column limit from 0 to the width or inside a
+    word."""
+    cols = draw(st.sampled_from([0, 1, 63, 64, 65, 128, 191, 192, 193, 256]) | st.integers(0, 260))
+    tall = draw(st.booleans())
+    rows = draw(st.integers(cols + 1, cols + 40)) if tall else draw(st.integers(0, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "low rank"]))
     if kind == "low rank":
@@ -811,7 +814,13 @@ def eliminations(draw):
         bits[rng.integers(0, rows, draw(st.integers(0, rows)))] = 0
         dst = rng.integers(0, rows, draw(st.integers(0, rows)))
         bits[dst] = bits[rng.integers(0, rows, dst.size)]
-    return pack_bits(bits), cols, draw(st.integers(0, cols))
+    if draw(st.booleans()):
+        # zero columns from up to 70 before a word edge to up to 70 after it
+        edge = 64 * draw(st.integers(0, cols >> 6))
+        bits[:, max(0, edge - draw(st.integers(0, 70))) : edge + draw(st.integers(0, 70))] = 0
+    in_word = st.tuples(st.integers(0, cols >> 6), st.integers(1, 63))
+    k = draw(st.integers(0, cols) | in_word.map(lambda wb: min(cols, 64 * wb[0] + wb[1])))
+    return pack_bits(bits), cols, k
 
 
 def _check_elimination(data: np.ndarray, k: int) -> np.ndarray:
@@ -861,3 +870,34 @@ def test_plan_elimination_matches_gauss_jordan(a):
     n = code.n
     assert np.array_equal(plan._echelon.data[n:], want[n:])
     assert plan.top == BitMatrix.from_bits(unpack_bits(want[:n], aug.cols)[:, n:])
+
+
+@pytest.mark.parametrize("k", [1, 37, 63, 64, 100, 127])
+def test_bits_at_or_beyond_the_pivot_limit_give_no_pivot(k):
+    # every set bit is at or beyond n_pivot_cols: the jump past the empty
+    # columns before the limit finds no pivot and changes nothing
+    rng = np.random.default_rng(k)
+    bits = (rng.random((20, 192)) < 0.5).astype(np.uint8)
+    bits[:, :k] = 0
+    data = pack_bits(bits)
+    got = data.copy()
+    assert echelon_in_place(got, k).tolist() == []
+    assert np.array_equal(got, data)
+    assert _check_elimination(data, k).tolist() == []
+
+
+@pytest.mark.parametrize("edge", [64, 128])
+@pytest.mark.parametrize("k", [None, 0, 1])
+def test_jump_onto_a_word_edge_matches_gauss_jordan(edge, k):
+    # row 0 pivots at column 3; from row 1 down the rest of the words
+    # before ``edge`` are zero, so the jump from column 4 lands on the word
+    # edge, where the next pivots are (k None: no limit; 0: the limit is the
+    # edge itself, so no pivot beyond it; 1: one column past the edge)
+    rng = np.random.default_rng(edge)
+    bits = (rng.random((30, 200)) < 0.5).astype(np.uint8)
+    bits[0, :4] = [0, 0, 0, 1]
+    bits[1:, :edge] = 0
+    bits[1:, edge] = 1
+    limit = 200 if k is None else edge + k
+    pivots = _check_elimination(pack_bits(bits), limit).tolist()
+    assert pivots[:2] == ([3] if k == 0 else [3, edge])

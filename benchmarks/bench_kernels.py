@@ -2,7 +2,9 @@
 """Time the packed GF(2) kernels.
 
 Times the three packed GF(2) kernels on representative shapes, the two
-phases of row reduction on the a = 6 code's [A | I], plus three
+phases of row reduction on the a = 6 code's [A | I], the check of the
+a = 6 bundle's 4095 deviation keys (``codec.CodePlan.from_bundle``),
+one 256-tuple chunk of ``decode_batch`` at n = 85, plus three
 end-to-end operations (perfectness verification of the n = 341 code,
 its [A | I] elimination included, a batch of algebraic decodes and the
 construction of the a = 6 bundle, lifting chain included) and the byte
@@ -46,7 +48,14 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
     bundle = hcms.hcms_for_a(5)
     members = [sources.random_member(3, 341, rng) for _ in range(200)]
     syndromes = [codec.encode(bundle.code, x) for x in members]
-    A6 = gf2.vstack(hcms.hcms_for_a(6).code.matrices)
+    bundle6 = hcms.hcms_for_a(6)
+    A6 = gf2.vstack(bundle6.code.matrices)
+    bundle4 = hcms.hcms_for_a(4)
+    members4 = [sources.random_member(3, 85, rng) for _ in range(256)]
+    chunk = codec.encode_batch(
+        bundle4.code, [np.stack([x[i].to_array() for x in members4]) for i in range(3)]
+    )
+    plan4 = codec.decoder(bundle4.code)
     aug6 = gf2.hstack([A6, gf2.BitMatrix.identity(A6.rows)]).data
     echelon6 = aug6.copy()
     pivots6 = _kernels.echelon_in_place(echelon6, A6.cols)
@@ -78,6 +87,13 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         for y in syndromes:
             hcms.hcms_decode(bundle, y)
 
+    def bench_key_check():
+        if codec.CodePlan.from_bundle(bundle6) is None:
+            raise RuntimeError("the a = 6 bundle does not certify its code")
+
+    def bench_decode_chunk():
+        plan4.decode_batch(chunk)
+
     def bench_hcms_for_a():
         hcms.hcms_for_a(6)
 
@@ -87,6 +103,8 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         ("matvec 341 x100", bench_matvec),
         ("echelon [A|I] a=6", bench_echelon),
         ("back_substitute [A|I] a=6", bench_back_substitute),
+        ("key check a=6", bench_key_check),
+        ("decode chunk n=85", bench_decode_chunk),
         ("is_perfect n=341", bench_is_perfect),
         ("decode n=341 x200", bench_decode),
         ("hcms_for_a a=6", bench_hcms_for_a),

@@ -60,6 +60,24 @@ def bits_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (prod.astype(np.int32) & 1).astype(np.uint8)
 
 
+def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One stable sort of the rows of a 2-D uint8 array, at least one byte
+    wide (numpy has no zero-width void items), each viewed as one
+    ``np.void`` item.  numpy compares, sorts and searches these byte by
+    byte, so big-endian packed bit rows order as the integers they spell.
+    Returns the items in order, the permutation ``order`` that sorts them,
+    and ``start``, True where an item differs from the one before it.  Each
+    run of equal items begins at a True, where, the sort being stable,
+    ``order`` holds the least index of the run's rows."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    items = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
+    order = np.argsort(items, kind="stable")
+    items = items[order]
+    start = np.ones(len(items), dtype=bool)
+    start[1:] = items[1:] != items[:-1]
+    return items, order, start
+
+
 def get_backend() -> str:
     """Name of the kernel implementation, for benchmark environment records."""
     return "numpy"

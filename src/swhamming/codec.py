@@ -9,9 +9,9 @@ spaces.  Every S+S member has the form (c + u_1, ..., c + u_s) where the
 u-pattern is one of five families (all zero; one u_i of weight 1; one u_i
 of weight 2; weight-1 deviations at two distinct terminals, possibly at the
 same position), so the whole decision reduces to a stacked elimination
-followed by O(s n) hash probes - no enumeration of S.  The same plan
-decodes every compressible code (:class:`CodePlan`); a checked bundle's
-plan is read off its sections, with no elimination.
+followed by one sort of the s n deviation keys - no enumeration of S.  The
+same plan decodes every compressible code (:class:`CodePlan`); a checked
+bundle's plan is read off its sections, with no elimination.
 
 The profile search needs no code per profile: with s >= 3 the same
 criterion is a question about the null spaces N_i alone (some S+S member
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._kernels import back_substitute, bits_matmul, nwords, unpack_bits
+from ._kernels import back_substitute, bits_matmul, nwords, sort_rows, unpack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
@@ -165,12 +165,13 @@ class CodePlan:
     test.  Then every y whose key is zero or a deviation key is in the
     image of S, since F (y + d) = 0 puts y + d in Im A, and it decodes as
     b = top (y + d).  ``collision`` is the first u-pattern that breaks
-    injectivity, in the order the keys are made.  ``key_matrix`` holds the
-    keys as a 0/1 array, column i n + p the key of deviation (i, p); None
-    when rank A < n.  Two plans of one code agree on all of these: their
-    checkers are F and X F for an invertible X, which keeps keys zero or
-    equal exactly when they were, and top (y + d) is the one b with A b =
-    y + d.
+    injectivity, in the order the keys are made; one sort of the keys finds
+    it, and a decoder looks each tuple's key up among the sorted distinct
+    keys (see ``_fill``).  ``key_matrix`` holds the keys as a 0/1 array,
+    column i n + p the key of deviation (i, p); None when rank A < n.  Two
+    plans of one code agree on all of these: their checkers are F and X F
+    for an invertible X, which keeps keys zero or equal exactly when they
+    were, and top (y + d) is the one b with A b = y + d.
 
     ``CodePlan(code)`` eliminates: it brings [A | I] to row echelon form
     [U | E] once, so E A = U, and F is the bottom M - n rows of E, the rows
@@ -241,36 +242,42 @@ class CodePlan:
     ) -> None:
         """The fields of the plan of ``code`` with checker F (None when rank
         A < n), its keys, and the bundle ``top`` is read off (None: the
-        elimination's); the keys are then checked in order up to the first
-        collision."""
+        elimination's).  One stable sort of the packed keys gives each key
+        j the least index j0 of a key equal to it; the collision is the
+        first j, in key order, whose key is zero or has j0 < j, bar the s =
+        2 same-position pair.  A compressible plan keeps the sorted
+        distinct keys, the zero key first, beside their deviation indices
+        j0 (s n for the zero key), which :meth:`_decode_rows` searches."""
         s, n = code.s, code.n
         self.code, self.s, self.n, self.m = code, s, n, code.m
         self.full_rank = F is not None
         self._F, self.key_matrix, self._bundle = F, key_matrix, bundle
-        # key -> deviation index j = i * n + p (s * n: no deviation)
-        self.deviation: dict[bytes, int] = {}
+        self._keys = self._deviations = None
         self.collision: tuple[int, int, int | None, int | None] | None = None
         if F is None:
             return
-        keys = np.packbits(key_matrix.T, axis=1)
-        zero_key = bytes(keys.shape[1])
-        seen = self.deviation
-        for j, row in enumerate(keys):
-            i, p = divmod(j, n)
-            key = row.tobytes()
-            if key == zero_key:
-                self.collision = (i, p, None, None)
-                return
-            j0 = seen.setdefault(key, j)
-            if j0 == j:
-                continue
-            i0, p0 = divmod(j0, n)
-            if s == 2 and i0 != i and p0 == p:
-                # one member of S, not a collision (see the class docstring)
-                continue
-            self.collision = (i0, p0, i, p)
+        if key_matrix.shape[0] == 0:
+            # M = n: every key is zero, and zero bits wide
+            self.collision = (0, 0, None, None)
             return
-        seen[zero_key] = s * n
+        packed = np.packbits(key_matrix.T, axis=1)
+        keys, order, start = sort_rows(packed)
+        index = np.arange(len(order))
+        first = np.empty_like(order)
+        first[order] = order[np.maximum.accumulate(np.where(start, index, 0))]
+        zero = ~packed.any(axis=1)
+        repeat = first != index
+        if s == 2:
+            # one member of S, not a collision (see the class docstring)
+            repeat &= first != index - n
+        flagged = np.flatnonzero(zero | repeat)
+        if len(flagged):
+            j = int(flagged[0])
+            i, p = divmod(j, n)
+            self.collision = (i, p, None, None) if zero[j] else (*divmod(int(first[j]), n), i, p)
+            return
+        self._keys = np.concatenate([np.zeros(1, dtype=keys.dtype), keys[start]])
+        self._deviations = np.concatenate([[s * n], order[start]])
 
     @cached_property
     def top(self) -> BitMatrix | None:
@@ -322,17 +329,16 @@ class CodePlan:
         """Decode the rows of y, each a concatenated syndrome tuple."""
         Ft, top_t, corr = self._tables
         s, n = self.s, self.n
-        keys = np.packbits(bits_matmul(y, Ft), axis=1)
-        raw, width = keys.tobytes(), keys.shape[1]
-        get = self.deviation.get
-        cols = np.array(
-            [get(raw[k : k + width], -1) for k in range(0, len(raw), width)], dtype=np.int64
-        )
-        if (cols < 0).any():
+        keys = np.packbits(bits_matmul(y, Ft), axis=1).view(self._keys.dtype)[:, 0]
+        # the greatest sorted key <= each key; the zero key is the least
+        at = np.searchsorted(self._keys, keys, side="right") - 1
+        missed = self._keys[at] != keys
+        if missed.any():
             raise NotInImageError(
-                f"tuple {int(np.argmax(cols < 0))} of the chunk: syndrome tuple is not "
+                f"tuple {int(np.argmax(missed))} of the chunk: syndrome tuple is not "
                 "produced by any member of S"
             )
+        cols = self._deviations[at]
         x = np.repeat(bits_matmul(y ^ corr[cols], top_t)[:, None, :], s, axis=1)
         dev = np.nonzero(cols < s * n)[0]
         term, pos = np.divmod(cols[dev], n)

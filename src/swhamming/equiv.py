@@ -23,6 +23,7 @@ from .gf2 import (
     BitMatrix,
     Subspace,
     complement,
+    distinct_nonzero_columns,
     matrix_with_null_space,
     null_space,
     row_basis,
@@ -138,8 +139,7 @@ def _pair_partition(code: SwCode) -> BitMatrix:
     rows = sum(code.m) - code.n
     if P.rows != rows:
         raise DecompositionInvalidError(f"partition has {P.rows} rows, not M - n = {rows}")
-    bits = P.to_array()
-    if np.unique(bits, axis=1).shape[1] != P.cols or not bits.any(axis=0).all():
+    if not distinct_nonzero_columns(P):
         raise DecompositionInvalidError("partition columns must be nonzero and distinct")
     return P
 

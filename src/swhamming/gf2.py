@@ -38,6 +38,7 @@ from ._kernels import (
     nwords,
     pack_bits,
     rref_in_place,
+    sort_rows,
     unpack_bits,
 )
 from .errors import SingularMatrixError
@@ -498,6 +499,15 @@ def _span_values(rows: list[int]) -> list[int]:
     for r in rows:
         span += [v ^ r for v in span]
     return span
+
+
+def distinct_nonzero_columns(M: BitMatrix) -> bool:
+    """Whether the columns of M are nonzero and pairwise distinct: one sort
+    of the packed columns."""
+    bits = M.to_array()
+    if not bits.any(axis=0).all():
+        return False
+    return M.cols < 2 or bool(sort_rows(np.packbits(bits.T, axis=1))[2].all())
 
 
 def row_basis(M: BitMatrix) -> BitMatrix:

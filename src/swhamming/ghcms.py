@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from .gf2 import BitMatrix, row_basis_and_transforms
+from .gf2 import BitMatrix, distinct_nonzero_columns, row_basis_and_transforms
 from .hcms import Bundle, assemble, hcms_decode, validate_partition
 
 GhcmsBundle = Bundle
@@ -53,8 +51,7 @@ def degenerate_two_source(
     surjective H, so the blocks sum to zero without any stacked Hamming
     matrix existing.  Terminal 1 absorbs the whole completion by default,
     making its coding matrix invertible."""
-    bits = H.to_array()
-    if np.unique(bits, axis=1).shape[1] != H.cols or not bits.any(axis=0).all():
+    if not distinct_nonzero_columns(H):
         raise ValueError("columns must be nonzero and pairwise distinct")
     C, E, D = row_basis_and_transforms(H)
     if C.rows != H.rows:

@@ -1,7 +1,7 @@
 """``benchmarks/bench_kernels.py`` runs, and it still prints the cases that
 ``perfbench/probes.py`` looks up by name in its ``make_cases``, its
-bundle parser case, its construction case and its two row-reduction
-phase cases."""
+bundle parser case, its construction case, its two row-reduction phase
+cases, its key check case and its decode chunk case."""
 
 from __future__ import annotations
 
@@ -37,5 +37,12 @@ def test_bench_kernels_runs_and_prints_the_probed_cases():
     )
     assert proc.returncode == 0, proc.stderr
     printed = {line.rsplit("  ", 1)[0].strip() for line in proc.stdout.splitlines()[1:]}
-    extra = {"read_file a=5", "hcms_for_a a=6", "echelon [A|I] a=6", "back_substitute [A|I] a=6"}
+    extra = {
+        "read_file a=5",
+        "hcms_for_a a=6",
+        "echelon [A|I] a=6",
+        "back_substitute [A|I] a=6",
+        "key check a=6",
+        "decode chunk n=85",
+    }
     assert set(names) | extra <= printed

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decode_oracle import DecodeTable
+from decode_oracle import DecodeTable, reference_decode, reference_keys
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import NotCompressibleError, NotInImageError
 
@@ -295,3 +295,120 @@ def test_rank_deficient_bundle_falls_back_to_elimination(tmp_path):
     plan = codec.decoder(loaded.code)
     with pytest.raises(NotInImageError):
         plan.decode_batch([np.array([[1, 0]], dtype=np.uint8), np.array([[0, 0]], dtype=np.uint8)])
+
+
+# ---------------------------------------------------------------------------
+# the sorted key check and lookup against the per-key scan
+# ---------------------------------------------------------------------------
+
+
+def keyed_code(kind: str, s: int, rng: np.random.Generator) -> codec.SwCode:
+    """A code whose deviation keys show one case of the key check.
+    "distinct": (I_n, H_2, ..., H_s), each H_i with distinct nonzero
+    columns, so every key is nonzero and distinct but for s = 2, where
+    (0, p) and (1, p) share a key: compressible.  "zero" and "repeat": the
+    same with a column of some H_i zeroed or copied onto another, a zero or
+    a repeated key.  "square": the rows of a random invertible n x n
+    matrix dealt to the terminals, M = n, so every key is zero bits wide.
+    "random": uniform matrices with up to n + 1 rows.  Then the terminals
+    and positions are shuffled, and each H_i replaced by A_i H_i."""
+    n = int(rng.integers(1, 7))
+    if kind == "square":
+        rows = gf2.random_invertible(n, rng).to_array()
+        cuts = np.sort(rng.integers(0, n + 1, size=s - 1))
+        mats = [matrix(block) for block in np.split(rows, cuts)]
+    elif kind == "random":
+        mats = [gf2.random_matrix(int(rng.integers(0, n + 2)), n, rng) for _ in range(s)]
+    else:
+        mats = [gf2.BitMatrix.identity(n)]
+        mats += [distinct_columns(n.bit_length(), n, rng) for _ in range(s - 1)]
+        i = int(rng.integers(1, s))
+        H = mats[i].to_array()
+        p, q = rng.permutation(n)[:2] if n > 1 else (0, 0)
+        if kind == "zero":
+            H[:, p] = 0
+        elif kind == "repeat":
+            H[:, q] = H[:, p]
+        mats[i] = matrix(H)
+    cols = rng.permutation(n)
+    mats = [matrix(mats[i].to_array()[:, cols]) for i in rng.permutation(s)]
+    return row_transformed(codec.make_code(mats), rng)
+
+
+def reference_outcome(plan: codec.CodePlan, deviation, parts) -> list[np.ndarray] | str:
+    try:
+        return reference_decode(plan, deviation, parts)
+    except NotInImageError as exc:
+        return str(exc)
+
+
+def check_keys_against_reference(code: codec.SwCode, rng: np.random.Generator) -> None:
+    plan = codec.CodePlan(code)
+    if not plan.full_rank:
+        assert plan.collision is None and plan.key_matrix is None
+        return
+    collision, deviation = reference_keys(plan.key_matrix, code.s, code.n)
+    assert plan.collision == collision
+    if collision is not None:
+        return
+    # members of S, then the same with some tuples replaced by uniform
+    # syndrome tuples, each chunk through both lookups
+    xs = [sources.random_member(code.s, code.n, rng) for _ in range(20)]
+    inside = [np.stack([x[i].to_array() for x in xs]) for i in range(code.s)]
+    ys = codec.encode_batch(code, inside)
+    assert all(np.array_equal(g, x) for g, x in zip(plan.decode_batch(ys), inside))
+    replaced = rng.random(20) < 0.3
+    for y in ys:
+        y[replaced] = rng.integers(0, 2, size=(int(replaced.sum()), y.shape[1]), dtype=np.uint8)
+    for chunk in (ys, [y[:0] for y in ys]):
+        got, want = decode_outcome(plan, chunk), reference_outcome(plan, deviation, chunk)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["distinct", "zero", "repeat", "square", "random"]),
+    s=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sorted_keys_match_per_key_scan(kind, s, seed):
+    rng = np.random.default_rng(seed)
+    check_keys_against_reference(keyed_code(kind, s, rng), rng)
+
+
+@pytest.mark.parametrize(
+    "mats, collision",
+    [
+        # every key nonzero and distinct
+        ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 1]], [[1, 1, 0], [0, 1, 1]]], None),
+        # a zero column in H_2: the key of (1, 2) is zero
+        ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 1, 1]]], (1, 2, None, None)),
+        # H_3 repeats a column: the keys of (2, 0) and (2, 2) are equal
+        ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 1]], [[1, 1, 1], [0, 1, 0]]], (2, 0, 2, 2)),
+        # s = 2: only same-position keys are equal, so the code compresses S
+        ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 1]]], None),
+        # s = 2 with a cross-position repeat: columns 0 and 2 of H_2 are equal
+        ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 0]]], (0, 0, 0, 2)),
+        # M = n: every key is zero bits wide, so the first one is zero
+        ([[[1, 0], [0, 1]], np.zeros((0, 2), dtype=np.uint8)], (0, 0, None, None)),
+        ([[[1, 1, 0]], [[0, 1, 0]], [[0, 0, 1]], np.zeros((0, 3), dtype=np.uint8)], (0, 0, None, None)),
+    ],
+)
+def test_key_check_cases(monkeypatch, mats, collision):
+    # no zero-width void item is ever made, not even for M = n
+    widths = []
+    real = codec.sort_rows
+
+    def recording(rows):
+        widths.append(rows.shape[1])
+        return real(rows)
+
+    monkeypatch.setattr(codec, "sort_rows", recording)
+    n = len(mats[0][0])
+    code = codec.make_code([matrix(np.asarray(H, dtype=np.uint8).reshape(-1, n)) for H in mats])
+    assert codec.CodePlan(code).collision == collision
+    check_keys_against_reference(code, np.random.default_rng(0))
+    assert 0 not in widths

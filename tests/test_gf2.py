@@ -240,3 +240,11 @@ def test_word_boundary_shapes(rng):
         M = gf2.random_matrix(7, n, rng)
         assert gf2.rank(M) + gf2.null_space(M).dim == n
         assert gf2.null_vector(M) == gf2.null_space(M).basis.row(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 12), cols=st.integers(0, 40), seed=st.integers(0, 2**31 - 1))
+def test_distinct_nonzero_columns_matches_unique(rows, cols, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    want = np.unique(bits, axis=1).shape[1] == cols and bits.any(axis=0).all()
+    assert gf2.distinct_nonzero_columns(gf2.BitMatrix.from_bits(bits)) == want

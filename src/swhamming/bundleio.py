@@ -326,10 +326,3 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
 
 
 build_hcms = build_bundle
-
-
-def load_bundle(path: str | Path) -> Bundle:
-    parsed = read_file(path)
-    if parsed.kind == "code":
-        raise MalformedFileError("file has no construction sections: it is a plain code file")
-    return build_bundle(parsed)

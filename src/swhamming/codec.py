@@ -136,10 +136,6 @@ def encode_batch(code: SwCode, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [bits_matmul(p, H.to_array().T) for H, p in zip(code.matrices, parts)]
 
 
-def syndrome_key(y: SyndromeTuple) -> bytes:
-    return b"".join(v.tobytes() for v in y)
-
-
 # ---------------------------------------------------------------------------
 # the code's plan: compressibility and decoding
 # ---------------------------------------------------------------------------
@@ -441,7 +437,7 @@ def brute_force_collision(
     """Oracle: pairwise syndrome comparison over an explicit enumeration of S."""
     seen: dict[bytes, SourceTuple] = {}
     for x in enumerate_hamming_sources(code.s, code.n, budget=budget):
-        key = syndrome_key(encode(code, x))
+        key = b"".join(y.tobytes() for y in encode(code, x))
         prev = seen.get(key)
         if prev is not None:
             return prev, x

@@ -165,27 +165,12 @@ class BitMatrix:
             raise ValueError("expected a 2-D 0/1 array")
         return cls(arr.shape[0], arr.shape[1], pack_bits(arr))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVector], cols: int | None = None) -> BitMatrix:
-        if not rows:
-            if cols is None:
-                raise ValueError("cols required for an empty row list")
-            return cls.zeros(0, cols)
-        n = rows[0].n
-        if cols is not None and cols != n:
-            raise ValueError("cols disagrees with row length")
-        data = np.stack([r.words for r in rows])
-        return cls(len(rows), n, data)
-
     @property
     def data(self) -> np.ndarray:
         return self._data
 
     def row(self, i: int) -> BitVector:
         return BitVector.from_words(self.cols, self._data[i])
-
-    def get(self, i: int, j: int) -> int:
-        return int((self._data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
 
     def column(self, j: int) -> BitVector:
         return BitVector.from_bits((self._data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
@@ -211,9 +196,7 @@ class BitMatrix:
             raise ValueError("shape mismatch")
         return BitMatrix(self.rows, self.cols, self._data ^ other._data)
 
-    def __matmul__(self, other):
-        if isinstance(other, BitVector):
-            return mat_vec(self, other)
+    def __matmul__(self, other: BitMatrix) -> BitMatrix:
         if self.cols != other.rows:
             raise ValueError(f"inner dims {self.cols} vs {other.rows}")
         data = matmul_packed(self._data, self.cols, other._data, other.cols)
@@ -466,12 +449,6 @@ class Subspace:
             return bool(_in_row_space(other.check, H.data).all())
         return not bits_matmul(H.to_array(), rows.to_array().T).any()
 
-    def vectors(self) -> list[BitVector]:
-        """All 2^dim members (small subspaces only), member k the sum of
-        the basis rows at the set bits of k."""
-        rows = [self.basis.row(i).value for i in range(self.dim)]
-        return [BitVector(self.n, v) for v in _span_values(rows)]
-
     def _key(self) -> BitMatrix:
         """The smaller canonical side, which equality and hashing read."""
         return self.basis if 2 * self.dim <= self.n else self.check
@@ -628,15 +605,6 @@ def matrix_with_null_space(N: Subspace) -> BitMatrix:
     N's check, the canonical basis of N's orthogonal complement (the
     kernel of N's basis).  For N = {0} this is the identity."""
     return N.check
-
-
-def subspace_contains(A: Subspace, v: BitVector) -> bool:
-    if A.n != v.n:
-        raise ValueError("ambient dimension mismatch")
-    H = A._annihilating()
-    if H is not None:
-        return mat_vec(H, v).is_zero()
-    return bool(_in_row_space(A.basis, v.words[None, :])[0])
 
 
 def _leading_bits(data: np.ndarray) -> np.ndarray:

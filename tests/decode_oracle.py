@@ -14,6 +14,10 @@ from swhamming.sources import enumerate_hamming_sources, hamming_source_size
 DEFAULT_TABLE_BUDGET = 1 << 24
 
 
+def _key(y: codec.SyndromeTuple) -> bytes:
+    return b"".join(v.tobytes() for v in y)
+
+
 class DecodeTable:
     """Syndrome table of a compressible code.
 
@@ -29,7 +33,7 @@ class DecodeTable:
         self.code = code
         table = {}
         for x in enumerate_hamming_sources(code.s, code.n, budget=budget):
-            key = codec.syndrome_key(codec.encode(code, x))
+            key = _key(codec.encode(code, x))
             if key in table:
                 raise NotCompressibleError("code is not compressible; table is ambiguous")
             table[key] = x
@@ -39,7 +43,7 @@ class DecodeTable:
         if len(y) != self.code.s or any(v.n != mi for v, mi in zip(y, self.code.m)):
             raise ValueError("syndrome tuple does not match code dimensions")
         try:
-            return self._table[codec.syndrome_key(y)]
+            return self._table[_key(y)]
         except KeyError:
             raise NotInImageError("syndrome tuple is not produced by any member of S")
 

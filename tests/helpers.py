@@ -1,15 +1,18 @@
 """Small helpers the tests share: the decomposition of a member of S, the
 byte parser of code and bundle files applied to one matrix, and the
-shifted perfect codes that ``reduce`` is benchmarked on, and a relaxed
-bundle whose transforms are not identities."""
+shifted perfect codes that ``reduce`` is benchmarked on, a relaxed
+bundle whose transforms are not identities, and a CLI run that keeps only
+its exit status and stderr."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 from typing import Sequence
 
 import numpy as np
 
-from swhamming import bundleio, equiv, ghcms, gf2, hcms
+from swhamming import bundleio, cli, equiv, ghcms, gf2, hcms
 from swhamming.codec import SwCode
 from swhamming.gf2 import BitMatrix, BitVector
 from swhamming.sources import is_hamming_member
@@ -70,3 +73,11 @@ def relaxed_a3(rng: np.random.Generator):
     not identities."""
     Q = hcms.a3_partition()
     return ghcms.ghcms_build(Q, C_choices=tuple(gf2.random_invertible(6, rng) @ Qi for Qi in Q))
+
+
+def run_quiet(argv) -> tuple[int, str]:
+    """The exit status and stderr of ``swhamming argv``, stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()

@@ -35,7 +35,7 @@ def check_round_trip(bundle, rng: np.random.Generator) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.txt", Path(tmp) / "second.txt"
         bundleio.write_bundle(first, bundle)
-        loaded = bundleio.load_bundle(first)
+        loaded = bundleio.build_bundle(bundleio.read_file(first))
         bundleio.write_bundle(second, loaded)
         assert first.read_bytes() == second.read_bytes()
     assert loaded.code == bundle.code

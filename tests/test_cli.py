@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import parse_matrix_bytes
+from helpers import parse_matrix_bytes, shifted
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 
 
@@ -193,7 +193,7 @@ def test_outputs_deterministic(tmp_path, capsys):
 def test_bundle_file_roundtrip(tmp_path, bundle_a3):
     path = tmp_path / "bundle.txt"
     bundleio.write_bundle(path, bundle_a3)
-    loaded = bundleio.load_bundle(path)
+    loaded = bundleio.build_bundle(bundleio.read_file(path))
     assert loaded.code == bundle_a3.code
     assert loaded.Q == bundle_a3.Q
     assert loaded.R_inv == bundle_a3.R_inv
@@ -207,7 +207,7 @@ def test_ghcms_bundle_file_roundtrip(tmp_path):
     bundle = ghcms_mod.ghcms_build(Q)
     path = tmp_path / "ghcms.txt"
     bundleio.write_bundle(path, bundle)
-    loaded = bundleio.load_bundle(path)
+    loaded = bundleio.build_bundle(bundleio.read_file(path))
     assert loaded.code == bundle.code
     assert loaded.C == bundle.C
     assert loaded.E == bundle.E
@@ -569,6 +569,27 @@ def test_reduce_refuses_a_tampered_bundle(tmp_path, capsys, bundle_texts, form):
     assert not out.exists()
 
 
+def test_y_outside_the_stack_is_malformed(tmp_path, capsys, rng):
+    # the reduced bundle of a shifted code, with Y replaced by a full-rank Y'
+    # whose row space differs and R by [Y'; T], which stays invertible: only
+    # the row-basis check on Y refuses it
+    path, reduced = tmp_path / "shifted.txt", tmp_path / "reduced.txt"
+    bundleio.write_code_file(path, shifted(hcms.hcms_a3().code, rng))
+    assert run(capsys, "reduce", str(path), "-o", str(reduced))[0] == 0
+    bundle = bundleio.build_bundle(bundleio.read_file(reduced))
+    bits = bundle.Y.to_array()
+    bits[0] ^= bundle.T.to_array()[0]
+    Y = gf2.BitMatrix.from_bits(bits)
+    assert gf2.Subspace(bundle.n, Y) != gf2.Subspace(bundle.n, bundle.Y)
+    R = gf2.vstack([Y, bundle.T])
+    assert gf2.rank(R) == bundle.n
+    text = _replace_section(reduced.read_text(), "Y", lambda _: Y)
+    path.write_text(_replace_section(text, "R", lambda _: R))
+    code, out, err = run(capsys, "verify", str(path))
+    want = "Y section is not a row basis of the stack: row(A) is not contained in row(B)"
+    assert (code, out, err) == (2, "", f"error=MALFORMED_FILE {want}\n")
+
+
 @pytest.mark.parametrize("form", ["direct", "relaxed"])
 def test_encode_refuses_a_tampered_bundle(tmp_path, capsys, bundle_texts, form, rng):
     # the code itself is untouched, so only the load check stops encode
@@ -610,18 +631,29 @@ def test_untampered_bundles_still_decode_and_verify(tmp_path, capsys, bundle_tex
         assert [code for code, _ in _decode_and_verify(tmp_path, capsys, text, synd)] == [0, 0]
 
 
+_OUTSIDE_THE_MODEL = "need s >= 2 and n >= 1"
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["1 3\n3\n3 3\n100\n010\n001\n", "3 0\n0 0 0\n0 0\n0 0\n0 0\n"],
-    ids=["one-terminal", "zero-length"],
+    "text, message",
+    [
+        ("1 3\n3\n3 3\n100\n010\n001\n", _OUTSIDE_THE_MODEL),
+        ("3 0\n0 0 0\n0 0\n0 0\n0 0\n", _OUTSIDE_THE_MODEL),
+        # a bundle file in the direct form whose rates leave no parity bits
+        (
+            "3 3\n1 1 1\n1 3\n100\n1 3\n010\n1 3\n001\nP\n0 0\n",
+            "M - n is 0: the direct form needs 1 <= M - n <= m_i",
+        ),
+    ],
+    ids=["one-terminal", "zero-length", "no-parity-bits"],
 )
 @pytest.mark.parametrize("command", ["verify", "reduce"])
-def test_code_header_outside_the_model_is_malformed(tmp_path, capsys, text, command):
+def test_code_header_outside_the_model_is_malformed(tmp_path, capsys, text, message, command):
     path = tmp_path / "code.txt"
     path.write_text(text)
     argv = [command, str(path)] + (["-o", str(tmp_path / "r.txt")] if command == "reduce" else [])
     code, _, err = run(capsys, *argv)
-    assert code == 2 and "error=MALFORMED_FILE" in err and "need s >= 2 and n >= 1" in err
+    assert code == 2 and "error=MALFORMED_FILE" in err and message in err
 
 
 # zero-row matrices declare a width that no row bounds
@@ -672,6 +704,23 @@ def test_argument_outside_its_domain_is_bad_argument(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[str(bundle) if a == "BUNDLE" else a for a in argv])
     assert code == 2 and err.startswith("error=BAD_ARGUMENT ")
     assert "roundtrip=" not in out
+
+
+@pytest.mark.parametrize(
+    "env, flags, refusal",
+    [
+        ("abc", [], "BAD_ARGUMENT HCMS_BUDGET must be an integer, got 'abc'"),
+        (None, ["--budget", "1000"], "BUDGET_EXCEEDED 3375 admissible triples exceed budget 1000"),
+    ],
+    ids=["env-not-an-integer", "triples-over-budget"],
+)
+def test_search_refuses_a_budget_it_cannot_keep(capsys, monkeypatch, env, flags, refusal):
+    if env is None:
+        monkeypatch.delenv("HCMS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("HCMS_BUDGET", env)
+    code, out, err = run(capsys, "search", "--n", "5", "--M", "9", *flags)
+    assert (code, out, err) == (2, "", f"error={refusal}\n")
 
 
 def test_search_budget_is_checked_before_listing_subspaces(capsys):
@@ -745,7 +794,7 @@ def test_gen_never_inverts_R(tmp_path, capsys, monkeypatch, argv):
     assert code == 0, err
     code, out, err = run(capsys, "verify", str(path))
     assert code == 0 and "perfect=true" in out, err
-    bundle = bundleio.load_bundle(path)
+    bundle = bundleio.build_bundle(bundleio.read_file(path))
     rng = np.random.default_rng(1)
     xs = [sources.random_member(bundle.s, bundle.n, rng) for _ in range(20)]
     src, synd, back = (tmp_path / f"{name}.txt" for name in ("src", "synd", "back"))

@@ -210,6 +210,11 @@ def test_decode_table_budget(pair_n7):
 # ---------------------------------------------------------------------------
 
 
+def _members(N):
+    """The 2^dim members of N as ints, the zero vector first."""
+    return gf2._span_values([N.basis.row(i).value for i in range(N.dim)])
+
+
 def test_admissible_subspace_counts():
     # dimension 2 in length 5: spans of two weight-3 vectors staying at
     # weight >= 3; exactly 15 of them
@@ -218,13 +223,13 @@ def test_admissible_subspace_counts():
     assert codec.admissible_null_spaces(5, 3) == []
     assert codec.admissible_null_spaces(5, 4) == []
     for N in codec.admissible_null_spaces(5, 2):
-        assert min(v.weight() for v in N.vectors() if not v.is_zero()) >= 3
+        assert min(v.bit_count() for v in _members(N)[1:]) >= 3
 
 
 def test_admissible_subspaces_weight_pruning():
     for N in codec.admissible_null_spaces(6, 2):
-        for v in N.vectors():
-            assert v.is_zero() or v.weight() >= 3
+        for v in _members(N):
+            assert v == 0 or v.bit_count() >= 3
 
 
 def test_search_no_perfect_code_at_n5():

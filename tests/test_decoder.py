@@ -290,7 +290,7 @@ def test_rank_deficient_bundle_falls_back_to_elimination(tmp_path):
     bundle = hcms.Bundle(codec.make_code([C, C]), E=(E, E), Y=matrix([[1]]), D=(D, D))
     path = tmp_path / "b.txt"
     bundleio.write_bundle(path, bundle)
-    loaded = bundleio.load_bundle(path)
+    loaded = bundleio.build_bundle(bundleio.read_file(path))
     assert codec.CodePlan.from_bundle(loaded) is None
     plan = codec.decoder(loaded.code)
     with pytest.raises(NotInImageError):

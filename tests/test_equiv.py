@@ -5,6 +5,8 @@ from __future__ import annotations
 import collections
 import dataclasses
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
-from helpers import decompose, shifted
-from swhamming import _kernels, codec, equiv, gf2, ghcms, hcms, sources
+from helpers import decompose, run_quiet, shifted
+from swhamming import _kernels, bundleio, codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import DecompositionInvalidError, NotPerfectError
 
 
@@ -405,9 +407,9 @@ def _reduce_with(monkeypatch, name, damage, call):
 def _outside(N):
     """A subspace one vector larger than N."""
     for i in range(N.n):
-        e = gf2.BitVector.unit(N.n, i)
-        if not gf2.subspace_contains(N, e):
-            return gf2.Subspace(N.n, gf2.vstack([N.basis, gf2.BitMatrix.from_rows([e])]))
+        e = gf2.BitMatrix.identity(N.n).take_rows(i, i + 1)
+        if not N.contains_subspace(gf2.Subspace(N.n, e)):
+            return gf2.Subspace(N.n, gf2.vstack([N.basis, e]))
     raise AssertionError("N is the whole space")
 
 
@@ -495,6 +497,65 @@ def test_plan_partition_equals_the_fold_route(code):
     pair = code if code.s == 2 else equiv.lift_to_two_source(code)
     want = gf2.matrix_with_null_space(gf2.subspace_sum(*equiv.profile(pair)))
     assert equiv._pair_partition(code) == want
+
+
+@st.composite
+def hcms_equivalents(draw):
+    """(code, damage, seed): a perfect code equivalent to a direct HCMS, a
+    coding-matrix bit (i, row, column) to flip, and a seed for members.
+
+    The code is a random sum-zero partition of the mn-bit Hamming matrix
+    (mn = 6, or 8 one time in eight, as it costs twice as much), assembled
+    with a drawn split of T's rows; then a drawn part of the null space
+    common to all terminals but from_r moved out of to_d's null space into
+    from_r's; then each coding matrix times a random invertible matrix."""
+    mn = 8 if draw(st.integers(0, 7)) == 7 else 6
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t_rows = ((1 << mn) - 1) // 3 - 2 * mn
+    g1 = draw(st.integers(0, t_rows))
+    g2 = draw(st.integers(0, t_rows - g1))
+    Q = hcms.random_sum_zero_partition(3, mn, rng)
+    code = hcms.hcms_from_parts(Q, g_split=(g1, g2, t_rows - g1 - g2)).code
+    prof = equiv.profile(code)
+    from_r = draw(st.integers(0, 2))
+    to_d = draw(st.sampled_from([i for i in range(3) if i != from_r]))
+    common = gf2.subspace_intersect(*(prof[i] for i in range(3) if i != from_r))
+    K = gf2.random_subspace_of(common, draw(st.integers(0, common.dim)), rng)
+    code = equiv.shift_null_space(code, K, from_r, to_d)
+    code = codec.make_code([gf2.random_invertible(H.rows, rng) @ H for H in code.matrices])
+    i = draw(st.integers(0, 2))
+    damage = (i, draw(st.integers(0, code.m[i] - 1)), draw(st.integers(0, code.n - 1)))
+    return code, damage, draw(st.integers(0, 2**32 - 1))
+
+
+@given(hcms_equivalents())
+@settings(max_examples=200, deadline=None)
+def test_reduce_recovers_every_equivalent_of_a_direct_hcms(case):
+    # the paper's universality result as a property: each such code reduces
+    # to a perfect bundle that loads again and decodes what it encodes; one
+    # flipped bit that breaks perfectness makes reduce refuse the code
+    code, (i, row, col), seed = case
+    bundle, _ = equiv.reduce_with_report(code)
+    assert bundle.perfect and codec.is_perfect(bundle.code)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "reduced.txt"
+        bundleio.write_bundle(path, bundle)
+        loaded = bundleio.build_bundle(bundleio.read_file(path))
+        x = sources.random_members(3, code.n, 200, np.random.default_rng(seed))
+        back = codec.decoder(loaded.code).decode_batch(codec.encode_batch(loaded.code, x))
+        assert all((b == a).all() for a, b in zip(x, back))
+
+        bits = code.matrices[i].to_array()
+        bits[row, col] ^= 1
+        matrices = list(code.matrices)
+        matrices[i] = gf2.BitMatrix.from_bits(bits)
+        damaged = codec.make_code(matrices)
+        bundleio.write_code_file(path, damaged)
+        status, err = run_quiet(["reduce", str(path), "-o", str(Path(tmp) / "out.txt")])
+        if codec.is_perfect(damaged):
+            assert (status, err) == (0, "")
+        else:
+            assert status == 2 and err.startswith("error=NOT_PERFECT ")
 
 
 def test_reduce_asymmetric_split(rng):

@@ -5,8 +5,6 @@ section body flipped, a label renamed) either succeed or print an
 
 from __future__ import annotations
 
-import contextlib
-import io
 import re
 
 import numpy as np
@@ -14,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import relaxed_a3
-from swhamming import bundleio, cli, ghcms, hcms
+from helpers import relaxed_a3, run_quiet
+from swhamming import bundleio, ghcms, hcms
 
 LABELS = ["P", "Q_1", "Q_4", "T", "G_2", "R", "C_1", "C_3", "Y", "D_1", "E_3", "X"]
 
@@ -80,13 +78,6 @@ def mutate(text: str, edits) -> str:
         elif kind == "rename" and labels:
             lines[labels[at % len(labels)]] = what
     return "\n".join(lines)
-
-
-def run_quiet(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue()
 
 
 @given(name=st.sampled_from(["a3", "trivial", "relaxed", "pair"]), edits=mutations)

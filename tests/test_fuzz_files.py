@@ -3,14 +3,12 @@ either succeed or print an ``error=<TOKEN>`` line; they never raise."""
 
 from __future__ import annotations
 
-import contextlib
-import io
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from swhamming import cli, codec, hcms
+from helpers import run_quiet
+from swhamming import codec, hcms
 
 HEADERS = [
     "-1 4", "4 -1", "99999999 99999999", "99999999999999999999999 1", "0 0", "0 21",
@@ -59,13 +57,6 @@ def mutate(text: bytes, edits) -> bytes:
             if at < len(lines):
                 lines[at] = value.encode()
     return b"\n".join(lines)
-
-
-def run_quiet(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue()
 
 
 @given(edits=mutations)

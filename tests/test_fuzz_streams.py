@@ -4,15 +4,13 @@ a = 3 bundle and with its plain code file, either succeed or print an
 
 from __future__ import annotations
 
-import contextlib
-import io
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from swhamming import bundleio, cli, codec, hcms, sources
+from helpers import run_quiet
+from swhamming import bundleio, codec, hcms, sources
 
 mutations = st.lists(
     st.one_of(
@@ -56,13 +54,6 @@ def mutate(text: bytes, edits) -> bytes:
         elif kind == "widen_line" and lines:
             lines[where % len(lines)] += value
     return b"\n".join(lines)
-
-
-def run_quiet(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue()
 
 
 @given(edits=mutations, key=st.sampled_from(["bundle.txt", "code.txt"]))

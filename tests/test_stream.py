@@ -42,7 +42,7 @@ def bundle_files(tmp_path_factory, bundle_a3, pair_n7):
     for kind, bundle in made.items():
         path = root / f"{kind}.txt"
         bundleio.write_bundle(path, bundle)
-        loaded = bundleio.load_bundle(path)
+        loaded = bundleio.build_bundle(bundleio.read_file(path))
         if isinstance(loaded, ghcms.GhcmsBundle):
             decode = lambda y, b=loaded: ghcms.ghcms_decode(b, y)
         else:

@@ -4,7 +4,8 @@
 Times the three packed GF(2) kernels on representative shapes, the two
 phases of row reduction on the a = 6 code's [A | I], the check of the
 a = 6 bundle's 4095 deviation keys (``codec.CodePlan.from_bundle``),
-one 256-tuple chunk of ``decode_batch`` at n = 85, plus three
+one chunk of ``encode_batch`` and of ``decode_batch`` at n = 85, as many
+tuples as ``sources.chunk_tuples`` gives the CLI there, plus three
 end-to-end operations (perfectness verification of the n = 341 code,
 its [A | I] elimination included, a batch of algebraic decodes and the
 construction of the a = 6 bundle, lifting chain included) and the byte
@@ -51,10 +52,9 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
     bundle6 = hcms.hcms_for_a(6)
     A6 = gf2.vstack(bundle6.code.matrices)
     bundle4 = hcms.hcms_for_a(4)
-    members4 = [sources.random_member(3, 85, rng) for _ in range(256)]
-    chunk = codec.encode_batch(
-        bundle4.code, [np.stack([x[i].to_array() for x in members4]) for i in range(3)]
-    )
+    chunk4 = sources.chunk_tuples(3 * 85, sum(bundle4.code.m))
+    members4 = sources.random_members(3, 85, chunk4, rng)
+    chunk = codec.encode_batch(bundle4.code, members4)
     plan4 = codec.decoder(bundle4.code)
     aug6 = gf2.hstack([A6, gf2.BitMatrix.identity(A6.rows)]).data
     echelon6 = aug6.copy()
@@ -91,6 +91,9 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         if codec.CodePlan.from_bundle(bundle6) is None:
             raise RuntimeError("the a = 6 bundle does not certify its code")
 
+    def bench_encode_chunk():
+        codec.encode_batch(bundle4.code, members4)
+
     def bench_decode_chunk():
         plan4.decode_batch(chunk)
 
@@ -104,6 +107,7 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         ("echelon [A|I] a=6", bench_echelon),
         ("back_substitute [A|I] a=6", bench_back_substitute),
         ("key check a=6", bench_key_check),
+        ("encode chunk n=85", bench_encode_chunk),
         ("decode chunk n=85", bench_decode_chunk),
         ("is_perfect n=341", bench_is_perfect),
         ("decode n=341 x200", bench_decode),

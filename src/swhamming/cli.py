@@ -21,7 +21,13 @@ import sys
 import numpy as np
 
 from . import bundleio, codec, equiv, ghcms, hcms, sources
-from .errors import BadArgumentError, BudgetExceededError, NotPerfectError, SwError
+from .errors import (
+    BadArgumentError,
+    BudgetExceededError,
+    NotInImageError,
+    NotPerfectError,
+    SwError,
+)
 from .gf2 import format_matrix, rank
 
 
@@ -138,7 +144,8 @@ def cmd_encode(args) -> int:
         i = code.m.index(0) + 1
         raise BadArgumentError(f"terminal {i} has m_{i} = 0: its syndrome lines would be blank")
     with open(args.input, "rb") as fh:
-        chunks = sources.iter_bit_chunks(fh, [code.n] * code.s)
+        chunk = sources.chunk_tuples(code.s * code.n, sum(code.m))
+        chunks = sources.iter_bit_chunks(fh, [code.n] * code.s, chunk)
         count = _write_chunks(args.output, (codec.encode_batch(code, x) for x in chunks))
     print(_kv([("encoded", count), ("written", args.output)]))
     return 0
@@ -153,12 +160,29 @@ def _checked_code(parsed: bundleio.ParsedFile) -> codec.SwCode:
     return parsed.code
 
 
+def _decoded(decoder: codec.CodePlan, chunks):
+    """The decoded chunks; a syndrome tuple outside the image is named by
+    its group's 1-based place in the input, not by its row in a chunk."""
+    done = 0
+    for y in chunks:
+        try:
+            yield decoder.decode_batch(y)
+        except NotInImageError as exc:
+            raise NotInImageError(
+                f"group {done + exc.index + 1} of the input: syndrome tuple is not produced "
+                "by any member of S",
+                index=done + exc.index,
+            ) from None
+        done += y[0].shape[0]
+
+
 def cmd_decode(args) -> int:
     _check_not_input(args)
     decoder = codec.decoder(_checked_code(bundleio.read_file(args.bundle)))
     with open(args.input, "rb") as fh:
-        chunks = sources.iter_bit_chunks(fh, decoder.m)
-        count = _write_chunks(args.output, (decoder.decode_batch(y) for y in chunks))
+        chunk = sources.chunk_tuples(decoder.s * decoder.n, sum(decoder.m))
+        chunks = sources.iter_bit_chunks(fh, decoder.m, chunk)
+        count = _write_chunks(args.output, _decoded(decoder, chunks))
     print(_kv([("decoded", count), ("path", "algebraic"), ("written", args.output)]))
     return 0
 
@@ -166,6 +190,12 @@ def cmd_decode(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+#: Members drawn per call in ``verify --roundtrip``.  The seeded draws of
+#: ``sources.random_members`` depend on the batch size, so this fixes the
+#: members a seed checks; it is not the chunk size of encode and decode.
+ROUNDTRIP_BATCH = 256
 
 
 def cmd_verify(args) -> int:
@@ -210,9 +240,9 @@ def cmd_verify(args) -> int:
         decoder = codec.decoder(code)
         rng = np.random.default_rng(args.seed)
         failures = 0
-        # CHUNK_TUPLES members at a time, drawn in order, so memory is bounded
-        for start in range(0, args.roundtrip, sources.CHUNK_TUPLES):
-            count = min(sources.CHUNK_TUPLES, args.roundtrip - start)
+        # ROUNDTRIP_BATCH members at a time, drawn in order, so memory is bounded
+        for start in range(0, args.roundtrip, ROUNDTRIP_BATCH):
+            count = min(ROUNDTRIP_BATCH, args.roundtrip - start)
             parts = sources.random_members(code.s, code.n, count, rng)
             back = decoder.decode_batch(codec.encode_batch(code, parts))
             wrong = np.concatenate(back, axis=1) != np.concatenate(parts, axis=1)

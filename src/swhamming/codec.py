@@ -163,11 +163,17 @@ class CodePlan:
     b = top (y + d).  ``collision`` is the first u-pattern that breaks
     injectivity, in the order the keys are made; one sort of the keys finds
     it, and a decoder looks each tuple's key up among the sorted distinct
-    keys (see ``_fill``).  ``key_matrix`` holds the keys as a 0/1 array,
-    column i n + p the key of deviation (i, p); None when rank A < n.  Two
-    plans of one code agree on all of these: their checkers are F and X F
-    for an invertible X, which keeps keys zero or equal exactly when they
-    were, and top (y + d) is the one b with A b = y + d.
+    keys (see ``_fill``).  When those fill the key space, 2^(M - n) keys of
+    M - n bits, which for a compressible code holds exactly when it is
+    perfect, they are the integers 0, 1, ..., 2^(M - n) - 1 in order, so
+    the deviation indices in key order are a dense table, indexed by a
+    key's value with no search and no miss: every syndrome tuple is in the
+    image.  A code that compresses S without being perfect leaves keys
+    out, and its keys are searched.  ``key_matrix`` holds the keys as a
+    0/1 array, column i n + p the key of deviation (i, p); None when rank
+    A < n.  Two plans of one code agree on all of these: their checkers
+    are F and X F for an invertible X, which keeps keys zero or equal
+    exactly when they were, and top (y + d) is the one b with A b = y + d.
 
     ``CodePlan(code)`` eliminates: it brings [A | I] to row echelon form
     [U | E] once, so E A = U, and F is the bottom M - n rows of E, the rows
@@ -243,7 +249,8 @@ class CodePlan:
         first j, in key order, whose key is zero or has j0 < j, bar the s =
         2 same-position pair.  A compressible plan keeps the sorted
         distinct keys, the zero key first, beside their deviation indices
-        j0 (s n for the zero key), which :meth:`_decode_rows` searches."""
+        j0 (s n for the zero key), which :meth:`_decode_rows` searches or,
+        when the keys fill the key space, indexes by key value."""
         s, n = code.s, code.n
         self.code, self.s, self.n, self.m = code, s, n, code.m
         self.full_rank = F is not None
@@ -292,18 +299,23 @@ class CodePlan:
         return self.full_rank and self.collision is None
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F^T and top^T as float32 and the correction rows (row j = i n + p
-        is column p of H_i at terminal i's offset; row s n is zero), made
-        on the first decode."""
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """F^T and top^T as float32, the correction rows (row j = i n + p
+        is column p of H_i at terminal i's offset; row s n is zero) and,
+        when the sorted distinct keys fill the key space (see the class
+        docstring), the place values of the key bits, most significant
+        first, else None; made on the first decode."""
         n, offsets = self.n, np.cumsum([0, *self.m])
         corr = np.zeros((self.s * n + 1, offsets[-1]), dtype=np.uint8)
         for i, H in enumerate(self.code.matrices):
             corr[i * n : (i + 1) * n, offsets[i] : offsets[i + 1]] = H.to_array().T
+        width = self._F.shape[0]
+        dense = len(self._keys) == 1 << width
         return (
             self._F.T.astype(np.float32),
             self.top.to_array().T.astype(np.float32),
             corr,
+            1 << np.arange(width - 1, -1, -1, dtype=np.int64) if dense else None,
         )
 
     def decode_batch(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -323,17 +335,23 @@ class CodePlan:
 
     def _decode_rows(self, y: np.ndarray) -> list[np.ndarray]:
         """Decode the rows of y, each a concatenated syndrome tuple."""
-        Ft, top_t, corr = self._tables
+        Ft, top_t, corr, place = self._tables
         s, n = self.s, self.n
-        keys = np.packbits(bits_matmul(y, Ft), axis=1).view(self._keys.dtype)[:, 0]
-        # the greatest sorted key <= each key; the zero key is the least
-        at = np.searchsorted(self._keys, keys, side="right") - 1
-        missed = self._keys[at] != keys
-        if missed.any():
-            raise NotInImageError(
-                f"tuple {int(np.argmax(missed))} of the chunk: syndrome tuple is not "
-                "produced by any member of S"
-            )
+        bits = bits_matmul(y, Ft)
+        if place is not None:
+            # the dense table: a key's value is its place among the keys
+            at = bits @ place
+        else:
+            keys = np.packbits(bits, axis=1).view(self._keys.dtype)[:, 0]
+            # the greatest sorted key <= each key; the zero key is the least
+            at = np.searchsorted(self._keys, keys, side="right") - 1
+            missed = self._keys[at] != keys
+            if missed.any():
+                k = int(np.argmax(missed))
+                raise NotInImageError(
+                    f"tuple {k} of the chunk: syndrome tuple is not produced by any member of S",
+                    index=k,
+                )
         cols = self._deviations[at]
         x = np.repeat(bits_matmul(y ^ corr[cols], top_t)[:, None, :], s, axis=1)
         dev = np.nonzero(cols < s * n)[0]

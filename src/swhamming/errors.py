@@ -17,7 +17,14 @@ class BudgetExceededError(SwError):
 
 
 class NotInImageError(SwError):
+    """A syndrome tuple that no member of S produces; ``index`` is its row
+    in the batch that was decoded, 0 for a single tuple."""
+
     token = "NOT_IN_IMAGE"
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class SyndromeNotDecodableError(SwError):

@@ -133,7 +133,14 @@ class BitVector:
 
 
 class BitMatrix:
-    """A rows x cols matrix over GF(2) with word-packed rows."""
+    """A rows x cols matrix over GF(2) with word-packed rows.
+
+    ``BitMatrix(rows, cols, data)`` adopts ``data`` when it is already a
+    C-contiguous uint64 array of shape (rows, nwords(cols)): it clears the
+    bits past ``cols`` in place and marks the array read-only, with no
+    copy, so the caller hands the array over and must not write to it
+    after.  Any other array is copied into one such array first.
+    """
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -495,7 +502,9 @@ def row_basis(M: BitMatrix) -> BitMatrix:
     return BitMatrix(len(pivots), M.cols, data[: len(pivots)].copy())
 
 
-def row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
+def row_basis_transforms(
+    A: BitMatrix, B: BitMatrix, names: tuple[str, str] = ("A", "B")
+) -> tuple[BitMatrix, BitMatrix]:
     """Given a row basis matrix B of A, return (C, D) with A = C B and B = D A.
 
     C is unique; D is one valid choice (free coefficients set to zero).
@@ -507,24 +516,26 @@ def row_basis_transforms(A: BitMatrix, B: BitMatrix) -> tuple[BitMatrix, BitMatr
     has no solution then either.  A B in RREF needs no elimination for C:
     each pivot column of B is a unit column, so C is A's columns at B's
     pivots, and A = B gives C = D = I.
-    Raises ValueError when B is not full row rank or the row spaces differ.
+    Raises ValueError when B is not full row rank or the row spaces differ,
+    calling A and B by ``names``.
     """
     if A.cols != B.cols:
         raise ValueError("width mismatch")
+    a, b = names
     pivots = _rref_pivots(B)
     if pivots is None:
         C = _express_rows(A, B)
         if C is None:
-            raise ValueError("row(A) is not contained in row(B)")
+            raise ValueError(f"row({a}) is not contained in row({b})")
     else:
         C = BitMatrix.from_bits(A.to_array()[:, pivots])
         if C @ B != A:
-            raise ValueError("row(A) is not contained in row(B)")
+            raise ValueError(f"row({a}) is not contained in row({b})")
         if A == B:
             return C, C
     D = _express_rows(BitMatrix.identity(B.rows), C)
     if D is None:
-        raise ValueError("B is not full row rank or row(B) is not contained in row(A)")
+        raise ValueError(f"{b} is not full row rank or row({b}) is not contained in row({a})")
     return C, D
 
 

@@ -189,7 +189,8 @@ class Bundle:
         ..., E_(s-1)) for the D_Y with Y = D_Y [Q_1; ...; Q_(s-1)].  Raises
         ValueError when Y is not a row basis of that stack."""
         mn, s = self.Q[0].rows, self.s
-        D_Y = row_basis_transforms(vstack(self.Q[: s - 1]), self.Y)[1]
+        stack = vstack(self.Q[: s - 1])
+        D_Y = row_basis_transforms(stack, self.Y, names=("[Q_1; ...; Q_(s-1)]", "Y"))[1]
         return hstack([D_Y.take_cols(i * mn, (i + 1) * mn) @ self.E[i] for i in range(s - 1)])
 
     @property

@@ -16,12 +16,17 @@ read as UTF-8, non-ASCII spaces such as U+00A0 included; a line of only
 whitespace is blank, and runs of blank lines separate groups.  Any other
 byte, a blank inside a line, a wrong width or a wrong number of lines is
 a :class:`MalformedFileError` naming the line.  :func:`iter_bit_chunks`
-reads such a file in blocks of one chunk's bytes in the layout the CLI
-writes and parses each block with whole-array operations; on an error it
-has yielded exactly the chunks wholly before the chunk of the first
-malformed group, as a per-chunk check would; :func:`format_chunk` writes
-them.  :func:`iter_groups`, :func:`iter_tuples` and :func:`format_tuples`
-are per-tuple views of these two, with no rules of their own.  The line
+reads such a file in chunks of a given number of groups, in blocks of one
+chunk's bytes in the layout the CLI writes, and parses each block with
+whole-array operations; on an error it has yielded exactly the chunks
+wholly before the chunk of the first malformed group, as a per-chunk
+check would; :func:`format_chunk` writes them.  ``encode`` and ``decode``
+size their chunks with :func:`chunk_tuples`, by a budget of
+:data:`CHUNK_BITS` bits over a tuple's source or syndrome width, whichever
+is wider, so a chunk of short tuples still holds enough of them to pay for
+the fixed numpy calls of each step.
+:func:`iter_groups`, :func:`iter_tuples` and :func:`format_tuples` are
+per-tuple views of these two, with no rules of their own.  The line
 scanner, :func:`scan_lines`, also reads code and bundle files (``bundleio``).
 """
 
@@ -193,11 +198,23 @@ def feasible_cuvw(n: int, M: int) -> list[tuple[int, int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# group files, CHUNK_TUPLES groups at a time, and per-tuple views of them
+# group files, a chunk of groups at a time, and per-tuple views of them
 # ---------------------------------------------------------------------------
 
-#: Groups per chunk in the streaming CLI commands; it bounds their memory.
-CHUNK_TUPLES = 256
+#: Bits of a tuple's wider side per chunk in the streaming CLI commands;
+#: it bounds their memory.  2^18 bits are 1028 tuples at s n = 3 x 85 and
+#: 256 at 3 x 341.
+CHUNK_BITS = 1 << 18
+
+
+def chunk_tuples(*widths: int) -> int:
+    """Tuples per chunk for tuples whose sides are ``widths`` bits wide:
+    :data:`CHUNK_BITS` over the widest, at least one.  ``encode`` and
+    ``decode`` both pass a code's source width s n and syndrome width M,
+    since each holds a chunk of both sides, and so read chunks of the same
+    size; a perfect code has M < s n, so its source width decides."""
+    return max(1, CHUNK_BITS // max(widths))
+
 
 #: A byte's part of its line's score (see :func:`scan_lines`): 0 for the
 #: ASCII characters that ``str.strip`` removes (CR and LF end lines; an LF
@@ -211,18 +228,16 @@ _SPACE2 = np.array([int.from_bytes(chr(c).encode(), "big") for c in _WIDE_SPACE 
 _SPACE3 = np.array([int.from_bytes(chr(c).encode(), "big") for c in _WIDE_SPACE if c >= 0x800])
 
 
-def iter_bit_chunks(fh, widths: Sequence[int]) -> Iterator[list[np.ndarray]]:
-    """Parse a group file, opened in binary, into chunks of up to
-    CHUNK_TUPLES groups of len(widths) lines (the format is in the module
-    docstring).
+def iter_bit_chunks(fh, widths: Sequence[int], chunk: int) -> Iterator[list[np.ndarray]]:
+    """Parse a group file, opened in binary, into chunks of up to ``chunk``
+    groups of len(widths) lines (the format is in the module docstring).
 
     A chunk is one (N, widths[i]) uint8 0/1 array per line position, N =
-    CHUNK_TUPLES for every chunk but the last.  The file is read in blocks
-    of one chunk's bytes in the layout that :func:`format_chunk` writes.
-    On a malformed group the chunks wholly before its chunk are yielded,
-    then :class:`MalformedFileError` is raised.
+    ``chunk`` for every chunk but the last.  The file is read in blocks of
+    one chunk's bytes in the layout that :func:`format_chunk` writes.  On a
+    malformed group the chunks wholly before its chunk are yielded, then
+    :class:`MalformedFileError` is raised.
     """
-    chunk = CHUNK_TUPLES
     size = chunk * (sum(widths) + len(widths) + 1)
     tail = b"\n"  # the bytes not yet parsed, from the line end before them
     line_no = 0  # lines before ``tail``
@@ -311,7 +326,7 @@ def iter_groups(lines: Iterable[str], widths: Sequence[int]) -> Iterator[tuple[B
     ends (as ``str.splitlines`` gives them), as tuples of BitVector:
     :func:`iter_bit_chunks` over the joined lines, with its refusals."""
     fh = io.BytesIO("\n".join(lines).encode())
-    for parts in iter_bit_chunks(fh, widths):
+    for parts in iter_bit_chunks(fh, widths, chunk_tuples(sum(widths))):
         yield from zip(*([BitVector.from_bits(row) for row in part] for part in parts))
 
 

@@ -78,7 +78,7 @@ def reference_decode(plan: codec.CodePlan, deviation: dict[bytes, int], parts):
     ``deviation`` (see :func:`reference_keys`) with one ``dict.get`` per
     tuple."""
     y = np.concatenate(parts, axis=1)
-    Ft, top_t, corr = plan._tables
+    Ft, top_t, corr, _ = plan._tables
     s, n = plan.s, plan.n
     keys = np.packbits(bits_matmul(y, Ft), axis=1)
     raw, width = keys.tobytes(), keys.shape[1]

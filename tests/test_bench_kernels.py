@@ -1,7 +1,7 @@
 """``benchmarks/bench_kernels.py`` runs, and it still prints the cases that
 ``perfbench/probes.py`` looks up by name in its ``make_cases``, its
 bundle parser case, its construction case, its two row-reduction phase
-cases, its key check case and its decode chunk case."""
+cases, its key check case and its encode and decode chunk cases."""
 
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ def test_bench_kernels_runs_and_prints_the_probed_cases():
         "echelon [A|I] a=6",
         "back_substitute [A|I] a=6",
         "key check a=6",
+        "encode chunk n=85",
         "decode chunk n=85",
     }
     assert set(names) | extra <= printed

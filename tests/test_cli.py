@@ -229,32 +229,104 @@ _BAD_TAILS = {
 }
 
 
+# tuples per chunk of the CLI's encode and decode in the tests below
+SMALL_CHUNK = 16
+
+
+def small_chunks(monkeypatch, code: codec.SwCode) -> None:
+    """SMALL_CHUNK tuples per chunk of the CLI's encode and decode of ``code``."""
+    widths = (code.s * code.n, sum(code.m))
+    monkeypatch.setattr(sources, "CHUNK_BITS", SMALL_CHUNK * max(widths))
+    assert sources.chunk_tuples(*widths) == SMALL_CHUNK
+
+
+def test_chunk_tuples_is_a_bit_budget_over_the_wider_side():
+    # the perfect codes at a = 4 and 5: the s n source bits decide
+    assert sources.chunk_tuples(3 * 85, 93) == 1028
+    assert sources.chunk_tuples(3 * 341, 351) == 256
+    assert sources.chunk_tuples(2, 128) == sources.CHUNK_BITS // 128
+    assert sources.chunk_tuples(sources.CHUNK_BITS + 1, 1) == 1
+
+
+def test_chunks_of_a_code_wider_than_its_sources(tmp_path, capsys, monkeypatch):
+    # M = 128 syndrome bits for s n = 2 source bits: a chunk holds
+    # CHUNK_BITS / 128 tuples, not CHUNK_BITS / 2, on both sides
+    ones = gf2.BitMatrix.from_bits(np.ones((64, 1), dtype=np.uint8))
+    code = codec.make_code([ones, ones])
+    path, src, synd, back = (tmp_path / f for f in ("code.txt", "x.txt", "y.txt", "back.txt"))
+    bundleio.write_code_file(path, code)
+    chunk = sources.CHUNK_BITS // 128
+    x = np.random.default_rng(5).integers(0, 2, size=(chunk + 1, 2), dtype=np.uint8)
+    src.write_bytes(sources.format_chunk([x[:, :1], x[:, 1:]])[1:])
+    sizes = []
+    real_encode, real_decode = codec.encode_batch, codec.CodePlan.decode_batch
+
+    def encode_batch(c, parts):
+        sizes.append(len(parts[0]))
+        return real_encode(c, parts)
+
+    def decode_batch(plan, parts):
+        sizes.append(len(parts[0]))
+        return real_decode(plan, parts)
+
+    monkeypatch.setattr(codec, "encode_batch", encode_batch)
+    monkeypatch.setattr(codec.CodePlan, "decode_batch", decode_batch)
+    assert run(capsys, "encode", str(path), "--input", str(src), "--output", str(synd))[0] == 0
+    assert run(capsys, "decode", str(path), "--input", str(synd), "--output", str(back))[0] == 0
+    assert sizes == [chunk, 1, chunk, 1]
+    assert back.read_bytes() == src.read_bytes()
+
+
 @pytest.mark.parametrize("tail", sorted(_BAD_TAILS))
-def test_encode_rejects_bad_tuple_in_second_chunk(tmp_path, capsys, rng, tail):
-    bundle_path = tmp_path / "a3.txt"
+def test_encode_rejects_bad_tuple_in_second_chunk(tmp_path, capsys, monkeypatch, rng, tail):
+    bundle_path, out = tmp_path / "a3.txt", tmp_path / "y.txt"
     assert run(capsys, "gen", "--a", "3", "-o", str(bundle_path))[0] == 0
-    tuples = [sources.random_member(3, 21, rng) for _ in range(sources.CHUNK_TUPLES)]
+    written = bundleio.read_file(bundle_path).code
+    small_chunks(monkeypatch, written)
+    tuples = [sources.random_member(3, 21, rng) for _ in range(SMALL_CHUNK + 2)]
     src = tmp_path / "src.txt"
     src.write_text(sources.format_tuples(tuples) + "\n" + _BAD_TAILS[tail])
-    code, _, err = run(
-        capsys, "encode", str(bundle_path), "--input", str(src), "--output", str(tmp_path / "y.txt")
-    )
+    code, _, err = run(capsys, "encode", str(bundle_path), "--input", str(src), "--output", str(out))
     assert code == 2 and "error=MALFORMED_FILE" in err
+    # the first chunk was encoded and written, so the bad group was in the second
+    assert out.read_text() == sources.format_tuples(
+        [codec.encode(written, x) for x in tuples[:SMALL_CHUNK]]
+    )
 
 
-def test_decode_rejects_bad_syndrome_in_second_chunk(tmp_path, capsys, rng, bundle_a3):
-    bundle_path = tmp_path / "a3.txt"
+def test_decode_rejects_bad_syndrome_in_second_chunk(tmp_path, capsys, monkeypatch, rng, bundle_a3):
+    bundle_path, out = tmp_path / "a3.txt", tmp_path / "x.txt"
     bundleio.write_bundle(bundle_path, bundle_a3)
-    ys = [
-        codec.encode(bundle_a3.code, sources.random_member(3, 21, rng))
-        for _ in range(sources.CHUNK_TUPLES + 2)
-    ]
+    small_chunks(monkeypatch, bundle_a3.code)
+    xs = [sources.random_member(3, 21, rng) for _ in range(SMALL_CHUNK + 2)]
+    ys = [codec.encode(bundle_a3.code, x) for x in xs]
     synd = tmp_path / "synd.txt"
     synd.write_text(sources.format_tuples(ys) + "\n" + "\n".join(["1" * 8] * 3) + "\n")
-    code, _, err = run(
-        capsys, "decode", str(bundle_path), "--input", str(synd), "--output", str(tmp_path / "x.txt")
-    )
+    code, _, err = run(capsys, "decode", str(bundle_path), "--input", str(synd), "--output", str(out))
     assert code == 2 and "error=MALFORMED_FILE" in err
+    # the first chunk was decoded and written, so the bad group was in the second
+    assert out.read_text() == sources.format_tuples(xs[:SMALL_CHUNK])
+
+
+def test_decode_names_the_input_group_outside_the_image(tmp_path, capsys, monkeypatch, rng):
+    # (I_3, I_3) compresses S without being perfect; (000, 111) is no
+    # member's syndrome pair.  Group 2 SMALL_CHUNK + 5 is in the third chunk.
+    I3 = gf2.BitMatrix.identity(3)
+    path, out = tmp_path / "code.txt", tmp_path / "x.txt"
+    code = codec.make_code([I3, I3])
+    bundleio.write_code_file(path, code)
+    small_chunks(monkeypatch, code)
+    bad = 2 * SMALL_CHUNK + 4
+    xs = [sources.random_member(2, 3, rng) for _ in range(bad + 3)]
+    ys = list(xs)
+    ys[bad] = (gf2.BitVector(3, 0), gf2.BitVector(3, 7))
+    synd = tmp_path / "synd.txt"
+    synd.write_text(sources.format_tuples(ys))
+    code, stdout, err = run(capsys, "decode", str(path), "--input", str(synd), "--output", str(out))
+    want = f"group {bad + 1} of the input: syndrome tuple is not produced by any member of S"
+    assert (code, stdout, err) == (2, "", f"error=NOT_IN_IMAGE {want}\n")
+    # a failing decode leaves the whole chunks before the bad group's chunk
+    assert out.read_text() == sources.format_tuples(xs[: 2 * SMALL_CHUNK])
 
 
 @pytest.mark.parametrize("command", ["encode", "decode"])
@@ -320,7 +392,7 @@ def test_verify_roundtrip_runs_in_chunks(tmp_path, capsys, monkeypatch, bundle_a
     assert code == 0 and "roundtrip=300/300" in whole
     assert calls == [256, 44]
     calls.clear()
-    monkeypatch.setattr(sources, "CHUNK_TUPLES", 7)
+    monkeypatch.setattr(cli, "ROUNDTRIP_BATCH", 7)
     assert run(capsys, *argv)[:2] == (0, whole)
     assert len(calls) == -(-300 // 7) and set(calls[:-1]) == {7} and calls[-1] == 300 % 7
 
@@ -586,7 +658,10 @@ def test_y_outside_the_stack_is_malformed(tmp_path, capsys, rng):
     text = _replace_section(reduced.read_text(), "Y", lambda _: Y)
     path.write_text(_replace_section(text, "R", lambda _: R))
     code, out, err = run(capsys, "verify", str(path))
-    want = "Y section is not a row basis of the stack: row(A) is not contained in row(B)"
+    want = (
+        "Y section is not a row basis of the stack: "
+        "row([Q_1; ...; Q_(s-1)]) is not contained in row(Y)"
+    )
     assert (code, out, err) == (2, "", f"error=MALFORMED_FILE {want}\n")
 
 

@@ -14,7 +14,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable, reference_decode, reference_keys
@@ -310,10 +310,17 @@ def keyed_code(kind: str, s: int, rng: np.random.Generator) -> codec.SwCode:
     same with a column of some H_i zeroed or copied onto another, a zero or
     a repeated key.  "square": the rows of a random invertible n x n
     matrix dealt to the terminals, M = n, so every key is zero bits wide.
-    "random": uniform matrices with up to n + 1 rows.  Then the terminals
-    and positions are shuffled, and each H_i replaced by A_i H_i."""
+    "random": uniform matrices with up to n + 1 rows.  "identity": s
+    copies of I_n, which compress S but are perfect only for s = 2, n = 1.
+    "perfect": a perfect code (see :func:`perfect_code`).  Then the
+    terminals and positions are shuffled, and each H_i replaced by A_i H_i."""
     n = int(rng.integers(1, 7))
-    if kind == "square":
+    if kind == "perfect":
+        mats = perfect_code(s, rng)
+        n = mats[0].cols
+    elif kind == "identity":
+        mats = [gf2.BitMatrix.identity(n)] * s
+    elif kind == "square":
         rows = gf2.random_invertible(n, rng).to_array()
         cuts = np.sort(rng.integers(0, n + 1, size=s - 1))
         mats = [matrix(block) for block in np.split(rows, cuts)]
@@ -335,6 +342,19 @@ def keyed_code(kind: str, s: int, rng: np.random.Generator) -> codec.SwCode:
     return row_transformed(codec.make_code(mats), rng)
 
 
+def perfect_code(s: int, rng: np.random.Generator) -> list[gf2.BitMatrix]:
+    """The matrices of a perfect code of s terminals: one of ``PERFECT``,
+    or (I_n, H) with H the 3-row Hamming matrix (n = 7) for s = 2, the
+    partition of a random line spread (n = 21) for s = 3, and a random
+    partition at n = 51 for s = 5.  s = 4 has none: 4 n + 1 is odd."""
+    if s in PERFECT and rng.integers(2):
+        return list(PERFECT[s][int(rng.integers(len(PERFECT[s])))])
+    if s == 2:
+        return [gf2.BitMatrix.identity(7), hcms.hamming_matrix(3)]
+    Q = hcms.random_sum_zero_partition(s, {3: 6, 5: 8}[s], rng)
+    return list(hcms.hcms_from_parts(Q).code.matrices)
+
+
 def reference_outcome(plan: codec.CodePlan, deviation, parts) -> list[np.ndarray] | str:
     try:
         return reference_decode(plan, deviation, parts)
@@ -351,6 +371,8 @@ def check_keys_against_reference(code: codec.SwCode, rng: np.random.Generator) -
     assert plan.collision == collision
     if collision is not None:
         return
+    # the dense key table for a perfect code, the sorted search otherwise
+    assert (plan._tables[3] is not None) == codec.is_perfect(code)
     # members of S, then the same with some tuples replaced by uniform
     # syndrome tuples, each chunk through both lookups
     xs = [sources.random_member(code.s, code.n, rng) for _ in range(20)]
@@ -370,13 +392,30 @@ def check_keys_against_reference(code: codec.SwCode, rng: np.random.Generator) -
 
 @settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(["distinct", "zero", "repeat", "square", "random"]),
+    kind=st.sampled_from(["distinct", "zero", "repeat", "square", "random", "identity", "perfect"]),
     s=st.integers(2, 5),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sorted_keys_match_per_key_scan(kind, s, seed):
+    assume(kind != "perfect" or s != 4)
     rng = np.random.default_rng(seed)
     check_keys_against_reference(keyed_code(kind, s, rng), rng)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_perfect_pair_decodes_every_syndrome_tuple(pair_n7, n):
+    # a perfect code maps S onto all 2^M syndrome tuples, the bijection the
+    # dense key table relies on: each tuple decodes to a member of S that
+    # encodes to it
+    pair = codec.make_code([gf2.BitMatrix.identity(3), hcms.hamming_matrix(2)])
+    code = pair if n == 3 else pair_n7
+    plan = codec.decoder(code)
+    assert plan._tables[3] is not None
+    parts = product_space(code.m)
+    blocks = plan.decode_batch(parts)
+    for x in zip(*blocks):
+        assert sources.is_hamming_member([gf2.BitVector.from_bits(b) for b in x])
+    assert all(np.array_equal(y, p) for y, p in zip(codec.encode_batch(code, blocks), parts))
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,20 @@ def test_bits_at_or_beyond_cols_are_cleared(cols):
     assert wide.to_array().shape == (5, cols) and (wide.to_array() == bits).all()
 
 
+def test_matrix_adopts_a_packed_array_of_its_shape():
+    # a C-contiguous uint64 array of the packed shape is taken over, not
+    # copied: its tail is cleared in place and it becomes read-only
+    words = np.full((2, 1), 2**64 - 1, dtype=np.uint64)
+    M = gf2.BitMatrix(2, 10, words)
+    assert M.data is words
+    assert words.tolist() == [[0x3FF], [0x3FF]] and not words.flags.writeable
+    # any other array is copied, and the caller's stays as it was
+    strided = np.full((2, 2), 2**64 - 1, dtype=np.uint64)[:, ::2]
+    M = gf2.BitMatrix(2, 10, strided)
+    assert M.data is not strided and strided.flags.writeable
+    assert strided.tolist() == [[2**64 - 1]] * 2 and M.data.tolist() == [[0x3FF]] * 2
+
+
 def test_rank_examples():
     assert gf2.rank(gf2.BitMatrix.zeros(3, 5)) == 0
     assert gf2.rank(gf2.BitMatrix.identity(6)) == 6
@@ -124,8 +138,10 @@ def test_row_basis_transforms_identity_case():
 def test_row_basis_transforms_rejects_mismatch():
     A = gf2.BitMatrix.from_bits([[1, 0, 0]])
     B = gf2.BitMatrix.from_bits([[0, 1, 0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row\(A\) is not contained in row\(B\)$"):
         gf2.row_basis_transforms(A, B)
+    with pytest.raises(ValueError, match=r"^row\(X\) is not contained in row\(Y\)$"):
+        gf2.row_basis_transforms(A, B, names=("X", "Y"))
     not_full_rank = gf2.BitMatrix.from_bits([[1, 0, 0], [1, 0, 0]])
     with pytest.raises(ValueError):
         gf2.row_basis_transforms(not_full_rank, not_full_rank)

@@ -241,7 +241,8 @@ def outcome(groups):
 
 def chunk_groups(text, widths):
     """The groups of ``iter_bit_chunks`` over ``text``, as BitVector tuples."""
-    for parts in sources.iter_bit_chunks(io.BytesIO(text.encode()), widths):
+    chunk = sources.chunk_tuples(sum(widths))
+    for parts in sources.iter_bit_chunks(io.BytesIO(text.encode()), widths, chunk):
         for r in range(parts[0].shape[0]):
             yield tuple(gf2.BitVector.from_bits(p[r]) for p in parts)
 

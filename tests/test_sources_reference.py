@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import io
 import sys
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,11 +18,11 @@ from swhamming.errors import MalformedFileError
 # ---------------------------------------------------------------------------
 
 
-def ref_iter_bit_chunks(lines, widths):
-    """Strip each line, collect CHUNK_TUPLES groups of stripped lines, and
+def ref_iter_bit_chunks(lines, widths, chunk):
+    """Strip each line, collect ``chunk`` groups of stripped lines, and
     check their sizes as each group ends and their lines per chunk."""
     s = len(widths)
-    full = sources.CHUNK_TUPLES * s
+    full = chunk * s
     buf: list[str] = []  # lines of complete groups
     open_lines = 0  # lines of the group being read
     for raw in lines:
@@ -142,12 +141,11 @@ def group_files(draw):
 @settings(max_examples=200, deadline=None)
 @given(file=group_files(), chunk=st.integers(1, 3))
 def test_iter_bit_chunks_matches_reference(file, chunk):
-    # a small CHUNK_TUPLES makes small blocks, so groups, lines and CRLF
-    # pairs straddle block boundaries
+    # a small chunk makes small blocks, so groups, lines and CRLF pairs
+    # straddle block boundaries
     data, widths = file
-    with mock.patch.object(sources, "CHUNK_TUPLES", chunk):
-        want = outcome(ref_iter_bit_chunks(text_lines(data), widths))
-        got = outcome(sources.iter_bit_chunks(io.BytesIO(data), widths))
+    want = outcome(ref_iter_bit_chunks(text_lines(data), widths, chunk))
+    got = outcome(sources.iter_bit_chunks(io.BytesIO(data), widths, chunk))
     assert got[1] == want[1]
     assert [[p.shape for p in c] for c in got[0]] == [[p.shape for p in c] for c in want[0]]
     for g, w in zip(got[0], want[0]):
@@ -164,8 +162,7 @@ def test_long_line_and_open_group_span_blocks():
     # one valid group whose lines carry more whitespace than several blocks
     pad = " \t" * 5000
     data = f"{pad}01{pad}\r\n10\n{pad}\n\n11\n00\n".encode()
-    with mock.patch.object(sources, "CHUNK_TUPLES", 1):
-        got, raised = outcome(sources.iter_bit_chunks(io.BytesIO(data), [2, 2]))
+    got, raised = outcome(sources.iter_bit_chunks(io.BytesIO(data), [2, 2], 1))
     assert not raised
     assert [[p.tolist() for p in c] for c in got] == [[[[0, 1]], [[1, 0]]], [[[1, 1]], [[0, 0]]]]
 

@@ -14,6 +14,7 @@ import contextlib
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +26,15 @@ from helpers import shifted
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 from swhamming.errors import NotInImageError
 
-CHUNK = sources.CHUNK_TUPLES
+# the CLI's tuples per chunk in these tests, set through sources.CHUNK_BITS
+# so that the counts straddle chunk boundaries at every width
+CHUNK = 256
 COUNTS = (0, 1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 1)
+
+
+def chunks_of(code: codec.SwCode):
+    """CHUNK tuples per chunk of the CLI's encode and decode of ``code``."""
+    return mock.patch.object(sources, "CHUNK_BITS", CHUNK * max(code.s * code.n, sum(code.m)))
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +103,7 @@ def test_cli_matches_per_tuple_reference(bundle_files, kind, count, seed, crlf):
     want_x = sources.format_tuples([decode(y) for y in ys]) if count else ""
     assert want_x == (sources.format_tuples(xs) if count else "")
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, chunks_of(code):
         tmp = Path(tmp)
         src, synd = tmp / "src.txt", tmp / "synd.txt"
         src.write_bytes(noisy_text([[v.to01() for v in x] for x in xs], rng, crlf).encode())
@@ -112,7 +120,7 @@ def test_chunk_parser_splits_at_chunk_boundaries(bundle_a3, rng):
     n = bundle_a3.n
     xs = [sources.random_member(3, n, rng) for _ in range(2 * CHUNK + 1)]
     data = io.BytesIO(sources.format_tuples(xs).encode())
-    chunks = list(sources.iter_bit_chunks(data, [n] * 3))
+    chunks = list(sources.iter_bit_chunks(data, [n] * 3, CHUNK))
     assert [c[0].shape[0] for c in chunks] == [CHUNK, CHUNK, 1]
     rows = [np.concatenate([c[i] for c in chunks]) for i in range(3)]
     for t, x in enumerate(xs):
@@ -126,8 +134,9 @@ def test_decode_batch_rejects_syndrome_outside_image():
     decoder = codec.decoder(codec.make_code([I3, I3]))
     parts = [np.array([[0, 1, 0], [0, 0, 0]], dtype=np.uint8),
              np.array([[0, 1, 1], [1, 1, 1]], dtype=np.uint8)]
-    with pytest.raises(NotInImageError, match="tuple 1 of the chunk"):
+    with pytest.raises(NotInImageError, match="tuple 1 of the chunk") as caught:
         decoder.decode_batch(parts)
+    assert caught.value.index == 1
     first = decoder.decode_batch([p[:1] for p in parts])
     assert [b.tolist() for b in first] == [[[0, 1, 0]], [[0, 1, 1]]]
 
@@ -141,7 +150,7 @@ def test_decode_inverts_encode_through_files(bundle_a3, pair_n7, base, seed, cou
     rng = np.random.default_rng(seed)
     code = shifted(bundle_a3.code if base == "a3" else pair_n7, np.random.default_rng(seed))
     xs = [sources.random_member(code.s, code.n, rng) for _ in range(count)]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, chunks_of(code):
         tmp = Path(tmp)
         bundleio.write_code_file(tmp / "code.txt", code)
         run_cli("reduce", str(tmp / "code.txt"), "-o", str(tmp / "reduced.txt"))

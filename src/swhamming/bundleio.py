@@ -19,11 +19,12 @@ mismatch is ``coding matrix i is not [G_i; C_i]``; then, in the relaxed
 form, Q_i = E_i C_i, whose mismatch names E_i; then the rest in file
 order, each mismatch naming the equation it breaks.  Last come D_i Q_i =
 C_i, Y a row basis of the stack (both MALFORMED_FILE) and R invertible
-(R_NOT_INVERTIBLE otherwise).  The checked bundle is attached to its
-code, whose plan is then read off the sections when they certify the
-code (:meth:`codec.CodePlan.from_bundle`).  Properties of the
-construction itself (partition validity, perfectness) belong to
-``verify``.
+(R_NOT_INVERTIBLE otherwise), and then that the file has no section its
+form lacks (MALFORMED_FILE, ``section 'Zed' is not part of a direct
+bundle``).  The checked bundle is attached to its code, whose plan is
+then read off the sections when they certify the code
+(:meth:`codec.CodePlan.from_bundle`).  Properties of the construction
+itself (partition validity, perfectness) belong to ``verify``.
 
 Both forms are read as bytes (:func:`read_file`).
 Lines end in LF, CRLF or a lone CR, as in group files; the other
@@ -321,6 +322,11 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
         except ValueError as exc:
             raise MalformedFileError(f"Y section is not a row basis of the stack: {exc}")
     bundle.R_inv  # raises RNotInvertible when the stored R is singular
+    known = {label for label, _ in _sections(bundle)}
+    for label in parsed.sections:
+        if label not in known:
+            form = "relaxed" if chosen else "direct"
+            raise MalformedFileError(f"section {label!r} is not part of a {form} bundle")
     code.attach(bundle)
     return bundle
 

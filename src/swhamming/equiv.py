@@ -34,7 +34,7 @@ from .gf2 import (
 )
 from .ghcms import degenerate_two_source
 from .hcms import Bundle, _column_values, assemble, validate_partition
-from .sources import hamming_source_size
+from .sources import hamming_source_size, is_perfect_params
 
 __all__ = [
     "NullProfile",
@@ -255,7 +255,7 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
             normalized_profile_dims=tuple(n - mi for mi in bundle.code.m),
             hamming_permutation=tuple(int(v) for v in np.argsort(_column_values(H2))),
             output_rates=bundle.code.m,
-            perfect=bundle.perfect,
+            perfect=is_perfect_params(2, n, bundle.M),
         )
         return bundle, report
 
@@ -322,7 +322,7 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
         if H.rows != n - N.dim or not Subspace(n, kernel_of=H).contains_subspace(N):
             raise DecompositionInvalidError("output profile must equal the normalized input's")
     report.output_rates = bundle.code.m
-    report.perfect = bundle.perfect
+    report.perfect = is_perfect_params(s, n, bundle.M)
     if (1 << sum(bundle.code.m)) != hamming_source_size(s, n):
         raise DecompositionInvalidError("the reduced bundle must be perfect")
     return bundle, report

@@ -11,8 +11,8 @@ matrix through its ``words``.
 Elimination stops at row echelon form where only pivots, the rank or the
 rows below the rank are read (``rank``, ``pivot_columns``,
 ``echelon_augmented``, ``complement``), and
-back-substitutes to RREF only where a reduced form is read (``rref``,
-``rref_augmented``, ``row_basis``, ``null_space``, ``invert``,
+back-substitutes to RREF only where a reduced form is read
+(``rref_augmented``, ``row_basis``, ``null_space``, ``invert``,
 ``row_basis_transforms``, ``row_basis_and_transforms``).
 
 A subspace has two canonical sides, its basis and its check (the basis of
@@ -296,15 +296,8 @@ def split(v: BitVector, sizes: Sequence[int]) -> list[BitVector]:
 # ---------------------------------------------------------------------------
 
 
-def rref(M: BitMatrix) -> tuple[BitMatrix, list[int]]:
-    """Reduced row echelon form and ordered pivot columns; row space preserved."""
-    data = M.data.copy()
-    pivots = rref_in_place(data, M.cols)
-    return BitMatrix(M.rows, M.cols, data), [int(p) for p in pivots]
-
-
 def pivot_columns(M: BitMatrix) -> list[int]:
-    """The pivot columns of rref(M), read off its echelon form."""
+    """The pivot columns of the RREF of M, read off its echelon form."""
     return echelon_in_place(M.data.copy(), M.cols).tolist()
 
 
@@ -496,7 +489,7 @@ def distinct_nonzero_columns(M: BitMatrix) -> bool:
 
 def row_basis(M: BitMatrix) -> BitMatrix:
     """Canonical full-row-rank matrix with the same row space: the nonzero
-    rows of rref(M)."""
+    rows of the RREF of M."""
     data = M.data.copy()
     pivots = rref_in_place(data, M.cols)
     return BitMatrix(len(pivots), M.cols, data[: len(pivots)].copy())

@@ -9,7 +9,8 @@ negative, such as three length-1 sources.
 
 The bundle type and its assembly are those of :mod:`swhamming.hcms`, and
 the decoder is every code's (:func:`swhamming.codec.decoder`); this module
-holds the relaxed form's entry points.
+holds the relaxed form's entry points.  A chosen C_i or T goes to
+:func:`swhamming.hcms.assemble`.
 """
 
 from __future__ import annotations
@@ -23,39 +24,24 @@ GhcmsBundle = Bundle
 ghcms_decode = hcms_decode
 
 
-def ghcms_build(
-    Q: Sequence[BitMatrix],
-    C_choices: Sequence[BitMatrix] | None = None,
-    g_split: Sequence[int] | None = None,
-    T: BitMatrix | None = None,
-) -> Bundle:
-    """Assemble and validate the relaxed bundle from a sum-zero partition.
-
-    C_i default to the canonical row bases (nonzero rows of rref(Q_i)); Y
-    is the canonical row basis of the (s-1)-stack; T defaults to the
-    standard-basis completion.  The bundle's perfect flag records whether
-    the total rate meets the packing equality.
-    """
+def ghcms_build(Q: Sequence[BitMatrix], g_split: Sequence[int] | None = None) -> Bundle:
+    """Validate a sum-zero partition and assemble its relaxed bundle: C_i
+    the canonical row bases of the Q_i, Y that of the (s-1)-stack, and T
+    its standard completion, split by g_split."""
     Q = tuple(Q)
     validate_partition(Q)
-    if C_choices is not None:
-        return assemble(Q, C_choices, g_split, T)
     C, E, D = zip(*(row_basis_and_transforms(Qi) for Qi in Q))
-    return assemble(Q, C, g_split, T, E=E, D=D)
+    return assemble(Q, C, g_split, None, E=E, D=D)
 
 
-def degenerate_two_source(
-    H: BitMatrix, g_split: Sequence[int] | None = None
-) -> Bundle:
+def degenerate_two_source(H: BitMatrix) -> Bundle:
     """The s = 2 normal form: both partition blocks equal a column-distinct
     surjective H, so the blocks sum to zero without any stacked Hamming
-    matrix existing.  Terminal 1 absorbs the whole completion by default,
-    making its coding matrix invertible."""
+    matrix existing.  Terminal 1 absorbs the whole completion, making its
+    coding matrix invertible."""
     if not distinct_nonzero_columns(H):
         raise ValueError("columns must be nonzero and pairwise distinct")
     C, E, D = row_basis_and_transforms(H)
     if C.rows != H.rows:
         raise ValueError("H must be full row rank")
-    if g_split is None:
-        g_split = (H.cols - H.rows, 0)
-    return assemble((H, H), (C, C), g_split, None, E=(E, E), D=(D, D))
+    return assemble((H, H), (C, C), (H.cols - H.rows, 0), None, E=(E, E), D=(D, D))

@@ -52,7 +52,7 @@ from .gf2 import (
     vstack,
 )
 from .codec import SwCode, SyndromeTuple, decoder, make_code
-from .sources import SourceTuple, is_perfect_params, perfect_params_for_a
+from .sources import SourceTuple, perfect_params_for_a
 
 MAX_A = 7
 
@@ -205,11 +205,6 @@ class Bundle:
     def M(self) -> int:
         return sum(self.code.m)
 
-    @property
-    def perfect(self) -> bool:
-        """Whether the total rate meets the packing equality."""
-        return is_perfect_params(self.s, self.n, self.M)
-
     def locate_column(self, sigma: BitVector) -> int:
         """Index of the column of [Q_1 ... Q_s] equal to sigma; for s = 2,
         whose two blocks are equal, the index in the second block."""
@@ -296,16 +291,17 @@ def assemble(
     E: Sequence[BitMatrix] | None = None,
     D: Sequence[BitMatrix] | None = None,
 ) -> Bundle:
-    """The bundle of validated blocks Q_i: direct (Y the stack, coding
-    matrices [G_i; Q_i]) when C is None, else relaxed (Y the canonical row
-    basis of the stack, coding matrices [G_i; C_i], Q_i = E_i C_i and C_i
-    = D_i Q_i from ``row_basis_transforms``; a caller that has Y, or E and
-    D, and has checked them passes them).  T defaults to the standard
-    completion of Y, from Y's pivot columns when the caller has checked
-    them; the G_i are its rows in g_split.  Only the code and the relaxed
-    form's E, Y and D are kept: the bundle derives the other sections from
-    them.  The code's plan is read off the bundle
-    (:meth:`codec.CodePlan.from_bundle`).
+    """The bundle of validated blocks Q_i, and the one builder of a bundle
+    with chosen row bases C_i, completion T or row split (the entry points
+    choose only a split): direct (Y the stack, coding matrices [G_i; Q_i])
+    when C is None, else relaxed (Y the canonical row basis of the stack,
+    coding matrices [G_i; C_i], Q_i = E_i C_i and C_i = D_i Q_i from
+    ``row_basis_transforms``; a caller that has Y, or E and D, and has
+    checked them passes them).  T defaults to the standard completion of
+    Y, from Y's pivot columns when the caller has checked them; the G_i
+    are its rows in g_split.  Only the code and the relaxed form's E, Y
+    and D are kept: the bundle derives the other sections from them.  The
+    code's plan is read off the bundle (:meth:`codec.CodePlan.from_bundle`).
 
     Raises HeightNegative when the direct stack has more than n rows,
     RNotInvertible when [Y; T] is singular, and BadArgument for a bad split.
@@ -348,11 +344,7 @@ def assemble(
     return bundle
 
 
-def hcms_from_parts(
-    Q: Sequence[BitMatrix],
-    T: BitMatrix | None = None,
-    g_split: Sequence[int] | None = None,
-) -> Bundle:
+def hcms_from_parts(Q: Sequence[BitMatrix], g_split: Sequence[int] | None = None) -> Bundle:
     """Validate a partition of s > 2 blocks and assemble the direct code.
 
     Raises NotHammingPartition when the partition conditions fail, and the
@@ -361,7 +353,7 @@ def hcms_from_parts(
     if len(Q) <= 2:
         raise ValueError("construction requires more than two terminals")
     validate_partition(Q)
-    return assemble(Q, None, g_split, T)
+    return assemble(Q, None, g_split, None)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +416,6 @@ def a3_partition() -> tuple[BitMatrix, BitMatrix, BitMatrix]:
     if V != ZI + (K @ U):
         raise AssertionError("embedded partition fails V = [0|I] + K U")
     return Q1, Q2, Q3
-
-
-def hcms_a3(g_split: Sequence[int] | None = None) -> Bundle:
-    """The explicit (n, M) = (21, 27) bundle with T = [0 | I_9]."""
-    return hcms_for_a(3, g_split)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +554,10 @@ def hcms_decode(bundle: Bundle, y: SyndromeTuple) -> SourceTuple:
 
 
 def random_sum_zero_partition(
-    s: int, mn: int, rng: np.random.Generator, tries: int = 200
+    s: int, mn: int, rng: np.random.Generator
 ) -> tuple[BitMatrix, ...] | None:
-    """Try to partition the mn-bit Hamming matrix into s sum-zero blocks
-    whose first s-1 blocks stack to a full-row-rank matrix.
+    """Try, 200 times, to partition the mn-bit Hamming matrix into s
+    sum-zero blocks whose first s-1 blocks stack to a full-row-rank matrix.
 
     For s = 3 each try takes the lines of a random line spread
     (:func:`_random_lines`); greedy placement strands the last values
@@ -583,7 +570,7 @@ def random_sum_zero_partition(
     n = total // s
     if (s - 1) * mn > n:
         return None
-    for _ in range(tries):
+    for _ in range(200):
         groups = _random_lines(mn, rng) if s == 3 else _random_zero_sum_groups(s, mn, rng)
         if groups is None:
             continue

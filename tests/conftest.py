@@ -8,7 +8,7 @@ from swhamming import codec, gf2, hcms
 
 @pytest.fixture(scope="session")
 def bundle_a3():
-    return hcms.hcms_a3()
+    return hcms.hcms_for_a(3)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from swhamming import bundleio, cli, equiv, ghcms, gf2, hcms
+from swhamming import bundleio, cli, equiv, gf2, hcms
 from swhamming.codec import SwCode
 from swhamming.gf2 import BitMatrix, BitVector
 from swhamming.sources import is_hamming_member
@@ -72,7 +72,7 @@ def relaxed_a3(rng: np.random.Generator):
     Q_i for random invertible U_i, so that E_i = U_i^-1 and D_i = U_i are
     not identities."""
     Q = hcms.a3_partition()
-    return ghcms.ghcms_build(Q, C_choices=tuple(gf2.random_invertible(6, rng) @ Qi for Qi in Q))
+    return hcms.assemble(Q, tuple(gf2.random_invertible(6, rng) @ Qi for Qi in Q), None, None)
 
 
 def run_quiet(argv) -> tuple[int, str]:

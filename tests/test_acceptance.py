@@ -63,12 +63,12 @@ def test_criterion_02_embedded_partition():
         Q1, Q2, Q3 = hcms.a3_partition()  # re-runs multiset/sum/pivot/K checks
         assert sorted(hcms._column_values(gf2.hstack([Q1, Q2, Q3]))) == list(range(1, 64))
         assert (Q1 + Q2 + Q3).is_zero()
-        _, pivots = gf2.rref(gf2.vstack([Q1, Q2]))
+        pivots = gf2.pivot_columns(gf2.vstack([Q1, Q2]))
         assert pivots == list(range(12))
         U, V = Q1.take_cols(0, 12), Q2.take_cols(0, 12)
         K = hcms._from_lines(hcms._A3_K)
         assert V == gf2.hstack([gf2.BitMatrix.zeros(6, 6), gf2.BitMatrix.identity(6)]) + (K @ U)
-        bundle = hcms.hcms_a3()
+        bundle = hcms.hcms_for_a(3)
         assert bundle.R @ bundle.R_inv == gf2.BitMatrix.identity(21)
 
 
@@ -90,7 +90,7 @@ def test_criterion_04_roundtrips():
         # (b) every deviation pattern x 1000 random blocks at n=21; syndromes
         # of deviated members are the base syndrome plus the deviated
         # terminal's matrix column (encode is linear; spot-checked below)
-        b3 = hcms.hcms_a3()
+        b3 = hcms.hcms_for_a(3)
         n = 21
         cols = [
             [b3.code.matrices[t].column(p) for p in range(n)] for t in range(3)
@@ -153,7 +153,7 @@ def test_criterion_06_oracle_equivalence():
 def test_criterion_07_shifting_properties():
     with criterion(7, "100 randomized null-space shifts on the n=21 code", 60.0):
         rng = np.random.default_rng(7)
-        code = hcms.hcms_a3().code
+        code = hcms.hcms_for_a(3).code
         prof = equiv.profile(code)
         for _ in range(100):
             from_r = int(rng.integers(3))
@@ -178,15 +178,15 @@ def test_criterion_08_universality_pipeline():
         # (a) the trivial code reduces to the scalar relaxed bundle
         bundle = equiv.reduce_to_ghcms(trivial)
         assert [C.to_array().tolist() for C in bundle.C] == [[[1]], [[1]], [[1]]]
-        assert bundle.code.m == (1, 1, 1) and bundle.perfect
+        assert bundle.code.m == (1, 1, 1) and codec.is_perfect(bundle.code)
         # (b) the n=21 code after random shifts reduces with matching profile
-        code = hcms.hcms_a3().code
+        code = hcms.hcms_for_a(3).code
         prof = equiv.profile(code)
         common = gf2.subspace_intersect(prof[1], prof[2])
         K = gf2.random_subspace_of(common, 2, rng)
         shifted = equiv.shift_null_space(code, K, from_r=0, to_d=2)
         reduced = equiv.reduce_to_ghcms(shifted)
-        assert reduced.perfect and codec.is_perfect(reduced.code)
+        assert codec.is_perfect(reduced.code)
         assert equiv.profile(reduced.code) == equiv.profile(
             equiv.normalize_profile(shifted)
         )

@@ -56,7 +56,7 @@ def check_round_trip(bundle, rng: np.random.Generator) -> None:
 def test_direct_bundle_round_trip(split, seed):
     bundle = hcms.hcms_from_parts(A3, g_split=split)
     assert bundle.C is None and bundle.Y is None and bundle.E is None
-    assert bundle.d == (6, 6, 6) and bundle.perfect
+    assert bundle.d == (6, 6, 6) and codec.is_perfect(bundle.code)
     check_round_trip(bundle, np.random.default_rng(seed))
 
 
@@ -65,15 +65,15 @@ def test_direct_bundle_round_trip(split, seed):
 def test_relaxed_bundle_round_trip(split, seed):
     rng = np.random.default_rng(seed)
     C = tuple(random_invertible(6, rng) @ gf2.row_basis(Qi) for Qi in A3)
-    bundle = ghcms.ghcms_build(A3, C_choices=C, g_split=split)
-    assert bundle.C == C and bundle.perfect
+    bundle = hcms.assemble(A3, C, split, None)
+    assert bundle.C == C and codec.is_perfect(bundle.code)
     check_round_trip(bundle, rng)
 
 
 def test_relaxed_bundle_with_identity_transforms_keeps_its_sections(tmp_path, rng):
     # C_i = Q_i makes every E_i and D_i the identity; the bundle is still the
     # relaxed form, and its file still carries C_i, Y, D_i and E_i
-    bundle = ghcms.ghcms_build(A3, C_choices=A3)
+    bundle = hcms.assemble(A3, A3, None, None)
     assert all(Ei == gf2.BitMatrix.identity(6) for Ei in bundle.E)
     path = tmp_path / "b.txt"
     bundleio.write_bundle(path, bundle)
@@ -89,8 +89,8 @@ def test_a_bundle_keeps_only_its_choices_and_derives_the_sections(rng):
     assert [f.name for f in dataclasses.fields(hcms.Bundle)] == ["code", "E", "Y", "D"]
     C = tuple(random_invertible(6, rng) @ Qi for Qi in A3)
     T = hcms.standard_completion(gf2.vstack(A3[:2]))
-    direct = hcms.hcms_from_parts(A3, T, (1, 3, 5))
-    relaxed = ghcms.ghcms_build(A3, C, (1, 3, 5), T)
+    direct = hcms.assemble(A3, None, (1, 3, 5), T)
+    relaxed = hcms.assemble(A3, C, (1, 3, 5), T)
     assert direct.C is None and relaxed.C == C and direct.d == relaxed.d == (6, 6, 6)
     for bundle, Y, C_parts in ((direct, gf2.vstack(A3[:2]), A3), (relaxed, relaxed.Y, C)):
         assert bundle.Q == A3 and bundle.P == gf2.hstack(A3)

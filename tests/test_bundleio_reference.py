@@ -140,7 +140,7 @@ def _real_bundles() -> list[list[str]]:
     trivial bundle."""
     P = hcms.hamming_matrix(2)
     trivial = tuple(P.take_cols(j, j + 1) for j in range(3))
-    bundles = [hcms.hcms_a3(), ghcms.ghcms_build(hcms.hcms_a3().Q), ghcms.ghcms_build(trivial)]
+    bundles = [hcms.hcms_for_a(3), ghcms.ghcms_build(hcms.hcms_for_a(3).Q), ghcms.ghcms_build(trivial)]
     return ["".join(bundleio._bundle_text(b)).splitlines() for b in bundles]
 
 
@@ -207,7 +207,7 @@ def test_read_file_matches_reference(data, tmp_path_factory):
 
 @pytest.mark.parametrize("name", ["a3", "a3-relaxed"])
 def test_real_bundles_match_reference(tmp_path, name):
-    bundle = hcms.hcms_a3()
+    bundle = hcms.hcms_for_a(3)
     if name == "a3-relaxed":
         bundle = ghcms.ghcms_build(bundle.Q)
     path = tmp_path / "bundle.txt"

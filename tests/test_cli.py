@@ -646,7 +646,7 @@ def test_y_outside_the_stack_is_malformed(tmp_path, capsys, rng):
     # whose row space differs and R by [Y'; T], which stays invertible: only
     # the row-basis check on Y refuses it
     path, reduced = tmp_path / "shifted.txt", tmp_path / "reduced.txt"
-    bundleio.write_code_file(path, shifted(hcms.hcms_a3().code, rng))
+    bundleio.write_code_file(path, shifted(hcms.hcms_for_a(3).code, rng))
     assert run(capsys, "reduce", str(path), "-o", str(reduced))[0] == 0
     bundle = bundleio.build_bundle(bundleio.read_file(reduced))
     bits = bundle.Y.to_array()
@@ -704,6 +704,30 @@ def test_bundle_section_of_wrong_shape_is_malformed(
 def test_untampered_bundles_still_decode_and_verify(tmp_path, capsys, bundle_texts):
     for text, synd in bundle_texts.values():
         assert [code for code, _ in _decode_and_verify(tmp_path, capsys, text, synd)] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "form,label,section",
+    [
+        ("direct", "Zed", "1 1\n1\n"),
+        ("relaxed", "Zed", "1 1\n1\n"),
+        # a section of the relaxed form in a direct file (it has no C_1)
+        ("direct", "C_2", gf2.format_matrix(gf2.BitMatrix.identity(6))),
+    ],
+)
+def test_section_outside_the_form_is_malformed(
+    tmp_path, capsys, bundle_texts, form, label, section
+):
+    # every section the form has agrees; the extra one alone is refused
+    text, synd = bundle_texts[form]
+    extended = text + f"{label}\n{section}"
+    refusal = f"section {label!r} is not part of a {form} bundle"
+    for code, err in _decode_and_verify(tmp_path, capsys, extended, synd):
+        assert (code, err) == (2, f"error=MALFORMED_FILE {refusal}\n")
+    # a section that disagrees is still named first
+    broken = _replace_section(extended, "R", _flip_first_bit)
+    for code, err in _decode_and_verify(tmp_path, capsys, broken, synd):
+        assert (code, err) == (2, f"error=MALFORMED_FILE {_R}\n")
 
 
 _OUTSIDE_THE_MODEL = "need s >= 2 and n >= 1"

@@ -181,13 +181,13 @@ def random_split(rows: int, s: int, rng: np.random.Generator) -> tuple[int, ...]
 
 
 def random_bundle(kind: str, rng: np.random.Generator) -> hcms.Bundle:
-    """A bundle whose sections certify its code, built as ``assemble`` or
-    ``degenerate_two_source`` builds it.  s = 3: the a = 3 partition, maybe
-    shortened by up to three positions outside the stack's pivot columns
-    (so the code is not perfect and has syndromes outside the image of S),
-    direct, or relaxed with C_i = A_i row_basis(Q_i) for random invertible
-    A_i.  s = 2: a random surjective H with distinct nonzero columns, not
-    perfect unless H is a whole Hamming matrix."""
+    """A bundle whose sections certify its code, built by ``assemble``.
+    s = 3: the a = 3 partition, maybe shortened by up to three positions
+    outside the stack's pivot columns (so the code is not perfect and has
+    syndromes outside the image of S), direct, or relaxed with C_i = A_i
+    row_basis(Q_i) for random invertible A_i.  s = 2: a random surjective
+    H with distinct nonzero columns, both blocks H and both C_i its row
+    basis, not perfect unless H is a whole Hamming matrix."""
     if kind == "trivial":
         P = hcms.hamming_matrix(2)
         return ghcms.ghcms_build(tuple(P.take_cols(j, j + 1) for j in range(3)))
@@ -198,7 +198,8 @@ def random_bundle(kind: str, rng: np.random.Generator) -> hcms.Bundle:
             H = distinct_columns(mn, n, rng)
             if gf2.rank(H) == mn:
                 break
-        return ghcms.degenerate_two_source(H, g_split=random_split(n - mn, 2, rng))
+        C = gf2.row_basis(H)
+        return hcms.assemble((H, H), (C, C), random_split(n - mn, 2, rng), None)
     dropped = int(rng.integers(4))
     keep = np.concatenate([np.arange(12), np.sort(rng.permutation(np.arange(12, 21))[dropped:])])
     Q = tuple(matrix(Qi.to_array()[:, keep]) for Qi in A3)

@@ -76,7 +76,7 @@ def test_shift_rejects_bad_decompositions(bundle_a3, rng):
 def test_rate_trading_to_symmetric(rng):
     """Reallocating common null-space dimensions trades rates: the one-sided
     split (15,6,6) moves to the symmetric (9,9,9) in two 3-dim steps."""
-    asym = hcms.hcms_a3(g_split=(9, 0, 0)).code
+    asym = hcms.hcms_for_a(3, g_split=(9, 0, 0)).code
     assert asym.m == (15, 6, 6)
     pa = equiv.profile(asym)
     Ka = gf2.random_subspace_of(gf2.subspace_intersect(pa[1], pa[2]), 3, rng)
@@ -247,7 +247,7 @@ def test_reduce_trivial_yields_trivial_bundle(trivial_code):
     bundle = equiv.reduce_to_ghcms(trivial_code)
     assert [C.to_array().tolist() for C in bundle.C] == [[[1]], [[1]], [[1]]]
     assert bundle.code.m == (1, 1, 1)
-    assert bundle.perfect and codec.is_perfect(bundle.code)
+    assert codec.is_perfect(bundle.code)
 
 
 def test_reduce_shifted_hcms(bundle_a3, rng):
@@ -256,7 +256,7 @@ def test_reduce_shifted_hcms(bundle_a3, rng):
     K, r, d = random_valid_shift(code, prof, rng)
     shifted = equiv.shift_null_space(code, K, r, d)
     bundle, report = equiv.reduce_with_report(shifted)
-    assert bundle.perfect and codec.is_perfect(bundle.code)
+    assert codec.is_perfect(bundle.code)
     assert equiv.profile(bundle.code) == equiv.profile(equiv.normalize_profile(shifted))
     assert report.perfect
     for _ in range(50):
@@ -291,7 +291,7 @@ def test_reduce_computes_each_fact_once(bundle_a3, monkeypatch):
     monkeypatch.setattr(equiv, "is_perfect", counting_perfect)
     monkeypatch.setattr(codec, "_particular_solution", no_solution)
     bundle, report = equiv.reduce_with_report(shifted)
-    assert report.perfect and bundle.perfect
+    assert report.perfect and sources.is_perfect_params(bundle.s, bundle.n, bundle.M)
     assert [null_calls[id(H)] for H in shifted.matrices] == [1, 1, 1]
     assert perfect_calls[id(shifted)] == 1
     assert set(perfect_calls.values()) == {1}
@@ -324,7 +324,7 @@ def test_reduce_reads_the_partition_off_the_plan(bundle_a3, monkeypatch):
     monkeypatch.setattr(equiv, "null_space", watched_null)
     monkeypatch.setattr(equiv, "lift_to_two_source", no_fold)
     bundle, report = equiv.reduce_with_report(shifted)
-    assert report.perfect and bundle.perfect
+    assert report.perfect and sources.is_perfect_params(bundle.s, bundle.n, bundle.M)
     assert plan_widths and set(plan_widths) == {21}
     assert null_widths and max(null_widths) <= 21
 
@@ -360,7 +360,7 @@ def test_reduce_runs_at_most_21_eliminations(
     code = codec.make_code(shifted(perfect, np.random.default_rng(1)).matrices)
     calls = _count_eliminations(monkeypatch)
     bundle, report = equiv.reduce_with_report(code)
-    assert report.perfect and bundle.perfect
+    assert report.perfect and sources.is_perfect_params(bundle.s, bundle.n, bundle.M)
     assert len(calls) == 5 if a == "pair" else 0 < len(calls) <= 21
 
 
@@ -371,7 +371,7 @@ def test_reduce_a5_holds_at_most_1836_pivots(bundle_a5, monkeypatch):
     code = codec.make_code(shifted(bundle_a5.code, np.random.default_rng(1)).matrices)
     calls = _count_eliminations(monkeypatch)
     bundle, report = equiv.reduce_with_report(code)
-    assert report.perfect and bundle.perfect
+    assert report.perfect and sources.is_perfect_params(bundle.s, bundle.n, bundle.M)
     assert sum(pivots for _, pivots in calls) <= 1836
 
 
@@ -391,7 +391,7 @@ def test_shifting_runs_14_eliminations(a, bundle_a3, bundle_a4, bundle_a5, monke
 def _reduce_with(monkeypatch, name, damage, call):
     """reduce_with_report of a shifted a = 3 code, with equiv's ``name``
     replaced by a wrapper that damages its result of the given call."""
-    code = shifted(hcms.hcms_a3().code, np.random.default_rng(1))
+    code = shifted(hcms.hcms_for_a(3).code, np.random.default_rng(1))
     real = getattr(equiv, name)
     calls = []
 
@@ -469,7 +469,7 @@ def test_each_decomposition_check_fires_on_a_damaged_intermediate(
     assert str(exc.value) == message
 
 
-_A3 = hcms.hcms_a3().code
+_A3 = hcms.hcms_for_a(3).code
 _A3_PROFILE = equiv.profile(_A3)
 
 
@@ -536,7 +536,7 @@ def test_reduce_recovers_every_equivalent_of_a_direct_hcms(case):
     # flipped bit that breaks perfectness makes reduce refuse the code
     code, (i, row, col), seed = case
     bundle, _ = equiv.reduce_with_report(code)
-    assert bundle.perfect and codec.is_perfect(bundle.code)
+    assert codec.is_perfect(bundle.code)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "reduced.txt"
         bundleio.write_bundle(path, bundle)
@@ -559,9 +559,9 @@ def test_reduce_recovers_every_equivalent_of_a_direct_hcms(case):
 
 
 def test_reduce_asymmetric_split(rng):
-    asym = hcms.hcms_a3(g_split=(9, 0, 0)).code
+    asym = hcms.hcms_for_a(3, g_split=(9, 0, 0)).code
     bundle = equiv.reduce_to_ghcms(asym)
-    assert bundle.perfect and codec.is_perfect(bundle.code)
+    assert codec.is_perfect(bundle.code)
     for _ in range(30):
         x = sources.random_member(3, 21, rng)
         assert ghcms.ghcms_decode(bundle, codec.encode(bundle.code, x)) == x
@@ -570,7 +570,7 @@ def test_reduce_asymmetric_split(rng):
 def test_reduce_two_source(pair_n7):
     bundle, report = equiv.reduce_with_report(pair_n7)
     assert bundle.s == 2
-    assert bundle.perfect and codec.is_perfect(bundle.code)
+    assert codec.is_perfect(bundle.code)
     assert sorted(hcms._column_values(bundle.Q[0])) == list(range(1, 8))
     assert bundle.Q[0] == bundle.Q[1]
 

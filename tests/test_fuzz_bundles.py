@@ -42,7 +42,7 @@ def bundle_texts(tmp_path_factory) -> dict[str, str]:
     the 3-bit Hamming matrix."""
     P = hcms.hamming_matrix(2)
     bundles = {
-        "a3": hcms.hcms_a3(),
+        "a3": hcms.hcms_for_a(3),
         "trivial": ghcms.ghcms_build(tuple(P.take_cols(j, j + 1) for j in range(3))),
         "relaxed": relaxed_a3(np.random.default_rng(5)),
         "pair": ghcms.degenerate_two_source(hcms.hamming_matrix(3)),

@@ -30,7 +30,7 @@ mutations = st.lists(
 
 @pytest.fixture(scope="module")
 def code_text() -> bytes:
-    return codec.format_code(hcms.hcms_a3().code).encode()
+    return codec.format_code(hcms.hcms_for_a(3).code).encode()
 
 
 def _header_lines(lines: list[bytes]) -> list[int]:

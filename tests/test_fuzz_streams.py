@@ -30,7 +30,7 @@ def inputs(tmp_path_factory):
     """The a = 3 bundle and plain code files, and a source and a syndrome
     group file of a few members."""
     root = tmp_path_factory.mktemp("fuzz")
-    bundle = hcms.hcms_a3()
+    bundle = hcms.hcms_for_a(3)
     bundleio.write_bundle(root / "bundle.txt", bundle)
     bundleio.write_code_file(root / "code.txt", bundle.code)
     rng = np.random.default_rng(11)

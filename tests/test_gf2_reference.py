@@ -3,7 +3,8 @@ parser of code and bundle files) and matrix product against the loop
 implementations they replaced, the sums and intersections that choose
 between a subspace's basis and check against the basis-only routes they
 replaced, ``row_basis_transforms``
-against the larger elimination it replaced, the int-backed ``BitVector``
+against the larger elimination it replaced, ``row_basis_and_transforms``
+against the two calls it stands for, the int-backed ``BitVector``
 against the words-backed one it replaced, and the two-phase elimination
 (echelon form, then back-substitution) against the one-pass Gauss-Jordan
 loop it replaced, kept here as references."""
@@ -471,6 +472,38 @@ def test_row_basis_transforms_matches_reference(pair):
     assert (C, D) == want
     assert C @ B == A
     assert D @ A == B
+
+
+@st.composite
+def one_elimination_inputs(draw):
+    """A of 0-8 rows in 0-140 columns: of full row rank, rank deficient (a
+    product through fewer rows), or independent rows among zero rows."""
+    n = draw(widths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full", "deficient", "zero rows"]))
+    rows = draw(st.integers(0 if kind == "full" else 1, 8))
+    rank = rows if kind == "full" else draw(st.integers(0, rows - 1))
+    rank = min(rank, n)
+    span = gf2.random_matrix(rank, n, rng)
+    while gf2.rank(span) < rank:
+        span = gf2.random_matrix(rank, n, rng)
+    if kind == "deficient":
+        return gf2.random_matrix(rows, rank, rng) @ span
+    if kind == "full":
+        return span
+    # rank nonzero rows of full rank, the other rows zero, in random order
+    bits = np.zeros((rows, n), dtype=np.uint8)
+    bits[rng.permutation(rows)[:rank]] = span.to_array()
+    return BitMatrix.from_bits(bits)
+
+
+@given(one_elimination_inputs())
+@settings(max_examples=200, deadline=None)
+def test_row_basis_and_transforms_matches_its_two_calls(A):
+    # the one elimination of [A | I] gives, bit for bit, the row basis and
+    # the transforms that row_basis and row_basis_transforms give
+    B = gf2.row_basis(A)
+    assert gf2.row_basis_and_transforms(A) == (B, *gf2.row_basis_transforms(A, B))
 
 
 @given(nested_subspaces())

@@ -27,7 +27,6 @@ def test_trivial_bundle_counting(trivial_bundle):
     b = trivial_bundle
     assert b.d == (1, 1, 1)
     assert sum(b.d) + (b.n - b.Y.rows) == b.M == 3
-    assert b.perfect
     assert codec.is_perfect(b.code)
 
 
@@ -41,7 +40,7 @@ def test_full_rank_blocks_reduce_to_direct_construction(bundle_a3):
     # with full-rank Q_i the canonical row bases span the same rows, so the
     # relaxed code's null spaces equal the direct code's terminal by terminal
     g = ghcms.ghcms_build(bundle_a3.Q)
-    assert g.perfect and codec.is_perfect(g.code)
+    assert codec.is_perfect(g.code)
     for direct, relaxed in zip(bundle_a3.code.matrices, g.code.matrices):
         assert gf2.null_space(direct) == gf2.null_space(relaxed)
     # same T falls out of the pivot structure
@@ -96,7 +95,6 @@ def test_compressible_even_when_not_perfect():
     )
     bundle = ghcms.ghcms_build(Q)
     assert codec.is_compressible(bundle.code)
-    assert not bundle.perfect
     assert bundle.M > 9  # the packing-equality rate is unattainable here
     assert not codec.is_perfect(bundle.code)
     for x in sources.enumerate_hamming_sources(3, 5):
@@ -109,7 +107,7 @@ def test_randomized_partition_with_scattered_pivots(rng):
     Q = hcms.random_sum_zero_partition(3, 6, rng)
     assert Q is not None
     g = ghcms.ghcms_build(Q)
-    assert g.perfect and codec.is_perfect(g.code)
+    assert codec.is_perfect(g.code)
     for _ in range(50):
         x = sources.random_member(3, 21, rng)
         assert ghcms.ghcms_decode(g, codec.encode(g.code, x)) == x
@@ -121,15 +119,15 @@ def test_explicit_c_choices(bundle_a3):
         [[1 if j == (i + 1) % 6 else 0 for j in range(6)] for i in range(6)]
     )
     C_alt = tuple(perm @ Qi for Qi in bundle_a3.Q)
-    g = ghcms.ghcms_build(bundle_a3.Q, C_choices=C_alt)
-    assert g.perfect and codec.is_perfect(g.code)
+    g = hcms.assemble(bundle_a3.Q, C_alt, None, None)
+    assert codec.is_perfect(g.code)
 
 
 def test_degenerate_two_source_bundle():
     ham = hcms.hamming_matrix(3)
     b = ghcms.degenerate_two_source(ham)
     assert b.s == 2 and b.code.m == (7, 3)
-    assert b.perfect and codec.is_perfect(b.code)
+    assert codec.is_perfect(b.code)
     for x in sources.enumerate_hamming_sources(2, 7):
         assert ghcms.ghcms_decode(b, codec.encode(b.code, x)) == x
 

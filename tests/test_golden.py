@@ -70,7 +70,7 @@ PARTITION_DRAWS = {
 REDUCE_SEED = 7
 REDUCE_INPUTS = {
     "a3": (
-        lambda: hcms.hcms_a3().code,
+        lambda: hcms.hcms_for_a(3).code,
         "159c0c8d2d28a745b0ff82b32fbf47fdfac7fa072e145aa52a4671f02290e44e",
     ),
     "a4": (

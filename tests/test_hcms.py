@@ -47,10 +47,10 @@ def test_base_partition_is_hamming():
 
 def test_base_partition_pivots():
     Q1, Q2, _ = hcms.a3_partition()
-    _, pivots = gf2.rref(gf2.vstack([Q1, Q2]))
+    pivots = gf2.pivot_columns(gf2.vstack([Q1, Q2]))
     assert pivots == list(range(12))
     # the 12-column truncations stack to a full-rank square matrix
-    _, piv12 = gf2.rref(gf2.vstack([Q1.take_cols(0, 12), Q2.take_cols(0, 12)]))
+    piv12 = gf2.pivot_columns(gf2.vstack([Q1.take_cols(0, 12), Q2.take_cols(0, 12)]))
     assert piv12 == list(range(12))
 
 
@@ -87,7 +87,7 @@ def test_a3_bundle(bundle_a3):
 
 
 def test_a3_void_split():
-    b = hcms.hcms_a3(g_split=(9, 0, 0))
+    b = hcms.hcms_for_a(3, g_split=(9, 0, 0))
     assert b.code.m == (15, 6, 6)
     assert b.G[1].rows == 0 and b.G[2].rows == 0
     assert codec.is_perfect(b.code)
@@ -110,7 +110,7 @@ def test_from_parts_rejections():
     # a completion that cannot make R invertible
     T = gf2.BitMatrix.zeros(9, 21)
     with pytest.raises(RNotInvertibleError):
-        hcms.hcms_from_parts([Q1, Q2, Q3], T=T)
+        hcms.assemble((Q1, Q2, Q3), None, None, T)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_lift_preserves_invariants():
     A, B, C = hcms.lift_partition(*hcms.a3_partition())
     assert (A + B + C).is_zero()
     assert sorted(hcms._column_values(gf2.hstack([A, B, C]))) == list(range(1, 256))
-    _, pivots = gf2.rref(gf2.vstack([A, B]))
+    pivots = gf2.pivot_columns(gf2.vstack([A, B]))
     assert pivots == list(range(16))
 
 

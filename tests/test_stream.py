@@ -4,7 +4,7 @@ The CLI streams group files through ``sources.iter_bit_chunks``,
 ``codec.encode_batch`` and the code's decoder (``codec.decoder``), for
 bundle and plain code files alike.  Its output files must be
 byte-identical to what the per-tuple functions give: ``codec.encode``,
-``hcms_decode``/``ghcms_decode`` or the syndrome-table oracle's
+``hcms_decode`` or the syndrome-table oracle's
 ``DecodeTable.decode``, formatted by ``sources.format_tuples``.
 """
 
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from decode_oracle import DecodeTable
 from helpers import shifted
-from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
+from swhamming import bundleio, cli, codec, equiv, gf2, hcms, sources
 from swhamming.errors import NotInImageError
 
 # the CLI's tuples per chunk in these tests, set through sources.CHUNK_BITS
@@ -43,7 +43,7 @@ def bundle_files(tmp_path_factory, bundle_a3, pair_n7):
     root = tmp_path_factory.mktemp("bundles")
     made = {
         "hcms": bundle_a3,
-        "ghcms": equiv.reduce_to_ghcms(hcms.hcms_a3(g_split=(9, 0, 0)).code),
+        "ghcms": equiv.reduce_to_ghcms(hcms.hcms_for_a(3, g_split=(9, 0, 0)).code),
         "ghcms_s2": equiv.reduce_to_ghcms(pair_n7),
     }
     out = {}
@@ -51,11 +51,7 @@ def bundle_files(tmp_path_factory, bundle_a3, pair_n7):
         path = root / f"{kind}.txt"
         bundleio.write_bundle(path, bundle)
         loaded = bundleio.build_bundle(bundleio.read_file(path))
-        if isinstance(loaded, ghcms.GhcmsBundle):
-            decode = lambda y, b=loaded: ghcms.ghcms_decode(b, y)
-        else:
-            decode = lambda y, b=loaded: hcms.hcms_decode(b, y)
-        out[kind] = (path, loaded.code, decode)
+        out[kind] = (path, loaded.code, lambda y, b=loaded: hcms.hcms_decode(b, y))
     path = root / "code.txt"
     bundleio.write_code_file(path, pair_n7)
     out["code"] = (path, pair_n7, DecodeTable(pair_n7).decode)

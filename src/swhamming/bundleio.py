@@ -10,7 +10,7 @@ whether the bundle has them, never on their values.
 Of those sections a file chooses only E_i, Y and D_i, in the relaxed
 form; the code fixes the others, which :class:`Bundle` derives.
 :func:`build_bundle` loads either form into one :class:`Bundle`, relaxed
-when the file has ``C_1``.  It checks the shapes of the chosen sections
+when the file has any of these.  It checks the shapes of the chosen sections
 (E_i with d_i <= m_i columns and as many rows as E_1, D_i d_i x that, Y
 making R n x n) or, in the direct form, that 1 <= M - n <= m_i.  It then
 compares each other section with the one the bundle derives: first G_i
@@ -237,12 +237,8 @@ def _parse(data: bytearray) -> ParsedFile:
         if label in sections:
             raise lines.error(k, f"duplicate section {label!r}")
         sections[label] = lines.matrix(f"section {label}: ")
-    if not sections:
-        kind = "code"
-    elif "C_1" in sections:
-        kind = "ghcms"
-    else:
-        kind = "hcms"
+    relaxed = any(label == "Y" or label[:2] in ("E_", "D_") for label in sections)
+    kind = "ghcms" if relaxed else "hcms" if sections else "code"
     return ParsedFile(kind=kind, code=code, sections=sections)
 
 
@@ -285,9 +281,9 @@ _MISMATCH = {
 
 
 def build_bundle(parsed: ParsedFile) -> Bundle:
-    """The bundle of a parsed file, relaxed when it has a ``C_1`` section,
-    once its sections are those the bundle derives (see the module
-    docstring)."""
+    """The bundle of a parsed file, relaxed when it has an ``E_i``, ``D_i``
+    or ``Y`` section, once its sections are those the bundle derives (see
+    the module docstring)."""
     code = parsed.code
     s, n, m = code.s, code.n, code.m
     chosen = {}

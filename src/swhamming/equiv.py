@@ -5,9 +5,9 @@ its null spaces (its profile): the sumset criterion in :mod:`codec`
 references nothing else.  Shifting a common subspace K between terminals'
 null spaces preserves compressibility and perfectness, which induces the
 equivalence relation under which every perfect code reduces to the
-row-basis relaxed construction: normalize the profile, read the sum-zero
-partition off the plan that proves the normalized code perfect, and
-reassemble.
+row-basis relaxed construction: read the sum-zero partition off the plan
+that proves the code perfect (every equivalent code has the same one),
+normalize the profile, and reassemble.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .gf2 import (
     subspace_sum,
 )
 from .ghcms import degenerate_two_source
-from .hcms import Bundle, _column_values, assemble, validate_partition
-from .sources import hamming_source_size, is_perfect_params
+from .hcms import Bundle, _column_values, assemble
+from .sources import hamming_source_size
 
 __all__ = [
     "NullProfile",
@@ -123,11 +123,12 @@ def two_source_reduce(code: SwCode) -> tuple[BitMatrix, BitMatrix]:
 
 
 def _pair_partition(code: SwCode) -> BitMatrix:
-    """The Hamming partition of a perfect code: the canonical row basis of its
-    plan's key matrix K = F J, J = diag(H_1, ..., H_s), or of K's first n
-    columns for s = 2.  Its null space is N_1 + N_2 for a pair (the blocks
-    of K are equal, as they sum to F A = 0), and null X + null J for the
-    pair (X, J) that :func:`lift_to_two_source` folds an s > 2 code into:
+    """The Hamming partition of a perfect code, and of every code
+    equivalent to it (see :func:`reduce_with_report`): the canonical row
+    basis of its plan's key matrix K = F J, J = diag(H_1, ..., H_s), or of
+    K's first n columns for s = 2.  Its null space is N_1 + N_2 for a pair
+    (K's blocks are equal, as they sum to F A = 0), and null X + null J
+    for the pair (X, J) that :func:`lift_to_two_source` folds a code into:
     w is orthogonal to null X = {(v, ..., v)} iff its blocks sum to zero,
     w is in row J iff w = c J, and c J's blocks sum to c A, zero iff c is
     in row F.  It has M - n rows and nonzero, distinct columns."""
@@ -224,12 +225,12 @@ class ReduceReport:
     """Trace of the universality reduction for human-readable reports."""
 
     input_profile_dims: tuple[int, ...]
-    residual_dims: tuple[int, ...] = ()
-    normalized_profile_dims: tuple[int, ...] = ()
-    tail_intersection_dim: int | None = None
-    hamming_permutation: tuple[int, ...] = ()
-    output_rates: tuple[int, ...] = ()
-    perfect: bool = False
+    residual_dims: tuple[int, ...]
+    normalized_profile_dims: tuple[int, ...]
+    tail_intersection_dim: int | None
+    hamming_permutation: tuple[int, ...]
+    output_rates: tuple[int, ...]
+    perfect: bool
 
 
 def reduce_to_ghcms(code: SwCode) -> Bundle:
@@ -240,45 +241,52 @@ def reduce_to_ghcms(code: SwCode) -> Bundle:
 
 
 def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
+    """The bundle of :func:`reduce_to_ghcms` and the trace of its making.
+
+    The Hamming partition P is read off the input's plan, as normalization
+    keeps it.  Its row space is the complement of V = {(v, ..., v)} + N_1 x
+    ... x N_s.  Each R_i moved into terminal i lies in every other null
+    space, so r at terminal i is (r, ..., r) plus r at each other terminal,
+    in V.  So the normalized sum lies in V, and is V: both codes are
+    perfect with the same M, so both sums have dimension s n - (M - n)."""
     s, n = code.s, code.n
     if not is_perfect(code):
         raise NotPerfectError("input code is not a perfect compression")
+    P = _pair_partition(code)
     if s == 2:
-        # every coding matrix of a perfect code, the input's and the
-        # output's, has full row rank (see codec.is_perfect): its null
-        # space has dimension n - m_i
-        H2 = _pair_partition(code)
-        bundle = degenerate_two_source(H2)
-        report = ReduceReport(
-            input_profile_dims=tuple(n - mi for mi in code.m),
-            residual_dims=(n - code.m[1],),
-            normalized_profile_dims=tuple(n - mi for mi in bundle.code.m),
-            hamming_permutation=tuple(int(v) for v in np.argsort(_column_values(H2))),
-            output_rates=bundle.code.m,
-            perfect=is_perfect_params(2, n, bundle.M),
-        )
-        return bundle, report
+        bundle, residual_dims, tail_dim = degenerate_two_source(P), (n - code.m[1],), None
+    else:
+        bundle, residual_dims, tail_dim = _reassemble(code, P)
+    if (1 << bundle.M) != hamming_source_size(s, n):
+        raise DecompositionInvalidError("the reduced bundle must be perfect")
+    # a perfect code's coding matrices are surjective: null dims n - m_i
+    return bundle, ReduceReport(
+        input_profile_dims=tuple(n - mi for mi in code.m),
+        residual_dims=residual_dims,
+        normalized_profile_dims=tuple(n - mi for mi in bundle.code.m),
+        tail_intersection_dim=tail_dim,
+        hamming_permutation=tuple(int(v) for v in np.argsort(_column_values(P))),
+        output_rates=bundle.code.m,
+        perfect=True,
+    )
 
+
+def _reassemble(code: SwCode, P: BitMatrix) -> tuple[Bundle, tuple[int, ...], int]:
+    """The relaxed bundle with partition P and the normalized profile of a
+    perfect code, s > 2, and the dims of its residuals and of the tail."""
+    s, n = code.s, code.n
     prof = profile(code)
-    report = ReduceReport(input_profile_dims=tuple(N.dim for N in prof))
     # the complement in N_(s-1) reads its basis; read first, it also meets
     # each other null space's check in the residuals, with canonical results
     prof[s - 1].basis
     residuals = residual_intersections(prof)
-    report.residual_dims = tuple(R.dim for R in residuals)
     norm_prof = _normalized(prof, residuals)
-    norm = code_from_profile(norm_prof)
-    report.normalized_profile_dims = tuple(N.dim for N in norm_prof)
     tail = functools.reduce(subspace_intersect, norm_prof[: s - 1])
     # the tail's check is the canonical row basis Y of the stack of the
     # normalized checks, and so of [Q_1; ...; Q_(s-1)] once their null
     # spaces are checked below
     Y = tail.check
-    report.tail_intersection_dim = tail.dim
-
-    P = _pair_partition(norm)
-    report.hamming_permutation = tuple(int(v) for v in np.argsort(_column_values(P)))
-
+    # with the checks of _pair_partition, a zero sum makes P a partition
     Q = tuple(P.take_cols(i * n, (i + 1) * n) for i in range(s))
     if not sum(Q[1:], Q[0]).is_zero():
         raise DecompositionInvalidError("partition blocks do not sum to zero")
@@ -309,7 +317,6 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
 
     A = complement(last, Subspace.full(n))
     T = matrix_with_null_space(subspace_sum(norm_prof[s - 1], A))
-    validate_partition(Q)
     g_split = (0,) * (s - 1) + (T.rows,)
     bundle = assemble(Q, C, g_split, T, Y=Y, E=E, D=D)
 
@@ -321,8 +328,4 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     for H, N in zip(bundle.code.matrices, norm_prof):
         if H.rows != n - N.dim or not Subspace(n, kernel_of=H).contains_subspace(N):
             raise DecompositionInvalidError("output profile must equal the normalized input's")
-    report.output_rates = bundle.code.m
-    report.perfect = is_perfect_params(s, n, bundle.M)
-    if (1 << sum(bundle.code.m)) != hamming_source_size(s, n):
-        raise DecompositionInvalidError("the reduced bundle must be perfect")
-    return bundle, report
+    return bundle, tuple(R.dim for R in residuals), tail.dim

@@ -100,7 +100,8 @@ def ref_parse_file(data: bytes) -> bundleio.ParsedFile:
             sections[label] = ref_parse_matrix(lines)
         except MalformedFileError as exc:
             raise MalformedFileError(f"section {label}: {exc}") from None
-    kind = "code" if not sections else "ghcms" if "C_1" in sections else "hcms"
+    relaxed = any(label == "Y" or label[:2] in ("E_", "D_") for label in sections)
+    kind = "ghcms" if relaxed else "hcms" if sections else "code"
     return bundleio.ParsedFile(kind=kind, code=code, sections=sections)
 
 

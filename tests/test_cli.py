@@ -711,7 +711,8 @@ def test_untampered_bundles_still_decode_and_verify(tmp_path, capsys, bundle_tex
     [
         ("direct", "Zed", "1 1\n1\n"),
         ("relaxed", "Zed", "1 1\n1\n"),
-        # a section of the relaxed form in a direct file (it has no C_1)
+        # a section of the relaxed form that the code fixes, in a direct file
+        # (it has no E_i, D_i or Y, which only the relaxed form chooses)
         ("direct", "C_2", gf2.format_matrix(gf2.BitMatrix.identity(6))),
     ],
 )
@@ -728,6 +729,32 @@ def test_section_outside_the_form_is_malformed(
     broken = _replace_section(extended, "R", _flip_first_bit)
     for code, err in _decode_and_verify(tmp_path, capsys, broken, synd):
         assert (code, err) == (2, f"error=MALFORMED_FILE {_R}\n")
+
+
+def _drop_section(text: str, label: str) -> str:
+    """The bundle text without section ``label``."""
+    lines = text.splitlines(keepends=True)
+    at = lines.index(label + "\n")
+    return "".join(lines[:at] + lines[at + 2 + int(lines[at + 1].split()[0]) :])
+
+
+@pytest.mark.parametrize(
+    "form, edit, missing",
+    [
+        # a relaxed file is known by its chosen sections, so the one it lacks
+        # is named, not the coding matrix that C_1 is compared with
+        ("relaxed", lambda text: _drop_section(text, "C_1"), "C_1"),
+        # a chosen section makes a direct file relaxed, and E_1 is then missing
+        ("direct", lambda text: text + "Y\n1 1\n1\n", "E_1"),
+        ("direct", lambda text: text + "D_2\n1 1\n1\n", "E_1"),
+        ("direct", lambda text: text + "E_2\n1 1\n1\n", "E_1"),
+    ],
+    ids=["relaxed-without-C_1", "direct-with-Y", "direct-with-D_2", "direct-with-E_2"],
+)
+def test_chosen_sections_decide_the_form(tmp_path, capsys, bundle_texts, form, edit, missing):
+    text, synd = bundle_texts[form]
+    for code, err in _decode_and_verify(tmp_path, capsys, edit(text), synd):
+        assert (code, err) == (2, f"error=MALFORMED_FILE missing section {missing!r}\n")
 
 
 _OUTSIDE_THE_MODEL = "need s >= 2 and n >= 1"

@@ -8,9 +8,10 @@ one chunk of ``encode_batch`` and of ``decode_batch`` at n = 85, as many
 tuples as ``sources.chunk_tuples`` gives the CLI there, plus three
 end-to-end operations (perfectness verification of the n = 341 code,
 its [A | I] elimination included, a batch of algebraic decodes and the
-construction of the a = 6 bundle, lifting chain included) and the byte
-parser of bundle files on the a = 5 bundle (``bundleio.read_file``,
-written to a temporary directory),
+construction of the a = 6 bundle, lifting chain included), the byte
+parser of bundle files on the a = 5 bundle (``bundleio.read_file``) and
+the writer and the loader (parse and load-time checks) of the a = 6
+bundle file, each file in a temporary directory,
 and prints the fastest of ``--repeat`` runs of each.  Run with ``python
 benchmarks/bench_kernels.py``.  The matrix product goes through numpy's
 float32 matmul, so its time depends on the BLAS numpy links and on how
@@ -39,8 +40,8 @@ def best_of(fn, repeat: int) -> float:
 
 
 def make_cases(rng: np.random.Generator, workdir: Path | None = None):
-    """(name, function) of each case; the ``read_file`` case only with a
-    ``workdir`` to write its bundle to."""
+    """(name, function) of each case; the bundle file cases only with a
+    ``workdir`` to write their bundles to."""
     rref_m = gf2.random_matrix(341, 682, rng)
     mm_a = gf2.random_matrix(341, 341, rng)
     mm_b = gf2.random_matrix(341, 341, rng)
@@ -120,7 +121,20 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         def bench_read_file():
             bundleio.read_file(path)
 
-        cases.append(("read_file a=5", bench_read_file))
+        path6 = Path(workdir) / "gen_a6.txt"
+        bundleio.write_bundle(path6, bundle6)
+
+        def bench_write_bundle():
+            bundleio.write_bundle(path6, bundle6)
+
+        def bench_read_build():
+            bundleio.build_bundle(bundleio.read_file(path6))
+
+        cases += [
+            ("read_file a=5", bench_read_file),
+            ("write_bundle a=6", bench_write_bundle),
+            ("read+build a=6", bench_read_build),
+        ]
     return cases
 
 

@@ -1,38 +1,50 @@
-"""Bundle files: the plain code format plus labelled matrix sections.
+"""Bundle files: the plain code format, marked, plus labelled matrix sections.
 
 A plain code file is ``s n``, then ``m_1 ... m_s``, then the s coding
-matrices in the shared text format.  A bundle file appends labelled
-sections (a bare label line, then a matrix): ``P``, ``Q_i``, ``T``,
-``G_i``, ``R``, and for a relaxed bundle (``E`` set) also ``C_i``, ``Y``,
-``D_i``, ``E_i``.  Whether those sections are written depends only on
-whether the bundle has them, never on their values.
+matrices in the shared text format.  Labelled sections follow it, each a
+bare label line and then a matrix.  Of the sections a bundle has, it
+chooses only E_i, Y and D_i, in the relaxed form; the code fixes the
+others (``P``, ``Q_i``, ``T``, ``G_i``, ``R``, and in the relaxed form
+``C_i``), which :class:`Bundle` derives.  So :func:`write_bundle` writes a
+first line ``bundle direct`` or ``bundle relaxed``, the plain code, and,
+in the relaxed form, ``Y``, ``D_i`` and ``E_i``.  The marker tells a
+direct bundle, which chooses nothing, from a plain code file: ``verify``
+reads a bundle's plan off its sections and judges a plain code by
+elimination.
 
-Of those sections a file chooses only E_i, Y and D_i, in the relaxed
-form; the code fixes the others, which :class:`Bundle` derives.
-:func:`build_bundle` loads either form into one :class:`Bundle`, relaxed
-when the file has any of these.  It checks the shapes of the chosen sections
-(E_i with d_i <= m_i columns and as many rows as E_1, D_i d_i x that, Y
-making R n x n) or, in the direct form, that 1 <= M - n <= m_i.  It then
-compares each other section with the one the bundle derives: first G_i
-and C_i (Q_i in the direct form), read off coding matrix i, whose
-mismatch is ``coding matrix i is not [G_i; C_i]``; then, in the relaxed
-form, Q_i = E_i C_i, whose mismatch names E_i; then the rest in file
-order, each mismatch naming the equation it breaks.  Last come D_i Q_i =
-C_i, Y a row basis of the stack (both MALFORMED_FILE) and R invertible
-(R_NOT_INVERTIBLE otherwise), and then that the file has no section its
-form lacks (MALFORMED_FILE, ``section 'Zed' is not part of a direct
-bundle``).  The checked bundle is attached to its code, whose plan is
-then read off the sections when they certify the code
-(:meth:`codec.CodePlan.from_bundle`).  Properties of the construction
-itself (partition validity, perfectness) belong to ``verify``.
+The reader also takes full files without a marker, which carry every
+section: such a file is relaxed when it has any of E_i, D_i or Y, and
+must have every section of its form.  A marked file has its form from
+the marker.  It is refused (MALFORMED_FILE, naming the file line) when
+the marker's form word is neither ``direct`` nor ``relaxed``, when a
+``bundle direct`` file has a Y, E_i or D_i section, and when a ``bundle
+relaxed`` file lacks one of Y, D_i and E_i.  It may carry derived
+sections too, which are then checked as in a full file.
 
-Both forms are read as bytes (:func:`read_file`).
+:func:`build_bundle` loads either form into one :class:`Bundle`.  It
+checks the shapes of the chosen sections (E_i with d_i <= m_i columns and
+as many rows as E_1, D_i d_i x that, Y making R n x n) or, in the direct
+form, that 1 <= M - n <= m_i.  It then compares each derived section the
+file has with the one the bundle derives: first G_i and C_i (Q_i in the
+direct form), read off coding matrix i, whose mismatch is ``coding matrix
+i is not [G_i; C_i]``; then, in the relaxed form, Q_i = E_i C_i, whose
+mismatch names E_i; then the rest in file order, each mismatch naming the
+equation it breaks.  Last come D_i Q_i = C_i, Y a row basis of the stack
+(both MALFORMED_FILE) and R invertible (R_NOT_INVERTIBLE otherwise), and
+then that the file has no section its form lacks (MALFORMED_FILE,
+``section 'Zed' is not part of a direct bundle``).  The checked bundle is
+attached to its code, whose plan is then read off the sections when they
+certify the code (:meth:`codec.CodePlan.from_bundle`).  Properties of the
+construction itself (partition validity, perfectness) belong to
+``verify``.
+
+Every file is read as bytes (:func:`read_file`).
 Lines end in LF, CRLF or a lone CR, as in group files; the other
 characters that ``str.splitlines`` breaks at (``\\v``, ``\\f``,
-``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029) are whitespace here.  Header
-and label lines are few: each is decoded as UTF-8 (a bad byte becomes
-U+FFFD, which no header or label accepts) and read by the ``str`` rules
-of ``split``, ``int`` and ``strip``.  A matrix is a ``rows cols`` header
+``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029) are whitespace here.  Marker,
+header and label lines are few: each is decoded as UTF-8 (a bad byte
+becomes U+FFFD, which none of them accepts) and read by the ``str``
+rules of ``split``, ``int`` and ``strip``.  A matrix is a ``rows cols`` header
 line, then ``rows`` lines each of exactly ``cols`` ASCII ``0``/``1``
 once the whitespace that ``str.strip`` removes is stripped; its body is
 checked and packed with whole-array operations over the one line scan
@@ -69,35 +81,45 @@ class ParsedFile:
     kind: str  # "code" | "hcms" | "ghcms"
     code: SwCode
     sections: dict[str, BitMatrix]
+    # the file starts with a form marker: it needs only its chosen sections
+    marked: bool = False
 
 
-def _sections(bundle: Bundle):
-    """(label, matrix) of each section, in file order."""
-    yield "P", bundle.P
-    yield from ((f"Q_{i}", Qi) for i, Qi in enumerate(bundle.Q, 1))
-    yield "T", bundle.T
-    yield from ((f"G_{i}", Gi) for i, Gi in enumerate(bundle.G, 1))
-    yield "R", bundle.R
-    if bundle.E is not None:
-        yield from ((f"C_{i}", Ci) for i, Ci in enumerate(bundle.C, 1))
-        yield "Y", bundle.Y
-        yield from ((f"D_{i}", Di) for i, Di in enumerate(bundle.D, 1))
-        yield from ((f"E_{i}", Ei) for i, Ei in enumerate(bundle.E, 1))
+#: a marker's form word -> the kind of its file
+_FORMS = {"direct": "hcms", "relaxed": "ghcms"}
 
 
-def _bundle_text(bundle: Bundle):
-    """The bundle file in pieces: the plain code, then a label line and a
-    matrix per section."""
-    yield format_code(bundle.code)
-    for label, M in _sections(bundle):
-        yield label + "\n"
-        yield format_matrix(M)
+def _labels(s: int, relaxed: bool) -> tuple[list[str], list[str]]:
+    """The labels of the sections a bundle's code fixes and of those it
+    chooses, each in file order; a full file has the first, then the
+    second."""
+    def indexed(name):
+        return [f"{name}_{i}" for i in range(1, s + 1)]
+
+    fixed = ["P", *indexed("Q"), "T", *indexed("G"), "R"]
+    if not relaxed:
+        return fixed, []
+    return fixed + indexed("C"), ["Y", *indexed("D"), *indexed("E")]
+
+
+def _matrix(bundle: Bundle, label: str) -> BitMatrix:
+    """The section ``label`` of ``bundle``: the field or derived section
+    of that name, indexed from 1 after an underscore."""
+    name, _, i = label.partition("_")
+    M = getattr(bundle, name)
+    return M[int(i) - 1] if i else M
 
 
 def write_bundle(path: str | Path, bundle: Bundle) -> None:
-    # piece by piece, so at most one matrix's text is held at a time
+    """The marker of the bundle's form, its code, then a label line and a
+    matrix per chosen section."""
+    relaxed = bundle.E is not None
     with open(path, "w") as fh:
-        fh.writelines(_bundle_text(bundle))
+        fh.write(f"bundle {'relaxed' if relaxed else 'direct'}\n")
+        fh.write(format_code(bundle.code))
+        for label in _labels(bundle.s, relaxed)[1]:
+            fh.write(label + "\n")
+            fh.write(format_matrix(_matrix(bundle, label)))
 
 
 def write_code_file(path: str | Path, code: SwCode) -> None:
@@ -197,21 +219,34 @@ class _Lines:
         return BitMatrix(rows, cols, words.view(np.uint64))
 
 
+def _marker(lines: _Lines) -> str | None:
+    """The form that a bundle file's first line names, the cursor then
+    past it; None when the file starts with its code."""
+    words = lines.line(0).split() if lines.count else []
+    if not words or words[0] != "bundle":
+        return None
+    lines.at = 1
+    if len(words) != 2 or words[1] not in _FORMS:
+        got = _echo(lines.line(0).strip())
+        raise lines.error(0, f"expected 'bundle direct' or 'bundle relaxed', got {got}")
+    return words[1]
+
+
 def _parse_code(lines: _Lines) -> SwCode:
-    """The plain code at the start of a file."""
-    k = 0  # the line read
+    """The plain code at the cursor."""
+    top = k = lines.at  # the line read
     try:
         s, n = (int(t) for t in lines.take().split())
-        k = 1
+        k = top + 1
         m = tuple(int(t) for t in lines.take().split())
     except (EOFError, ValueError):
         raise lines.error(k, "expected 's n' and 'm_1 ... m_s' header lines") from None
     if s < 2 or n < 1:
-        raise lines.error(0, f"code header 's n' is '{s} {n}': need s >= 2 and n >= 1")
+        raise lines.error(top, f"code header 's n' is '{s} {n}': need s >= 2 and n >= 1")
     if len(m) != s:
-        raise lines.error(1, f"expected {s} syndrome lengths, got {len(m)}")
+        raise lines.error(top + 1, f"expected {s} syndrome lengths, got {len(m)}")
     if n > MAX_N:
-        raise lines.error(0, f"code header 's n' is '{s} {n}': need n <= {MAX_N}")
+        raise lines.error(top, f"code header 's n' is '{s} {n}': need n <= {MAX_N}")
     mats = []
     for mi in m:
         k = lines.at
@@ -222,9 +257,14 @@ def _parse_code(lines: _Lines) -> SwCode:
     return SwCode(tuple(mats))
 
 
+def _is_chosen(label: str) -> bool:
+    return label == "Y" or label[:2] in ("E_", "D_")
+
+
 def _parse(data: bytearray) -> ParsedFile:
     """Parse a line end followed by the bytes of a code or bundle file."""
     lines = _Lines(data)
+    form = _marker(lines)
     code = _parse_code(lines)
     sections: dict[str, BitMatrix] = {}
     while lines.at < lines.count:
@@ -236,10 +276,18 @@ def _parse(data: bytearray) -> ParsedFile:
             raise lines.error(k, f"expected a section label, got {label!r}")
         if label in sections:
             raise lines.error(k, f"duplicate section {label!r}")
+        if form == "direct" and _is_chosen(label):
+            raise lines.error(k, f"section {label!r} is not part of a direct bundle")
         sections[label] = lines.matrix(f"section {label}: ")
-    relaxed = any(label == "Y" or label[:2] in ("E_", "D_") for label in sections)
-    kind = "ghcms" if relaxed else "hcms" if sections else "code"
-    return ParsedFile(kind=kind, code=code, sections=sections)
+    if form is None:
+        relaxed = any(_is_chosen(label) for label in sections)
+        kind = "ghcms" if relaxed else "hcms" if sections else "code"
+        return ParsedFile(kind=kind, code=code, sections=sections)
+    if form == "relaxed":
+        for label in _labels(code.s, True)[1]:
+            if label not in sections:
+                raise lines.error(0, f"missing section {label!r} of a relaxed bundle")
+    return ParsedFile(kind=_FORMS[form], code=code, sections=sections, marked=True)
 
 
 def read_file(path: str | Path) -> ParsedFile:
@@ -281,9 +329,10 @@ _MISMATCH = {
 
 
 def build_bundle(parsed: ParsedFile) -> Bundle:
-    """The bundle of a parsed file, relaxed when it has an ``E_i``, ``D_i``
-    or ``Y`` section, once its sections are those the bundle derives (see
-    the module docstring)."""
+    """The bundle of a parsed bundle file, in the form its marker names or,
+    unmarked, relaxed when it has an ``E_i``, ``D_i`` or ``Y`` section, once
+    the sections it has are those the bundle derives (see the module
+    docstring)."""
     code = parsed.code
     s, n, m = code.s, code.n, code.m
     chosen = {}
@@ -301,12 +350,14 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
     bundle = Bundle(code, **chosen)
     # the sections read straight off the coding matrices first, so that a
     # damaged coding matrix is named as such, not as a section it feeds,
-    # then Q_i = E_i C_i, so that a damaged E_i is named, not P
+    # then Q_i = E_i C_i, so that a damaged E_i is named, not P; a marked
+    # file is compared only on the sections it has
     off_code = ("G", "C" if chosen else "Q")
-    for label, derived in sorted(
-        _sections(bundle), key=lambda sec: (sec[0][0] not in off_code, sec[0][0] != "Q")
-    ):
-        if _section(parsed, label) != derived:
+    fixed, picked = _labels(s, bool(chosen))
+    for label in sorted(fixed, key=lambda label: (label[0] not in off_code, label[0] != "Q")):
+        if parsed.marked and label not in parsed.sections:
+            continue
+        if _section(parsed, label) != _matrix(bundle, label):
             name = "G" if label[0] in off_code else label[0]
             raise MalformedFileError(_MISMATCH[name].format(i=label[2:]))
     if chosen:
@@ -318,7 +369,7 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
         except ValueError as exc:
             raise MalformedFileError(f"Y section is not a row basis of the stack: {exc}")
     bundle.R_inv  # raises RNotInvertible when the stored R is singular
-    known = {label for label, _ in _sections(bundle)}
+    known = {*fixed, *picked}
     for label in parsed.sections:
         if label not in known:
             form = "relaxed" if chosen else "direct"

@@ -226,6 +226,9 @@ class ReduceReport:
 
     input_profile_dims: tuple[int, ...]
     residual_dims: tuple[int, ...]
+    # the null dims of the output's code: for s > 2 those of
+    # normalize_profile's code; for s = 2 their mirror, since terminal 1
+    # takes the whole completion ((0, 4), not (4, 0), at n = 7)
     normalized_profile_dims: tuple[int, ...]
     tail_intersection_dim: int | None
     hamming_permutation: tuple[int, ...]
@@ -234,8 +237,11 @@ class ReduceReport:
 
 
 def reduce_to_ghcms(code: SwCode) -> Bundle:
-    """Constructive universality: an equivalent relaxed bundle whose code has
-    the normalized input's null profile, terminal by terminal."""
+    """Constructive universality: an equivalent relaxed bundle.  For s > 2
+    its code has the normalized input's null profile, terminal by terminal;
+    for s = 2 it is the degenerate two-source bundle of the input's
+    partition, whose first coding matrix is invertible, so its null dims
+    are the mirror of :func:`normalize_profile`'s."""
     bundle, _ = reduce_with_report(code)
     return bundle
 

@@ -1,7 +1,8 @@
 """``benchmarks/bench_kernels.py`` runs, and it still prints the cases that
 ``perfbench/probes.py`` looks up by name in its ``make_cases``, its
-bundle parser case, its construction case, its two row-reduction phase
-cases, its key check case and its encode and decode chunk cases."""
+bundle parser, writer and loader cases, its construction case, its two
+row-reduction phase cases, its key check case and its encode and decode
+chunk cases."""
 
 from __future__ import annotations
 
@@ -39,6 +40,8 @@ def test_bench_kernels_runs_and_prints_the_probed_cases():
     printed = {line.rsplit("  ", 1)[0].strip() for line in proc.stdout.splitlines()[1:]}
     extra = {
         "read_file a=5",
+        "write_bundle a=6",
+        "read+build a=6",
         "hcms_for_a a=6",
         "echelon [A|I] a=6",
         "back_substitute [A|I] a=6",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import parse_matrix_bytes, shifted
+from test_bundleio_reference import full_bundle_text, write_full_bundle
 from swhamming import bundleio, cli, codec, equiv, gf2, ghcms, hcms, sources
 
 
@@ -118,11 +119,12 @@ def test_gen_rejects_small_a(tmp_path, capsys):
     assert "error=HEIGHT_NEGATIVE" in err
 
 
-def test_verify_sabotaged_bundle(tmp_path, capsys):
+def test_verify_sabotaged_bundle(tmp_path, capsys, bundle_a3):
+    # a full file of the gen --a 3 bundle, every section written: line 3 is
+    # the first row of the first coding matrix
     path = tmp_path / "a3.txt"
-    assert run(capsys, "gen", "--a", "3", "-o", str(path))[0] == 0
+    write_full_bundle(path, bundle_a3)
     lines = path.read_text().splitlines()
-    # line 3 is the first row of the first coding matrix
     row = list(lines[3])
     row[7] = "1" if row[7] == "0" else "0"
     lines[3] = "".join(row)
@@ -471,7 +473,7 @@ def test_non_utf8_code_file_is_malformed(tmp_path, capsys, bundle_a3, command):
 
 def test_bad_matrix_row_names_the_section_and_cuts_the_echo(tmp_path, capsys, bundle_a4):
     path = tmp_path / "a4.txt"
-    bundleio.write_bundle(path, bundle_a4)
+    write_full_bundle(path, bundle_a4)
     lines = path.read_text().splitlines()
     at = lines.index("R") + 2 + 4  # the label, the header, then row 4
     lines[at] = lines[at][:40] + "x" + lines[at][41:]
@@ -484,7 +486,7 @@ def test_bad_matrix_row_names_the_section_and_cuts_the_echo(tmp_path, capsys, bu
 @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
 def test_bad_matrix_header_names_the_file_line(tmp_path, capsys, bundle_a3, eol):
     path = tmp_path / "a3.txt"
-    bundleio.write_bundle(path, bundle_a3)
+    write_full_bundle(path, bundle_a3)
     lines = path.read_text().splitlines()
     at = lines.index("T") + 1
     lines[at] = "9 x"
@@ -573,16 +575,15 @@ _RELAXED_REFUSALS = {
 
 
 @pytest.fixture(scope="module")
-def bundle_texts(tmp_path_factory, bundle_a3):
-    """form -> (bundle file text, a syndrome file's text) for the a = 3
-    direct bundle and a relaxed one with every section nonempty."""
+def bundle_texts(bundle_a3):
+    """form -> (full bundle file text, a syndrome file's text) for the a = 3
+    direct bundle and a relaxed one with every section nonempty; a full
+    file has every section, so each can be damaged."""
     rng = np.random.default_rng(3)
-    path = tmp_path_factory.mktemp("bundles") / "bundle.txt"
     out = {}
     for form, bundle in (("direct", bundle_a3), ("relaxed", ghcms.ghcms_build(bundle_a3.Q))):
-        bundleio.write_bundle(path, bundle)
         ys = [codec.encode(bundle.code, sources.random_member(3, 21, rng)) for _ in range(5)]
-        out[form] = (path.read_text(), sources.format_tuples(ys))
+        out[form] = (full_bundle_text(bundle), sources.format_tuples(ys))
     return out
 
 
@@ -643,8 +644,8 @@ def test_reduce_refuses_a_tampered_bundle(tmp_path, capsys, bundle_texts, form):
 
 def test_y_outside_the_stack_is_malformed(tmp_path, capsys, rng):
     # the reduced bundle of a shifted code, with Y replaced by a full-rank Y'
-    # whose row space differs and R by [Y'; T], which stays invertible: only
-    # the row-basis check on Y refuses it
+    # whose row space differs (and, in a full file, R by [Y'; T]), which
+    # keeps R invertible: only the row-basis check on Y refuses it
     path, reduced = tmp_path / "shifted.txt", tmp_path / "reduced.txt"
     bundleio.write_code_file(path, shifted(hcms.hcms_for_a(3).code, rng))
     assert run(capsys, "reduce", str(path), "-o", str(reduced))[0] == 0
@@ -655,14 +656,18 @@ def test_y_outside_the_stack_is_malformed(tmp_path, capsys, rng):
     assert gf2.Subspace(bundle.n, Y) != gf2.Subspace(bundle.n, bundle.Y)
     R = gf2.vstack([Y, bundle.T])
     assert gf2.rank(R) == bundle.n
-    text = _replace_section(reduced.read_text(), "Y", lambda _: Y)
-    path.write_text(_replace_section(text, "R", lambda _: R))
-    code, out, err = run(capsys, "verify", str(path))
+    full = _replace_section(full_bundle_text(bundle), "Y", lambda _: Y)
     want = (
         "Y section is not a row basis of the stack: "
         "row([Q_1; ...; Q_(s-1)]) is not contained in row(Y)"
     )
-    assert (code, out, err) == (2, "", f"error=MALFORMED_FILE {want}\n")
+    for text in (
+        _replace_section(reduced.read_text(), "Y", lambda _: Y),
+        _replace_section(full, "R", lambda _: R),
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out, err) == (2, "", f"error=MALFORMED_FILE {want}\n")
 
 
 @pytest.mark.parametrize("form", ["direct", "relaxed"])
@@ -755,6 +760,72 @@ def test_chosen_sections_decide_the_form(tmp_path, capsys, bundle_texts, form, e
     text, synd = bundle_texts[form]
     for code, err in _decode_and_verify(tmp_path, capsys, edit(text), synd):
         assert (code, err) == (2, f"error=MALFORMED_FILE missing section {missing!r}\n")
+
+
+@pytest.fixture(scope="module")
+def marked_texts(tmp_path_factory, bundle_texts, bundle_a3):
+    """form -> the text that ``write_bundle`` gives the bundles of
+    ``bundle_texts``: the form's marker, the code and the chosen sections."""
+    path = tmp_path_factory.mktemp("marked") / "bundle.txt"
+    out = {}
+    for form, bundle in (("direct", bundle_a3), ("relaxed", ghcms.ghcms_build(bundle_a3.Q))):
+        bundleio.write_bundle(path, bundle)
+        out[form] = path.read_text()
+    return out
+
+
+def _marker_cases():
+    """(form, edit, line, refusal): the marked file of ``form`` after
+    ``edit`` is refused naming ``line``, or the line of a section label."""
+    def append(label):
+        return lambda text: text + f"{label}\n1 1\n1\n"
+
+    def remark(marker):
+        return lambda text: marker + text[text.index("\n") :]
+
+    def misses(label):
+        return lambda text: _drop_section(text, label)
+
+    expected = "expected 'bundle direct' or 'bundle relaxed', got"
+    yield "direct", remark("bundle drect"), 1, f"{expected} 'bundle drect' (12 characters)"
+    yield "relaxed", remark("bundle"), 1, f"{expected} 'bundle' (6 characters)"
+    yield "direct", remark("bundle direct relaxed"), 1, f"{expected} 'bundle direct re...' (21 characters)"
+    for label in ("Y", "D_2", "E_1"):
+        yield "direct", append(label), label, f"section {label!r} is not part of a direct bundle"
+    # a relaxed file marked direct is refused at its first chosen section
+    yield "relaxed", remark("bundle direct"), "Y", "section 'Y' is not part of a direct bundle"
+    for label in ("Y", "D_2", "E_3"):
+        yield "relaxed", misses(label), 1, f"missing section {label!r} of a relaxed bundle"
+    yield "direct", remark("bundle relaxed"), 1, "missing section 'Y' of a relaxed bundle"
+
+
+@pytest.mark.parametrize(
+    "form, edit, line, refusal",
+    [pytest.param(*case, id=f"{case[0]}-{case[3]}") for case in _marker_cases()],
+)
+def test_marker_refusals_name_the_file_line(
+    tmp_path, capsys, bundle_texts, marked_texts, form, edit, line, refusal
+):
+    text = edit(marked_texts[form])
+    if isinstance(line, str):
+        line = text.splitlines().index(line) + 1
+    for code, err in _decode_and_verify(tmp_path, capsys, text, bundle_texts[form][1]):
+        assert (code, err) == (2, f"error=MALFORMED_FILE line {line}: {refusal}\n")
+
+
+@pytest.mark.parametrize("form", ["direct", "relaxed"])
+def test_marked_file_is_compared_on_the_sections_it_has(
+    tmp_path, capsys, bundle_texts, marked_texts, form
+):
+    # the marker over a full file: every derived section is there and agrees
+    full, synd = bundle_texts[form]
+    marker = marked_texts[form].splitlines()[0] + "\n"
+    assert [code for code, _ in _decode_and_verify(tmp_path, capsys, marker + full, synd)] == [0, 0]
+    broken = marker + _replace_section(full, "R", _flip_first_bit)
+    for code, err in _decode_and_verify(tmp_path, capsys, broken, synd):
+        assert (code, err) == (2, f"error=MALFORMED_FILE {_R}\n")
+    # and without them it loads alike
+    assert _decode_and_verify(tmp_path, capsys, marked_texts[form], synd) == [(0, ""), (0, "")]
 
 
 _OUTSIDE_THE_MODEL = "need s >= 2 and n >= 1"

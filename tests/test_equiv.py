@@ -258,6 +258,7 @@ def test_reduce_shifted_hcms(bundle_a3, rng):
     bundle, report = equiv.reduce_with_report(shifted)
     assert codec.is_perfect(bundle.code)
     assert equiv.profile(bundle.code) == equiv.profile(equiv.normalize_profile(shifted))
+    assert report.normalized_profile_dims == tuple(N.dim for N in equiv.profile(bundle.code))
     assert report.perfect
     for _ in range(50):
         x = sources.random_member(3, 21, rng)
@@ -588,6 +589,10 @@ def test_reduce_two_source(pair_n7):
     assert codec.is_perfect(bundle.code)
     assert sorted(hcms._column_values(bundle.Q[0])) == list(range(1, 8))
     assert bundle.Q[0] == bundle.Q[1]
+    # the report reads the output's null dims, the mirror of normalize_profile's
+    assert report.normalized_profile_dims == tuple(N.dim for N in equiv.profile(bundle.code))
+    assert report.normalized_profile_dims == (0, 4)
+    assert [N.dim for N in equiv.profile(equiv.normalize_profile(pair_n7))] == [4, 0]
 
 
 def test_reduce_requires_perfect():

@@ -1,6 +1,7 @@
-"""``verify --roundtrip`` and ``reduce`` on bundle files whose labelled
-sections were damaged (lines deleted, duplicated or swapped, a bit of a
-section body flipped, a label renamed) either succeed or print an
+"""``verify --roundtrip`` and ``reduce`` on bundle files, marked or full,
+that were damaged (lines deleted, duplicated or swapped, a bit of a
+matrix body flipped, a label renamed, the form marker deleted,
+duplicated, misspelled or moved) either succeed or print an
 ``error=<TOKEN>`` line; they never raise."""
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from hypothesis import strategies as st
 
 from helpers import relaxed_a3, run_quiet
 from swhamming import bundleio, ghcms, hcms
+from test_bundleio_reference import full_bundle_text
 
 LABELS = ["P", "Q_1", "Q_4", "T", "G_2", "R", "C_1", "C_3", "Y", "D_1", "E_3", "X"]
 
 _LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _BODY_RE = re.compile(r"^[01]+$")
+MARKERS = ["bundle direct", "bundle relaxed", "bundle", "bundle drect", "bundel direct", "bundle direct x"]
 
 index = st.integers(0, 1 << 20)
 mutations = st.lists(
@@ -26,9 +29,11 @@ mutations = st.lists(
         st.tuples(st.just("delete"), index, st.just(0)),
         st.tuples(st.just("duplicate"), index, st.just(0)),
         st.tuples(st.just("swap"), index, index),
-        # one bit of a section body row (any row after the first label)
+        # one bit of a matrix body row, the code's included
         st.tuples(st.just("flip"), index, index),
         st.tuples(st.just("rename"), index, st.sampled_from(LABELS)),
+        # the marker line deleted, duplicated, moved or replaced
+        st.tuples(st.just("marker"), index, st.sampled_from(["delete", "duplicate", "move", *MARKERS])),
     ),
     min_size=1,
     max_size=3,
@@ -39,7 +44,8 @@ mutations = st.lists(
 def bundle_texts(tmp_path_factory) -> dict[str, str]:
     """The ``gen --a 3`` and ``gen --trivial`` bundle files, a relaxed a = 3
     bundle whose E_i and D_i are not identities, and the s = 2 bundle of
-    the 3-bit Hamming matrix."""
+    the 3-bit Hamming matrix, each marked as ``write_bundle`` writes it and
+    full."""
     P = hcms.hamming_matrix(2)
     bundles = {
         "a3": hcms.hcms_for_a(3),
@@ -52,6 +58,7 @@ def bundle_texts(tmp_path_factory) -> dict[str, str]:
         path = tmp_path_factory.mktemp("bundles") / f"{name}.txt"
         bundleio.write_bundle(path, bundle)
         out[name] = path.read_text()
+        out[f"{name} full"] = full_bundle_text(bundle)
     return out
 
 
@@ -69,19 +76,31 @@ def mutate(text: str, edits) -> str:
         elif kind == "swap":
             other = what % len(lines)
             lines[at], lines[other] = lines[other], lines[at]
-        elif kind == "flip" and labels:
-            body = [i for i in range(labels[0], len(lines)) if _BODY_RE.match(lines[i])]
+        elif kind == "flip":
+            body = [i for i, line in enumerate(lines) if _BODY_RE.match(line)]
             if body:
                 row = lines[body[at % len(body)]]
                 col = what % len(row)
                 lines[body[at % len(body)]] = row[:col] + "10"[int(row[col])] + row[col + 1 :]
         elif kind == "rename" and labels:
             lines[labels[at % len(labels)]] = what
+        elif kind == "marker" and lines[0].startswith("bundle"):
+            if what == "delete":
+                del lines[0]
+            elif what == "duplicate":
+                lines.insert(0, lines[0])
+            elif what == "move":
+                lines.insert(max(at, 1), lines.pop(0))
+            else:
+                lines[0] = what
     return "\n".join(lines)
 
 
-@given(name=st.sampled_from(["a3", "trivial", "relaxed", "pair"]), edits=mutations)
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+NAMES = [f"{name}{form}" for name in ("a3", "trivial", "relaxed", "pair") for form in ("", " full")]
+
+
+@given(name=st.sampled_from(NAMES), edits=mutations)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_damaged_bundle_gives_a_token_not_a_traceback(tmp_path, monkeypatch, bundle_texts, name, edits):
     monkeypatch.delenv("HCMS_BUDGET", raising=False)
     path = tmp_path / "bundle.txt"

@@ -11,7 +11,9 @@ its [A | I] elimination included, a batch of algebraic decodes and the
 construction of the a = 6 bundle, lifting chain included), the byte
 parser of bundle files on the a = 5 bundle (``bundleio.read_file``) and
 the writer and the loader (parse and load-time checks) of the a = 6
-bundle file, each file in a temporary directory,
+bundle file, each file in a temporary directory, and the universality
+reduction of a shifted a = 5 code (``equiv.reduce_with_report``, the
+plan that proves the code perfect included),
 and prints the fastest of ``--repeat`` runs of each.  Run with ``python
 benchmarks/bench_kernels.py``.  The matrix product goes through numpy's
 float32 matmul, so its time depends on the BLAS numpy links and on how
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from swhamming import _kernels, bundleio, codec, gf2, hcms, sources
+from swhamming import _kernels, bundleio, codec, equiv, gf2, hcms, sources
 
 
 def best_of(fn, repeat: int) -> float:
@@ -60,6 +62,12 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
     aug6 = gf2.hstack([A6, gf2.BitMatrix.identity(A6.rows)]).data
     echelon6 = aug6.copy()
     pivots6 = _kernels.echelon_in_place(echelon6, A6.cols)
+    # the a = 5 code with half the null space common to terminals 2 and 3
+    # moved out of terminal 3's null space into terminal 1's
+    prof = equiv.profile(bundle.code)
+    common = gf2.subspace_intersect(prof[1], prof[2])
+    K = gf2.random_subspace_of(common, common.dim // 2, rng)
+    shifted5 = equiv.shift_null_space(bundle.code, K, 0, 2)
 
     def bench_rref():
         data = rref_m.data.copy()
@@ -101,6 +109,10 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
     def bench_hcms_for_a():
         hcms.hcms_for_a(6)
 
+    def bench_reduce():
+        # a fresh code per call, as the CLI reads one: its plan is made again
+        equiv.reduce_with_report(codec.make_code(shifted5.matrices))
+
     cases = [
         ("rref 341x682", bench_rref),
         ("matmul 341^2", bench_matmul),
@@ -113,6 +125,7 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         ("is_perfect n=341", bench_is_perfect),
         ("decode n=341 x200", bench_decode),
         ("hcms_for_a a=6", bench_hcms_for_a),
+        ("reduce a=5", bench_reduce),
     ]
     if workdir is not None:
         path = Path(workdir) / "gen_a5.txt"

@@ -368,7 +368,7 @@ def build_bundle(parsed: ParsedFile) -> Bundle:
             bundle.W  # kept for the plan's top
         except ValueError as exc:
             raise MalformedFileError(f"Y section is not a row basis of the stack: {exc}")
-    bundle.R_inv  # raises RNotInvertible when the stored R is singular
+    bundle.R_inv  # raises RNotInvertible when [Y; T] is singular
     known = {*fixed, *picked}
     for label in parsed.sections:
         if label not in known:

@@ -5,32 +5,37 @@ its null spaces (its profile): the sumset criterion in :mod:`codec`
 references nothing else.  Shifting a common subspace K between terminals'
 null spaces preserves compressibility and perfectness, which induces the
 equivalence relation under which every perfect code reduces to the
-row-basis relaxed construction: read the sum-zero partition off the plan
-that proves the code perfect (every equivalent code has the same one),
-normalize the profile, and reassemble.
+row-basis relaxed construction.  The class of a perfect code is its
+sum-zero Hamming partition P, read off the plan that proves the code
+perfect: two perfect codes are equivalent exactly when their P are equal,
+and the reduction builds the canonical relaxed bundle of P alone (see
+:func:`reduce_with_report`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import bits_matmul
 from .codec import SwCode, is_perfect, make_code
 from .errors import DecompositionInvalidError, NotPerfectError
 from .gf2 import (
     BitMatrix,
     Subspace,
+    _leading_bits,
     complement,
     distinct_nonzero_columns,
     matrix_with_null_space,
     null_space,
     row_basis,
     row_basis_and_transforms,
-    row_basis_transforms,
     subspace_intersect,
     subspace_sum,
+    vstack,
 )
 from .ghcms import degenerate_two_source
 from .hcms import Bundle, _column_values, assemble
@@ -55,7 +60,7 @@ NullProfile = tuple[Subspace, ...]
 
 
 def profile(code: SwCode) -> NullProfile:
-    """The s-tuple of null spaces; the invariant of the equivalence class."""
+    """The s-tuple of null spaces, which decides compressibility."""
     return tuple(null_space(H) for H in code.matrices)
 
 
@@ -119,30 +124,32 @@ def two_source_reduce(code: SwCode) -> tuple[BitMatrix, BitMatrix]:
         raise ValueError("reduction applies to 2-source codes")
     if not is_perfect(code):
         raise NotPerfectError("input code is not a perfect compression")
-    return BitMatrix.identity(code.n), _pair_partition(code)
+    return BitMatrix.identity(code.n), _pair_partition(code)[0]
 
 
-def _pair_partition(code: SwCode) -> BitMatrix:
-    """The Hamming partition of a perfect code, and of every code
-    equivalent to it (see :func:`reduce_with_report`): the canonical row
-    basis of its plan's key matrix K = F J, J = diag(H_1, ..., H_s), or of
-    K's first n columns for s = 2.  Its null space is N_1 + N_2 for a pair
-    (K's blocks are equal, as they sum to F A = 0), and null X + null J
-    for the pair (X, J) that :func:`lift_to_two_source` folds a code into:
-    w is orthogonal to null X = {(v, ..., v)} iff its blocks sum to zero,
-    w is in row J iff w = c J, and c J's blocks sum to c A, zero iff c is
-    in row F.  It has M - n rows and nonzero, distinct columns."""
+def _pair_partition(code: SwCode) -> tuple[BitMatrix, BitMatrix]:
+    """The Hamming partition P of a perfect code, and of every code
+    equivalent to it (see :func:`reduce_with_report`), with the X that
+    gives P = X K: P is the canonical row basis of the plan's key matrix
+    K = F J, J = diag(H_1, ..., H_s), or of K's first n columns for s = 2,
+    and X comes from the same elimination.  Its null space is N_1 + N_2
+    for a pair (K's blocks are equal, as they sum to F A = 0), and null X
+    + null J for the pair (X, J) that :func:`lift_to_two_source` folds a
+    code into: w is orthogonal to null X = {(v, ..., v)} iff its blocks
+    sum to zero, w is in row J iff w = c J, and c J's blocks sum to c A,
+    zero iff c is in row F.  It has M - n rows and nonzero, distinct
+    columns."""
     plan = code.plan
     if not plan.compressible:
         raise NotPerfectError("code does not compress S; it has no Hamming partition")
     K = plan.key_matrix
-    P = row_basis(BitMatrix.from_bits(K[:, : code.n] if code.s == 2 else K))
+    P, _, X = row_basis_and_transforms(BitMatrix.from_bits(K[:, : code.n] if code.s == 2 else K))
     rows = sum(code.m) - code.n
     if P.rows != rows:
         raise DecompositionInvalidError(f"partition has {P.rows} rows, not M - n = {rows}")
     if not distinct_nonzero_columns(P):
         raise DecompositionInvalidError("partition columns must be nonzero and distinct")
-    return P
+    return P, X
 
 
 def residual_intersections(prof: NullProfile) -> list[Subspace]:
@@ -166,12 +173,7 @@ def normalize_profile(code: SwCode) -> SwCode:
     if not is_perfect(code):
         raise NotPerfectError("input code is not a perfect compression")
     prof = profile(code)
-    return code_from_profile(_normalized(prof, residual_intersections(prof)))
-
-
-def _normalized(prof: NullProfile, residuals: list[Subspace]) -> NullProfile:
-    """The profile of :func:`normalize_profile`, from the input's profile
-    and its residual intersections."""
+    residuals = residual_intersections(prof)
     s = len(prof)
     D = functools.reduce(subspace_sum, residuals, Subspace.zero(prof[0].n))
     if not prof[s - 1].contains_subspace(D):
@@ -191,7 +193,7 @@ def _normalized(prof: NullProfile, residuals: list[Subspace]) -> NullProfile:
         raise DecompositionInvalidError(
             "normalization must leave all-but-one intersections trivial"
         )
-    return new_prof
+    return code_from_profile(new_prof)
 
 
 def lift_to_two_source(code: SwCode) -> SwCode:
@@ -225,11 +227,15 @@ class ReduceReport:
     """Trace of the universality reduction for human-readable reports."""
 
     input_profile_dims: tuple[int, ...]
+    # dim R_i, R_i the intersection of the input's null spaces but the
+    # i-th, for i < s (m_i - rank Q_i for s > 2, see reduce_with_report)
     residual_dims: tuple[int, ...]
-    # the null dims of the output's code: for s > 2 those of
-    # normalize_profile's code; for s = 2 their mirror, since terminal 1
-    # takes the whole completion ((0, 4), not (4, 0), at n = 7)
+    # the output's null dims: for s > 2 those of normalize_profile's code;
+    # for s = 2 their mirror, since terminal 1 takes the whole completion
+    # ((0, 4), not (4, 0), at n = 7)
     normalized_profile_dims: tuple[int, ...]
+    # n - rank Y, the dim of the intersection of the output's first s - 1
+    # null spaces; None for s = 2
     tail_intersection_dim: int | None
     hamming_permutation: tuple[int, ...]
     output_rates: tuple[int, ...]
@@ -237,11 +243,11 @@ class ReduceReport:
 
 
 def reduce_to_ghcms(code: SwCode) -> Bundle:
-    """Constructive universality: an equivalent relaxed bundle.  For s > 2
-    its code has the normalized input's null profile, terminal by terminal;
-    for s = 2 it is the degenerate two-source bundle of the input's
-    partition, whose first coding matrix is invertible, so its null dims
-    are the mirror of :func:`normalize_profile`'s."""
+    """Constructive universality: the canonical relaxed bundle of the
+    input's Hamming partition P, equivalent to the input.  For s > 2 it is
+    ``ghcms_build(Q, (0, ..., 0, n - rank Y))``, with the normalized
+    input's first s - 1 null spaces; for s = 2 the degenerate two-source
+    bundle of P, whose null dims mirror :func:`normalize_profile`'s."""
     bundle, _ = reduce_with_report(code)
     return bundle
 
@@ -249,20 +255,42 @@ def reduce_to_ghcms(code: SwCode) -> Bundle:
 def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     """The bundle of :func:`reduce_to_ghcms` and the trace of its making.
 
-    The Hamming partition P is read off the input's plan, as normalization
-    keeps it.  Its row space is the complement of V = {(v, ..., v)} + N_1 x
-    ... x N_s.  Each R_i moved into terminal i lies in every other null
-    space, so r at terminal i is (r, ..., r) plus r at each other terminal,
-    in V.  So the normalized sum lies in V, and is V: both codes are
-    perfect with the same M, so both sums have dimension s n - (M - n)."""
+    For s > 2 it is built from the blocks Q_i of the partition P off the
+    input's plan: C_i, E_i and D_i from ``row_basis_and_transforms(Q_i)``,
+    Y the row basis of the first s - 1, and Y's standard completion T on
+    terminal s.  Why it is equivalent to the input, for the input's null
+    spaces N_i, V = {(v, ..., v)} + N_1 x ... x N_s and Z_i = null(Q_i):
+    - row(P) is V's annihilator.  P annihilates V, as its blocks sum to
+      zero and Q_i = X F_i H_i (both checked; P = X K for the plan's keys
+      K_i = F_i H_i) vanishes on N_i.  P has M - n independent rows, and
+      dim V = n + (s n - M), as a perfect code's N_i meet only in 0.
+    - So v is in Z_i iff v at terminal i is in V, that is (u, ..., u) +
+      (n_1, ..., n_s) with n_j = u for all j != i.  So Z_i is the direct
+      sum of N_i and R_i, the intersection of the N_j with j != i, and
+      dim R_i = m_i - rank Q_i.
+    - Shifting each R_i, i < s, out of N_s into N_i (legal: R_i lies in
+      every N_j with j != i and meets N_i in 0) keeps V and makes N_i =
+      Z_i.  N_s is then a complement of the tail t = null(Y), the
+      intersection of Z_1, ..., Z_(s-1), inside Z_s = N_s + R_s.
+    - Lemma: two complements A and B of t inside Z_s are linked by two
+      :func:`shift_null_space` moves.  Moving t out of N_1 into N_s
+      (legal: t lies in Z_1, ..., Z_(s-1) and meets A in 0) gives N_s =
+      Z_s; moving it back with ``residual=B`` restores N_1, and N_s = B.
+    - The output's null spaces are Z_i for i < s and the intersection of
+      Z_s and null(T), which meets t in 0 ([Y; T] is invertible) and has
+      dimension at least dim Z_s - dim t: such a B.
+    So a perfect code is equivalent to the bundle of its P, and, as shifts
+    keep V, two perfect codes are equivalent exactly when their P are
+    equal.  For s = 2 the output is ``degenerate_two_source(P)``.
+    """
     s, n = code.s, code.n
     if not is_perfect(code):
         raise NotPerfectError("input code is not a perfect compression")
-    P = _pair_partition(code)
+    P, X = _pair_partition(code)
     if s == 2:
         bundle, residual_dims, tail_dim = degenerate_two_source(P), (n - code.m[1],), None
     else:
-        bundle, residual_dims, tail_dim = _reassemble(code, P)
+        bundle, residual_dims, tail_dim = _canonical_bundle(code, P, X)
     if (1 << bundle.M) != hamming_source_size(s, n):
         raise DecompositionInvalidError("the reduced bundle must be perfect")
     # a perfect code's coding matrices are surjective: null dims n - m_i
@@ -277,61 +305,25 @@ def reduce_with_report(code: SwCode) -> tuple[Bundle, ReduceReport]:
     )
 
 
-def _reassemble(code: SwCode, P: BitMatrix) -> tuple[Bundle, tuple[int, ...], int]:
-    """The relaxed bundle with partition P and the normalized profile of a
-    perfect code, s > 2, and the dims of its residuals and of the tail."""
+def _canonical_bundle(
+    code: SwCode, P: BitMatrix, X: BitMatrix
+) -> tuple[Bundle, tuple[int, ...], int]:
+    """The canonical relaxed bundle of a perfect code's partition P = X K,
+    s > 2, and the dims of the input's residuals and of the tail."""
     s, n = code.s, code.n
-    prof = profile(code)
-    # the complement in N_(s-1) reads its basis; read first, it also meets
-    # each other null space's check in the residuals, with canonical results
-    prof[s - 1].basis
-    residuals = residual_intersections(prof)
-    norm_prof = _normalized(prof, residuals)
-    tail = functools.reduce(subspace_intersect, norm_prof[: s - 1])
-    # the tail's check is the canonical row basis Y of the stack of the
-    # normalized checks, and so of [Q_1; ...; Q_(s-1)] once their null
-    # spaces are checked below
-    Y = tail.check
-    # with the checks of _pair_partition, a zero sum makes P a partition
     Q = tuple(P.take_cols(i * n, (i + 1) * n) for i in range(s))
+    # with the checks of _pair_partition, a zero sum makes P a partition
     if not sum(Q[1:], Q[0]).is_zero():
         raise DecompositionInvalidError("partition blocks do not sum to zero")
-    # null(Q_j) = N'_j iff Q_j has the row space of N'_j's check, which is
-    # then C_j, with E_j and D_j its transforms
-    C, E, D = [], [], []
-    for j in range(s - 1):
-        C.append(norm_prof[j].check)
-        try:
-            Ej, Dj = row_basis_transforms(Q[j], C[j])
-        except ValueError:
-            raise DecompositionInvalidError(f"block {j} must inherit null space") from None
-        E.append(Ej)
-        D.append(Dj)
-    for X, x in zip((C, E, D), row_basis_and_transforms(Q[s - 1])):
-        X.append(x)
-    # so the stack [Q_1; ...; Q_(s-1)] has null space the tail intersection.
-    # The tail meets N_(s-1) in {0}, inside the all-but-one intersection
-    # that normalization left trivial, so null(Q_(s-1)) = null(C_(s-1)) is
-    # N_(s-1) + tail iff it holds both and has their dimensions' sum
-    last = Subspace(n, check=C[s - 1])
-    if not (
-        last.contains_subspace(norm_prof[s - 1])
-        and last.contains_subspace(tail)
-        and last.dim == norm_prof[s - 1].dim + tail.dim
-    ):
-        raise DecompositionInvalidError(f"block {s - 1} must have null space N_{s - 1} + tail")
-
-    A = complement(last, Subspace.full(n))
-    T = matrix_with_null_space(subspace_sum(norm_prof[s - 1], A))
-    g_split = (0,) * (s - 1) + (T.rows,)
-    bundle = assemble(Q, C, g_split, T, Y=Y, E=E, D=D)
-
-    # every coding matrix of a relaxed bundle has full row rank: [G_i; C_i]
-    # with C_i a row basis, row(C_i) in row(Y) as the blocks sum to zero,
-    # and the G_i rows of T, independent of row(Y) as R = [Y; T] is
-    # invertible.  So null(H_i) = N'_i iff H_i annihilates N'_i and has
-    # n - dim N'_i rows.
-    for H, N in zip(bundle.code.matrices, norm_prof):
-        if H.rows != n - N.dim or not Subspace(n, kernel_of=H).contains_subspace(N):
-            raise DecompositionInvalidError("output profile must equal the normalized input's")
-    return bundle, tuple(R.dim for R in residuals), tail.dim
+    XF = bits_matmul(X.to_array(), code.plan._F)
+    offsets = list(itertools.accumulate(code.m, initial=0))
+    blocks = zip(offsets, offsets[1:], code.matrices)
+    keys = np.hstack([bits_matmul(XF[:, a:b], H.to_array()) for a, b, H in blocks])
+    wrong = np.flatnonzero((keys != P.to_array()).any(axis=0))
+    if wrong.size:
+        raise DecompositionInvalidError(f"block {wrong[0] // n} must inherit null space")
+    C, E, D = zip(*(row_basis_and_transforms(Qi) for Qi in Q))
+    Y = row_basis(vstack(C[: s - 1]))
+    split = (0,) * (s - 1) + (n - Y.rows,)
+    bundle = assemble(Q, C, split, None, pivots=_leading_bits(Y.data), Y=Y, E=E, D=D)
+    return bundle, tuple(mi - Ci.rows for mi, Ci in zip(code.m, C[: s - 1])), split[-1]

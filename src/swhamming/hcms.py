@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import bits_matmul, pack_bits, unpack_bits
+from ._kernels import bits_matmul, nwords, pack_bits, unpack_bits
 from .errors import (
     BadArgumentError,
     BudgetExceededError,
@@ -170,18 +170,20 @@ class Bundle:
     def R_inv(self) -> BitMatrix:
         """R^-1; raises RNotInvertible when R is singular.
 
-        A T with a unit column per row (T in RREF, so every ``gen`` and
-        every reduced bundle, whose T are unit rows or a canonical check)
-        makes R^-1 cheap: with N those columns, in row order, and F the
-        other r = Y.rows, R x = z reads x_N = z_T + T_F x_F and S x_F =
-        z_Y + Y_N z_T for S = Y_N T_F + Y_F.  So the rows of R^-1 at F are
-        V = S^-1 [I | Y_N], one elimination of the r x (n + r) matrix
-        [S | I | Y_N], and those at N are T_F V + [0 | I].  Any other T
-        inverts R itself, n x 2n."""
+        A T with a unit column per row (T in RREF, such as the unit rows
+        of every ``gen`` and ``reduce`` bundle) makes R^-1 cheap: with N
+        those columns, in row order, and F the other r = Y.rows, R x = z
+        reads x_N = z_T + T_F x_F and S x_F = z_Y + Y_N z_T for S = Y_N
+        T_F + Y_F.  So the rows of R^-1 at F are V = S^-1 [I | Y_N], one
+        elimination of the r x (n + r) matrix [S | I | Y_N], and those at
+        N are T_F V + [0 | I].  Any other T inverts R itself, n x 2n."""
         try:
             return _unit_completion_inverse(self.R, self.T.rows) or invert(self.R)
         except SingularMatrixError as exc:
-            raise RNotInvertibleError("stored R is singular") from exc
+            held = "[Q_1; ...; Q_(s-1)]" if self.Y is None else "Y"
+            raise RNotInvertibleError(
+                f"{held} does not complete to an invertible matrix with the code's G_i rows"
+            ) from exc
 
     @cached_property
     def W(self) -> BitMatrix:
@@ -261,7 +263,7 @@ def _unit_completion_inverse(R: BitMatrix, t: int) -> BitMatrix | None:
 
 def standard_completion(Y: BitMatrix, pivots: Sequence[int] | None = None) -> BitMatrix:
     """Standard-basis rows at the non-pivot columns of Y, given Y's pivot
-    columns or finding them.
+    columns (the leading bits of a Y in RREF) or finding them.
 
     When Y pivots on its first Y.rows columns this is exactly [0 | I];
     either way [Y; T] is invertible whenever any completion makes it so."""
@@ -271,7 +273,10 @@ def standard_completion(Y: BitMatrix, pivots: Sequence[int] | None = None) -> Bi
         raise RNotInvertibleError(
             "[Q_1; ...; Q_(s-1)] is row deficient; no completion can work"
         )
-    return BitMatrix.from_bits(np.delete(np.eye(Y.cols, dtype=np.uint8), pivots, axis=0))
+    free = np.setdiff1d(np.arange(Y.cols), pivots)
+    data = np.zeros((free.size, nwords(Y.cols)), dtype=np.uint64)
+    data[np.arange(free.size), free >> 6] = np.uint64(1) << (free & 63).astype(np.uint64)
+    return BitMatrix(free.size, Y.cols, data)
 
 
 def default_g_split(total: int, s: int) -> tuple[int, ...]:

@@ -179,7 +179,9 @@ def test_criterion_08_universality_pipeline():
         bundle = equiv.reduce_to_ghcms(trivial)
         assert [C.to_array().tolist() for C in bundle.C] == [[[1]], [[1]], [[1]]]
         assert bundle.code.m == (1, 1, 1) and codec.is_perfect(bundle.code)
-        # (b) the n=21 code after random shifts reduces with matching profile
+        # (b) the n=21 code after random shifts reduces to the one bundle of
+        # its class, with the normalized profile's first two null spaces and
+        # the dimension of its last
         code = hcms.hcms_for_a(3).code
         prof = equiv.profile(code)
         common = gf2.subspace_intersect(prof[1], prof[2])
@@ -187,9 +189,14 @@ def test_criterion_08_universality_pipeline():
         shifted = equiv.shift_null_space(code, K, from_r=0, to_d=2)
         reduced = equiv.reduce_to_ghcms(shifted)
         assert codec.is_perfect(reduced.code)
-        assert equiv.profile(reduced.code) == equiv.profile(
-            equiv.normalize_profile(shifted)
-        )
+        got = equiv.profile(reduced.code)
+        want = equiv.profile(equiv.normalize_profile(shifted))
+        assert got[:2] == want[:2] and got[2].dim == want[2].dim
+        for other in (code, equiv.normalize_profile(shifted)):
+            again = equiv.reduce_to_ghcms(other)
+            assert (again.code.matrices, again.E, again.Y, again.D) == (
+                reduced.code.matrices, reduced.E, reduced.Y, reduced.D
+            )
         # (c) folding the trivial code gives a perfect (2, 3, 5) pair
         lifted = equiv.lift_to_two_source(trivial)
         assert (lifted.n, sum(lifted.m)) == (3, 5)

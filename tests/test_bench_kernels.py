@@ -1,8 +1,8 @@
 """``benchmarks/bench_kernels.py`` runs, and it still prints the cases that
 ``perfbench/probes.py`` looks up by name in its ``make_cases``, its
-bundle parser, writer and loader cases, its construction case, its two
-row-reduction phase cases, its key check case and its encode and decode
-chunk cases."""
+bundle parser, writer and loader cases, its construction and reduction
+cases, its two row-reduction phase cases, its key check case and its
+encode and decode chunk cases."""
 
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ def test_bench_kernels_runs_and_prints_the_probed_cases():
         "write_bundle a=6",
         "read+build a=6",
         "hcms_for_a a=6",
+        "reduce a=5",
         "echelon [A|I] a=6",
         "back_substitute [A|I] a=6",
         "key check a=6",

@@ -1053,6 +1053,28 @@ def test_singular_R_on_load_is_not_invertible(tmp_path, capsys):
         assert code == 2 and err.startswith("error=R_NOT_INVERTIBLE "), (argv, err)
 
 
+@pytest.mark.parametrize("relaxed", [False, True], ids=["direct", "relaxed"])
+def test_singular_completion_names_what_the_file_holds(tmp_path, capsys, relaxed):
+    # a marked file stores no R, and a direct one no Y either: the refusal
+    # names the stack or Y, and the G_i rows of the code, which are what
+    # it holds.  Bit 0 of the first code row, e_12 in G_1, makes that row
+    # e_0 + e_12, which with the stack's rows leaves R singular
+    bundle = ghcms.ghcms_build(hcms.a3_partition()) if relaxed else hcms.hcms_for_a(3)
+    path = tmp_path / "bundle.txt"
+    bundleio.write_bundle(path, bundle)
+    lines = path.read_text().split("\n")
+    assert lines[4] == "0" * 12 + "1" + "0" * 8
+    lines[4] = "1" + lines[4][1:]
+    path.write_text("\n".join(lines))
+    held = "Y" if relaxed else "[Q_1; ...; Q_(s-1)]"
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error=R_NOT_INVERTIBLE {held} does not complete to an invertible matrix"
+        " with the code's G_i rows\n"
+    )
+
+
 def test_singular_R_of_a3_partition_on_load(tmp_path, capsys):
     # the a = 3 partition with T = 0: both commands check the sections
     # first, and refuse the bundle before any verdict

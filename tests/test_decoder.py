@@ -145,16 +145,23 @@ def counted(monkeypatch, module, name: str) -> list:
 
 
 def test_one_inversion_per_verify_of_relaxed_bundle(tmp_path, monkeypatch, bundle_a4):
-    # the bundle reduce writes for a shifted a = 4 code has a T that is not
-    # unit rows but a canonical check, in RREF, so loading it inverts R
-    # once, through the r x (n + r) system on T's kernel and never n x 2n;
-    # the plan is read off the sections, with that R^-1 for its top rows,
-    # and eliminates nothing
+    # the reduced bundle of a shifted a = 4 code, completed on terminal 3
+    # by a T that is not unit rows but a canonical check, in RREF, so
+    # loading it inverts R once, through the r x (n + r) system on T's
+    # kernel and never n x 2n; the plan is read off the sections, with
+    # that R^-1 for its top rows, and eliminates nothing.  T is the check
+    # of the normalized shifted code's last null space plus a complement
+    # of null(Q_3)
     rng = np.random.default_rng(1)
     code = bundle_a4.code
     prof = equiv.profile(code)
     K = gf2.random_subspace_of(gf2.subspace_intersect(prof[1], prof[2]), 2, rng)
-    reduced = equiv.reduce_to_ghcms(equiv.shift_null_space(code, K, 0, 2))
+    moved = equiv.shift_null_space(code, K, 0, 2)
+    canon = equiv.reduce_to_ghcms(moved)
+    kept = equiv.profile(equiv.normalize_profile(moved))[2]
+    outside = gf2.complement(gf2.null_space(canon.Q[2]), gf2.Subspace.full(code.n))
+    T = gf2.matrix_with_null_space(gf2.subspace_sum(kept, outside))
+    reduced = hcms.assemble(canon.Q, canon.C, (0, 0, T.rows), T, E=canon.E, D=canon.D)
     assert reduced.C is not None and reduced.T.to_array().sum(axis=1).max() > 1
     path = tmp_path / "reduced.txt"
     bundleio.write_bundle(path, reduced)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import sys
 import tempfile
 from pathlib import Path
@@ -257,29 +256,38 @@ def test_reduce_shifted_hcms(bundle_a3, rng):
     shifted = equiv.shift_null_space(code, K, r, d)
     bundle, report = equiv.reduce_with_report(shifted)
     assert codec.is_perfect(bundle.code)
-    assert equiv.profile(bundle.code) == equiv.profile(equiv.normalize_profile(shifted))
-    assert report.normalized_profile_dims == tuple(N.dim for N in equiv.profile(bundle.code))
+    # the output keeps the normalized input's first s - 1 null spaces and
+    # the dimension of its last, and is the one bundle of the class
+    got, want = equiv.profile(bundle.code), equiv.profile(equiv.normalize_profile(shifted))
+    assert got[:2] == want[:2] and got[2].dim == want[2].dim
+    assert same_bundle(bundle, equiv.reduce_to_ghcms(code))
+    assert same_bundle(bundle, equiv.reduce_to_ghcms(equiv.normalize_profile(shifted)))
+    assert report.normalized_profile_dims == tuple(N.dim for N in got)
     assert report.perfect
     for _ in range(50):
         x = sources.random_member(3, 21, rng)
         assert ghcms.ghcms_decode(bundle, codec.encode(bundle.code, x)) == x
 
 
+def same_bundle(a, b) -> bool:
+    """Whether two bundles have equal coding matrices and equal E, Y and D."""
+    return (a.code.matrices, a.E, a.Y, a.D) == (b.code.matrices, b.E, b.Y, b.D)
+
+
 def test_reduce_computes_each_fact_once(bundle_a3, monkeypatch):
-    # one null space per input coding matrix, one perfectness proof per
-    # code, and no particular solution for the folded pair's same-position
-    # deviations, whose keys are equal for every code
+    # no null space at all (the bundle is built from the partition alone),
+    # one perfectness proof, and no particular solution for the folded
+    # pair's same-position deviations, whose keys are equal for every code
     code = bundle_a3.code
     prof = equiv.profile(code)
     common = gf2.subspace_intersect(prof[1], prof[2])
     K = gf2.random_subspace_of(common, common.dim // 2, np.random.default_rng(7))
     shifted = equiv.shift_null_space(code, K, 0, 2)
-    null_calls, perfect_calls = collections.Counter(), collections.Counter()
-    real_null, real_perfect = equiv.null_space, equiv.is_perfect
+    perfect_calls = collections.Counter()
+    real_perfect = equiv.is_perfect
 
-    def counting_null(M):
-        null_calls[id(M)] += 1
-        return real_null(M)
+    def no_null_space(M):
+        raise AssertionError("null space built")
 
     def counting_perfect(c):
         perfect_calls[id(c)] += 1
@@ -288,46 +296,37 @@ def test_reduce_computes_each_fact_once(bundle_a3, monkeypatch):
     def no_solution(*args):
         raise AssertionError("particular solution built")
 
-    monkeypatch.setattr(equiv, "null_space", counting_null)
+    monkeypatch.setattr(equiv, "null_space", no_null_space)
     monkeypatch.setattr(equiv, "is_perfect", counting_perfect)
     monkeypatch.setattr(codec, "_particular_solution", no_solution)
     bundle, report = equiv.reduce_with_report(shifted)
     assert report.perfect and sources.is_perfect_params(bundle.s, bundle.n, bundle.M)
-    assert [null_calls[id(H)] for H in shifted.matrices] == [1, 1, 1]
-    assert perfect_calls[id(shifted)] == 1
-    assert set(perfect_calls.values()) == {1}
+    assert perfect_calls == {id(shifted): 1}
 
 
 def test_reduce_reads_the_partition_off_the_plan(bundle_a3, monkeypatch):
-    # no folded pair: the input's plan is the only plan made, and every null
-    # space eliminated during the reduction is of the code's own width
+    # no folded pair: the input's plan is the only plan eliminated
     code = bundle_a3.code
     prof = equiv.profile(code)
     common = gf2.subspace_intersect(prof[1], prof[2])
     K = gf2.random_subspace_of(common, common.dim // 2, np.random.default_rng(7))
     shifted = equiv.shift_null_space(code, K, 0, 2)
-    plan_widths, null_widths = [], []
-    real_plan, real_null = codec.CodePlan, equiv.null_space
+    plan_widths = []
+    real_plan = codec.CodePlan
 
     class WatchedPlan(real_plan):
         def __init__(self, c):
             plan_widths.append(c.n)
             super().__init__(c)
 
-    def watched_null(M):
-        null_widths.append(M.cols)
-        return real_null(M)
-
     def no_fold(c):
         raise AssertionError("folded pair built")
 
     monkeypatch.setattr(codec, "CodePlan", WatchedPlan)
-    monkeypatch.setattr(equiv, "null_space", watched_null)
     monkeypatch.setattr(equiv, "lift_to_two_source", no_fold)
     bundle, report = equiv.reduce_with_report(shifted)
     assert report.perfect and sources.is_perfect_params(bundle.s, bundle.n, bundle.M)
     assert plan_widths == [21]
-    assert null_widths and max(null_widths) <= 21
 
 
 def _count_eliminations(monkeypatch) -> list:
@@ -353,27 +352,31 @@ def _count_eliminations(monkeypatch) -> list:
 def test_reduce_runs_at_most_18_eliminations(
     a, bundle_a3, bundle_a4, bundle_a5, pair_n7, monkeypatch
 ):
-    # a reduction of the benchmark's shifted codes runs at most 18
-    # eliminations (it ran 42 while each subspace was held by its basis
-    # alone), and of the shifted n = 7 pair exactly 5 (9 while the dims it
-    # reports came from both codes' null spaces)
+    # a reduction of the benchmark's shifted codes runs exactly 6
+    # eliminations: the plan, the partition, one row basis per block and
+    # Y (the bound the name records was 18 while the output was
+    # reassembled from the input's null spaces, and 42 while each subspace
+    # was held by its basis alone), and of the shifted n = 7 pair exactly
+    # 5 (9 while the dims it reports came from both codes' null spaces)
     perfect = {3: bundle_a3.code, 4: bundle_a4.code, 5: bundle_a5.code, "pair": pair_n7}[a]
     code = codec.make_code(shifted(perfect, np.random.default_rng(1)).matrices)
     calls = _count_eliminations(monkeypatch)
     bundle, report = equiv.reduce_with_report(code)
     assert report.perfect and sources.is_perfect_params(bundle.s, bundle.n, bundle.M)
-    assert len(calls) == 5 if a == "pair" else 0 < len(calls) <= 18
+    assert len(calls) == (5 if a == "pair" else 6)
 
 
 def test_reduce_a5_holds_at_most_1485_pivots(bundle_a5, monkeypatch):
     # an elimination costs a few numpy calls per pivot, so the pivot count
-    # is the reduction's cost: 1485 at a = 5 (6922 while each subspace was
-    # held by its basis alone)
+    # is the reduction's cost: 401 at a = 5, 341 of them the plan's (the
+    # bound the name records was 1485 while the output was reassembled
+    # from the input's null spaces, and 6922 while each subspace was held
+    # by its basis alone)
     code = codec.make_code(shifted(bundle_a5.code, np.random.default_rng(1)).matrices)
     calls = _count_eliminations(monkeypatch)
     bundle, report = equiv.reduce_with_report(code)
     assert report.perfect and sources.is_perfect_params(bundle.s, bundle.n, bundle.M)
-    assert sum(pivots for _, pivots in calls) <= 1485
+    assert sum(pivots for _, pivots in calls) <= 401
 
 
 @pytest.mark.parametrize("a", [3, 4, 5])
@@ -389,9 +392,9 @@ def test_shifting_runs_14_eliminations(a, bundle_a3, bundle_a4, bundle_a5, monke
     assert codec.is_perfect(code)
 
 
-def _reduce_with(monkeypatch, name, damage, call):
-    """reduce_with_report of a shifted a = 3 code, with equiv's ``name``
-    replaced by a wrapper that damages its result of the given call."""
+def _run_with(monkeypatch, run, name, damage, call):
+    """``run`` of a shifted a = 3 code, with equiv's ``name`` replaced by a
+    wrapper that damages its result of the given call."""
     code = shifted(hcms.hcms_for_a(3).code, np.random.default_rng(1))
     real = getattr(equiv, name)
     calls = []
@@ -402,7 +405,7 @@ def _reduce_with(monkeypatch, name, damage, call):
         return damage(out) if len(calls) == call else out
 
     monkeypatch.setattr(equiv, name, damaged)
-    return equiv.reduce_with_report(code)
+    return run(code)
 
 
 def _outside(N):
@@ -429,44 +432,50 @@ def _flip_bit(M, i=0, j=0):
     return gf2.BitMatrix.from_bits(bits)
 
 
-def _with_damaged_code(bundle):
-    H = list(bundle.code.matrices)
-    H[0] = _flip_bit(H[0])
-    return dataclasses.replace(bundle, code=codec.make_code(H))
+def _damaged_partition(damage):
+    """A damage to the (P, X) of _pair_partition that damages P."""
+    return lambda PX: (damage(PX[0]), PX[1])
 
 
-# (equiv's name, which of its calls, the damage to that call's result, and
-# the message it must raise); together they reach every
-# DecompositionInvalidError of _normalized and reduce_with_report
+# (the function run, equiv's name, which of its calls, the damage to that
+# call's result, and the message it must raise); together they reach
+# every DecompositionInvalidError of normalize_profile and
+# reduce_with_report
 _DAMAGES = [
     # a residual that leaves the last null space
-    ("residual_intersections", 1, lambda R: [_outside(R[0]), R[1]],
-     "residuals must lie in the last null space"),
+    (equiv.normalize_profile, "residual_intersections", 1,
+     lambda R: [_outside(R[0]), R[1]], "residuals must lie in the last null space"),
     # residuals whose sum is not direct
-    ("residual_intersections", 1, lambda R: [R[0], R[0]], "residuals must sum directly"),
+    (equiv.normalize_profile, "residual_intersections", 1, lambda R: [R[0], R[0]],
+     "residuals must sum directly"),
     # residuals swapped: R_1 = N_0 ∩ N_2 meets null space 0
-    ("residual_intersections", 1, lambda R: [R[1], R[0]], "residual 0 meets null space 0"),
+    (equiv.normalize_profile, "residual_intersections", 1, lambda R: [R[1], R[0]],
+     "residual 0 meets null space 0"),
     # no residuals moved: the input's all-but-one intersections remain
-    ("residual_intersections", 1, lambda R: [gf2.Subspace.zero(21)] * 2,
+    (equiv.normalize_profile, "residual_intersections", 1,
+     lambda R: [gf2.Subspace.zero(21)] * 2,
      "normalization must leave all-but-one intersections trivial"),
-    ("_pair_partition", 1, _flip_bit, "partition blocks do not sum to zero"),
-    ("_pair_partition", 1, _swap_first_columns, "block 0 must inherit null space"),
-    # a tail intersection one vector too large; two intersections each for
-    # the residuals of the input and of the normalized profile come first
-    ("subspace_intersect", 5, _outside, "block 2 must have null space N_2 + tail"),
-    ("assemble", 1, _with_damaged_code, "output profile must equal the normalized input's"),
-    ("hamming_source_size", 1, lambda size: size * 2, "the reduced bundle must be perfect"),
+    (equiv.reduce_with_report, "_pair_partition", 1, _damaged_partition(_flip_bit),
+     "partition blocks do not sum to zero"),
+    # blocks that still sum to zero but are not X times the input's keys,
+    # so that nothing ties their null spaces to the input's
+    (equiv.reduce_with_report, "_pair_partition", 1, _damaged_partition(_swap_first_columns),
+     "block 0 must inherit null space"),
+    (equiv.reduce_with_report, "hamming_source_size", 1, lambda size: size * 2,
+     "the reduced bundle must be perfect"),
 ]
 
 
-@pytest.mark.parametrize("name, call, damage, message", _DAMAGES, ids=[d[3] for d in _DAMAGES])
+@pytest.mark.parametrize(
+    "run, name, call, damage, message", _DAMAGES, ids=[d[4] for d in _DAMAGES]
+)
 def test_each_decomposition_check_fires_on_a_damaged_intermediate(
-    monkeypatch, name, call, damage, message
+    monkeypatch, run, name, call, damage, message
 ):
     # each cheap check (a product, or a dimension already known) catches the
     # damage that the equality of canonical subspaces caught
     with pytest.raises(DecompositionInvalidError) as exc:
-        _reduce_with(monkeypatch, name, damage, call)
+        _run_with(monkeypatch, run, name, damage, call)
     assert str(exc.value) == message
 
 
@@ -499,7 +508,7 @@ def test_plan_partition_equals_the_fold_route(case):
     # the code folds into)
     pair = code if code.s == 2 else equiv.lift_to_two_source(code)
     want = gf2.matrix_with_null_space(gf2.subspace_sum(*equiv.profile(pair)))
-    assert equiv._pair_partition(code) == want
+    assert equiv._pair_partition(code)[0] == want
 
 
 @given(shifted_perfect_codes())
@@ -508,11 +517,70 @@ def test_the_partition_is_an_invariant_of_the_equivalence(case):
     # what reduce relies on: a shift of a perfect code, and for s = 3 the
     # shifted code's normalization too, keeps the partition its plan gives
     code, moved = case
-    P = equiv._pair_partition(code)
-    assert equiv._pair_partition(moved) == P
+    P = equiv._pair_partition(code)[0]
+    assert equiv._pair_partition(moved)[0] == P
     assert equiv.reduce_with_report(moved)[0].P == P
     if code.s == 3:
-        assert equiv._pair_partition(equiv.normalize_profile(moved)) == P
+        assert equiv._pair_partition(equiv.normalize_profile(moved))[0] == P
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_two_shifts_link_any_two_complements_of_the_tail(seed):
+    # the lemma of reduce_with_report: the normalized input's last null
+    # space A and the canonical output's B are complements of the tail t
+    # inside null(Q_3); moving t out of N_1 into N_3 and back out with
+    # residual=B turns the one profile into the other
+    code = shifted(hcms.hcms_for_a(3).code, np.random.default_rng(seed))
+    norm = equiv.normalize_profile(code)
+    prof = equiv.profile(norm)
+    canon = equiv.reduce_to_ghcms(code)
+    want = equiv.profile(canon.code)
+    assert prof[:2] == want[:2] and prof[2] != want[2]
+    t = gf2.subspace_intersect(prof[0], prof[1])
+    step = equiv.shift_null_space(norm, t, from_r=2, to_d=0)
+    assert equiv.profile(step)[2] == gf2.null_space(canon.Q[2])
+    back = equiv.shift_null_space(step, t, from_r=0, to_d=2, residual=want[2])
+    assert equiv.profile(back) == want
+
+
+def _shift_chain(code, rng):
+    """The code after one to three random shifts."""
+    for _ in range(int(rng.integers(1, 4))):
+        code = equiv.shift_null_space(code, *random_valid_shift(code, equiv.profile(code), rng))
+    return code
+
+
+def _bundle_bytes(bundle, path) -> bytes:
+    bundleio.write_bundle(path, bundle)
+    return path.read_bytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["a3", "drawn", "pair"]))
+@settings(max_examples=200, deadline=None)
+def test_reduce_is_a_function_of_the_partition(seed, kind):
+    # two shift chains of one perfect code reduce to the same file, and for
+    # s = 3 it is the relaxed bundle of the code's partition with the whole
+    # completion on terminal 3
+    rng = np.random.default_rng(seed)
+    if kind == "pair":
+        m = int(rng.integers(2, 5))
+        code = codec.make_code([gf2.BitMatrix.identity((1 << m) - 1), hcms.hamming_matrix(m)])
+    elif kind == "a3":
+        t_rows = 9
+        g1 = int(rng.integers(t_rows + 1))
+        g2 = int(rng.integers(t_rows - g1 + 1))
+        code = hcms.hcms_for_a(3, g_split=(g1, g2, t_rows - g1 - g2)).code
+    else:
+        code = hcms.hcms_from_parts(hcms.random_sum_zero_partition(3, 6, rng)).code
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bundle.txt"
+        first = _bundle_bytes(equiv.reduce_to_ghcms(_shift_chain(code, rng)), path)
+        assert _bundle_bytes(equiv.reduce_to_ghcms(_shift_chain(code, rng)), path) == first
+        if code.s == 3:
+            P = equiv._pair_partition(code)[0]
+            Q = [P.take_cols(i * code.n, (i + 1) * code.n) for i in range(3)]
+            tail = code.n - gf2.rank(gf2.vstack(Q[:2]))
+            assert _bundle_bytes(ghcms.ghcms_build(Q, (0, 0, tail)), path) == first
 
 
 @st.composite

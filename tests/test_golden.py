@@ -89,27 +89,27 @@ REDUCE_INPUTS = {
 # (input, flags) -> sums of the written bundle and of stdout
 REDUCE_OUTPUTS = {
     ("a3", ()): (
-        "6749da9118640f54766deca44f130f41b781f9d1646bd1347118afcf478b32a7",
+        "7484e8954acea5df00d36297af4de6904761f9506f47c6b6821f86e5178ce76b",
         "c7473b665c48f5529ebf172e2bc41ddfdf3bcdd8c7f873379c3d353e8a2ab64d",
     ),
     ("a3", ("--kv",)): (
-        "6749da9118640f54766deca44f130f41b781f9d1646bd1347118afcf478b32a7",
+        "7484e8954acea5df00d36297af4de6904761f9506f47c6b6821f86e5178ce76b",
         "682f902ae24a5a9702fc28387faa4ec52517b67485145f6ac44337e2d5d01c35",
     ),
     ("a4", ()): (
-        "a952aae338ced090ca81bc241bb4cb3c9dcfe561f40f723cc9658bd33f87b9a2",
+        "1c2988de4ae96c7946a0ab934c2d3acbaeff278c81516226c3fe5d96016f41d8",
         "83966114dd765914053f8f7d04317e375fff17dd01f14b1e7fd4eed36164c027",
     ),
     ("a4", ("--kv",)): (
-        "a952aae338ced090ca81bc241bb4cb3c9dcfe561f40f723cc9658bd33f87b9a2",
+        "1c2988de4ae96c7946a0ab934c2d3acbaeff278c81516226c3fe5d96016f41d8",
         "69d914f58f7c0bfc098d5cbbb94d648c4c746cdca28ee13be86f9b1c9acfdf58",
     ),
     ("a5", ()): (
-        "411353ddcebfbd213c4c527fb0133a9000e8a29fb55da01af184511cd1e35b27",
+        "d9efc2ad3a305605eab06d56611439a0e4a6c5a62d90c0af782446d3a5fa44f4",
         "c2c0b35675cf54b56dc7108bef7cf9e4389b883088c014e97b380685327a52c4",
     ),
     ("a5", ("--kv",)): (
-        "411353ddcebfbd213c4c527fb0133a9000e8a29fb55da01af184511cd1e35b27",
+        "d9efc2ad3a305605eab06d56611439a0e4a6c5a62d90c0af782446d3a5fa44f4",
         "a28f0b6562bb48ddecaff846f5a1ad67a114bec07f39916b9922aa817ed6c22f",
     ),
     ("pair_n7", ()): (

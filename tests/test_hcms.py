@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swhamming import codec, gf2, hcms, sources
 from swhamming.errors import (
@@ -28,6 +30,24 @@ def test_hamming_matrix_small():
 def test_hamming_matrix_matches_partition_columns(bundle_a3):
     H6 = hcms.hamming_matrix(6)
     assert sorted(hcms._column_values(H6)) == sorted(hcms._column_values(bundle_a3.P))
+
+
+@given(st.integers(1, 150), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_standard_completion_is_the_unit_rows_off_the_pivots(n, seed):
+    # the rows of the identity at Y's non-pivot columns, whether the pivots
+    # are found or read off an RREF Y's leading bits
+    rng = np.random.default_rng(seed)
+    Y = gf2.random_matrix(int(rng.integers(0, n + 1)), n, rng)
+    pivots = gf2.pivot_columns(Y)
+    if len(pivots) < Y.rows:
+        with pytest.raises(RNotInvertibleError):
+            hcms.standard_completion(Y)
+        Y = gf2.row_basis(Y)
+    want = gf2.BitMatrix.from_bits(np.delete(np.eye(n, dtype=np.uint8), pivots, axis=0))
+    assert hcms.standard_completion(Y) == want
+    basis = gf2.row_basis(Y)
+    assert hcms.standard_completion(basis, gf2._leading_bits(basis.data)) == want
 
 
 # ---------------------------------------------------------------------------

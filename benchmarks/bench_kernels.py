@@ -13,7 +13,10 @@ parser of bundle files on the a = 5 bundle (``bundleio.read_file``) and
 the writer and the loader (parse and load-time checks) of the a = 6
 bundle file, each file in a temporary directory, and the universality
 reduction of a shifted a = 5 code (``equiv.reduce_with_report``, the
-plan that proves the code perfect included),
+plan that proves the code perfect included), the listing of the
+admissible null spaces at n = 5 for every dimension the search asks for
+(``codec.admissible_null_spaces``, d = 0..4) and the whole (3, 5, 9)
+profile search (``codec.search_perfect_null_spaces``),
 and prints the fastest of ``--repeat`` runs of each.  Run with ``python
 benchmarks/bench_kernels.py``.  The matrix product goes through numpy's
 float32 matmul, so its time depends on the BLAS numpy links and on how
@@ -113,6 +116,14 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         # a fresh code per call, as the CLI reads one: its plan is made again
         equiv.reduce_with_report(codec.make_code(shifted5.matrices))
 
+    def bench_admissible():
+        for d in range(5):
+            codec.admissible_null_spaces(5, d)
+
+    def bench_search():
+        if codec.search_perfect_null_spaces(5, 9).profiles:
+            raise RuntimeError("the (3, 5, 9) search found a perfect profile")
+
     cases = [
         ("rref 341x682", bench_rref),
         ("matmul 341^2", bench_matmul),
@@ -126,6 +137,8 @@ def make_cases(rng: np.random.Generator, workdir: Path | None = None):
         ("decode n=341 x200", bench_decode),
         ("hcms_for_a a=6", bench_hcms_for_a),
         ("reduce a=5", bench_reduce),
+        ("admissible n=5", bench_admissible),
+        ("search n=5 M=9", bench_search),
     ]
     if workdir is not None:
         path = Path(workdir) / "gen_a5.txt"

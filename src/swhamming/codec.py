@@ -45,7 +45,6 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     Subspace,
-    _span_values,
     concat,
     echelon_augmented,
     format_matrix,
@@ -71,6 +70,9 @@ if TYPE_CHECKING:
 SyndromeTuple = tuple[BitVector, ...]
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
+# int64 words that one array of a subspace listing holds at most
+# (admissible_null_spaces), whatever the search's budget
+LISTING_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -492,32 +494,99 @@ def gaussian_binomial(n: int, k: int) -> int:
 
 def admissible_null_spaces(n: int, d: int) -> list[Subspace]:
     """All d-dimensional subspaces of GF(2)^n whose nonzero vectors all have
-    weight >= 3.  A coding-matrix null space containing a weight-1 or
-    weight-2 vector immediately collides two members of S, so only these
-    subspaces can appear in a compressing profile."""
+    weight >= 3, each held by its canonical basis.  A coding-matrix null
+    space containing a weight-1 or weight-2 vector immediately collides two
+    members of S, so only these subspaces can appear in a compressing
+    profile.
+
+    They are listed in the order of their bases in reduced row echelon
+    form: pivot sets in ``itertools.combinations`` order, and each set's
+    free bits (row by row, each row's columns in increasing order) in
+    ``itertools.product`` order.  The candidates are decided a chunk at a
+    time (:func:`_rref_bases`, at most ``LISTING_CHUNK`` words per array):
+    their spans grow one basis row at a time (:func:`_spans`), and a
+    candidate is dropped at the first row that puts a vector of weight < 3
+    in its span.
+
+    No d-subspace qualifies when 2^d (n + 1) > 2^n, which is then answered
+    without listing: its nonzero vectors all having weight >= 3 makes it a
+    code of minimum distance 3, since two members u != v differ in u + v,
+    itself a nonzero member.  So the radius-1 balls around its 2^d members,
+    n + 1 vectors each, are disjoint, and 2^d (n + 1) <= 2^n.  A listing
+    of at least 2^63 candidates, which no array can index, is
+    BUDGET_EXCEEDED; any other reaches only n <= 63, since 1 <= d < n then
+    (d = n fails the bound) and there are at least 2^n - 1 candidates, so
+    each basis row is one non-negative int64.
+    """
     if d == 0:
         return [Subspace.zero(n)]
+    if (n + 1) << d > 1 << n:
+        return []
+    if d * (n - d) >= 63 or gaussian_binomial(n, d) >> 63:
+        raise BudgetExceededError(
+            f"listing the {d}-dimensional subspaces of GF(2)^{n}, at least 2^63 of them, "
+            "needs indices wider than 63 bits"
+        )
     out: list[Subspace] = []
-    width = 8 * nwords(n)
-    for pivots in itertools.combinations(range(n), d):
-        pivset = set(pivots)
-        free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivset]
-        for assignment in itertools.product((0, 1), repeat=len(free)):
-            rows = [1 << pivots[i] for i in range(d)]
-            for (i, j), bit in zip(free, assignment):
-                rows[i] |= bit << j
-            if _min_weight_at_least_3(rows):
-                # bit j of a row at bit j of its little-endian words; the
-                # rows are already the canonical basis, since row i leads at
-                # pivots[i] and no other row has that bit set
-                words = b"".join(r.to_bytes(width, "little") for r in rows)
-                data = np.frombuffer(words, dtype="<u8").reshape(d, -1)
-                out.append(Subspace(n, basis=BitMatrix(d, n, data)))
+    # per basis, the widest arrays are its free bits, at most d (n - d),
+    # and its span, 2^d members
+    size = max(1, LISTING_CHUNK // max(d * (n - d), 1 << d))
+    for rows in _rref_bases(n, d, size):
+        keep, _ = _spans(rows, min_weight=3)
+        # the rows are already the canonical basis, since row i leads at
+        # pivots[i] and no other row has that bit set
+        words = rows[keep].view(np.uint64).reshape(len(keep), d, 1)
+        out += [Subspace(n, basis=BitMatrix(d, n, w)) for w in words]
     return out
 
 
-def _min_weight_at_least_3(rows: list[int]) -> bool:
-    return all(v.bit_count() >= 3 for v in _span_values(rows)[1:])
+def _rref_bases(n: int, d: int, size: int):
+    """The d x n matrices in reduced row echelon form with no zero row, in
+    the order of :func:`admissible_null_spaces`, as (size, d) int64 arrays
+    (the last one shorter), bit j of an entry coordinate j of the row.  An
+    assignment of the f free bits of a pivot set is the index of its
+    ``itertools.product`` tuple, whose first entry is the index's most
+    significant bit; it sets bit j of row i for each free entry (i, j) it
+    holds a 1 at."""
+    pending, held = [], 0
+    for pivots in itertools.combinations(range(n), d):
+        pivset = set(pivots)
+        free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivset]
+        weight = np.zeros((len(free), d), dtype=np.int64)
+        for k, (i, j) in enumerate(free):
+            weight[k, i] = 1 << j
+        base = np.array([1 << p for p in pivots], dtype=np.int64)
+        shifts = np.arange(len(free) - 1, -1, -1)
+        start, total = 0, 1 << len(free)
+        while start < total:
+            stop = min(total, start + size - held)
+            index = np.arange(start, stop, dtype=np.int64)
+            pending.append(base | ((index[:, None] >> shifts) & 1) @ weight)
+            held += stop - start
+            start = stop
+            if held == size:
+                yield np.concatenate(pending)
+                pending, held = [], 0
+    if pending:
+        yield np.concatenate(pending)
+
+
+def _spans(rows: np.ndarray, min_weight: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The members of the span of each row of ``rows``, a (C, d) int64
+    array of d vectors per row (bit j of an entry coordinate j), as a
+    (len(keep), 2^d) array, member k the sum of the vectors at the set bits
+    of k, beside ``keep``, the indices of the rows whose nonzero members
+    all have weight >= ``min_weight``.  A span grows one vector at a time,
+    and a row is dropped as soon as a member of lower weight appears."""
+    keep = np.arange(len(rows))
+    span = np.zeros((len(rows), 1), dtype=np.int64)
+    for i in range(rows.shape[1]):
+        grown = span ^ rows[keep, i, None]
+        if min_weight:
+            heavy = (np.bitwise_count(grown) >= min_weight).all(axis=1)
+            keep, span, grown = keep[heavy], span[heavy], grown[heavy]
+        span = np.concatenate([span, grown], axis=1)
+    return keep, span
 
 
 def coset_masks(spaces: Sequence[Subspace], n: int) -> np.ndarray:
@@ -526,11 +595,11 @@ def coset_masks(spaces: Sequence[Subspace], n: int) -> np.ndarray:
     masks[2, k] over the u of weight 1 or 2.  Bit w % 64 of word w // 64 is
     set iff w is in the set; the shape is (3, len(spaces), nwords(2^n)), one
     word per mask for n <= 6."""
-    spans = [_span_values([int(w) for w in N.basis.data[:, 0]]) for N in spaces]
-    width = max(map(len, spans), default=1)
-    # a short span is padded with 0, which every subspace holds
-    members = np.array([sp + [0] * (width - len(sp)) for sp in spans], dtype=np.int64)
-    members = members.reshape(len(spaces), width, 1)
+    rows = np.zeros((len(spaces), max((N.dim for N in spaces), default=0)), dtype=np.int64)
+    for k, N in enumerate(spaces):
+        rows[k, : N.dim] = N.basis.data[:, 0]
+    # a smaller basis is padded with zero rows, which repeat its members
+    members = _spans(rows)[1][:, :, None]
     ones = [1 << p for p in range(n)]
     twos = [a | b for a, b in itertools.combinations(ones, 2)]
     k = np.arange(len(spaces)).reshape(-1, 1, 1)
@@ -615,7 +684,12 @@ def search_perfect_null_spaces(
     Null-space dimensions follow from the full-rank requirement, d_i =
     n - m_i, over all row splits m_1 + m_2 + m_3 = M.  Candidate subspaces
     are pruned by the weight-1/weight-2 exclusion before any code is
-    tested; compressibility depends only on the null spaces, so the
+    tested: :func:`admissible_null_spaces` decides the candidates of a
+    dimension in whole-array passes, and answers a dimension the Hamming
+    bound rules out (2^d (n + 1) > 2^n) with no listing.  The count of
+    d-subspaces is checked against ``budget`` before that, so a refusal
+    does not depend on the bound.  Compressibility depends only on the
+    null spaces, so the
     triples of a row split are decided together by the coset test
     (:func:`compressible_grid`).  The plan's exact test,
     :func:`is_compressible`, re-decides the first triple of every row split

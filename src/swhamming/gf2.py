@@ -469,15 +469,6 @@ class Subspace:
         return f"Subspace(n={self.n}, dim={self.dim})"
 
 
-def _span_values(rows: list[int]) -> list[int]:
-    """The members of the span of ``rows`` (bit j of an int is coordinate
-    j), member k the sum of the rows at the set bits of k."""
-    span = [0]
-    for r in rows:
-        span += [v ^ r for v in span]
-    return span
-
-
 def distinct_nonzero_columns(M: BitMatrix) -> bool:
     """Whether the columns of M are nonzero and pairwise distinct: one sort
     of the packed columns."""

@@ -1,8 +1,9 @@
 """Small helpers the tests share: the decomposition of a member of S, the
 byte parser of code and bundle files applied to one matrix, and the
 shifted perfect codes that ``reduce`` is benchmarked on, a relaxed
-bundle whose transforms are not identities, and a CLI run that keeps only
-its exit status and stderr."""
+bundle whose transforms are not identities, a CLI run that keeps only
+its exit status and stderr, and the members of the span of a few ints,
+the reference for ``codec``'s array spans."""
 
 from __future__ import annotations
 
@@ -81,3 +82,12 @@ def run_quiet(argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, err.getvalue()
+
+
+def span_values(rows: list[int]) -> list[int]:
+    """The members of the span of ``rows`` (bit j of an int is coordinate
+    j), member k the sum of the rows at the set bits of k."""
+    span = [0]
+    for r in rows:
+        span += [v ^ r for v in span]
+    return span

@@ -1,8 +1,9 @@
 """``benchmarks/bench_kernels.py`` runs, and it still prints the cases that
 ``perfbench/probes.py`` looks up by name in its ``make_cases``, its
 bundle parser, writer and loader cases, its construction and reduction
-cases, its two row-reduction phase cases, its key check case and its
-encode and decode chunk cases."""
+cases, its two row-reduction phase cases, its key check case, its
+encode and decode chunk cases and its null-space listing and profile
+search cases."""
 
 from __future__ import annotations
 
@@ -49,5 +50,7 @@ def test_bench_kernels_runs_and_prints_the_probed_cases():
         "key check a=6",
         "encode chunk n=85",
         "decode chunk n=85",
+        "admissible n=5",
+        "search n=5 M=9",
     }
     assert set(names) | extra <= printed

@@ -926,6 +926,32 @@ def test_search_budget_is_checked_before_listing_subspaces(capsys):
     assert code == 2 and "error=BUDGET_EXCEEDED" in err
 
 
+@pytest.mark.parametrize(
+    "budget, refusal",
+    [
+        (
+            "4194304",
+            "listing the 4056681585917103881615955 16-dimensional subspaces of GF(2)^21 "
+            "exceeds budget 4194304",
+        ),
+        (
+            str(10**27),
+            "listing the 16-dimensional subspaces of GF(2)^21, at least 2^63 of them, "
+            "needs indices wider than 63 bits",
+        ),
+    ],
+    ids=["counted", "unindexable"],
+)
+def test_search_skips_dimensions_the_hamming_bound_rules_out(capsys, budget, refusal):
+    # the budget admits the 2^21 - 1 twenty-dimensional subspaces, but
+    # 2^20 (21 + 1) > 2^21 rules them all out unlisted; the 16-dimensional
+    # ones come next and are refused
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--n", "21", "--M", "27", "--budget", budget)
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (2, "", f"error=BUDGET_EXCEEDED {refusal}\n")
+
+
 @pytest.mark.parametrize("a", [3, 4, 5])
 def test_shifted_plain_code_round_trips(tmp_path, capsys, rng, a):
     # a plain code file, as reduce takes it: an equivalent of the a-th HCMS

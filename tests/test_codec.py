@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from decode_oracle import DecodeTable
+from helpers import span_values
 from swhamming import bundleio, cli, codec, gf2, sources
 from swhamming.errors import (
     BudgetExceededError,
@@ -212,7 +213,7 @@ def test_decode_table_budget(pair_n7):
 
 def _members(N):
     """The 2^dim members of N as ints, the zero vector first."""
-    return gf2._span_values([N.basis.row(i).value for i in range(N.dim)])
+    return span_values([N.basis.row(i).value for i in range(N.dim)])
 
 
 def test_admissible_subspace_counts():
